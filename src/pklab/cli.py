@@ -14,6 +14,8 @@ import configparser
 import csv
 import io
 import json
+import math
+import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -123,6 +125,12 @@ class SuiteConfig:
         for key, val in self.tolerances.items():
             if key not in DEFAULT_TOLERANCES:
                 raise UsageError(f"unknown tolerance key {key!r}")
+            try:
+                finite = math.isfinite(val)
+            except TypeError:
+                finite = False
+            if not finite:
+                raise UsageError(f"tolerance {key!r} must be a finite number, got {val!r}")
             if key in ("dual-linearity-ratio", "ma-order-low"):
                 if val > DEFAULT_TOLERANCES[key]:
                     raise UsageError("lower-bound tolerances may only be loosened downward")
@@ -337,8 +345,8 @@ def suite_curvature_formula(cfg: SuiteConfig, tol: Tolerances):
     witness = None
     for _ in range(count):
         bp = kns.random_bsd_point(n, rng, 0.55)
-        resid = wp.curvature_formula_check(space, j0, frame, bp)
         tensor = wp.curvature_fd(space, j0, frame, bp)
+        resid = wp.curvature_formula_check(space, j0, frame, bp, fd=tensor)
         worst_sym = max(worst_sym, tensor.kahler_symmetry_defect())
         if resid > worst:
             worst = resid
@@ -896,9 +904,34 @@ def emit_plot_data(config: SuiteConfig, profile: str, path: str | Path) -> Path:
 # Command-line front ends
 # ---------------------------------------------------------------------------
 
+def _number(kind, text: str, what: str):
+    """kind(text) for kind int or float; a malformed value is a usage error."""
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise UsageError(f"{what} must be {noun}, got {text!r}") from None
+
+
+def _check_output_path(path: str) -> None:
+    """Refuse an output path that cannot be written, before any computation."""
+    target = Path(path)
+    parent = target.parent
+    if not parent.is_dir():
+        raise UsageError(f"output directory {str(parent)!r} does not exist")
+    if target.is_dir():
+        raise UsageError(f"output path {path!r} is a directory")
+    if not os.access(parent, os.W_OK):
+        raise UsageError(f"output directory {str(parent)!r} is not writable")
+
+
 def _load_config_file(path: str) -> dict:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise UsageError(f"config file {path!r} is malformed: "
+                         f"{str(exc).splitlines()[0]}") from None
     if not read:
         raise UsageError(f"config file {path!r} not found")
     out: dict = {}
@@ -909,14 +942,15 @@ def _load_config_file(path: str) -> dict:
                 out[key] = sec[key]
         for key in ("seed", "n", "samples", "grid"):
             if key in sec:
-                out[key] = int(sec[key])
+                out[key] = _number(int, sec[key], f"[verify] {key}")
     if parser.has_section("model"):
         sec = parser["model"]
         if "family" in sec:
             extra = " ".join(f"{k}={v}" for k, v in sec.items() if k != "family")
             out["model"] = (sec["family"] + (" " + extra if extra else "")).strip()
     if parser.has_section("tolerances"):
-        out["tolerances"] = {k: float(v) for k, v in parser["tolerances"].items()}
+        out["tolerances"] = {k: _number(float, v, f"[tolerances] {k}")
+                             for k, v in parser["tolerances"].items()}
     return out
 
 
@@ -926,7 +960,7 @@ def _parse_tol(items) -> dict:
         if "=" not in item:
             raise UsageError(f"tolerance override {item!r} must be key=value")
         key, val = item.split("=", 1)
-        out[key.strip()] = float(val)
+        out[key.strip()] = _number(float, val, f"tolerance override {key.strip()!r}")
     return out
 
 
@@ -966,6 +1000,8 @@ def main_verify(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _config_from_args(args)
+        if args.out:
+            _check_output_path(args.out)
         report = run_suite(config)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -996,6 +1032,7 @@ def main_plot_data(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _config_from_args(args)
+        _check_output_path(args.out)
         emit_plot_data(config, args.profile, args.out)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

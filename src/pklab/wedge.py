@@ -54,23 +54,40 @@ def compound_matrix(m: np.ndarray, k: int) -> np.ndarray:
     return np.linalg.det(stack)
 
 
-def derivation_matrix(m: np.ndarray, k: int) -> np.ndarray:
-    """Even-derivation extension sum_i 1 x .. x m x .. x 1 on degree k."""
-    dim = m.shape[0]
+@lru_cache(maxsize=None)
+def _derivation_table(dim: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Signed scatter table of the derivation extension on degree k.
+
+    Entry e adds sign[e] * m.ravel()[src[e]] to out[row[e], col[e]].  Entries
+    are listed in (column, position, target) order, so one unbuffered
+    scatter accumulates every output entry in a fixed order.
+    """
     sets = basis(dim, k)
     idx = index_map(dim, k)
-    out = np.zeros((len(sets), len(sets)), dtype=complex)
-    m = np.asarray(m, dtype=complex)
+    rows, cols, srcs, signs = [], [], [], []
     for col, cs in enumerate(sets):
         for pos in range(k):
             rest = cs[:pos] + cs[pos + 1:]
             for target in range(dim):
-                coeff = m[target, cs[pos]]
-                if coeff == 0.0:
-                    continue
                 full, sign = sort_sign(rest[:pos] + (target,) + rest[pos:])
                 if sign != 0:
-                    out[idx[full], col] += sign * coeff
+                    rows.append(idx[full])
+                    cols.append(col)
+                    srcs.append(target * dim + cs[pos])
+                    signs.append(sign)
+    return (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
+            np.array(srcs, dtype=np.intp), np.array(signs, dtype=complex))
+
+
+def derivation_matrix(m: np.ndarray, k: int) -> np.ndarray:
+    """Even-derivation extension sum_i 1 x .. x m x .. x 1 on degree k."""
+    dim = m.shape[0]
+    size = len(basis(dim, k))
+    if k == 1:
+        return np.asarray(m, dtype=complex).copy()
+    rows, cols, srcs, signs = _derivation_table(dim, k)
+    out = np.zeros((size, size), dtype=complex)
+    np.add.at(out, (rows, cols), signs * np.asarray(m, dtype=complex).ravel()[srcs])
     return out
 
 
@@ -86,11 +103,13 @@ def type_masks(n: int, k: int) -> dict[tuple[int, int], np.ndarray]:
     return out
 
 
+@lru_cache(maxsize=None)
 def conjugation_matrix(n: int, k: int) -> np.ndarray:
     """Signed permutation of wedge indices under the swap a <-> a + n.
 
     Composed with entrywise conjugation of coordinates this is the real
     structure of the exterior power in a conjugation-adapted degree-1 basis.
+    The cached result is shared and read-only.
     """
     sets = basis(2 * n, k)
     idx = index_map(2 * n, k)
@@ -99,4 +118,5 @@ def conjugation_matrix(n: int, k: int) -> np.ndarray:
         swapped = tuple((a + n) % (2 * n) for a in cs)
         full, sign = sort_sign(swapped)
         out[idx[full], col] = sign
+    out.setflags(write=False)
     return out

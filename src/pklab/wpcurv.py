@@ -92,18 +92,13 @@ def metric_field(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFram
                  degree: int = 1):
     """coords -> Hilbert-Schmidt Gram matrix of the degree-(-1,1) field."""
     field_ = HiggsField(space, J, frame, degree)
-    nsym = field_.nsym
 
     def gram_at(coords: np.ndarray) -> np.ndarray:
-        theta = field_.theta(coords)
+        theta = np.stack(field_.theta(coords))
         h = field_.gram(coords)
-        hinv_t = np.linalg.inv(h)
-        adjoints = [hinv_t @ t.conj().T @ h for t in theta]
-        out = np.empty((nsym, nsym), dtype=complex)
-        for j in range(nsym):
-            for k in range(nsym):
-                out[j, k] = np.trace(theta[j] @ adjoints[k])
-        return out
+        adjoints = np.linalg.inv(h) @ theta.conj().transpose(0, 2, 1) @ h
+        # out[j, k] = tr(theta_j adj(theta_k))
+        return np.einsum("jab,kba->jk", theta, adjoints)
 
     return field_, gram_at
 
@@ -221,9 +216,15 @@ def curvature_formula_terms(space: SymplecticSpace, J: ComplexStructure,
 
 def curvature_formula_check(space: SymplecticSpace, J: ComplexStructure,
                             frame: UnitaryFrame, basepoint: BsdPoint,
-                            step: float = 1e-3) -> float:
-    """Max entrywise deviation between the difference tensor and the formula."""
-    fd = curvature_fd(space, J, frame, basepoint, step=step)
+                            step: float = 1e-3,
+                            fd: CurvatureTensor | None = None) -> float:
+    """Max entrywise deviation between the difference tensor and the formula.
+
+    `fd` is the difference tensor at `basepoint` if the caller already holds
+    it (computed with the same `step`); otherwise it is computed here.
+    """
+    if fd is None:
+        fd = curvature_fd(space, J, frame, basepoint, step=step)
     alg = curvature_formula_terms(space, J, frame, basepoint, step=step)
     return float(np.max(np.abs(fd.entries - alg)))
 

@@ -164,3 +164,42 @@ def test_plot_data_cli_entry(tmp_path):
     assert out.exists()
     assert cli.main_plot_data(["--suite", "geodesics", "--profile", "bogus",
                                "--out", str(out)]) == 2
+
+
+def _single_error_line(capsys):
+    err = capsys.readouterr().err.strip().splitlines()
+    return len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_tolerance_rejected(value, capsys):
+    assert cli.main_verify(["--suite", "trace-inequality", "--samples", "5",
+                            "--tol", f"trace-inequality={value}"]) == 2
+    assert _single_error_line(capsys)
+    with pytest.raises(cli.UsageError):
+        cli.SuiteConfig(suite="trace-inequality", tolerances={"trace-inequality": float(value)})
+
+
+def test_unusable_output_path_rejected_before_running(tmp_path, monkeypatch, capsys):
+    def no_run(config):
+        raise AssertionError("the suite ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "run_suite", no_run)
+    missing = tmp_path / "missing" / "x.json"
+    assert cli.main_verify(["--suite", "trace-inequality", "--out", str(missing)]) == 2
+    assert _single_error_line(capsys)
+    assert cli.main_verify(["--suite", "trace-inequality", "--out", str(tmp_path)]) == 2
+    assert _single_error_line(capsys)
+
+
+def test_malformed_values_rejected(tmp_path, capsys):
+    assert cli.main_verify(["--suite", "trace-inequality",
+                            "--tol", "trace-inequality=abc"]) == 2
+    assert _single_error_line(capsys)
+    for text in ("[verify]\nsuite = trace-inequality\nseed = abc\n",
+                 "[verify]\nsuite = trace-inequality\n[tolerances]\ntrace-inequality = x\n",
+                 "suite = trace-inequality\n"):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        assert cli.main_verify(["--config", str(path)]) == 2
+        assert _single_error_line(capsys)
