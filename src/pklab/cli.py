@@ -12,13 +12,13 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import inspect
 import io
 import json
 import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -80,20 +80,29 @@ DEFAULT_TOLERANCES = {
 
 
 def parse_model_spec(spec: str) -> tuple[str, dict]:
-    """Parse "family key=val key=val" into a family name and parameters."""
+    """Parse "family key=val key=val" into a family name and parameters: each
+    key a parameter of the family, each value a finite number (a comma list
+    of them for ``weights``)."""
     parts = spec.split()
     if not parts:
         raise UsageError("empty model specification")
     family = parts[0]
+    builders = {**fib.MODEL_FAMILIES, **pb.BUNDLE_FAMILIES}
+    if family not in builders:
+        raise UsageError(f"unknown model family {family!r}")
+    keys = tuple(inspect.signature(builders[family]).parameters)
     params: dict = {}
     for item in parts[1:]:
         if "=" not in item:
             raise UsageError(f"model parameter {item!r} must be key=value")
         key, val = item.split("=", 1)
-        try:
-            params[key] = int(val) if val.isdigit() else float(val)
-        except ValueError:
-            params[key] = val
+        if key not in keys:
+            raise UsageError(f"model family {family!r} has no parameter {key!r}; "
+                             f"known: {', '.join(keys)}")
+        nums = [_number(float, v, f"model parameter {key!r}") for v in val.split(",")]
+        if not all(map(math.isfinite, nums)) or (len(nums) > 1 and key != "weights"):
+            raise UsageError(f"model parameter {key!r} must be a finite number, got {val!r}")
+        params[key] = val if key == "weights" else int(val) if val.isdigit() else nums[0]
     return family, params
 
 
@@ -118,10 +127,16 @@ class SuiteConfig:
         if not 0 <= self.seed < 2**64:
             raise UsageError("seed must be a 64-bit unsigned integer")
         if self.model is not None:
-            family, _ = parse_model_spec(self.model)
-            if family not in fib.MODEL_FAMILIES and family not in (
-                    "constant", "twisted", "split"):
-                raise UsageError(f"unknown model family {family!r}")
+            parse_model_spec(self.model)
+            if self.suite in ("schumacher", "all"):
+                # Probe the model once where the schumacher suite uses it.
+                model = _configured_fibration(self)
+                if not model.proper:
+                    raise UsageError("schumacher requires a torus-fiber model")
+                try:
+                    fib.fiber_state(model, T_PERT)
+                except fib.PositivityError as exc:
+                    raise UsageError(f"model {self.model!r} at t={T_PERT}: {exc}") from None
         for key, val in self.tolerances.items():
             if key not in DEFAULT_TOLERANCES:
                 raise UsageError(f"unknown tolerance key {key!r}")
@@ -401,18 +416,9 @@ def suite_trace_inequality(cfg: SuiteConfig, tol: Tolerances):
     ]
 
 
-_MODEL_CACHE: dict = {}
-
-
-def _cached_model(name: str, builder):
-    if name not in _MODEL_CACHE:
-        _MODEL_CACHE[name] = builder()
-    return _MODEL_CACHE[name]
-
-
 def suite_elliptic_family(cfg: SuiteConfig, tol: Tolerances):
     rng = np.random.default_rng([cfg.seed, 6])
-    model = _cached_model(f"elliptic-{cfg.grid}", lambda: fib.elliptic_model(cfg.grid))
+    model = fib.elliptic_model(cfg.grid)
     worst_agree = worst_type = worst_top = worst_c = 0.0
     for _ in range(max(1, cfg.samples // 2)):
         t = rng.uniform(-1.5, 1.5) + 1j * rng.uniform(0.3, 3.0)
@@ -462,21 +468,27 @@ def suite_elliptic_family(cfg: SuiteConfig, tol: Tolerances):
     return checks
 
 
+# Base point of the schumacher suite's checks on the perturbed or configured model.
+T_PERT = 0.3 + 1.2j
+
+
+def _configured_fibration(cfg: SuiteConfig) -> fib.FibrationModel:
+    """The --model fibration family, at cfg.grid unless the spec sets grid."""
+    family, params = parse_model_spec(cfg.model)
+    if family not in fib.MODEL_FAMILIES:
+        raise UsageError(f"suite schumacher needs a fibration family, got {family!r}")
+    params.setdefault("grid", cfg.grid)
+    return fib.build_model(family, **params)
+
+
 def suite_schumacher(cfg: SuiteConfig, tol: Tolerances):
-    model = _cached_model(f"elliptic-{cfg.grid}", lambda: fib.elliptic_model(cfg.grid))
+    model = fib.elliptic_model(cfg.grid)
     if cfg.model is not None:
-        family, params = parse_model_spec(cfg.model)
-        if family not in fib.MODEL_FAMILIES:
-            raise UsageError(f"suite schumacher needs a fibration family, got {family!r}")
-        params.setdefault("grid", cfg.grid)
-        pert = fib.build_model(family, **params)
-        if not pert.proper:
-            raise UsageError("schumacher requires a torus-fiber model")
+        pert = _configured_fibration(cfg)
     else:
-        pert = _cached_model(f"perturbed-{cfg.grid}",
-                             lambda: fib.perturbed_torus_model(eps=0.05, grid=cfg.grid))
+        pert = fib.perturbed_torus_model(eps=0.05, grid=cfg.grid)
     t_flat = 0.2 + 1.1j
-    t_pert = 0.3 + 1.2j
+    t_pert = T_PERT
     rep_flat = fib.schumacher_residual(model, t_flat)
     rep_pert = fib.schumacher_residual(pert, t_pert)
     lhs, rhs, fs_res = fib.fs_pushforward_check(pert, t_pert)
@@ -505,19 +517,16 @@ def suite_schumacher(cfg: SuiteConfig, tol: Tolerances):
 
 def _pk_suite_models(grid: int):
     small = min(grid, 16)
-    rng = np.random.default_rng(99)
     a0 = np.array([[2.0, 0.4 + 0.1j], [0.4 - 0.1j, 1.0]])
     a1 = np.array([[1.0, -0.3j], [0.3j, 2.5]])
     geod = geo.hermitian_geodesic(a0, a1)
     lin = geo.linear_hermitian_path(a0, a1)
-    _ = rng
     return [
-        (_cached_model(f"elliptic-{small}", lambda: fib.elliptic_model(small)), True),
-        (_cached_model(f"theta-{small}", lambda: fib.theta_weight_model(small)), True),
+        (fib.elliptic_model(small), True),
+        (fib.theta_weight_model(small), True),
         (fib.hermitian_quadratic_model(geod, 2, name="hermitian-geodesic"), True),
-        (_cached_model("cross", lambda: fib.cross_term_model()), False),
-        (_cached_model(f"pert-{small}",
-                       lambda: fib.perturbed_torus_model(eps=0.05, grid=small)), False),
+        (fib.cross_term_model(), False),
+        (fib.perturbed_torus_model(eps=0.05, grid=small), False),
         (fib.hermitian_quadratic_model(lin, 2, name="hermitian-linear"), False),
     ]
 
@@ -732,7 +741,7 @@ def suite_projbundle(cfg: SuiteConfig, tol: Tolerances):
                          tol("projflat-zero")))
     if cfg.model is not None:
         family, params = parse_model_spec(cfg.model)
-        if family in ("constant", "twisted", "split"):
+        if family in pb.BUNDLE_FAMILIES:
             model = pb.build_bundle_model(family, **params)
             resid = pb.projective_flatness_residual(model, 0.4 + 0.2j)
             v = np.ones(model.r, dtype=complex)
@@ -762,10 +771,8 @@ SUITES = {
 
 
 def run_suite(config: SuiteConfig) -> SuiteReport:
-    """Execute the named suite (or all of them) and collect check records.
-
-    Checks of distinct sub-suites run concurrently; records are merged in
-    registry order so reports are deterministic.
+    """Execute the named suite (or all of them, one after another in registry
+    order, each check prefixed with its suite name) and collect check records.
     """
     start = time.perf_counter()
     tol = Tolerances(config)
@@ -774,13 +781,11 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     else:
         names = [config.suite]
     results: list[CheckRecord] = []
-    with ThreadPoolExecutor(max_workers=min(4, len(names))) as pool:
-        futures = [pool.submit(SUITES[name], config, tol) for name in names]
-        for name, fut in zip(names, futures):
-            for record in fut.result():
-                prefix = f"{name}/" if config.suite == "all" else ""
-                record.name = prefix + record.name
-                results.append(record)
+    for name in names:
+        prefix = f"{name}/" if config.suite == "all" else ""
+        for record in SUITES[name](config, tol):
+            record.name = prefix + record.name
+            results.append(record)
     elapsed = time.perf_counter() - start
     cfg_echo = {"suite": config.suite, "seed": config.seed, "n": config.n,
                 "samples": config.samples, "grid": config.grid,
@@ -831,8 +836,7 @@ def emit_report(report: SuiteReport, fmt: str, path: str | Path) -> Path:
 # ---------------------------------------------------------------------------
 
 def profile_wp_coefficient(config: SuiteConfig):
-    model = _cached_model(f"elliptic-{config.grid}",
-                          lambda: fib.elliptic_model(config.grid))
+    model = fib.elliptic_model(config.grid)
     rows = []
     for s in np.linspace(0.5, 4.0, 15):
         g = fib.wp_fiber_metric(model, 1j * s)[0, 0].real

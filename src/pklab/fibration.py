@@ -11,6 +11,7 @@ the Laplacian and the degeneracy diagnostics are spectral.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -72,12 +73,12 @@ def _wirtinger_symbols(n: int):
     return t, tb, zs, zbs
 
 
-def model_from_potential(expr, name: str, n: int = 1, lattice: Callable | None = None,
-                         grid: int = 64) -> FibrationModel:
-    """Build a model from a symbolic potential in t, tbar, z0.., zb0..
+@lru_cache(maxsize=32)
+def _compiled_jets(expr, n: int) -> tuple[Callable, Callable]:
+    """(second, third) jet callbacks of a potential, compiled once per (expr, n).
 
-    All required mixed derivatives are generated symbolically and compiled to
-    vectorized callbacks; conjugate variables are substituted at call time.
+    The jets do not depend on the fiber grid, so models of one family at
+    different grids share them; sympy expressions hash by structure.
     """
     t, tb, zs, zbs = _wirtinger_symbols(n)
     args = (t, tb) + zs + zbs
@@ -112,6 +113,18 @@ def model_from_potential(expr, name: str, n: int = 1, lattice: Callable | None =
                                   for c in range(n)]) for a in range(n)])
         return bff, fff
 
+    return second, third
+
+
+def model_from_potential(expr, name: str, n: int = 1, lattice: Callable | None = None,
+                         grid: int = 64) -> FibrationModel:
+    """Build a model from a symbolic potential in t, tbar, z0.., zb0..
+
+    All required mixed derivatives are generated symbolically and compiled to
+    vectorized callbacks; conjugate variables are substituted at call time.
+    The compiled jets are shared by every model with the same potential.
+    """
+    second, third = _compiled_jets(expr, n)
     return FibrationModel(name=name, n=n, second=second, third=third,
                           lattice=lattice, grid=grid)
 
@@ -450,16 +463,17 @@ def dzbar_log_det_ff(model: FibrationModel, t: complex, pts: np.ndarray) -> np.n
     return np.einsum("ms...,smb...->b...", ff_inv, fff)
 
 
-def relative_canonical_curvature(model: FibrationModel, t: complex,
-                                 fiber: SpectralFiber, tstep: float = 1e-4) -> np.ndarray:
-    """Theta(V, Vbar) grid: curvature of the relative canonical metric paired
-    with the horizontal lift, computed from t-differences of log det(ff) and
-    its analytic fiber gradient plus spectral fiber derivatives."""
+def _psi_base_derivatives(model: FibrationModel, t: complex, fiber: SpectralFiber,
+                          tstep: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Base derivatives of psi = log det(ff) on the fiber grid at t:
+    psi_{t tbar} (grid) and psi_{t bbar} (n, grid) by Richardson-extrapolated
+    t-stencils, and the analytic fiber gradient d_bbar psi (n, grid)."""
     pts = fiber.points
-    n = model.n
 
     def psi_grid(tv):
         return log_det_ff_grid(model, tv, fiber)
+
+    p0 = psi_grid(t)
 
     def estimate(h):
         # psi_{t tbar} via the real/imag 5-point stencil.
@@ -467,7 +481,6 @@ def relative_canonical_curvature(model: FibrationModel, t: complex,
         pm = psi_grid(t - h)
         ip = psi_grid(t + 1j * h)
         im = psi_grid(t - 1j * h)
-        p0 = psi_grid(t)
         return 0.25 * ((pp - 2 * p0 + pm) / h**2 + (ip - 2 * p0 + im) / h**2)
 
     co, fi = estimate(tstep), estimate(tstep / 2)
@@ -484,8 +497,17 @@ def relative_canonical_curvature(model: FibrationModel, t: complex,
         c2, f2 = est(tstep), est(tstep / 2)
         return (4.0 * f2 - c2) / 3.0
 
-    psi_tb = holo_t(grad_bar)                       # (n, grid): d_t d_bbar psi
-    gbar0 = grad_bar(t)
+    return psi_ttb, holo_t(grad_bar), grad_bar(t)
+
+
+def relative_canonical_curvature(model: FibrationModel, t: complex,
+                                 fiber: SpectralFiber, tstep: float = 1e-4) -> np.ndarray:
+    """Theta(V, Vbar) grid: curvature of the relative canonical metric paired
+    with the horizontal lift, computed from t-differences of log det(ff) and
+    its analytic fiber gradient plus spectral fiber derivatives."""
+    pts = fiber.points
+    n = model.n
+    psi_ttb, psi_tb, gbar0 = _psi_base_derivatives(model, t, fiber, tstep)
     psi_fb = np.stack([np.stack([fiber.d_z(gbar0[b], a) for b in range(n)])
                        for a in range(n)])          # (a, b, grid): d_a d_bbar psi
     _, _, ff, ff_inv, u, _, _ = evaluate_fields(model, t, pts)
@@ -552,31 +574,7 @@ def fs_pushforward_check(model: FibrationModel, t: complex,
     g_bf = fiber.to_grid(bf[0])
     g_bb = fiber.to_grid(bb)
 
-    psi0 = log_det_ff_grid(model, t, fiber)
-    theta_vv = relative_canonical_curvature(model, t, fiber, tstep=tstep)
-
-    # Reconstruct the plain coefficient second derivatives of psi.
-    def psi_grid(tv):
-        return log_det_ff_grid(model, tv, fiber)
-
-    def est(h):
-        return 0.25 * ((psi_grid(t + h) - 2 * psi0 + psi_grid(t - h)) / h**2
-                       + (psi_grid(t + 1j * h) - 2 * psi0 + psi_grid(t - 1j * h)) / h**2)
-
-    psi_ttb = (4 * est(tstep / 2) - est(tstep)) / 3.0
-
-    def grad_bar(tv):
-        return fiber.to_grid(dzbar_log_det_ff(model, tv, pts)[0])
-
-    def holo_t(f):
-        def e(h):
-            return 0.5 * ((f(t + h) - f(t - h)) / (2 * h)
-                          - 1j * (f(t + 1j * h) - f(t - 1j * h)) / (2 * h))
-
-        return (4 * e(tstep / 2) - e(tstep)) / 3.0
-
-    psi_tb = holo_t(grad_bar)
-    psi_zb = grad_bar(t)
+    psi_ttb, (psi_tb,), (psi_zb,) = _psi_base_derivatives(model, t, fiber, tstep)
     psi_zzb = fiber.d_z(psi_zb, 0)
 
     lhs = wp_fiber_metric(model, t)[0, 0].real

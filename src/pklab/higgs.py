@@ -99,19 +99,16 @@ class HiggsField:
         eye = np.eye(self.n)
         return np.block([[eye, phi.conj()], [phi, eye]])
 
-    def projector1(self, coords: np.ndarray) -> np.ndarray:
-        f = self.graph_frame(coords)
-        sel = np.zeros((2 * self.n, 2 * self.n))
-        sel[: self.n, : self.n] = np.eye(self.n)
-        return f @ sel @ np.linalg.inv(f)
-
     def theta1(self, coords: np.ndarray) -> list[np.ndarray]:
-        """theta_mu = Q (d_mu F) F^{-1}: images of the holomorphic frame columns."""
+        """theta_mu = Q (d_mu F) F^{-1}: images of the holomorphic frame columns,
+        with Q = I - F sel F^{-1} and sel the projection onto the first n slots."""
 
         def build():
             f = self.graph_frame(coords)
             finv = np.linalg.inv(f)
-            q = np.eye(2 * self.n) - self.projector1(coords)
+            sel = np.zeros((2 * self.n, 2 * self.n))
+            sel[: self.n, : self.n] = np.eye(self.n)
+            q = np.eye(2 * self.n) - f @ sel @ finv
             return [q @ d @ finv for d in self._dF]
 
         return self._cached("theta1", coords, build)

@@ -218,22 +218,20 @@ def twisted_model(h0: np.ndarray, weight: float = 1.0,
     return BundleMetricModel(r=r, jets=jets, name=name or f"twisted({weight})")
 
 
-def build_bundle_model(family: str, **params) -> BundleMetricModel:
-    """Instantiate a built-in bundle family by name.
+# Built-in bundle families by name; each takes its parameters by keyword.
+BUNDLE_FAMILIES = {
+    "constant": lambda r=2: constant_model(np.eye(int(r))),
+    "twisted": lambda r=2, weight=1.0: twisted_model(np.eye(int(r)), weight=float(weight)),
+    "split": lambda weights="1,2": split_twist_model(
+        [float(w) for w in weights.split(",")] if isinstance(weights, str) else weights),
+}
 
-    Families: "constant" (r), "twisted" (r, weight), "split" (weights).
-    """
-    if family == "constant":
-        return constant_model(np.eye(int(params.get("r", 2))))
-    if family == "twisted":
-        return twisted_model(np.eye(int(params.get("r", 2))),
-                             weight=float(params.get("weight", 1.0)))
-    if family == "split":
-        weights = params.get("weights", "1,2")
-        if isinstance(weights, str):
-            weights = [float(w) for w in weights.split(",")]
-        return split_twist_model(weights)
-    raise ValueError(f"unknown bundle family {family!r}")
+
+def build_bundle_model(family: str, **params) -> BundleMetricModel:
+    """Instantiate a built-in bundle family by name with keyword parameters."""
+    if family not in BUNDLE_FAMILIES:
+        raise ValueError(f"unknown bundle family {family!r}")
+    return BUNDLE_FAMILIES[family](**params)
 
 
 def split_twist_model(weights: Sequence[float],

@@ -192,6 +192,40 @@ def test_unusable_output_path_rejected_before_running(tmp_path, monkeypatch, cap
     assert _single_error_line(capsys)
 
 
+@pytest.mark.parametrize("suite, model", [
+    ("schumacher", "elliptic foo=1"),
+    ("projbundle", "twisted bogus=2"),
+    ("schumacher", "perturbed-torus eps=abc"),
+    ("schumacher", "perturbed-torus eps=1,2"),
+    ("schumacher", "perturbed-torus eps=nan"),
+    ("schumacher", "perturbed-torus eps=inf"),
+    ("projbundle", "split weights=1,nan"),
+    ("schumacher", "perturbed-torus eps=-5"),
+    ("all", "perturbed-torus eps=-5"),
+    ("schumacher", "cross"),
+])
+def test_bad_model_rejected_before_running(suite, model, monkeypatch, capsys):
+    def no_run(config):
+        raise AssertionError("the suite ran before the model was checked")
+
+    monkeypatch.setattr(cli, "run_suite", no_run)
+    assert cli.main_verify(["--suite", suite, "--grid", "16", "--model", model]) == 2
+    assert _single_error_line(capsys)
+
+
+def test_single_weight_split_model_runs():
+    rep = cli.run_suite(cli.SuiteConfig(suite="projbundle", samples=8, model="split weights=2"))
+    assert "configured-model-consistency" in [c.name for c in rep.checks]
+
+
+def test_suite_all_concatenates_each_suite_in_order():
+    def records(suite, prefix=""):
+        rep = cli.run_suite(cli.SuiteConfig(suite=suite, n=1, samples=4))
+        return [json.dumps(cli.asdict(c) | {"name": prefix + c.name}) for c in rep.checks]
+
+    assert records("all") == [r for name in cli.SUITES for r in records(name, f"{name}/")]
+
+
 def test_malformed_values_rejected(tmp_path, capsys):
     assert cli.main_verify(["--suite", "trace-inequality",
                             "--tol", "trace-inequality=abc"]) == 2

@@ -207,6 +207,28 @@ def test_elliptic_family_slice():
         fib.elliptic_family(1.0 - 0.5j)
 
 
+def test_models_share_compiled_jets_across_grids():
+    for coarse, fine in [(fib.elliptic_model(16), fib.elliptic_model(64)),
+                         (fib.perturbed_torus_model(0.05, 16),
+                          fib.build_model("perturbed-torus", eps=0.05, grid=64))]:
+        assert (coarse.grid, fine.grid) == (16, 64)
+        assert coarse.second is fine.second and coarse.third is fine.third
+    assert fib.perturbed_torus_model(0.04, 16).second is not PERTURBED32.second
+
+
+def test_elliptic_family_compiles_once(monkeypatch):
+    fib.elliptic_family(2j)
+    compiled = []
+    lambdify = fib.sp.lambdify
+    monkeypatch.setattr(fib.sp, "lambdify",
+                        lambda *a, **k: compiled.append(a) or lambdify(*a, **k))
+    fib.elliptic_family(0.5 + 1.5j)
+    assert compiled == []
+    # A potential not seen before compiles its five n = 1 jets.
+    fib.cross_term_model(lam=0.123)
+    assert len(compiled) == 5
+
+
 def test_positivity_error():
     t, tb, zs, zbs = fib._wirtinger_symbols(1)
     bad = fib.model_from_potential(-zs[0] * zbs[0], "bad", n=1)
