@@ -30,34 +30,30 @@ def _central(f: Field, z: np.ndarray, idx: int, delta: complex) -> np.ndarray:
     return (np.asarray(f(_shift(z, idx, delta))) - np.asarray(f(_shift(z, idx, -delta)))) / (2.0 * abs(delta))
 
 
-def holo_derivative(f: Field, z: np.ndarray, idx: int, step: float = DEFAULT_STEP,
-                    richardson: bool = True) -> np.ndarray:
-    """d f / d z^idx by central differences along the x and y directions."""
+def _xy_stencil(f: Field, z: np.ndarray, idx: int, step: float, richardson: bool,
+                combine: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
+    """combine(d/dx, d/dy) of f along coordinate idx by central differences,
+    with one Richardson step (h and h/2) unless disabled."""
 
     def estimate(h):
-        dx = _central(f, z, idx, h)
-        dy = _central(f, z, idx, 1j * h)
-        return 0.5 * (dx - 1j * dy)
+        return combine(_central(f, z, idx, h), _central(f, z, idx, 1j * h))
 
     if not richardson:
         return estimate(step)
     coarse, fine = estimate(step), estimate(step / 2.0)
     return (4.0 * fine - coarse) / 3.0
+
+
+def holo_derivative(f: Field, z: np.ndarray, idx: int, step: float = DEFAULT_STEP,
+                    richardson: bool = True) -> np.ndarray:
+    """d f / d z^idx by central differences along the x and y directions."""
+    return _xy_stencil(f, z, idx, step, richardson, lambda dx, dy: 0.5 * (dx - 1j * dy))
 
 
 def antiholo_derivative(f: Field, z: np.ndarray, idx: int, step: float = DEFAULT_STEP,
                         richardson: bool = True) -> np.ndarray:
     """d f / d zbar^idx by central differences."""
-
-    def estimate(h):
-        dx = _central(f, z, idx, h)
-        dy = _central(f, z, idx, 1j * h)
-        return 0.5 * (dx + 1j * dy)
-
-    if not richardson:
-        return estimate(step)
-    coarse, fine = estimate(step), estimate(step / 2.0)
-    return (4.0 * fine - coarse) / 3.0
+    return _xy_stencil(f, z, idx, step, richardson, lambda dx, dy: 0.5 * (dx + 1j * dy))
 
 
 def dbar_along(f: Field, z: np.ndarray, direction: np.ndarray, step: float = DEFAULT_STEP,

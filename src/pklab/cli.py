@@ -79,6 +79,11 @@ DEFAULT_TOLERANCES = {
 }
 
 
+# Below this many points per axis a fiber spectrum has no top third for the
+# resolution guard (`SpectralFiber.check_resolution`) to measure.
+MIN_GRID = 4
+
+
 def parse_model_spec(spec: str) -> tuple[str, dict]:
     """Parse "family key=val key=val" into a family name and parameters: each
     key a parameter of the family, each value a finite number (a comma list
@@ -126,17 +131,19 @@ class SuiteConfig:
             raise UsageError("samples must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise UsageError("seed must be a 64-bit unsigned integer")
-        if self.model is not None:
-            parse_model_spec(self.model)
-            if self.suite in ("schumacher", "all"):
-                # Probe the model once where the schumacher suite uses it.
-                model = _configured_fibration(self)
-                if not model.proper:
-                    raise UsageError("schumacher requires a torus-fiber model")
-                try:
-                    fib.fiber_state(model, T_PERT)
-                except fib.PositivityError as exc:
-                    raise UsageError(f"model {self.model!r} at t={T_PERT}: {exc}") from None
+        params = parse_model_spec(self.model)[1] if self.model is not None else {}
+        for grid in (self.grid, params.get("grid", self.grid)):
+            if not isinstance(grid, int) or grid < MIN_GRID:
+                raise UsageError(f"grid must be an integer >= {MIN_GRID}, got {grid!r}")
+        if self.model is not None and self.suite in ("schumacher", "all"):
+            # Probe the model once where the schumacher suite uses it.
+            model = _configured_fibration(self)
+            if not model.proper:
+                raise UsageError("schumacher requires a torus-fiber model")
+            try:
+                fib.fiber_state(model, T_PERT)
+            except fib.PositivityError as exc:
+                raise UsageError(f"model {self.model!r} at t={T_PERT}: {exc}") from None
         for key, val in self.tolerances.items():
             if key not in DEFAULT_TOLERANCES:
                 raise UsageError(f"unknown tolerance key {key!r}")
@@ -402,7 +409,7 @@ def suite_trace_inequality(cfg: SuiteConfig, tol: Tolerances):
                 witness = {"kappa": [[str(x) for x in row] for row in kappa.tolist()]}
     worst_eq = 0.0
     for n in range(1, 7):
-        for _ in range(50):
+        for _ in range(max(50, cfg.samples // 10)):
             q = np.linalg.qr(rng.standard_normal((n, n))
                              + 1j * rng.standard_normal((n, n)))[0]
             c = rng.uniform(0.2, 3.0)
@@ -635,6 +642,10 @@ def suite_geodesics(cfg: SuiteConfig, tol: Tolerances):
     checks.append(_check("dual-linearity-ratio", "dual-linearity",
                          d_lin / max(d_geo, 1e-300), tol("dual-linearity-ratio"),
                          comparison=">="))
+    # The dual path of the geodesic is linear up to the second-difference
+    # scale of the 512-point duals.
+    checks.append(_check("dual-geodesic-linearity", "dual-linearity", d_geo,
+                         10.0 * p0.step**2 * 16))
 
     f_geo = lambda t, xs: xs**2 / (t / a1v + (1 - t) / a0v)
     f_lin = lambda t, xs: (1 - t) * a0v * xs**2 + t * a1v * xs**2
@@ -711,7 +722,8 @@ def suite_projbundle(cfg: SuiteConfig, tol: Tolerances):
                 worst_top = max(worst_top, pb.pk_top_power(model, t, v))
                 worst_pos = min(worst_pos, pb.fiber_positivity_margin(model, t, v))
             worst_flat = max(worst_flat, pb.projective_flatness_residual(model, t))
-        worst_fs = max(worst_fs, pb.fiber_fs_check(model, 0.3, samples=8,
+        worst_fs = max(worst_fs, pb.fiber_fs_check(model, 0.3,
+                                                   samples=max(8, cfg.samples // 40),
                                                    seed=cfg.seed % 2**31))
     checks += [
         _check("flat-top-power", "projflat-degenerate", worst_top, tol("projflat-zero")),
@@ -734,6 +746,10 @@ def suite_projbundle(cfg: SuiteConfig, tol: Tolerances):
         dmax = max(dmax, pb.d_closedness_residual(model, 0.3 + 0.1j,
                                                   np.array([1.0, 0.4 - 0.2j])))
     checks.append(_check("form-closedness", "form-closedness", dmax,
+                         tol("d-closedness")))
+    checks.append(_check("form-closedness-r3", "form-closedness",
+                         pb.d_closedness_residual(flat_models[2], 0.3 + 0.1j,
+                                                  np.array([1.0, 0.4, 0.4])),
                          tol("d-closedness")))
     rank1 = pb.twisted_model(np.eye(1), weight=2.0)
     checks.append(_check("rank-one-flatness", "projflat-degenerate",
@@ -1007,7 +1023,7 @@ def main_verify(argv=None) -> int:
         if args.out:
             _check_output_path(args.out)
         report = run_suite(config)
-    except UsageError as exc:
+    except (UsageError, fib.GridResolutionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for check in report.checks:
@@ -1038,7 +1054,7 @@ def main_plot_data(argv=None) -> int:
         config = _config_from_args(args)
         _check_output_path(args.out)
         emit_plot_data(config, args.profile, args.out)
-    except UsageError as exc:
+    except (UsageError, fib.GridResolutionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"profile {args.profile} written to {args.out}")

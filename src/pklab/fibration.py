@@ -250,7 +250,8 @@ class SpectralFiber:
         frac = self.nyquist_fraction(f)
         if frac > tol:
             raise GridResolutionError(
-                f"top-third spectral energy fraction {frac:.2e} exceeds {tol:.0e}")
+                f"fiber grid of {self.size} points per axis too coarse: top-third "
+                f"spectral energy fraction {frac:.2e} exceeds {tol:.0e}")
 
 
 # ---------------------------------------------------------------------------
@@ -677,25 +678,6 @@ def _lift_coefficients(model: FibrationModel):
         return np.concatenate([[1.0 + 0j], -u])
 
     return comps
-
-
-def bracket_vv_residual(model: FibrationModel, t: complex, zeta: np.ndarray,
-                        step: float = 1e-4) -> float:
-    """|[V, W]| for the holomorphic lift against itself (one base direction).
-
-    [V, W]^A = V^B d_B W^A - W^B d_B V^A via finite differences; with a single
-    base coordinate both slots carry the same lift and the bracket vanishes
-    identically, which the evaluation reproduces.
-    """
-    comps = _lift_coefficients(model)
-    z0 = np.concatenate([[t], np.asarray(zeta, dtype=complex).reshape(-1)])
-    v0 = comps(z0)
-    w0 = v0
-    out = np.zeros_like(v0)
-    for bidx in range(z0.size):
-        dv = _fd.holo_derivative(comps, z0, bidx, step=step)
-        out += v0[bidx] * dv - w0[bidx] * dv
-    return float(np.max(np.abs(out)))
 
 
 @dataclass(frozen=True)

@@ -46,10 +46,6 @@ class HiggsFrame:
         """Metric adjoint with respect to the Gram matrix."""
         return np.linalg.solve(self.gram, m.conj().T @ self.gram)
 
-    def hs_inner(self, a: np.ndarray, b: np.ndarray) -> complex:
-        """Hilbert-Schmidt pairing <a, b> = tr(a b*) with the metric adjoint."""
-        return complex(np.trace(a @ self.adjoint(b)))
-
 
 class HiggsField:
     """Field of HiggsFrame data over the global chart coordinates."""
@@ -193,13 +189,6 @@ class HiggsField:
 
     def dim_k(self) -> int:
         return len(wedge.basis(2 * self.n, self.k))
-
-
-def higgs_frame(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFrame,
-                basepoint: BsdPoint, k: int) -> HiggsFrame:
-    """Projectors, degree-(-1,1) field matrices and Gram data at a domain point."""
-    field_ = HiggsField(space, J, frame, k)
-    return field_.frame_at(coords_from_sym(basepoint.phi))
 
 
 # ---------------------------------------------------------------------------

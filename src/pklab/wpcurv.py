@@ -153,15 +153,8 @@ def kahler_closedness_residual(space: SymplecticSpace, J: ComplexStructure,
                                frame: UnitaryFrame, basepoint: BsdPoint,
                                step: float = 1e-3) -> float:
     """max |d_l G_{j kbar} - d_j G_{l kbar}|: closedness of the metric form."""
-    coords = coords_from_sym(basepoint.phi)
     _, gram_at = metric_field(space, J, frame, degree=1)
-    nsym = sym_dim(frame.n)
-    grads = [_fd.holo_derivative(gram_at, coords, l, step=step) for l in range(nsym)]
-    worst = 0.0
-    for l in range(nsym):
-        for j in range(l + 1, nsym):
-            worst = max(worst, float(np.max(np.abs(grads[l][j, :] - grads[j][l, :]))))
-    return worst
+    return _fd.d_residual_11(gram_at, coords_from_sym(basepoint.phi), step=step)
 
 
 def curvature_formula_terms(space: SymplecticSpace, J: ComplexStructure,

@@ -1,6 +1,8 @@
 """Harness tests: configs, reports, determinism, exit codes, plot data."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,9 +35,11 @@ def test_tolerance_override_flagged():
 
 
 def test_every_record_has_anchor():
-    rep = cli.run_suite(cli.SuiteConfig(suite="trace-inequality", samples=5))
-    for check in rep.checks:
-        assert check.anchor
+    rep = cli.run_suite(cli.SuiteConfig(suite="all", n=2, samples=4))
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    index = readme.split("## Property index", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"^\| `([a-z0-9-]+)` \|", index, re.MULTILINE))
+    assert {check.anchor for check in rep.checks} == documented
 
 
 def test_json_roundtrip_and_determinism(tmp_path):
@@ -203,6 +207,9 @@ def test_unusable_output_path_rejected_before_running(tmp_path, monkeypatch, cap
     ("schumacher", "perturbed-torus eps=-5"),
     ("all", "perturbed-torus eps=-5"),
     ("schumacher", "cross"),
+    ("schumacher", "perturbed-torus grid=2"),
+    ("schumacher", "perturbed-torus grid=-4"),
+    ("schumacher", "perturbed-torus grid=32.5"),
 ])
 def test_bad_model_rejected_before_running(suite, model, monkeypatch, capsys):
     def no_run(config):
@@ -210,6 +217,20 @@ def test_bad_model_rejected_before_running(suite, model, monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "run_suite", no_run)
     assert cli.main_verify(["--suite", suite, "--grid", "16", "--model", model]) == 2
+    assert _single_error_line(capsys)
+
+
+@pytest.mark.parametrize("grid", ["0", "-4", "3"])
+def test_grid_without_top_third_rejected(grid, tmp_path, capsys):
+    assert cli.main_verify(["--suite", "pk-equivalence", "--grid", grid]) == 2
+    assert _single_error_line(capsys)
+    assert cli.main_plot_data(["--suite", "elliptic-family", "--profile", "wp-coefficient",
+                               "--grid", grid, "--out", str(tmp_path / "p.csv")]) == 2
+    assert _single_error_line(capsys)
+
+
+def test_grid_too_coarse_for_the_fiber_spectrum_exits_2(capsys):
+    assert cli.main_verify(["--suite", "schumacher", "--grid", "16"]) == 2
     assert _single_error_line(capsys)
 
 

@@ -171,7 +171,6 @@ def test_bracket_checks():
     for model, t in ((ELLIPTIC32, 0.4 + 1.3j), (PERTURBED32, 0.3 + 1.2j),
                      (fib.cross_term_model(), 0.7 + 0.2j)):
         z = np.array([0.23 + 0.11j])
-        assert fib.bracket_vv_residual(model, t, z) < 1e-12
         rep = fib.bracket_mixed_check(model, t, z)
         assert rep.verticality_residual < 1e-9
         assert rep.contraction_residual < 1e-8
