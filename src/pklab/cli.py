@@ -52,6 +52,10 @@ DEFAULT_TOLERANCES = {
     "bisectional": 1e-6,
     "ricci-margin": 1e-3,
     "kahler-closedness": 1e-6,
+    "closed-form-metric": 1e-10,
+    "closed-form-fd": 1e-6,
+    "ricci-einstein": 1e-9,
+    "hsc-exact-margin": 1e-12,
     "curvature-formula": 1e-4,
     "curvature-symmetry": 1e-6,
     "ratio-spread": 1e-8,
@@ -354,6 +358,16 @@ def suite_burns_bounds(cfg: SuiteConfig, tol: Tolerances):
                rep.max_paired_bisectional_excess, tol("hsc-margin")),
         _check("max-ricci", "ricci-bound", rep.max_ricci, bound + tol("ricci-margin")),
         _check("metric-closedness", "metric-kahler", closed, tol("kahler-closedness")),
+        _check("closed-form-metric", "closed-form-metric", rep.max_metric_error,
+               tol("closed-form-metric")),
+        _check("closed-form-pairing", "closed-form-curvature", rep.max_pairing_error,
+               tol("closed-form-fd")),
+        _check("ricci-einstein", "kahler-einstein", rep.max_einstein_defect,
+               tol("ricci-einstein")),
+        _check("sectional-sharpness", "sectional-sharpness", rep.max_sharpness_defect,
+               tol("hsc-exact-margin")),
+        _check("hsc-ascent", "sectional-bound", rep.max_ascent_hsc,
+               bound + tol("hsc-exact-margin")),
     ]
 
 
@@ -364,12 +378,15 @@ def suite_curvature_formula(cfg: SuiteConfig, tol: Tolerances):
     count = max(1, min(20, cfg.samples // 5))
     worst = 0.0
     worst_sym = 0.0
+    worst_closed = 0.0
     witness = None
     for _ in range(count):
         bp = kns.random_bsd_point(n, rng, 0.55)
         tensor = wp.curvature_fd(space, j0, frame, bp)
         resid = wp.curvature_formula_check(space, j0, frame, bp, fd=tensor)
         worst_sym = max(worst_sym, tensor.kahler_symmetry_defect())
+        worst_closed = max(worst_closed, float(np.max(np.abs(
+            wp.ClosedFormCurvature(bp).tensor().entries - tensor.entries))))
         if resid > worst:
             worst = resid
             witness = {"basepoint": bp.phi.tolist()}
@@ -378,6 +395,8 @@ def suite_curvature_formula(cfg: SuiteConfig, tol: Tolerances):
                tol("curvature-formula"), witness=witness),
         _check("kahler-symmetries", "curvature-symmetry", worst_sym,
                tol("curvature-symmetry")),
+        _check("closed-form-vs-fd", "closed-form-curvature", worst_closed,
+               tol("closed-form-fd")),
     ]
     degrees = [k for k in (2,) if k <= 2 * n - 1] or []
     for k in degrees:
@@ -871,18 +890,13 @@ def profile_ma_refinement(config: SuiteConfig):
 
 
 def profile_burns_hsc(config: SuiteConfig):
-    space, j0, frame = _workspace(config.n)
     rng = np.random.default_rng([config.seed, 30])
+    nsym = kns.sym_dim(config.n)
     rows = []
     for _ in range(min(config.samples, 40)):
         bp = kns.random_bsd_point(config.n, rng, 0.75)
-        tensor = wp.curvature_fd(space, j0, frame, bp)
-        _, gram_at = wp.metric_field(space, j0, frame)
-        g = gram_at(kns.coords_from_sym(bp.phi))
-        nsym = kns.sym_dim(config.n)
         xi = rng.standard_normal(nsym) + 1j * rng.standard_normal(nsym)
-        xi = xi / np.sqrt(np.real(wp.df_inner(g, xi, xi)))
-        rows.append((bp.radius, float(tensor.pair(xi, xi).real)))
+        rows.append((bp.radius, wp.ClosedFormCurvature(bp).hsc(xi)))
     rows.sort()
     return ["basepoint_radius", "hsc"], rows
 
@@ -895,6 +909,9 @@ PROFILES = {
 
 
 def emit_plot_data(config: SuiteConfig, profile: str, path: str | Path) -> Path:
+    if profile not in PROFILES:
+        raise UsageError(f"unknown profile {profile!r}; known: "
+                         f"{', '.join(sorted(PROFILES))}")
     available = [p for p, (s, _) in PROFILES.items()
                  if config.suite in (s, "all")]
     if not available:
@@ -903,9 +920,6 @@ def emit_plot_data(config: SuiteConfig, profile: str, path: str | Path) -> Path:
               f"writing empty output", file=sys.stderr)
         Path(path).write_text("")
         return Path(path)
-    if profile not in PROFILES:
-        raise UsageError(f"unknown profile {profile!r}; known: "
-                         f"{', '.join(sorted(PROFILES))}")
     suite, fn = PROFILES[profile]
     if config.suite not in (suite, "all"):
         raise UsageError(f"profile {profile!r} belongs to suite {suite!r}")

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pklab import cli
+from pklab import cli, kns
+from pklab import wpcurv as wp
 
 
 def test_unknown_suite_rejected_early():
@@ -118,8 +119,40 @@ def test_plot_data_profiles(tmp_path):
         cli.emit_plot_data(cfg, "no-such-profile", tmp_path / "x.csv")
     # A suite without any profiles warns and writes an empty file.
     empty = cli.emit_plot_data(cli.SuiteConfig(suite="trace-inequality"),
-                               "anything", tmp_path / "empty.csv")
+                               "burns-hsc", tmp_path / "empty.csv")
     assert empty.read_text() == ""
+
+
+@pytest.mark.parametrize("suite", sorted(cli.SUITES) + ["all"])
+def test_unknown_profile_rejected_for_every_suite(suite, tmp_path):
+    out = tmp_path / "x.csv"
+    with pytest.raises(cli.UsageError):
+        cli.emit_plot_data(cli.SuiteConfig(suite=suite), "no-such-profile", out)
+    assert not out.exists()
+    assert cli.main_plot_data(["--suite", suite, "--profile", "no-such-profile",
+                               "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_burns_hsc_profile_matches_the_difference_tensor():
+    # Oracle: the profile's stream and rows computed with curvature_fd.
+    cfg = cli.SuiteConfig(suite="burns-bounds", n=2, samples=4, seed=3)
+    _, rows = cli.profile_burns_hsc(cfg)
+    space, j0, frame = cli._workspace(2)
+    _, gram_at = wp.metric_field(space, j0, frame)
+    rng = np.random.default_rng([3, 30])
+    expected = []
+    for _ in range(4):
+        bp = kns.random_bsd_point(2, rng, 0.75)
+        g = gram_at(kns.coords_from_sym(bp.phi))
+        xi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        xi = xi / np.sqrt(np.real(wp.df_inner(g, xi, xi)))
+        expected.append((bp.radius, wp.curvature_fd(space, j0, frame, bp).pair(xi, xi).real))
+    expected.sort()
+    assert len(rows) == 4
+    for (r, hsc), (r_fd, hsc_fd) in zip(rows, expected):
+        assert r == r_fd
+        assert hsc == pytest.approx(hsc_fd, abs=1e-6)
 
 
 def test_model_spec_parsing():

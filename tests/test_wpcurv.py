@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pklab import kns
 from pklab import symplin as sl
@@ -117,7 +119,11 @@ def test_burns_bounds(n):
     assert rep.max_bisectional <= 1e-6
     assert rep.max_paired_bisectional_excess <= 1e-3
     assert rep.max_ricci <= bound + 1e-3
-    assert rep.satisfied()
+    assert rep.max_metric_error <= 1e-10
+    assert rep.max_pairing_error <= 1e-6
+    assert rep.max_einstein_defect <= 1e-9
+    assert rep.max_sharpness_defect <= 1e-12
+    assert rep.max_ascent_hsc <= bound + 1e-12
 
 
 def test_orthogonal_directions_degenerate_pairing():
@@ -155,3 +161,110 @@ def test_trace_inequality_random_and_equality():
                          + 1j * rng.standard_normal((n, n)))[0]
         lhs, rhs = wp.trace_inequality(1.7 * q)
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_closed_form_metric_matches_metric_field(n):
+    sp, j0, frame = workspace(n)
+    _, gram_at = wp.metric_field(sp, j0, frame)
+    rng = np.random.default_rng(40 + n)
+    for bp in [kns.BsdPoint(phi=np.zeros((n, n))), kns.random_bsd_point(n, rng, 0.75),
+               kns.random_bsd_point(n, rng, 0.75)]:
+        g = gram_at(kns.coords_from_sym(bp.phi))
+        assert np.max(np.abs(wp.ClosedFormCurvature(bp).metric() - g)) < 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_closed_form_tensor_matches_curvature_fd(n):
+    sp, j0, frame = workspace(n)
+    bp = kns.random_bsd_point(n, np.random.default_rng(50 + n), 0.75)
+    closed = wp.ClosedFormCurvature(bp)
+    fd = wp.curvature_fd(sp, j0, frame, bp)
+    assert np.max(np.abs(closed.tensor().entries - fd.entries)) < 1e-7
+    assert closed.tensor().kahler_symmetry_defect() < 1e-13
+    rng = np.random.default_rng(n)
+    nsym = kns.sym_dim(n)
+    for _ in range(3):
+        xi = rng.standard_normal(nsym) + 1j * rng.standard_normal(nsym)
+        eta = rng.standard_normal(nsym) + 1j * rng.standard_normal(nsym)
+        assert closed.pair(xi, eta) == pytest.approx(closed.tensor().pair(xi, eta),
+                                                     abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_directional_oracle_matches_full_tensor(n):
+    sp, j0, frame = workspace(n)
+    bp = kns.random_bsd_point(n, np.random.default_rng(60 + n), 0.75)
+    fd = wp.curvature_fd(sp, j0, frame, bp)
+    _, gram_at = wp.metric_field(sp, j0, frame)
+    g = gram_at(kns.coords_from_sym(bp.phi))
+    rng = np.random.default_rng(n)
+    nsym = kns.sym_dim(n)
+    for _ in range(2):
+        xi, eta = (raw / np.sqrt(wp.df_inner(g, raw, raw).real)
+                   for raw in rng.standard_normal((2, nsym)) + 1j * rng.standard_normal((2, nsym)))
+        along = wp.curvature_fd_along(sp, j0, frame, bp, eta)
+        assert np.max(np.abs(along - np.einsum("jklm,l,m->jk", fd.entries,
+                                               eta, eta.conj()))) < 1e-7
+        assert np.einsum("jk,j,k->", along, xi, xi.conj()) == pytest.approx(
+            fd.pair(xi, eta), abs=1e-7)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_hsc_ascent_reaches_the_bound_from_below(n):
+    rng = np.random.default_rng(70 + n)
+    closed = wp.ClosedFormCurvature(kns.random_bsd_point(n, rng, 0.75))
+    nsym = kns.sym_dim(n)
+    starts = rng.standard_normal((3, nsym)) + 1j * rng.standard_normal((3, nsym))
+    best = wp.hsc_ascent(closed, starts)
+    assert max(closed.hsc(x) for x in starts) < best <= -2.0 / n + 1e-12
+    assert best > -2.0 / n - 1e-6
+
+
+_entries = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _point_and_direction(draw):
+    n = draw(st.integers(1, 4))
+    parts = draw(hnp.arrays(np.float64, (2, n, n), elements=_entries))
+    phi = 0.5 * (parts[0] + 1j * parts[1])
+    phi = phi + phi.T
+    rho = kns.spectral_radius_phibar(phi) ** 0.5
+    if rho > 1e-6:
+        phi *= draw(st.floats(0.0, 0.95)) / rho
+    xi = draw(hnp.arrays(np.float64, (2, kns.sym_dim(n)), elements=_entries))
+    xi = xi[0] + 1j * xi[1]
+    assume(np.max(np.abs(xi)) > 1e-3)
+    return wp.ClosedFormCurvature(kns.BsdPoint(phi=phi)), xi
+
+
+@settings(max_examples=80, deadline=None)
+@given(_point_and_direction())
+def test_closed_form_sectional_bound(case):
+    closed, xi = case
+    n = closed.basepoint.n
+    g = closed.metric()
+    unit = xi / np.sqrt(wp.df_inner(g, xi, xi).real)
+    assert closed.pair(unit, unit).real <= -2.0 / n + 1e-10
+    assert closed.hsc(xi) <= -2.0 / n + 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(_point_and_direction())
+def test_closed_form_kahler_einstein(case):
+    closed, xi = case
+    n = closed.basepoint.n
+    g = closed.metric()
+    onb = np.linalg.inv(np.linalg.cholesky(g.T)).conj().T
+    ric = sum(closed.pair(xi, onb[:, a]) for a in range(onb.shape[1]))
+    norm2 = wp.df_inner(g, xi, xi).real
+    assert abs(ric + (n + 1) * norm2) <= 1e-9 * max(1.0, norm2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_point_and_direction())
+def test_sharp_direction_attains_the_bound(case):
+    closed, _ = case
+    n = closed.basepoint.n
+    assert closed.hsc(closed.sharp_direction()) == pytest.approx(-2.0 / n, abs=1e-12)
