@@ -7,6 +7,9 @@ coordinate with central differences:
     d/dz   = (d/dx - i d/dy) / 2,      d/dzbar = (d/dx + i d/dy) / 2,
 
 optionally improved by one step of Richardson extrapolation (h and h/2).
+A stencil is built in two parts: `xy_points` stacks its shifted points and
+`xy_combine` forms the derivative from the field values there, so a field
+that takes stacked coordinates is evaluated on whole stencils in one call.
 """
 
 from __future__ import annotations
@@ -22,38 +25,62 @@ DEFAULT_STEP = 1e-3
 
 def _shift(z: np.ndarray, idx: int, delta: complex) -> np.ndarray:
     w = np.array(z, dtype=complex)
-    w[idx] += delta
+    w[..., idx] += delta
     return w
 
 
-def _central(f: Field, z: np.ndarray, idx: int, delta: complex) -> np.ndarray:
-    return (np.asarray(f(_shift(z, idx, delta))) - np.asarray(f(_shift(z, idx, -delta)))) / (2.0 * abs(delta))
+def xy_points(z: np.ndarray, idx: int, step: float = DEFAULT_STEP,
+              richardson: bool = True) -> np.ndarray:
+    """Shifted points of the central x/y stencil along coordinate idx.
+
+    Returns z + h, z - h, z + ih, z - ih (h = step), followed by the same
+    four at h/2 unless Richardson is disabled, stacked on a new leading
+    axis: shape (8, ...) or (4, ...) for z of shape (..., N).
+    """
+    out = []
+    for h in ((step, step / 2.0) if richardson else (step,)):
+        for delta in (h, 1j * h):
+            out += [_shift(z, idx, delta), _shift(z, idx, -delta)]
+    return np.stack(out)
+
+
+def xy_combine(values: np.ndarray, bar: bool, step: float = DEFAULT_STEP,
+               richardson: bool = True) -> np.ndarray:
+    """Wirtinger derivative from field values at the `xy_points` stencil.
+
+    values[s] is the field at the s-th stencil point (any trailing shape);
+    returns d/dz = (d/dx - i d/dy) / 2, or d/dzbar = (d/dx + i d/dy) / 2
+    when bar is set, by central differences with one Richardson step.
+    """
+    def estimate(v, h):
+        dx = (v[0] - v[1]) / (2.0 * abs(h))
+        dy = (v[2] - v[3]) / (2.0 * abs(h))
+        return 0.5 * (dx + 1j * dy) if bar else 0.5 * (dx - 1j * dy)
+
+    if not richardson:
+        return estimate(values, step)
+    coarse, fine = estimate(values[:4], step), estimate(values[4:], step / 2.0)
+    return (4.0 * fine - coarse) / 3.0
 
 
 def _xy_stencil(f: Field, z: np.ndarray, idx: int, step: float, richardson: bool,
-                combine: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
-    """combine(d/dx, d/dy) of f along coordinate idx by central differences,
-    with one Richardson step (h and h/2) unless disabled."""
-
-    def estimate(h):
-        return combine(_central(f, z, idx, h), _central(f, z, idx, 1j * h))
-
-    if not richardson:
-        return estimate(step)
-    coarse, fine = estimate(step), estimate(step / 2.0)
-    return (4.0 * fine - coarse) / 3.0
+                bar: bool) -> np.ndarray:
+    """Wirtinger derivative of f along coordinate idx, evaluating f at one
+    stencil point per call."""
+    values = np.stack([np.asarray(f(p)) for p in xy_points(z, idx, step, richardson)])
+    return xy_combine(values, bar, step, richardson)
 
 
 def holo_derivative(f: Field, z: np.ndarray, idx: int, step: float = DEFAULT_STEP,
                     richardson: bool = True) -> np.ndarray:
     """d f / d z^idx by central differences along the x and y directions."""
-    return _xy_stencil(f, z, idx, step, richardson, lambda dx, dy: 0.5 * (dx - 1j * dy))
+    return _xy_stencil(f, z, idx, step, richardson, bar=False)
 
 
 def antiholo_derivative(f: Field, z: np.ndarray, idx: int, step: float = DEFAULT_STEP,
                         richardson: bool = True) -> np.ndarray:
     """d f / d zbar^idx by central differences."""
-    return _xy_stencil(f, z, idx, step, richardson, lambda dx, dy: 0.5 * (dx + 1j * dy))
+    return _xy_stencil(f, z, idx, step, richardson, bar=True)
 
 
 def dbar_along(f: Field, z: np.ndarray, direction: np.ndarray, step: float = DEFAULT_STEP,

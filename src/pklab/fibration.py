@@ -371,9 +371,6 @@ class PkReport:
     max_top_power: float
     max_c: float
 
-    def is_pk(self, tol: float = 1e-8) -> bool:
-        return self.max_top_power <= tol and self.max_c <= tol
-
 
 def pk_residual(model: FibrationModel, t_samples: Sequence[complex],
                 sample_count: int = 64, seed: int = 1) -> PkReport:

@@ -25,30 +25,37 @@ FD_TOL = 1e-5
 
 @dataclass(frozen=True)
 class HiggsFrame:
-    """Pointwise data of the degree-k bundle at one domain point.
+    """Data of the degree-k bundle at domain points.
 
     All matrices act on wedge coordinates over the fixed reference basis
-    (xi^1..xi^n, conj(xi^1)..conj(xi^n)).
+    (xi^1..xi^n, conj(xi^1)..conj(xi^n)).  Every field carries the leading
+    axes of the coordinates the frame was taken at; the residual functions
+    below read a frame at a single point.
     """
 
     k: int
-    basepoint: BsdPoint
+    phi: np.ndarray
     proj: dict[tuple[int, int], np.ndarray]
-    theta: list[np.ndarray]
+    theta: np.ndarray                               # (..., nsym, dim, dim)
     gram: np.ndarray
     frame_change: np.ndarray = field(repr=False)   # wedge power of F(t)
 
     @property
     def dim(self) -> int:
-        return self.gram.shape[0]
+        return self.gram.shape[-1]
 
     def adjoint(self, m: np.ndarray) -> np.ndarray:
         """Metric adjoint with respect to the Gram matrix."""
-        return np.linalg.solve(self.gram, m.conj().T @ self.gram)
+        return np.linalg.solve(self.gram, m.conj().swapaxes(-1, -2) @ self.gram)
 
 
 class HiggsField:
-    """Field of HiggsFrame data over the global chart coordinates."""
+    """Field of HiggsFrame data over the global chart coordinates.
+
+    Every field method takes coordinates of shape (..., nsym) and returns its
+    values stacked along the same leading axes, so a whole stencil (or a
+    stencil of stencils) is one call.
+    """
 
     def __init__(self, space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFrame, k: int):
         n = frame.n
@@ -61,25 +68,15 @@ class HiggsField:
         self.n = n
         self.nsym = sym_dim(n)
         self._sym = sym_basis(n)
-        self._masks = wedge.type_masks(n, k)
+        masks = wedge.type_masks(n, k)
+        self.types = list(masks)
+        self._type_diags = np.stack([np.diag(mask.astype(complex)) for mask in masks.values()])
         self._eps_rows = np.vstack([frame.columns, frame.columns.conj()])
         # dF_mu = [[0, 0], [S_mu, 0]] in the reference wedge-1 basis.
-        self._dF = []
-        for s in self._sym:
-            d = np.zeros((2 * n, 2 * n), dtype=complex)
-            d[n:, :n] = s
-            self._dF.append(d)
-        self._memo: dict[tuple, object] = {}
-
-    def _cached(self, kind: str, coords: np.ndarray, builder):
-        key = (kind, np.asarray(coords, dtype=complex).tobytes())
-        hit = self._memo.get(key)
-        if hit is None:
-            if len(self._memo) > 40000:
-                self._memo.clear()
-            hit = builder()
-            self._memo[key] = hit
-        return hit
+        self._dF = np.zeros((self.nsym, 2 * n, 2 * n), dtype=complex)
+        self._dF[:, n:, :n] = self._sym
+        self._sel = np.zeros((2 * n, 2 * n))
+        self._sel[:n, :n] = np.eye(n)
 
     # -- degree-1 fields ----------------------------------------------------
 
@@ -87,108 +84,121 @@ class HiggsField:
         return sym_from_coords(coords, self.n)
 
     def guard(self, coords: np.ndarray) -> None:
+        """Refuse coordinates (any point of a stack) at the domain boundary."""
         if spectral_radius_phibar(self.phi(coords)) >= 1.0 - BOUNDARY_MARGIN:
             raise BoundaryProximityError("stencil exits the bounded domain")
 
     def graph_frame(self, coords: np.ndarray) -> np.ndarray:
         phi = self.phi(coords)
-        eye = np.eye(self.n)
+        eye = np.broadcast_to(np.eye(self.n), phi.shape)
         return np.block([[eye, phi.conj()], [phi, eye]])
 
-    def theta1(self, coords: np.ndarray) -> list[np.ndarray]:
+    def theta1(self, coords: np.ndarray) -> np.ndarray:
         """theta_mu = Q (d_mu F) F^{-1}: images of the holomorphic frame columns,
-        with Q = I - F sel F^{-1} and sel the projection onto the first n slots."""
-
-        def build():
-            f = self.graph_frame(coords)
-            finv = np.linalg.inv(f)
-            sel = np.zeros((2 * self.n, 2 * self.n))
-            sel[: self.n, : self.n] = np.eye(self.n)
-            q = np.eye(2 * self.n) - f @ sel @ finv
-            return [q @ d @ finv for d in self._dF]
-
-        return self._cached("theta1", coords, build)
+        with Q = I - F sel F^{-1} and sel the projection onto the first n slots;
+        shape (..., nsym, 2n, 2n)."""
+        f = self.graph_frame(coords)
+        finv = np.linalg.inv(f)
+        q = np.eye(2 * self.n) - f @ self._sel @ finv
+        return q[..., None, :, :] @ self._dF @ finv[..., None, :, :]
 
     def structure(self, coords: np.ndarray) -> ComplexStructure:
         return structure_from_bsd(self.J, self.frame, BsdPoint(phi=self.phi(coords)))
 
     def gram1(self, coords: np.ndarray) -> np.ndarray:
-        return self._cached(
-            "gram1", coords,
-            lambda: dual_metric_gram(self.space, self.structure(coords), self._eps_rows))
+        """Dual Gram matrix of the degree-1 covectors, one point at a time."""
+        coords = np.asarray(coords, dtype=complex)
+        grams = [dual_metric_gram(self.space, self.structure(c), self._eps_rows)
+                 for c in coords.reshape(-1, self.nsym)]
+        return np.stack(grams).reshape(coords.shape[:-1] + grams[0].shape)
 
     # -- degree-k assembly ---------------------------------------------------
 
     def frame_change(self, coords: np.ndarray) -> np.ndarray:
-        return self._cached(
-            "wk", coords,
-            lambda: wedge.compound_matrix(self.graph_frame(coords), self.k))
+        return wedge.compound_matrix(self.graph_frame(coords), self.k)
 
-    def projectors(self, coords: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
-        def build():
-            wk = self.frame_change(coords)
-            wk_inv = np.linalg.inv(wk)
-            out = {}
-            for pq, mask in self._masks.items():
-                out[pq] = wk @ np.diag(mask.astype(complex)) @ wk_inv
-            return out
+    def projectors(self, coords: np.ndarray) -> np.ndarray:
+        """Type projectors, one per entry of `types`: shape (..., npq, dim, dim)."""
+        wk = self.frame_change(coords)[..., None, :, :]
+        return wk @ self._type_diags @ np.linalg.inv(wk)
 
-        return self._cached("proj", coords, build)
-
-    def theta(self, coords: np.ndarray) -> list[np.ndarray]:
-        return self._cached(
-            "theta", coords,
-            lambda: [wedge.derivation_matrix(t, self.k) for t in self.theta1(coords)])
+    def theta(self, coords: np.ndarray) -> np.ndarray:
+        return wedge.derivation_matrix(self.theta1(coords), self.k)
 
     def gram(self, coords: np.ndarray) -> np.ndarray:
-        return self._cached(
-            "gram", coords,
-            lambda: wedge.compound_matrix(self.gram1(coords), self.k))
+        return wedge.compound_matrix(self.gram1(coords), self.k)
 
-    def theta_bar(self, coords: np.ndarray) -> list[np.ndarray]:
-        def build():
-            c = wedge.conjugation_matrix(self.n, self.k)
-            return [c @ t.conj() @ c for t in self.theta(coords)]
-
-        return self._cached("theta_bar", coords, build)
+    def theta_bar(self, coords: np.ndarray) -> np.ndarray:
+        c = wedge.conjugation_matrix(self.n, self.k)
+        return c @ self.theta(coords).conj() @ c
 
     def frame_at(self, coords: np.ndarray) -> HiggsFrame:
         self.guard(coords)
+        projs = self.projectors(coords)
         return HiggsFrame(
             k=self.k,
-            basepoint=BsdPoint(phi=self.phi(coords)),
-            proj=self.projectors(coords),
+            phi=self.phi(coords),
+            proj={pq: projs[..., b, :, :] for b, pq in enumerate(self.types)},
             theta=self.theta(coords),
             gram=self.gram(coords),
             frame_change=self.frame_change(coords),
         )
 
-    # -- connection measurements by finite differences -----------------------
 
-    def covariant_on_sections(self, coords: np.ndarray, j: int, bar: bool,
-                              section_field, step: float) -> np.ndarray:
-        """Type-projected derivative sum_pq pi(t0) d_j(pi(t) s(t)) at coords."""
-        projs0 = self.projectors(coords)
-        deriv = _fd.antiholo_derivative if bar else _fd.holo_derivative
-        total = np.zeros_like(np.asarray(section_field(coords)))
-        for pq, p0 in projs0.items():
-            def wrapped(c, _pq=pq):
-                return self.projectors(c)[_pq] @ section_field(c)
-            total = total + p0 @ deriv(wrapped, coords, j, step=step)
-        return total
+# ---------------------------------------------------------------------------
+# Batched stencils
+#
+# A check evaluates the field on whole stencils at once.  `_stencil` stacks
+# the shifted points of the Wirtinger stencil along every coordinate; its
+# leading axis is the stencil point, the next-to-last the coordinate.  For
+# coordinates of shape (*L, nsym) the points have shape (S, *L, nsym, nsym),
+# and a stencil of stencils is `_stencil` of those points.
+# ---------------------------------------------------------------------------
 
-    def d_connection_form(self, coords: np.ndarray, j: int, bar: bool, step: float) -> np.ndarray:
-        """Connection form of the type-preserving part in the constant frame."""
-        out = np.zeros((self.dim_k(), self.dim_k()), dtype=complex)
-        deriv = _fd.antiholo_derivative if bar else _fd.holo_derivative
-        projs0 = self.projectors(coords)
-        for pq, p0 in projs0.items():
-            dpi = deriv(lambda c, _pq=pq: self.projectors(c)[_pq], coords, j, step=step)
-            out += p0 @ dpi
-        return out
+def _stencil(coords: np.ndarray, step: float) -> np.ndarray:
+    nsym = coords.shape[-1]
+    return np.stack([_fd.xy_points(coords, j, step) for j in range(nsym)], axis=-2)
 
-    def dim_k(self) -> int:
-        return len(wedge.basis(2 * self.n, self.k))
+
+def _projected(projs: np.ndarray, projs_pts: np.ndarray, values: np.ndarray | None,
+               bar: bool, step: float) -> np.ndarray:
+    """sum_pq pi_pq d_j (pi_pq s) at base points, along every coordinate j.
+
+    projs (*L, npq, d, d) are the type projectors at the base points and
+    projs_pts (S, *L, J, npq, d, d) those at the `_stencil` points; values
+    (S, *L, J, e, d, d) holds e sections at the stencil points, or is None
+    for s = I (the connection form, e = 1).  Returns (*L, J, e, d, d).
+    """
+    spread = projs_pts[..., :, None, :, :]
+    if values is not None:
+        spread = spread @ values[..., None, :, :, :]
+    terms = projs[..., None, :, None, :, :] @ _fd.xy_combine(spread, bar, step)
+    total = np.zeros(terms.shape[:-4] + terms.shape[-3:], dtype=complex)
+    for b in range(terms.shape[-4]):
+        total = total + terms[..., b, :, :, :]
+    return total
+
+
+def _covariant_frame(field_: HiggsField, coords: np.ndarray, projs: np.ndarray,
+                     step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Projected holomorphic and antiholomorphic derivatives of the frame
+    sections (the wedge power of the graph frame) along every coordinate:
+    two arrays (*L, nsym, d, d) for coords (*L, nsym) with projectors projs."""
+    pts = _stencil(coords, step)
+    sections = field_.frame_change(pts)[..., None, :, :]
+    projs_pts = field_.projectors(pts)
+    return tuple(_projected(projs, projs_pts, sections, bar, step)[..., 0, :, :]
+                 for bar in (False, True))
+
+
+def _connection_forms(field_: HiggsField, coords: np.ndarray,
+                      step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Connection forms of the type-preserving part in the constant frame,
+    holomorphic and antiholomorphic, along every coordinate: (*L, nsym, d, d)."""
+    projs = field_.projectors(coords)
+    projs_pts = field_.projectors(_stencil(coords, step))
+    return tuple(_projected(projs, projs_pts, None, bar, step)[..., 0, :, :]
+                 for bar in (False, True))
 
 
 # ---------------------------------------------------------------------------
@@ -214,52 +224,44 @@ def connection_split_check(field_: HiggsField, coords: np.ndarray,
     the mixing field matrices come from the closed form.
     """
     field_.guard(coords)
-    theta = field_.theta(coords)
-    theta_bar = field_.theta_bar(coords)
-
-    def sections(c):
-        return field_.frame_change(c)
-
-    holo = 0.0
-    anti = 0.0
-    for j in range(field_.nsym):
-        nabla = _fd.holo_derivative(sections, coords, j, step=step)
-        dconn = field_.covariant_on_sections(coords, j, False, sections, step)
-        holo = max(holo, float(np.max(np.abs(nabla - dconn - theta[j] @ sections(coords)))))
-        nabla_b = _fd.antiholo_derivative(sections, coords, j, step=step)
-        dconn_b = field_.covariant_on_sections(coords, j, True, sections, step)
-        anti = max(anti, float(np.max(np.abs(nabla_b - dconn_b - theta_bar[j] @ sections(coords)))))
-    return SplitReport(holo_residual=holo, antiholo_residual=anti)
+    sections0 = field_.frame_change(coords)
+    pts = _stencil(coords, step)
+    sections = field_.frame_change(pts)
+    projs_pts = field_.projectors(pts)
+    projs = field_.projectors(coords)
+    residuals = []
+    for bar, mixing in ((False, field_.theta(coords)), (True, field_.theta_bar(coords))):
+        plain = _fd.xy_combine(sections, bar, step)
+        projected = _projected(projs, projs_pts, sections[..., None, :, :], bar, step)
+        residuals.append(float(np.max(np.abs(
+            plain - projected[..., 0, :, :] - mixing @ sections0))))
+    return SplitReport(holo_residual=residuals[0], antiholo_residual=residuals[1])
 
 
-def curvature_operator(field_: HiggsField, coords: np.ndarray, j: int, kbar: int,
+def curvature_operator(field_: HiggsField, coords: np.ndarray,
                        step: float = 1e-3) -> np.ndarray:
-    """Mixed curvature operator of the type-preserving connection by nested differences.
+    """Mixed curvature operators of the type-preserving connection by nested differences.
 
     Measures the commutator of the projected holomorphic and antiholomorphic
     derivatives on the graph frame sections; first-derivative terms cancel in
     the commutator, leaving the curvature operator applied to the frame.
+    Entry [j, kbar] is the operator of the pair (d_j, d_kbar); both orders of
+    differentiation read one stencil of stencils.
     """
     field_.guard(coords)
-
-    def sections(c):
-        return field_.frame_change(c)
-
-    def d_holo(c):
-        return field_.covariant_on_sections(c, j, False, sections, step)
-
-    def d_anti(c):
-        return field_.covariant_on_sections(c, kbar, True, sections, step)
-
-    first = field_.covariant_on_sections(coords, j, False, d_anti, step)
-    second = field_.covariant_on_sections(coords, kbar, True, d_holo, step)
-    return (first - second) @ np.linalg.inv(field_.frame_change(coords))
+    projs = field_.projectors(coords)
+    outer = _stencil(coords, step)
+    projs_outer = field_.projectors(outer)
+    inner_holo, inner_anti = _covariant_frame(field_, outer, projs_outer, step)
+    first = _projected(projs, projs_outer, inner_anti, False, step)    # [j, kbar]
+    second = _projected(projs, projs_outer, inner_holo, True, step)    # [kbar, j]
+    return (first - second.swapaxes(0, 1)) @ np.linalg.inv(field_.frame_change(coords))
 
 
-def curvature_algebraic(frame: HiggsFrame, j: int, kbar: int) -> np.ndarray:
-    """-[theta_j, theta_k^*] with the metric adjoint."""
-    tj = frame.theta[j]
-    tks = frame.adjoint(frame.theta[kbar])
+def curvature_algebraic(frame: HiggsFrame) -> np.ndarray:
+    """-[theta_j, theta_k^*] with the metric adjoint, as entry [j, kbar]."""
+    tj = frame.theta[:, None]
+    tks = frame.adjoint(frame.theta)[None, :]
     return -(tj @ tks - tks @ tj)
 
 
@@ -330,72 +332,58 @@ def flatness_check(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFr
     field_.guard(coords)
     nsym = field_.nsym
 
-    def a_holo(c, j):
-        return field_.d_connection_form(c, j, False, step) + field_.theta(c)[j]
+    def forms(c):
+        """a_holo, a_anti and a_d_anti along every coordinate, at c (*L, nsym)."""
+        d_holo, d_anti = _connection_forms(field_, c, step)
+        return d_holo + field_.theta(c), d_anti + field_.theta_bar(c), d_anti
 
-    def a_anti(c, j):
-        return field_.d_connection_form(c, j, True, step) + field_.theta_bar(c)[j]
+    def commutators(a, b):
+        """[a_j, b_kk] as entry [j, kk]."""
+        return a[:, None] @ b[None, :] - b[None, :] @ a[:, None]
 
-    def a_d_anti(c, j):
-        return field_.d_connection_form(c, j, True, step)
-
-    mixed = 0.0
-    holo = 0.0
-    dbar2 = 0.0
-    for j in range(nsym):
-        for kk in range(nsym):
-            da = _fd.holo_derivative(lambda c: a_anti(c, kk), coords, j, step=step)
-            db = _fd.antiholo_derivative(lambda c: a_holo(c, j), coords, kk, step=step)
-            comm = a_holo(coords, j) @ a_anti(coords, kk) - a_anti(coords, kk) @ a_holo(coords, j)
-            mixed = max(mixed, float(np.max(np.abs(da - db + comm))))
-            if kk > j:
-                da2 = _fd.holo_derivative(lambda c: a_holo(c, kk), coords, j, step=step)
-                db2 = _fd.holo_derivative(lambda c: a_holo(c, j), coords, kk, step=step)
-                comm2 = a_holo(coords, j) @ a_holo(coords, kk) - a_holo(coords, kk) @ a_holo(coords, j)
-                holo = max(holo, float(np.max(np.abs(da2 - db2 + comm2))))
-                da3 = _fd.antiholo_derivative(lambda c: a_d_anti(c, kk), coords, j, step=step)
-                db3 = _fd.antiholo_derivative(lambda c: a_d_anti(c, j), coords, kk, step=step)
-                comm3 = a_d_anti(coords, j) @ a_d_anti(coords, kk) - a_d_anti(coords, kk) @ a_d_anti(coords, j)
-                dbar2 = max(dbar2, float(np.max(np.abs(da3 - db3 + comm3))))
+    a_holo, a_anti, a_d_anti = forms(coords)
+    # Differences of the forms at the stencil points: [j, kk] is the
+    # derivative along j of the form along kk.
+    s_holo, s_anti, s_d_anti = forms(_stencil(coords, step))
+    da = _fd.xy_combine(s_anti, False, step)
+    db = _fd.xy_combine(s_holo, True, step).swapaxes(0, 1)
+    mixed = float(np.max(np.abs(da - db + commutators(a_holo, a_anti))))
     if nsym == 1:
         # Single coordinate: the (2,0)/(0,2) planes are empty; report the
         # mixed plaquette and the trivially zero square.
-        holo = 0.0
-        dbar2 = 0.0
-    return FlatnessReport(mixed_residual=mixed, holo_residual=holo, dbar_square_residual=dbar2)
+        return FlatnessReport(mixed_residual=mixed, holo_residual=0.0, dbar_square_residual=0.0)
+    upper = np.triu_indices(nsym, 1)    # the planes kk > j
+    squares = []
+    for values, bar, a in ((s_holo, False, a_holo), (s_d_anti, True, a_d_anti)):
+        d = _fd.xy_combine(values, bar, step)
+        squares.append(float(np.max(np.abs(
+            (d - d.swapaxes(0, 1) + commutators(a, a))[upper]))))
+    return FlatnessReport(mixed_residual=mixed, holo_residual=squares[0],
+                          dbar_square_residual=squares[1])
 
 
 def chern_compatibility_check(field_: HiggsField, coords: np.ndarray,
                               step: float = 1e-3) -> float:
     """Residual of d<u,v> = <Du,v> + <u,Dv> on the holomorphic frame sections."""
     field_.guard(coords)
-    dim = field_.dim_k()
-
-    def pairings(c):
-        wk = field_.frame_change(c)
-        return wk.conj().T @ field_.gram(c) @ wk   # [b,a] = <U_a, U_b>
-
-    worst = 0.0
+    pts = _stencil(coords, step)
+    wk = field_.frame_change(pts)
+    pairings = wk.conj().swapaxes(-1, -2) @ field_.gram(pts) @ wk   # [b,a] = <U_a, U_b>
+    dpair = _fd.xy_combine(pairings, False, step)
     gram0 = field_.gram(coords)
     wk0 = field_.frame_change(coords)
-    for j in range(field_.nsym):
-        dpair = _fd.holo_derivative(pairings, coords, j, step=step)
-        du = field_.covariant_on_sections(coords, j, False, lambda c: field_.frame_change(c), step)
-        dv = field_.covariant_on_sections(coords, j, True, lambda c: field_.frame_change(c), step)
-        expected = dv.conj().T @ gram0 @ wk0 + wk0.conj().T @ gram0 @ du
-        worst = max(worst, float(np.max(np.abs(dpair - expected))))
-    return worst
+    du, dv = _covariant_frame(field_, coords, field_.projectors(coords), step)
+    expected = dv.conj().swapaxes(-1, -2) @ gram0 @ wk0 + wk0.conj().T @ gram0 @ du
+    return float(np.max(np.abs(dpair - expected)))
 
 
 def theta_holomorphy_check(field_: HiggsField, coords: np.ndarray,
                            step: float = 1e-3) -> float:
     """Residual of the antiholomorphic covariant derivative of the mixing field."""
     field_.guard(coords)
-    worst = 0.0
-    for kk in range(field_.nsym):
-        a_bar = field_.d_connection_form(coords, kk, True, step)
-        for j in range(field_.nsym):
-            dtheta = _fd.antiholo_derivative(lambda c: field_.theta(c)[j], coords, kk, step=step)
-            theta_j = field_.theta(coords)[j]
-            worst = max(worst, float(np.max(np.abs(dtheta + a_bar @ theta_j - theta_j @ a_bar))))
-    return worst
+    pts = _stencil(coords, step)
+    # a_bar[kk, 0] is the antiholomorphic connection form along kk.
+    a_bar = _projected(field_.projectors(coords), field_.projectors(pts), None, True, step)
+    dtheta = _fd.xy_combine(field_.theta(pts), True, step)    # [kk, j]: d_kkbar theta_j
+    theta = field_.theta(coords)
+    return float(np.max(np.abs(dtheta + a_bar @ theta - theta @ a_bar)))

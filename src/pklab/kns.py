@@ -109,14 +109,15 @@ def sym_dim(n: int) -> int:
 
 
 def sym_from_coords(coords: np.ndarray, n: int) -> np.ndarray:
+    """Symmetric matrix of chart coordinates; coords may carry leading axes."""
     coords = np.asarray(coords, dtype=complex)
-    phi = np.zeros((n, n), dtype=complex)
+    phi = np.zeros(coords.shape[:-1] + (n, n), dtype=complex)
     idx = 0
     for a in range(n):
         for b in range(a, n):
-            phi[a, b] += coords[idx]
+            phi[..., a, b] += coords[..., idx]
             if a != b:
-                phi[b, a] += coords[idx]
+                phi[..., b, a] += coords[..., idx]
             idx += 1
     return phi
 

@@ -43,14 +43,17 @@ def sort_sign(indices: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
 
 
 def compound_matrix(m: np.ndarray, k: int) -> np.ndarray:
-    """k-th multiplicative extension: entries are k x k minors of m."""
-    dim = m.shape[0]
+    """k-th multiplicative extension: entries are k x k minors of m.
+
+    m may carry leading axes; each matrix of the stack is extended.
+    """
+    dim = m.shape[-1]
     sets = basis(dim, k)
     if k == 0:
-        return np.ones((1, 1), dtype=complex)
+        return np.ones(m.shape[:-2] + (1, 1), dtype=complex)
     m = np.asarray(m, dtype=complex)
     rows = np.array(sets)
-    stack = m[rows[:, None, :, None], rows[None, :, None, :]]
+    stack = m[..., rows[:, None, :, None], rows[None, :, None, :]]
     return np.linalg.det(stack)
 
 
@@ -80,15 +83,23 @@ def _derivation_table(dim: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 def derivation_matrix(m: np.ndarray, k: int) -> np.ndarray:
-    """Even-derivation extension sum_i 1 x .. x m x .. x 1 on degree k."""
-    dim = m.shape[0]
+    """Even-derivation extension sum_i 1 x .. x m x .. x 1 on degree k.
+
+    m may carry leading axes; each matrix of the stack is extended.
+    """
+    dim = m.shape[-1]
     size = len(basis(dim, k))
+    m = np.asarray(m, dtype=complex)
     if k == 1:
-        return np.asarray(m, dtype=complex).copy()
+        return m.copy()
     rows, cols, srcs, signs = _derivation_table(dim, k)
-    out = np.zeros((size, size), dtype=complex)
-    np.add.at(out, (rows, cols), signs * np.asarray(m, dtype=complex).ravel()[srcs])
-    return out
+    lead = m.shape[:-2]
+    # The stack runs along a trailing axis of the scatter, so every output
+    # entry sums its table entries in table order, as for a single matrix.
+    values = signs[:, None] * m.reshape(-1, dim * dim).T[srcs]
+    out = np.zeros((size, size, values.shape[1]), dtype=complex)
+    np.add.at(out, (rows, cols), values)
+    return np.ascontiguousarray(np.moveaxis(out, -1, 0)).reshape(lead + (size, size))
 
 
 def type_masks(n: int, k: int) -> dict[tuple[int, int], np.ndarray]:

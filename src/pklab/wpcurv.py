@@ -98,15 +98,26 @@ class BoundsReport:
 
 def metric_field(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFrame,
                  degree: int = 1):
-    """coords -> Hilbert-Schmidt Gram matrix of the degree-(-1,1) field."""
+    """coords -> Hilbert-Schmidt Gram matrix of the degree-(-1,1) field.
+
+    The closure keeps every value it computed, read-only, for its own
+    lifetime: difference stencils revisit points (the base point, and the
+    gradient's points inside the Hessian's), and those are not recomputed.
+    """
     field_ = HiggsField(space, J, frame, degree)
+    values: dict[bytes, np.ndarray] = {}
 
     def gram_at(coords: np.ndarray) -> np.ndarray:
-        theta = np.stack(field_.theta(coords))
-        h = field_.gram(coords)
-        adjoints = np.linalg.inv(h) @ theta.conj().transpose(0, 2, 1) @ h
-        # out[j, k] = tr(theta_j adj(theta_k))
-        return np.einsum("jab,kba->jk", theta, adjoints)
+        key = np.asarray(coords, dtype=complex).tobytes()
+        out = values.get(key)
+        if out is None:
+            theta = field_.theta(coords)
+            h = field_.gram(coords)
+            adjoints = np.linalg.inv(h) @ theta.conj().transpose(0, 2, 1) @ h
+            # out[j, k] = tr(theta_j adj(theta_k))
+            out = values[key] = np.einsum("jab,kba->jk", theta, adjoints)
+            out.setflags(write=False)
+        return out
 
     return field_, gram_at
 
@@ -327,7 +338,7 @@ def curvature_formula_terms(space: SymplecticSpace, J: ComplexStructure,
 
     dtheta = np.empty((nsym, nsym), dtype=object)
     for l in range(nsym):
-        block = _fd.holo_derivative(lambda c: np.stack(field_.theta(c)), coords, l, step=step)
+        block = _fd.holo_derivative(field_.theta, coords, l, step=step)
         for j in range(nsym):
             dtheta[l, j] = perp(block[j])
 

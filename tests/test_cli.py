@@ -56,6 +56,23 @@ def test_json_roundtrip_and_determinism(tmp_path):
     assert len(payload["checks"]) == len(rep1.checks)
 
 
+def test_rank_clamp_noted_on_stderr(tmp_path, capsys):
+    def run(n):
+        out = tmp_path / f"higgs-n{n}.json"
+        assert cli.main_verify(["--suite", "higgs", "--n", str(n), "--seed", "5",
+                                "--out", str(out)]) == 0
+        notes = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("note:")]
+        return json.loads(out.read_text()), notes
+
+    clamped, notes = run(3)
+    assert notes == ["note: suite higgs runs at n=2 (requested n=3)"]
+    assert clamped["config"]["n"] == 3
+    plain, notes = run(2)
+    assert notes == []
+    assert clamped["checks"] == plain["checks"]
+
+
 def test_csv_one_row_per_check(tmp_path):
     cfg = cli.SuiteConfig(suite="trace-inequality", samples=5)
     rep = cli.run_suite(cfg)

@@ -1,8 +1,14 @@
-"""Degree-k bundle structure: mixing field, connection split, curvature."""
+"""Degree-k bundle structure: mixing field, connection split, curvature.
+
+The five finite-difference checks evaluate whole stencils in one field call;
+they are compared here with the per-point nested loops they replaced.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pklab import cli
 from pklab import higgs as hg
 from pklab import kns, wedge
 from pklab import symplin as sl
@@ -103,10 +109,11 @@ def test_curvature_operator_frozen_value():
     # line-bundle weight 2(1 - |t|^2)) gives diag(+1, -1) on (dz, dzbar).
     _, _, _, field_ = field_for(1, 1)
     zero = np.zeros(1, dtype=complex)
-    theta_fd = hg.curvature_operator(field_, zero, 0, 0)
-    assert np.allclose(theta_fd, np.diag([1.0, -1.0]), atol=1e-8)
+    theta_fd = hg.curvature_operator(field_, zero)
+    assert theta_fd.shape == (1, 1, 2, 2)
+    assert np.allclose(theta_fd[0, 0], np.diag([1.0, -1.0]), atol=1e-8)
     frame = field_.frame_at(zero)
-    assert np.allclose(hg.curvature_algebraic(frame, 0, 0), np.diag([1.0, -1.0]))
+    assert np.allclose(hg.curvature_algebraic(frame)[0, 0], np.diag([1.0, -1.0]))
 
 
 @pytest.mark.parametrize("n,k", [(1, 1), (2, 1), (2, 2)])
@@ -115,17 +122,16 @@ def test_curvature_matches_algebra(n, k):
     rng = np.random.default_rng(31)
     coords = kns.coords_from_sym(kns.random_bsd_point(n, rng, 0.5).phi)
     frame = field_.frame_at(coords)
-    for j in range(field_.nsym):
-        for kb in range(field_.nsym):
-            fd = hg.curvature_operator(field_, coords, j, kb)
-            alg = hg.curvature_algebraic(frame, j, kb)
-            assert np.max(np.abs(fd - alg)) < 1e-5
+    fd = hg.curvature_operator(field_, coords)
+    alg = hg.curvature_algebraic(frame)
+    assert fd.shape == alg.shape == (field_.nsym, field_.nsym, frame.dim, frame.dim)
+    assert np.max(np.abs(fd - alg)) < 1e-5
 
 
 def test_degree_zero_curvature_zero():
     _, _, _, field_ = field_for(1, 0)
     zero = np.zeros(1, dtype=complex)
-    assert np.max(np.abs(hg.curvature_operator(field_, zero, 0, 0))) < 1e-12
+    assert np.max(np.abs(hg.curvature_operator(field_, zero))) < 1e-12
 
 
 @pytest.mark.parametrize("n,k", [(1, 1), (2, 2)])
@@ -152,3 +158,215 @@ def test_boundary_guard():
     _, _, _, field_ = field_for(1, 1)
     with pytest.raises(kns.BoundaryProximityError):
         field_.frame_at(np.array([1.0 + 0j]))
+
+
+# ---------------------------------------------------------------------------
+# Per-point oracles: the nested loops the batched checks replaced, one
+# stencil point per field call, with the point memo they relied on.
+# ---------------------------------------------------------------------------
+
+def _wirtinger(f, z, idx, bar, step=1e-3):
+    """Central x/y differences with one Richardson step, point by point."""
+
+    def shifted(delta):
+        w = np.array(z, dtype=complex)
+        w[idx] += delta
+        return np.asarray(f(w))
+
+    def estimate(h):
+        dx = (shifted(h) - shifted(-h)) / (2.0 * h)
+        dy = (shifted(1j * h) - shifted(-1j * h)) / (2.0 * h)
+        return 0.5 * (dx + 1j * dy) if bar else 0.5 * (dx - 1j * dy)
+
+    coarse, fine = estimate(step), estimate(step / 2.0)
+    return (4.0 * fine - coarse) / 3.0
+
+
+class PointField:
+    """A HiggsField read one point at a time through a per-point memo."""
+
+    def __init__(self, field_):
+        self.field = field_
+        self.nsym = field_.nsym
+        self.memo = {}
+
+    def _value(self, kind, c):
+        key = (kind, np.asarray(c, dtype=complex).tobytes())
+        if key not in self.memo:
+            self.memo[key] = getattr(self.field, kind)(c)
+        return self.memo[key]
+
+    def projectors(self, c):
+        return list(self._value("projectors", c))
+
+    def frame_change(self, c):
+        return self._value("frame_change", c)
+
+    def theta(self, c):
+        return self._value("theta", c)
+
+    def theta_bar(self, c):
+        return self._value("theta_bar", c)
+
+    def gram(self, c):
+        return self._value("gram", c)
+
+    def covariant(self, c0, j, bar, section):
+        total = np.zeros_like(np.asarray(section(c0)))
+        for b, p0 in enumerate(self.projectors(c0)):
+            total = total + p0 @ _wirtinger(
+                lambda c, _b=b: self.projectors(c)[_b] @ section(c), c0, j, bar)
+        return total
+
+    def connection_form(self, c0, j, bar):
+        out = np.zeros_like(self.frame_change(c0))
+        for b, p0 in enumerate(self.projectors(c0)):
+            out += p0 @ _wirtinger(lambda c, _b=b: self.projectors(c)[_b], c0, j, bar)
+        return out
+
+
+def split_loop(pf, coords):
+    holo = anti = 0.0
+    for j in range(pf.nsym):
+        for bar, mixing in ((False, pf.theta(coords)), (True, pf.theta_bar(coords))):
+            plain = _wirtinger(pf.frame_change, coords, j, bar)
+            proj = pf.covariant(coords, j, bar, pf.frame_change)
+            value = float(np.max(np.abs(plain - proj - mixing[j] @ pf.frame_change(coords))))
+            if bar:
+                anti = max(anti, value)
+            else:
+                holo = max(holo, value)
+    return holo, anti
+
+
+def curvature_loop(pf, coords, j, kbar):
+    def d_holo(c):
+        return pf.covariant(c, j, False, pf.frame_change)
+
+    def d_anti(c):
+        return pf.covariant(c, kbar, True, pf.frame_change)
+
+    first = pf.covariant(coords, j, False, d_anti)
+    second = pf.covariant(coords, kbar, True, d_holo)
+    return (first - second) @ np.linalg.inv(pf.frame_change(coords))
+
+
+def flatness_loop(pf, coords):
+    def a_holo(c, j):
+        return pf.connection_form(c, j, False) + pf.theta(c)[j]
+
+    def a_anti(c, j):
+        return pf.connection_form(c, j, True) + pf.theta_bar(c)[j]
+
+    def a_d_anti(c, j):
+        return pf.connection_form(c, j, True)
+
+    mixed = holo = dbar2 = 0.0
+    for j in range(pf.nsym):
+        for kk in range(pf.nsym):
+            da = _wirtinger(lambda c: a_anti(c, kk), coords, j, False)
+            db = _wirtinger(lambda c: a_holo(c, j), coords, kk, True)
+            comm = a_holo(coords, j) @ a_anti(coords, kk) - a_anti(coords, kk) @ a_holo(coords, j)
+            mixed = max(mixed, float(np.max(np.abs(da - db + comm))))
+            if kk > j:
+                da2 = _wirtinger(lambda c: a_holo(c, kk), coords, j, False)
+                db2 = _wirtinger(lambda c: a_holo(c, j), coords, kk, False)
+                comm2 = a_holo(coords, j) @ a_holo(coords, kk) - a_holo(coords, kk) @ a_holo(coords, j)
+                holo = max(holo, float(np.max(np.abs(da2 - db2 + comm2))))
+                da3 = _wirtinger(lambda c: a_d_anti(c, kk), coords, j, True)
+                db3 = _wirtinger(lambda c: a_d_anti(c, j), coords, kk, True)
+                comm3 = (a_d_anti(coords, j) @ a_d_anti(coords, kk)
+                         - a_d_anti(coords, kk) @ a_d_anti(coords, j))
+                dbar2 = max(dbar2, float(np.max(np.abs(da3 - db3 + comm3))))
+    return mixed, holo, dbar2
+
+
+def chern_loop(pf, coords):
+    def pairings(c):
+        wk = pf.frame_change(c)
+        return wk.conj().T @ pf.gram(c) @ wk
+
+    gram0, wk0 = pf.gram(coords), pf.frame_change(coords)
+    worst = 0.0
+    for j in range(pf.nsym):
+        dpair = _wirtinger(pairings, coords, j, False)
+        du = pf.covariant(coords, j, False, pf.frame_change)
+        dv = pf.covariant(coords, j, True, pf.frame_change)
+        expected = dv.conj().T @ gram0 @ wk0 + wk0.conj().T @ gram0 @ du
+        worst = max(worst, float(np.max(np.abs(dpair - expected))))
+    return worst
+
+
+def holomorphy_loop(pf, coords):
+    worst = 0.0
+    for kk in range(pf.nsym):
+        a_bar = pf.connection_form(coords, kk, True)
+        for j in range(pf.nsym):
+            dtheta = _wirtinger(lambda c: pf.theta(c)[j], coords, kk, True)
+            theta_j = pf.theta(coords)[j]
+            worst = max(worst, float(np.max(np.abs(dtheta + a_bar @ theta_j - theta_j @ a_bar))))
+    return worst
+
+
+@pytest.mark.parametrize("n,k", [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)])
+def test_batched_checks_equal_per_point_loops(n, k):
+    sp, j0, frame, field_ = field_for(n, k)
+    bp = kns.random_bsd_point(n, np.random.default_rng([n, k]), 0.45)
+    coords = kns.coords_from_sym(bp.phi)
+    pf = PointField(field_)
+
+    split = hg.connection_split_check(field_, coords)
+    assert (split.holo_residual, split.antiholo_residual) == split_loop(pf, coords)
+    curv = hg.curvature_operator(field_, coords)
+    for j in range(n * (n + 1) // 2):
+        for kb in range(n * (n + 1) // 2):
+            assert np.array_equal(curv[j, kb], curvature_loop(pf, coords, j, kb))
+    flat = hg.flatness_check(sp, j0, frame, bp, k)
+    assert (flat.mixed_residual, flat.holo_residual, flat.dbar_square_residual) == flatness_loop(pf, coords)
+    assert hg.chern_compatibility_check(field_, coords) == chern_loop(pf, coords)
+    assert hg.theta_holomorphy_check(field_, coords) == holomorphy_loop(pf, coords)
+
+
+@st.composite
+def _interior_stack(draw):
+    n = draw(st.integers(1, 2))
+    k = draw(st.integers(0, 2 * n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.integers(1, 4))
+    coords = np.stack([kns.coords_from_sym(kns.random_bsd_point(n, rng, 0.8).phi)
+                       for _ in range(count)])
+    return n, k, coords.reshape((count // 2, 2, -1) if count % 2 == 0 else (count, -1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_interior_stack())
+def test_batched_fields_equal_per_point_values(case):
+    n, k, coords = case
+    _, _, _, field_ = field_for(n, k)
+    projs = field_.projectors(coords)
+    frames = field_.frame_change(coords)
+    thetas = field_.theta(coords)
+    lead = coords.shape[:-1]
+    dim = frames.shape[-1]
+    assert projs.shape == lead + (len(field_.types), dim, dim)
+    assert thetas.shape == lead + (field_.nsym, dim, dim)
+    for idx in np.ndindex(*lead):
+        assert np.array_equal(projs[idx], field_.projectors(coords[idx]))
+        assert np.array_equal(frames[idx], field_.frame_change(coords[idx]))
+        assert np.array_equal(thetas[idx], field_.theta(coords[idx]))
+    assert np.allclose(projs.sum(axis=-3), np.eye(dim), atol=1e-10)
+    assert np.allclose(projs @ projs, projs, atol=1e-10)
+
+
+def test_wrong_conjugate_field_fails_the_suite(monkeypatch):
+    # The batched oracles must still see a mixing-field conjugate of the
+    # wrong sign: the split and flatness identities read theta_bar.
+    record = "connection-identities-k1"
+    config = cli.SuiteConfig(suite="higgs", n=1)
+    status = {r.name: r.status for r in cli.run_suite(config).checks}
+    assert status[record] == "pass"
+    theta_bar = hg.HiggsField.theta_bar
+    monkeypatch.setattr(hg.HiggsField, "theta_bar",
+                        lambda self, coords: -theta_bar(self, coords))
+    status = {r.name: r.status for r in cli.run_suite(config).checks}
+    assert status[record] == "fail"

@@ -1,6 +1,6 @@
 """Exterior-power bookkeeping: the table-driven derivation extension against
-the index loop it replaced, its defining properties, the cached real
-structure, and the batched metric pairing."""
+the index loop it replaced, its defining properties, stacked inputs, the
+cached real structure, and the batched metric pairing."""
 
 import numpy as np
 import pytest
@@ -60,6 +60,19 @@ def test_derivation_matrix_equals_loop(dim):
         for k in range(dim + 1):
             assert np.array_equal(wedge.derivation_matrix(m, k),
                                   derivation_matrix_loop(m, k)), (dim, k)
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_stacked_extensions_equal_each_matrix(dim):
+    rng = np.random.default_rng(20 + dim)
+    stack = np.stack([_random_complex(rng, dim, 0.2) for _ in range(6)]).reshape(2, 3, dim, dim)
+    for k in range(dim + 1):
+        for extend in (wedge.compound_matrix, wedge.derivation_matrix):
+            out = extend(stack, k)
+            size = len(wedge.basis(dim, k))
+            assert out.shape == (2, 3, size, size)
+            for idx in np.ndindex(2, 3):
+                assert np.array_equal(out[idx], extend(stack[idx], k)), (extend, dim, k)
 
 
 def test_derivation_matrix_degree_one_is_a_copy():
