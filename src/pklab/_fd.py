@@ -7,13 +7,17 @@ coordinate with central differences:
     d/dz   = (d/dx - i d/dy) / 2,      d/dzbar = (d/dx + i d/dy) / 2,
 
 optionally improved by one step of Richardson extrapolation (h and h/2).
-A stencil is built in two parts: `xy_points` stacks its shifted points and
-`xy_combine` forms the derivative from the field values there, so a field
-that takes stacked coordinates is evaluated on whole stencils in one call.
+A stencil is built in two parts: one function stacks its shifted points
+(`xy_points`, `gradient_points`, `hessian_points`) and another forms the
+derivative from the field values there (`xy_combine`, `hessian_combine`,
+`hessian_gradient`), so a field that takes stacked coordinates is evaluated
+on a whole stencil in one call.  `holo_derivative`, `antiholo_derivative`
+and `hermitian_hessian` evaluate a field one point per call.
 """
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import Callable
 
 import numpy as np
@@ -94,72 +98,98 @@ def dbar_along(f: Field, z: np.ndarray, direction: np.ndarray, step: float = DEF
     return antiholo_derivative(g, np.zeros(1, dtype=complex), 0, step=step, richardson=richardson)
 
 
-def _real_coords(z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=complex)
-    return np.concatenate([z.real, z.imag])
+def gradient_points(z: np.ndarray, step: float = DEFAULT_STEP) -> np.ndarray:
+    """`xy_points` along every coordinate: shape (8, ..., N, N) for z (..., N).
 
-
-def _from_real(x: np.ndarray) -> np.ndarray:
-    half = x.size // 2
-    return x[:half] + 1j * x[half:]
-
-
-def _real_hessian(f: Field, z: np.ndarray, h: float) -> np.ndarray:
-    """All mixed second partials of f w.r.t. the 2N underlying real coordinates.
-
-    Returns an array of shape (2N, 2N) + f(z).shape.
+    The leading axis is the stencil point and the next-to-last the coordinate,
+    so `xy_combine` of field values there is the gradient (..., N, ...), and a
+    stencil of stencils is `gradient_points` of these points.
     """
-    x0 = _real_coords(z)
-    dim = x0.size
-    f0 = np.asarray(f(z))
-
-    def feval(dx):
-        return np.asarray(f(_from_real(x0 + dx)))
-
-    out = np.empty((dim, dim) + f0.shape, dtype=complex)
-    plus = []
-    minus = []
-    for a in range(dim):
-        e = np.zeros(dim)
-        e[a] = h
-        plus.append(feval(e))
-        minus.append(feval(-e))
-    for a in range(dim):
-        out[a, a] = (plus[a] - 2.0 * f0 + minus[a]) / h**2
-        for b in range(a + 1, dim):
-            ea = np.zeros(dim)
-            eb = np.zeros(dim)
-            ea[a] = h
-            eb[b] = h
-            mixed = (feval(ea + eb) - feval(ea - eb) - feval(-ea + eb) + feval(-ea - eb)) / (4.0 * h**2)
-            out[a, b] = mixed
-            out[b, a] = mixed
-    return out
+    return np.stack([xy_points(z, j, step) for j in range(z.shape[-1])], axis=-2)
 
 
-def hermitian_hessian(f: Field, z: np.ndarray, step: float = DEFAULT_STEP,
-                      richardson: bool = True) -> np.ndarray:
-    """Mixed complex Hessian d^2 f / (dz^l dzbar^m), shape (N, N) + f.shape.
+# The real Hessian stencil.  For each h in (step, step/2) it holds the 4N
+# axis points x0 +- h e_a (a over the 2N real coordinates, x then y) and the
+# mixed points x0 + (+-h e_a) + (+-h e_b) of every pair a < b, 8 N^2 points;
+# the base point comes first, shared by both steps.  The axis points of
+# coordinate l along x and y are its `xy_points`, so the same values also
+# give the holomorphic gradient (`hessian_gradient`).
 
-    Uses d_l d_mbar = ((Dxx + Dyy) + i (Dxy - Dyx)) / 4 on the real stencil.
-    """
+def _hessian_offsets(dim: int, h: float) -> np.ndarray:
+    e = h * np.eye(dim)
+    a, b = np.triu_indices(dim, 1)
+    mixed = np.stack([e[a] + e[b], e[a] - e[b], -e[a] + e[b], -e[a] - e[b]], axis=1)
+    return np.concatenate([e, -e, mixed.reshape(-1, dim)])
+
+
+def hessian_points(z: np.ndarray, step: float = DEFAULT_STEP) -> np.ndarray:
+    """Points of the Richardson Hessian stencil at z (..., N): shape
+    (1 + 16 N^2, ..., N), the base point first."""
     z = np.asarray(z, dtype=complex)
-    n = z.size
+    n = z.shape[-1]
+    x0 = np.concatenate([z.real, z.imag], axis=-1)
+    offsets = np.concatenate([_hessian_offsets(2 * n, h) for h in (step, step / 2.0)])
+    x = x0 + offsets.reshape((len(offsets),) + (1,) * (z.ndim - 1) + (2 * n,))
+    return np.concatenate([z[None], x[..., :n] + 1j * x[..., n:]])
 
-    def assemble(h):
-        rh = _real_hessian(f, z, h)
-        out = np.empty((n, n) + rh.shape[2:], dtype=complex)
-        for l in range(n):
-            for m in range(n):
-                xl, yl = l, n + l
-                xm, ym = m, n + m
-                out[l, m] = 0.25 * ((rh[xl, xm] + rh[yl, ym]) + 1j * (rh[xl, ym] - rh[yl, xm]))
-        return out
 
-    if not richardson:
-        return assemble(step)
-    coarse, fine = assemble(step), assemble(step / 2.0)
+def _hessian_blocks(values: np.ndarray):
+    """N, the base value and, per step, the axis-plus, axis-minus and mixed
+    values (the last as (pairs, 4, ...)) of `hessian_points` values."""
+    n = isqrt((len(values) - 1) // 16)
+    dim = 2 * n
+    shape = values.shape[1:]
+    return n, values[0], [(v[:dim], v[dim:2 * dim], v[2 * dim:].reshape((-1, 4) + shape))
+                          for v in values[1:].reshape((2, -1) + shape)]
+
+
+def hessian_combine(values: np.ndarray, step: float = DEFAULT_STEP) -> np.ndarray:
+    """Mixed complex Hessian d^2 f / (dz^l dzbar^m) from the field values at
+    the `hessian_points`: shape (N, N) + the field's shape.
+
+    Uses d_l d_mbar = ((Dxx + Dyy) + i (Dxy - Dyx)) / 4 on the real stencil,
+    with one Richardson step.
+    """
+    n, f0, blocks = _hessian_blocks(values)
+    dim = 2 * n
+    upper = np.triu_indices(dim, 1)
+
+    def assemble(block, h):
+        plus, minus, mixed = block
+        rh = np.empty((dim, dim) + f0.shape, dtype=complex)
+        rh[np.arange(dim), np.arange(dim)] = (plus - 2.0 * f0 + minus) / h**2
+        off = (mixed[:, 0] - mixed[:, 1] - mixed[:, 2] + mixed[:, 3]) / (4.0 * h**2)
+        rh[upper] = off
+        rh[upper[::-1]] = off
+        return 0.25 * ((rh[:n, :n] + rh[n:, n:]) + 1j * (rh[:n, n:] - rh[n:, :n]))
+
+    coarse, fine = assemble(blocks[0], step), assemble(blocks[1], step / 2.0)
     return (4.0 * fine - coarse) / 3.0
+
+
+def hessian_gradient(values: np.ndarray, step: float = DEFAULT_STEP) -> np.ndarray:
+    """Holomorphic gradient d f / d z^l, shape (N,) + the field's shape, from
+    the axis points of the `hessian_points` values: per coordinate, the
+    same differences as `holo_derivative`."""
+    n, _, blocks = _hessian_blocks(values)
+    # (h, x/y, +/-, l) is the xy_points order of every coordinate l.
+    axis = np.stack([np.stack([plus, minus]) for plus, minus, _ in blocks])
+    axis = axis.reshape((2, 2, 2, n) + values.shape[1:]).swapaxes(1, 2)
+    return xy_combine(axis.reshape((8, n) + values.shape[1:]), False, step)
+
+
+def hermitian_hessian(f: Field, z: np.ndarray, step: float = DEFAULT_STEP) -> np.ndarray:
+    """Mixed complex Hessian d^2 f / (dz^l dzbar^m), shape (N, N) + f.shape,
+    evaluating f at one `hessian_points` point per call."""
+    return hessian_combine(np.stack([np.asarray(f(p)) for p in hessian_points(z, step)]),
+                           step)
+
+
+def closedness_defect(grads: np.ndarray) -> float:
+    """max over c < a of |grads[c][a, :] - grads[a][c, :]|, for the holomorphic
+    gradient grads[c] = d_c coeff of a (1,1)-form's coefficients."""
+    upper = np.triu_indices(len(grads), 1)
+    return float(np.max(np.abs((grads - grads.swapaxes(0, 1))[upper]), initial=0.0))
 
 
 def d_residual_11(coeff: Field, z: np.ndarray, step: float = DEFAULT_STEP) -> float:
@@ -170,10 +200,5 @@ def d_residual_11(coeff: Field, z: np.ndarray, step: float = DEFAULT_STEP) -> fl
     follows by conjugation).  Returns the worst entrywise violation.
     """
     z = np.asarray(z, dtype=complex)
-    n = z.size
-    grads = [holo_derivative(coeff, z, c, step=step) for c in range(n)]
-    worst = 0.0
-    for c in range(n):
-        for a in range(c + 1, n):
-            worst = max(worst, float(np.max(np.abs(grads[c][a, :] - grads[a][c, :]))))
-    return worst
+    return closedness_defect(np.stack([holo_derivative(coeff, z, c, step=step)
+                                       for c in range(z.size)]))

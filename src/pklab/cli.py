@@ -308,9 +308,10 @@ def suite_kns_roundtrip(cfg: SuiteConfig, tol: Tolerances):
     return checks
 
 
-# The Higgs-layer suites stop at this rank: their nested difference stencils
-# and finite-difference dtheta grow like nsym^2 (ROADMAP item 4).
-HIGGS_MAX_RANK = 2
+# The Higgs-layer suites stop at this rank.  At n=4 the nested difference
+# stencil of `higgs` has 8 nsym x 8 nsym = 6400 inner points, and each k=2
+# projector stack on them alone takes about 240 MB.
+HIGGS_MAX_RANK = 3
 
 
 def _clamped_rank(suite: str, cfg: SuiteConfig) -> int:
@@ -347,6 +348,15 @@ def suite_higgs(cfg: SuiteConfig, tol: Tolerances):
                              tol("algebraic-identity")))
         checks.append(_check(f"connection-identities-k{k}", "higgs-structure", fd,
                              tol("fd-identity")))
+    # The closed-form Gram data against the route through the real structure.
+    field_ = hg.HiggsField(space, j0, frame, 1)
+    route = 0.0
+    for bp in points:
+        coords = kns.coords_from_sym(bp.phi)
+        oracle = sl.dual_metric_gram(space, field_.structure(coords), field_.covectors)
+        route = max(route, float(np.max(np.abs(field_.gram1(coords) - oracle))))
+    checks.append(_check("gram-structure-route", "higgs-structure", route,
+                         tol("algebraic-identity")))
     return checks
 
 

@@ -1,10 +1,9 @@
 """Relative Kahler fibration toolkit on analytic models with torus fibers.
 
 Models carry a local potential for the global form through its second and
-third mixed derivatives (closed-form jets built symbolically, or a
-finite-difference fallback).  Horizontal lifts, geodesic curvatures and the
-fiber tensors measuring the variation of complex structure are evaluated
-pointwise; on proper models the fibers are flat tori so fiber integration,
+third mixed derivatives (closed-form jets built symbolically).  Horizontal
+lifts, geodesic curvatures and the fiber tensors measuring the variation of
+complex structure are evaluated pointwise; on proper models the fibers are flat tori so fiber integration,
 the Laplacian and the degeneracy diagnostics are spectral.
 """
 
@@ -125,58 +124,6 @@ def model_from_potential(expr, name: str, n: int = 1, lattice: Callable | None =
     The compiled jets are shared by every model with the same potential.
     """
     second, third = _compiled_jets(expr, n)
-    return FibrationModel(name=name, n=n, second=second, third=third,
-                          lattice=lattice, grid=grid)
-
-
-def model_from_callable(potential: Callable, name: str, n: int = 1,
-                        lattice: Callable | None = None, grid: int = 64,
-                        step: float = 1e-4) -> FibrationModel:
-    """Finite-difference fallback: jets from a plain real-valued potential.
-
-    Accuracy is limited to roughly 1e-8 on second and 1e-5 on third
-    derivatives; prefer symbolic models for tight residual work.
-    """
-
-    def as_field(tv, pts):
-        def f(w):
-            return potential(w[0], w[1:])
-
-        return f, np.concatenate([[tv], pts])
-
-    def second(tv, pts):
-        pts = np.asarray(pts, dtype=complex)
-        cols = pts.shape[1]
-        bb = np.empty(cols, dtype=complex)
-        bf = np.empty((n, cols), dtype=complex)
-        ff = np.empty((n, n, cols), dtype=complex)
-        for p in range(cols):
-            f, z0 = as_field(tv, pts[:, p])
-            hess = _fd.hermitian_hessian(f, z0, step=step, richardson=True)
-            bb[p] = hess[0, 0]
-            bf[:, p] = hess[0, 1:]
-            ff[:, :, p] = hess[1:, 1:]
-        return bb, bf, ff
-
-    def third(tv, pts):
-        pts = np.asarray(pts, dtype=complex)
-        cols = pts.shape[1]
-        bff = np.empty((n, n, cols), dtype=complex)
-        fff = np.empty((n, n, n, cols), dtype=complex)
-        for p in range(cols):
-            f, z0 = as_field(tv, pts[:, p])
-
-            def dzbar(idx):
-                return lambda w: _fd.antiholo_derivative(f, w, idx, step=step, richardson=False)
-
-            for b in range(n):
-                g = dzbar(1 + b)
-                hess_row = _fd.hermitian_hessian(g, z0, step=10 * step, richardson=False)
-                bff[:, b, p] = hess_row[0, 1:]
-                # hess_row[1 + a, 1 + c] = d_a d_cbar (d_bbar g) = fff[a, c, b].
-                fff[:, :, b, p] = hess_row[1:, 1:]
-        return bff, fff
-
     return FibrationModel(name=name, n=n, second=second, third=third,
                           lattice=lattice, grid=grid)
 

@@ -130,13 +130,6 @@ class QuadraticPotential:
         return h
 
 
-class ProductPotential:
-    """phi = |z|^2 + |tau|^2: unit Hessian reference."""
-
-    def hessian(self, tau: complex, z: np.ndarray) -> np.ndarray:
-        return np.eye(np.asarray(z).size + 1, dtype=complex)
-
-
 def ma_determinant(potential, tau: complex, z: np.ndarray) -> float:
     """Determinant of the full complex Hessian at a point (real for Hermitian)."""
     h = potential.hessian(tau, np.asarray(z, dtype=complex))
@@ -181,33 +174,6 @@ class ConvexGrid:
 
     def slopes(self) -> np.ndarray:
         return np.diff(self.values) / self.step
-
-
-def grid_to_csv(grid: ConvexGrid, path) -> None:
-    """Write a grid as CSV: dimensions row, box row, then row-major values."""
-    import csv as _csv
-    from pathlib import Path
-
-    with Path(path).open("w", newline="") as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
-        writer.writerow(["dim", 1])
-        writer.writerow(["box", repr(float(grid.xs[0])), repr(float(grid.xs[-1]))])
-        for v in grid.values:
-            writer.writerow([repr(float(v))])
-
-
-def grid_from_csv(path) -> ConvexGrid:
-    """Read a grid written by ``grid_to_csv``."""
-    import csv as _csv
-    from pathlib import Path
-
-    with Path(path).open() as fh:
-        rows = list(_csv.reader(fh))
-    if not rows or rows[0][0] != "dim" or int(rows[0][1]) != 1:
-        raise ValueError("expected a one-dimensional grid file")
-    lo, hi = float(rows[1][1]), float(rows[1][2])
-    values = np.array([float(r[0]) for r in rows[2:]])
-    return ConvexGrid(xs=np.linspace(lo, hi, values.size), values=values)
 
 
 def dual_eval(grid: ConvexGrid, ys: np.ndarray) -> np.ndarray:

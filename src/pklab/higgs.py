@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _fd, wedge
 from .kns import BsdPoint, sym_basis, sym_dim, sym_from_coords, coords_from_sym, BoundaryProximityError, spectral_radius_phibar, BOUNDARY_MARGIN
-from .symplin import ComplexStructure, SymplecticSpace, UnitaryFrame, dual_metric_gram
+from .symplin import ComplexStructure, SymplecticSpace, UnitaryFrame
 from .kns import structure_from_bsd
 
 ALGEBRAIC_TOL = 1e-10
@@ -71,7 +71,8 @@ class HiggsField:
         masks = wedge.type_masks(n, k)
         self.types = list(masks)
         self._type_diags = np.stack([np.diag(mask.astype(complex)) for mask in masks.values()])
-        self._eps_rows = np.vstack([frame.columns, frame.columns.conj()])
+        # Rows of the reference covector basis (xi, conj(xi)) in the real dual.
+        self.covectors = np.vstack([frame.columns, frame.columns.conj()])
         # dF_mu = [[0, 0], [S_mu, 0]] in the reference wedge-1 basis.
         self._dF = np.zeros((self.nsym, 2 * n, 2 * n), dtype=complex)
         self._dF[:, n:, :n] = self._sym
@@ -103,14 +104,20 @@ class HiggsField:
         return q[..., None, :, :] @ self._dF @ finv[..., None, :, :]
 
     def structure(self, coords: np.ndarray) -> ComplexStructure:
+        """The compatible structure at one point (the oracle route of `gram1`)."""
         return structure_from_bsd(self.J, self.frame, BsdPoint(phi=self.phi(coords)))
 
     def gram1(self, coords: np.ndarray) -> np.ndarray:
-        """Dual Gram matrix of the degree-1 covectors, one point at a time."""
-        coords = np.asarray(coords, dtype=complex)
-        grams = [dual_metric_gram(self.space, self.structure(c), self._eps_rows)
-                 for c in coords.reshape(-1, self.nsym)]
-        return np.stack(grams).reshape(coords.shape[:-1] + grams[0].shape)
+        """Dual Gram matrix of the degree-1 covectors in closed form:
+        H = F^{-H} diag(conj(A), A) F^{-1}, with A = I - phi conj(phi).
+
+        It equals `symplin.dual_metric_gram` of `structure` on `covectors`.
+        """
+        phi = self.phi(coords)
+        a = np.eye(self.n) - phi @ phi.conj()
+        zero = np.zeros_like(a)
+        finv = np.linalg.inv(self.graph_frame(coords))
+        return finv.conj().swapaxes(-1, -2) @ np.block([[a.conj(), zero], [zero, a]]) @ finv
 
     # -- degree-k assembly ---------------------------------------------------
 
@@ -124,6 +131,20 @@ class HiggsField:
 
     def theta(self, coords: np.ndarray) -> np.ndarray:
         return wedge.derivation_matrix(self.theta1(coords), self.k)
+
+    def dtheta(self, coords: np.ndarray) -> np.ndarray:
+        """Exact first variation [mu, nu] = d_mu theta_nu, shape
+        (..., nsym, nsym, dim, dim).  F is affine in the coordinates, so
+        d_mu F = dF_mu, d_mu F^{-1} = -F^{-1} dF_mu F^{-1} and
+        d_mu Q = -(dF_mu sel F^{-1} + F sel d_mu F^{-1})."""
+        f = self.graph_frame(coords)[..., None, :, :]
+        finv = np.linalg.inv(f)
+        q = np.eye(2 * self.n) - f @ self._sel @ finv
+        dfinv = -finv @ self._dF @ finv                                # [mu]
+        dq = -(self._dF @ self._sel @ finv + f @ self._sel @ dfinv)    # [mu]
+        d1 = (dq[..., :, None, :, :] @ self._dF @ finv[..., None, :, :]
+              + q[..., None, :, :] @ self._dF @ dfinv[..., :, None, :, :])
+        return wedge.derivation_matrix(d1, self.k)
 
     def gram(self, coords: np.ndarray) -> np.ndarray:
         return wedge.compound_matrix(self.gram1(coords), self.k)
@@ -148,24 +169,18 @@ class HiggsField:
 # ---------------------------------------------------------------------------
 # Batched stencils
 #
-# A check evaluates the field on whole stencils at once.  `_stencil` stacks
-# the shifted points of the Wirtinger stencil along every coordinate; its
-# leading axis is the stencil point, the next-to-last the coordinate.  For
-# coordinates of shape (*L, nsym) the points have shape (S, *L, nsym, nsym),
-# and a stencil of stencils is `_stencil` of those points.
+# A check evaluates the field on whole stencils at once: `_fd.gradient_points`
+# of coordinates (*L, nsym) has shape (S, *L, nsym, nsym), its leading axis
+# the stencil point and the next-to-last the coordinate, and a stencil of
+# stencils is `_fd.gradient_points` of those points.
 # ---------------------------------------------------------------------------
-
-def _stencil(coords: np.ndarray, step: float) -> np.ndarray:
-    nsym = coords.shape[-1]
-    return np.stack([_fd.xy_points(coords, j, step) for j in range(nsym)], axis=-2)
-
 
 def _projected(projs: np.ndarray, projs_pts: np.ndarray, values: np.ndarray | None,
                bar: bool, step: float) -> np.ndarray:
     """sum_pq pi_pq d_j (pi_pq s) at base points, along every coordinate j.
 
     projs (*L, npq, d, d) are the type projectors at the base points and
-    projs_pts (S, *L, J, npq, d, d) those at the `_stencil` points; values
+    projs_pts (S, *L, J, npq, d, d) those at their `_fd.gradient_points`; values
     (S, *L, J, e, d, d) holds e sections at the stencil points, or is None
     for s = I (the connection form, e = 1).  Returns (*L, J, e, d, d).
     """
@@ -184,7 +199,7 @@ def _covariant_frame(field_: HiggsField, coords: np.ndarray, projs: np.ndarray,
     """Projected holomorphic and antiholomorphic derivatives of the frame
     sections (the wedge power of the graph frame) along every coordinate:
     two arrays (*L, nsym, d, d) for coords (*L, nsym) with projectors projs."""
-    pts = _stencil(coords, step)
+    pts = _fd.gradient_points(coords, step)
     sections = field_.frame_change(pts)[..., None, :, :]
     projs_pts = field_.projectors(pts)
     return tuple(_projected(projs, projs_pts, sections, bar, step)[..., 0, :, :]
@@ -196,7 +211,7 @@ def _connection_forms(field_: HiggsField, coords: np.ndarray,
     """Connection forms of the type-preserving part in the constant frame,
     holomorphic and antiholomorphic, along every coordinate: (*L, nsym, d, d)."""
     projs = field_.projectors(coords)
-    projs_pts = field_.projectors(_stencil(coords, step))
+    projs_pts = field_.projectors(_fd.gradient_points(coords, step))
     return tuple(_projected(projs, projs_pts, None, bar, step)[..., 0, :, :]
                  for bar in (False, True))
 
@@ -225,7 +240,7 @@ def connection_split_check(field_: HiggsField, coords: np.ndarray,
     """
     field_.guard(coords)
     sections0 = field_.frame_change(coords)
-    pts = _stencil(coords, step)
+    pts = _fd.gradient_points(coords, step)
     sections = field_.frame_change(pts)
     projs_pts = field_.projectors(pts)
     projs = field_.projectors(coords)
@@ -250,7 +265,7 @@ def curvature_operator(field_: HiggsField, coords: np.ndarray,
     """
     field_.guard(coords)
     projs = field_.projectors(coords)
-    outer = _stencil(coords, step)
+    outer = _fd.gradient_points(coords, step)
     projs_outer = field_.projectors(outer)
     inner_holo, inner_anti = _covariant_frame(field_, outer, projs_outer, step)
     first = _projected(projs, projs_outer, inner_anti, False, step)    # [j, kbar]
@@ -344,7 +359,7 @@ def flatness_check(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFr
     a_holo, a_anti, a_d_anti = forms(coords)
     # Differences of the forms at the stencil points: [j, kk] is the
     # derivative along j of the form along kk.
-    s_holo, s_anti, s_d_anti = forms(_stencil(coords, step))
+    s_holo, s_anti, s_d_anti = forms(_fd.gradient_points(coords, step))
     da = _fd.xy_combine(s_anti, False, step)
     db = _fd.xy_combine(s_holo, True, step).swapaxes(0, 1)
     mixed = float(np.max(np.abs(da - db + commutators(a_holo, a_anti))))
@@ -366,7 +381,7 @@ def chern_compatibility_check(field_: HiggsField, coords: np.ndarray,
                               step: float = 1e-3) -> float:
     """Residual of d<u,v> = <Du,v> + <u,Dv> on the holomorphic frame sections."""
     field_.guard(coords)
-    pts = _stencil(coords, step)
+    pts = _fd.gradient_points(coords, step)
     wk = field_.frame_change(pts)
     pairings = wk.conj().swapaxes(-1, -2) @ field_.gram(pts) @ wk   # [b,a] = <U_a, U_b>
     dpair = _fd.xy_combine(pairings, False, step)
@@ -381,7 +396,7 @@ def theta_holomorphy_check(field_: HiggsField, coords: np.ndarray,
                            step: float = 1e-3) -> float:
     """Residual of the antiholomorphic covariant derivative of the mixing field."""
     field_.guard(coords)
-    pts = _stencil(coords, step)
+    pts = _fd.gradient_points(coords, step)
     # a_bar[kk, 0] is the antiholomorphic connection form along kk.
     a_bar = _projected(field_.projectors(coords), field_.projectors(pts), None, True, step)
     dtheta = _fd.xy_combine(field_.theta(pts), True, step)    # [kk, j]: d_kkbar theta_j

@@ -235,26 +235,6 @@ def test_positivity_error():
         fib.fiber_state(bad, 0.1, sample_count=4)
 
 
-def test_fd_fallback_matches_symbolic():
-    # The finite-difference jet builder reproduces the symbolic jets of a
-    # smooth potential to its documented accuracy.
-    t, tb, zs, zbs = fib._wirtinger_symbols(1)
-    expr = zs[0] * zbs[0] + t * tb + 0.2 * zs[0] * zbs[0] * t * tb
-    exact = fib.model_from_potential(expr, "exact", n=1)
-
-    def pot(tv, z):
-        return (abs(z[0]) ** 2 + abs(tv) ** 2
-                + 0.2 * abs(z[0]) ** 2 * abs(tv) ** 2)
-
-    approx = fib.model_from_callable(pot, "fd", n=1)
-    pts = np.array([[0.3 + 0.2j], [0.0 - 0.4j]]).reshape(1, 2)
-    for name in ("second", "third"):
-        for a, b in zip(getattr(exact, name)(0.5 + 0.1j, pts),
-                        getattr(approx, name)(0.5 + 0.1j, pts)):
-            tol = 1e-7 if name == "second" else 1e-4
-            assert np.max(np.abs(a - b)) < tol
-
-
 def test_spectral_fiber_quadrature_and_derivatives():
     fiber = fib.SpectralFiber(np.array([[1.0], [1j]]), 32)
     assert fiber.covolume == pytest.approx(1.0)

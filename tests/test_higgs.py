@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from pklab import cli
 from pklab import higgs as hg
-from pklab import kns, wedge
+from pklab import _fd, kns, wedge
 from pklab import symplin as sl
 
 
@@ -370,3 +370,44 @@ def test_wrong_conjugate_field_fails_the_suite(monkeypatch):
                         lambda self, coords: -theta_bar(self, coords))
     status = {r.name: r.status for r in cli.run_suite(config).checks}
     assert status[record] == "fail"
+
+
+# ---------------------------------------------------------------------------
+# Closed forms against their oracles: the Gram data against the route
+# through the real structure, the exact first variation against differences.
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _structure_and_point(draw):
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sp = sl.standard_symplectic(n)
+    j = sl.random_compatible_structure(sp, rng) if draw(st.booleans()) else \
+        sl.standard_complex_structure(n)
+    bp = kns.random_bsd_point(n, rng, draw(st.floats(0.0, 0.99)))
+    return hg.HiggsField(sp, j, sl.unitary_frame(sp, j), 1), kns.coords_from_sym(bp.phi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_structure_and_point())
+def test_gram1_closed_form_equals_the_structure_route(case):
+    field_, coords = case
+    gram = field_.gram1(coords)
+    oracle = sl.dual_metric_gram(field_.space, field_.structure(coords), field_.covectors)
+    assert np.max(np.abs(gram - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+    assert np.max(np.abs(gram - gram.conj().T)) <= 1e-12 * np.max(np.abs(gram))
+    assert np.linalg.eigvalsh(0.5 * (gram + gram.conj().T)).min() > 0
+    stacked = field_.gram1(np.stack([coords, coords]))
+    assert np.array_equal(stacked[1], gram)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_dtheta_matches_differences_of_theta(n):
+    rng = np.random.default_rng(90 + n)
+    coords = kns.coords_from_sym(kns.random_bsd_point(n, rng, 0.6).phi)
+    for k in range(2 * n + 1):
+        _, _, _, field_ = field_for(n, k)
+        exact = field_.dtheta(coords)
+        fd = _fd.xy_combine(field_.theta(_fd.gradient_points(coords, 1e-3)), False, 1e-3)
+        assert exact.shape == fd.shape == (field_.nsym, field_.nsym) + field_.theta(coords).shape[1:]
+        assert np.max(np.abs(exact - fd)) <= 1e-9 * max(1.0, np.max(np.abs(exact)))

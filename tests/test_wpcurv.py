@@ -97,7 +97,8 @@ def test_formula_cross_validation(n):
     sp, j0, frame = workspace(n)
     rng = np.random.default_rng(4)
     for bp in [kns.BsdPoint(phi=np.zeros((n, n))), kns.random_bsd_point(n, rng, 0.5)]:
-        assert wp.curvature_formula_check(sp, j0, frame, bp) < 1e-4
+        assert wp.curvature_formula_check(sp, j0, frame, bp,
+                                          wp.curvature_fd(sp, j0, frame, bp)) < 1e-4
 
 
 def test_first_two_terms_dominate():
@@ -268,3 +269,17 @@ def test_sharp_direction_attains_the_bound(case):
     closed, _ = case
     n = closed.basepoint.n
     assert closed.hsc(closed.sharp_direction()) == pytest.approx(-2.0 / n, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_gram_at_equals_per_point_calls(n):
+    sp, j0, frame = workspace(n)
+    _, gram_at = wp.metric_field(sp, j0, frame)
+    rng = np.random.default_rng(100 + n)
+    coords = np.stack([kns.coords_from_sym(kns.random_bsd_point(n, rng, 0.8).phi)
+                       for _ in range(6)]).reshape(2, 3, -1)
+    stacked = gram_at(coords)
+    assert stacked.shape == (2, 3, kns.sym_dim(n), kns.sym_dim(n))
+    for idx in np.ndindex(2, 3):
+        single = gram_at(coords[idx])
+        assert np.max(np.abs(stacked[idx] - single)) <= 1e-15 * np.max(np.abs(single))
