@@ -23,6 +23,9 @@ from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
+# numpy loads its random package on first use; every suite draws from a
+# seeded generator, so load it with the CLI rather than inside the first suite.
+import numpy.random  # noqa: F401
 
 from . import fibration as fib
 from . import geodesics as geo
@@ -87,6 +90,16 @@ DEFAULT_TOLERANCES = {
 # resolution guard (`SpectralFiber.check_resolution`) to measure.
 MIN_GRID = 4
 
+# Every fibration family has one-dimensional fibers, so a fiber grid has
+# grid^2 points, and the largest fiber arrays the suites allocate hold 16
+# bytes per point: the complex fields of `fib.evaluate_fields`, the FFTs of
+# `SpectralFiber` and its two-row float coordinate and frequency stacks.  A
+# schumacher run holds about 36 of them at once (182 MB peak RSS at grid
+# 512).  One such array may take at most FIBER_ARRAY_BYTES, which caps
+# --grid at MAX_GRID = 1024.
+FIBER_ARRAY_BYTES = 1 << 24
+MAX_GRID = math.isqrt(FIBER_ARRAY_BYTES // 16)
+
 
 def parse_model_spec(spec: str) -> tuple[str, dict]:
     """Parse "family key=val key=val" into a family name and parameters: each
@@ -139,6 +152,11 @@ class SuiteConfig:
         for grid in (self.grid, params.get("grid", self.grid)):
             if not isinstance(grid, int) or grid < MIN_GRID:
                 raise UsageError(f"grid must be an integer >= {MIN_GRID}, got {grid!r}")
+            if grid > MAX_GRID:
+                raise UsageError(
+                    f"grid {grid} is too large: one fiber array would take "
+                    f"{16 * grid * grid / 2**20:.2f} MiB, over the "
+                    f"{FIBER_ARRAY_BYTES >> 20} MiB budget (grid <= {MAX_GRID})")
         if self.model is not None and self.suite in ("schumacher", "all"):
             # Probe the model once where the schumacher suite uses it.
             model = _configured_fibration(self)

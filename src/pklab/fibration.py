@@ -1,21 +1,21 @@
 """Relative Kahler fibration toolkit on analytic models with torus fibers.
 
 Models carry a local potential for the global form through its second and
-third mixed derivatives (closed-form jets built symbolically).  Horizontal
-lifts, geodesic curvatures and the fiber tensors measuring the variation of
-complex structure are evaluated pointwise; on proper models the fibers are flat tori so fiber integration,
+third mixed Wirtinger derivatives, written out by hand in numpy for each
+built-in family (tests/_symbolic.py differentiates the same potentials with
+sympy as their oracle).  Horizontal lifts, geodesic curvatures and the fiber
+tensors measuring the variation of complex structure are evaluated
+pointwise; on proper models the fibers are flat tori so fiber integration,
 the Laplacian and the degeneracy diagnostics are spectral.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
-import sympy as sp
 
 from . import _fd
 
@@ -65,67 +65,117 @@ class FibrationModel:
         return self.lattice is not None
 
 
-def _wirtinger_symbols(n: int):
-    t, tb = sp.symbols("t tbar")
-    zs = tuple(sp.Symbol(f"z{i}") for i in range(n))
-    zbs = tuple(sp.Symbol(f"zb{i}") for i in range(n))
-    return t, tb, zs, zbs
+def model_from_potential(jets: tuple[Callable, Callable], name: str, n: int = 1,
+                         lattice: Callable | None = None, grid: int = 64) -> FibrationModel:
+    """Build a model from the closed-form ``(second, third)`` jets of its potential.
 
-
-@lru_cache(maxsize=32)
-def _compiled_jets(expr, n: int) -> tuple[Callable, Callable]:
-    """(second, third) jet callbacks of a potential, compiled once per (expr, n).
-
-    The jets do not depend on the fiber grid, so models of one family at
-    different grids share them; sympy expressions hash by structure.
+    Every built-in family goes through here, one call per model.
     """
-    t, tb, zs, zbs = _wirtinger_symbols(n)
-    args = (t, tb) + zs + zbs
+    second, third = jets
+    return FibrationModel(name=name, n=n, second=second, third=third,
+                          lattice=lattice, grid=grid)
 
-    def compile_(e):
-        fn = sp.lambdify(args, e, modules="numpy")
 
-        def call(tv, pts):
-            vals = fn(tv, np.conj(tv), *pts, *np.conj(pts))
-            return np.broadcast_to(np.asarray(vals, dtype=complex), pts.shape[1:]).copy()
+def _wirtinger(tv, pts):
+    """(t, tbar, z, zbar) of an n = 1 model at base point tv and fiber points pts."""
+    z = np.asarray(pts, dtype=complex)[0]
+    return tv, np.conj(tv), z, np.conj(z)
 
-        return call
 
-    bb_f = compile_(sp.diff(expr, t, tb))
-    bf_f = [compile_(sp.diff(expr, t, zbs[b])) for b in range(n)]
-    ff_f = [[compile_(sp.diff(expr, zs[a], zbs[b])) for b in range(n)] for a in range(n)]
-    bff_f = [[compile_(sp.diff(expr, t, zbs[c], zbs[b])) for b in range(n)] for c in range(n)]
-    fff_f = [[[compile_(sp.diff(expr, zs[a], zbs[c], zbs[b])) for b in range(n)]
-              for c in range(n)] for a in range(n)]
+def _full(value, shape) -> np.ndarray:
+    return np.broadcast_to(np.asarray(value, dtype=complex), shape).copy()
+
+
+def _n1_second(shape, bb, bf, ff):
+    """Second jets of an n = 1 potential, constants broadcast over the points."""
+    return _full(bb, shape), _full(bf, shape)[None], _full(ff, shape)[None, None]
+
+
+def _n1_third(shape, bff, fff):
+    return _full(bff, shape)[None, None], _full(fff, shape)[None, None, None]
+
+
+def _split_jets(base_weight: float) -> tuple[Callable, Callable]:
+    """Jets of |z|^2 + w |t|^2."""
 
     def second(tv, pts):
-        pts = np.asarray(pts, dtype=complex)
-        bb = bb_f(tv, pts)
-        bf = np.stack([bf_f[b](tv, pts) for b in range(n)])
-        ff = np.stack([np.stack([ff_f[a][b](tv, pts) for b in range(n)]) for a in range(n)])
-        return bb, bf, ff
+        return _n1_second(np.shape(pts)[1:], base_weight, 0.0, 1.0)
 
     def third(tv, pts):
-        pts = np.asarray(pts, dtype=complex)
-        bff = np.stack([np.stack([bff_f[c][b](tv, pts) for b in range(n)]) for c in range(n)])
-        fff = np.stack([np.stack([np.stack([fff_f[a][c][b](tv, pts) for b in range(n)])
-                                  for c in range(n)]) for a in range(n)])
-        return bff, fff
+        return _n1_third(np.shape(pts)[1:], 0.0, 0.0)
 
     return second, third
 
 
-def model_from_potential(expr, name: str, n: int = 1, lattice: Callable | None = None,
-                         grid: int = 64) -> FibrationModel:
-    """Build a model from a symbolic potential in t, tbar, z0.., zb0..
+def _flat_torus_jets(sign: int) -> tuple[Callable, Callable]:
+    """Jets of -sign i (z + sign zbar)^2 / (t - tbar).
 
-    All required mixed derivatives are generated symbolically and compiled to
-    vectorized callbacks; conjugate variables are substituted at call time.
-    The compiled jets are shared by every model with the same potential.
+    sign = -1 is the elliptic potential 2 (Im z)^2 / Im t, sign = +1 the
+    theta-weight potential 2 (Re z)^2 / Im t.
     """
-    second, third = _compiled_jets(expr, n)
-    return FibrationModel(name=name, n=n, second=second, third=third,
-                          lattice=lattice, grid=grid)
+    c = -sign * 2j
+
+    def second(tv, pts):
+        t, tb, z, zb = _wirtinger(tv, pts)
+        q = z + sign * zb
+        return _n1_second(z.shape, c * q**2 / (t - tb)**3, -2j * q / (t - tb)**2,
+                          2j / (t - tb))
+
+    def third(tv, pts):
+        t, tb, z, _ = _wirtinger(tv, pts)
+        return _n1_third(z.shape, c / (t - tb)**2, 0.0)
+
+    return second, third
+
+
+def _torus_coordinate(tv, pts):
+    """Im t and the Wirtinger jets of a = Re z - Re t Im z / Im t.
+
+    a is affine in (z, zbar), so only its first z-derivatives and its
+    t-derivatives appear: returns (s, a_t, a_tbar, a_z, a_zbar, a_ttbar,
+    a_tzbar, a).
+    """
+    t, tb, z, zb = _wirtinger(tv, pts)
+    d = t - tb
+    w = z - zb
+    a = z.real - np.real(t) * z.imag / np.imag(t)
+    return (np.imag(t), tb * w / d**2, -t * w / d**2, -tb / d, t / d,
+            (t + tb) * w / d**3, -tb / d**2, a)
+
+
+def _perturbed_torus_jets(eps: float) -> tuple[Callable, Callable]:
+    """Jets of the elliptic potential plus eps s cos(2 pi a), s = Im t.
+
+    Chain rule through the torus coordinate a (`_torus_coordinate`), with
+    s_t = 1/(2i) = -s_tbar and every second derivative of a in (z, zbar)
+    zero.
+    """
+    flat_second, flat_third = _flat_torus_jets(-1)
+    k = 2.0 * np.pi
+    s_t = -0.5j
+
+    def second(tv, pts):
+        bb, bf, ff = flat_second(tv, pts)
+        s, a_t, a_tb, a_z, a_zb, a_ttb, a_tzb, a = _torus_coordinate(tv, pts)
+        cos, sin = np.cos(k * a), np.sin(k * a)
+        bb += eps * (-k * sin * (s_t * a_tb - s_t * a_t)
+                     - s * (k * k * cos * a_t * a_tb + k * sin * a_ttb))
+        bf[0] += eps * (-k * sin * s_t * a_zb
+                        - s * (k * k * cos * a_t * a_zb + k * sin * a_tzb))
+        ff[0, 0] -= eps * s * k * k * cos * a_z * a_zb
+        return bb, bf, ff
+
+    def third(tv, pts):
+        bff, fff = flat_third(tv, pts)
+        s, a_t, _, a_z, a_zb, _, a_tzb, a = _torus_coordinate(tv, pts)
+        cos, sin = np.cos(k * a), np.sin(k * a)
+        bff[0, 0] += eps * (-s_t * k * k * cos * a_zb**2
+                            + s * (k**3 * sin * a_t * a_zb**2
+                                   - 2.0 * k * k * cos * a_tzb * a_zb))
+        fff[0, 0, 0] += eps * s * k**3 * sin * a_z * a_zb**2
+        return bff, fff
+
+    return second, third
 
 
 # ---------------------------------------------------------------------------
@@ -753,26 +803,37 @@ def elliptic_family(t: complex) -> EllipticSlice:
 # Built-in models
 # ---------------------------------------------------------------------------
 
+def _square_lattice(tv) -> np.ndarray:
+    return np.array([[1.0], [1j]])
+
+
+def _marked_lattice(tv) -> np.ndarray:
+    return np.array([[1.0], [tv]], dtype=complex)
+
+
 def product_model(base_weight: float = 1.0, grid: int = 16) -> FibrationModel:
     """g = |z|^2 + w |t|^2: zero lifts and variation; c equals the base weight."""
-    t, tb, zs, zbs = _wirtinger_symbols(1)
-    expr = zs[0] * zbs[0] + base_weight * t * tb
-    return model_from_potential(expr, f"product(w={base_weight})", n=1,
-                                lattice=lambda tv: np.array([[1.0], [1j]]), grid=grid)
+    return model_from_potential(_split_jets(base_weight), f"product(w={base_weight})",
+                                lattice=_square_lattice, grid=grid)
 
 
 def vertical_model(grid: int = 16) -> FibrationModel:
     """g = |z|^2: degenerate in base directions; the trivial fibration."""
-    t, tb, zs, zbs = _wirtinger_symbols(1)
-    return model_from_potential(zs[0] * zbs[0], "vertical", n=1,
-                                lattice=lambda tv: np.array([[1.0], [1j]]), grid=grid)
+    return model_from_potential(_split_jets(0.0), "vertical", lattice=_square_lattice,
+                                grid=grid)
 
 
 def cross_term_model(lam: float = 0.2, grid: int = 16) -> FibrationModel:
     """g = |z|^2 + |t|^2 + lam |z|^2 |t|^2: not a degenerate form."""
-    t, tb, zs, zbs = _wirtinger_symbols(1)
-    expr = zs[0] * zbs[0] + t * tb + lam * zs[0] * zbs[0] * t * tb
-    return model_from_potential(expr, f"cross({lam})", n=1, lattice=None, grid=grid)
+
+    def second(tv, pts):
+        t, tb, z, zb = _wirtinger(tv, pts)
+        return _n1_second(z.shape, lam * z * zb + 1, lam * tb * z, lam * t * tb + 1)
+
+    def third(tv, pts):
+        return _n1_third(np.shape(pts)[1:], 0.0, 0.0)
+
+    return model_from_potential((second, third), f"cross({lam})", lattice=None, grid=grid)
 
 
 def elliptic_model(grid: int = 64) -> FibrationModel:
@@ -782,12 +843,8 @@ def elliptic_model(grid: int = 64) -> FibrationModel:
     of the flat reference form under the marking map (1 -> 1, t -> i); see
     ``elliptic_family`` for the two-representation agreement check.
     """
-    t, tb, zs, zbs = _wirtinger_symbols(1)
-    s = (t - tb) / (2 * sp.I)
-    expr = -((zs[0] - zbs[0]) ** 2) / (2 * s)
-    return model_from_potential(
-        expr, "elliptic", n=1,
-        lattice=lambda tv: np.array([[1.0], [tv]], dtype=complex), grid=grid)
+    return model_from_potential(_flat_torus_jets(-1), "elliptic",
+                                lattice=_marked_lattice, grid=grid)
 
 
 def theta_weight_model(grid: int = 64) -> FibrationModel:
@@ -797,31 +854,22 @@ def theta_weight_model(grid: int = 64) -> FibrationModel:
     the elliptic family; its Re-z profile is the convex geodesic ray whose
     Legendre transform is linear in Im t.
     """
-    t, tb, zs, zbs = _wirtinger_symbols(1)
-    s = (t - tb) / (2 * sp.I)
-    expr = (zs[0] + zbs[0]) ** 2 / (2 * s)
-    return model_from_potential(
-        expr, "theta-weight", n=1,
-        lattice=lambda tv: np.array([[1.0], [tv]], dtype=complex), grid=grid)
+    return model_from_potential(_flat_torus_jets(1), "theta-weight",
+                                lattice=_marked_lattice, grid=grid)
 
 
 def perturbed_torus_model(eps: float = 0.02, grid: int = 64) -> FibrationModel:
     """Flat family plus a trigonometric perturbation in a true torus coordinate.
 
-    The perturbation argument is the first real torus coordinate
-    a = Re z - Re t (Im z / Im t), which shifts by integers under both lattice
-    translations at every base point, so all derived fields stay periodic.
-    The geodesic curvature becomes a genuine fiber function (the naive
-    cos(2 pi Re z) is not deck-invariant and would break periodicity).
+    Potential 2 (Im z)^2 / Im t + eps Im t cos(2 pi a).  The perturbation
+    argument is the first real torus coordinate a = Re z - Re t (Im z / Im t),
+    which shifts by integers under both lattice translations at every base
+    point, so all derived fields stay periodic.  The geodesic curvature
+    becomes a genuine fiber function (the naive cos(2 pi Re z) is not
+    deck-invariant and would break periodicity).
     """
-    t, tb, zs, zbs = _wirtinger_symbols(1)
-    s = (t - tb) / (2 * sp.I)
-    b = (zs[0] - zbs[0]) / (t - tb)
-    a = (zs[0] + zbs[0]) / 2 - ((t + tb) / 2) * b
-    expr = -((zs[0] - zbs[0]) ** 2) / (2 * s) + eps * s * sp.cos(2 * sp.pi * a)
-    return model_from_potential(
-        expr, f"perturbed-torus({eps})", n=1,
-        lattice=lambda tv: np.array([[1.0], [tv]], dtype=complex), grid=grid)
+    return model_from_potential(_perturbed_torus_jets(eps), f"perturbed-torus({eps})",
+                                lattice=_marked_lattice, grid=grid)
 
 
 MODEL_FAMILIES = {

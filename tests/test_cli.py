@@ -279,6 +279,32 @@ def test_grid_without_top_third_rejected(grid, tmp_path, capsys):
     assert _single_error_line(capsys)
 
 
+@pytest.mark.parametrize("argv", [
+    ["--suite", "schumacher", "--grid", "100000"],
+    ["--suite", "elliptic-family", "--grid", str(cli.MAX_GRID + 1)],
+    ["--suite", "schumacher", "--model", "perturbed-torus grid=100000"],
+    ["--suite", "all", "--model", "elliptic grid=100000"],
+])
+def test_oversized_grid_refused_before_running(argv, monkeypatch, tmp_path, capsys):
+    def no_run(*args):
+        raise AssertionError("the suite ran before the grid was checked")
+
+    monkeypatch.setattr(cli, "run_suite", no_run)
+    monkeypatch.setattr(cli, "emit_plot_data", no_run)
+    assert cli.main_verify(argv) == 2
+    assert _single_error_line(capsys)
+    if "--grid" in argv:
+        assert cli.main_plot_data(["--suite", "elliptic-family", "--profile",
+                                   "wp-coefficient", "--out", str(tmp_path / "p.csv"),
+                                   "--grid", argv[-1]]) == 2
+        assert _single_error_line(capsys)
+
+
+def test_largest_grid_accepted():
+    assert cli.MAX_GRID ** 2 * 16 <= cli.FIBER_ARRAY_BYTES
+    assert cli.SuiteConfig(suite="elliptic-family", grid=cli.MAX_GRID).grid == cli.MAX_GRID
+
+
 def test_grid_too_coarse_for_the_fiber_spectrum_exits_2(capsys):
     assert cli.main_verify(["--suite", "schumacher", "--grid", "16"]) == 2
     assert _single_error_line(capsys)

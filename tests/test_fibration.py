@@ -6,6 +6,8 @@ import pytest
 from pklab import fibration as fib
 from pklab import geodesics as geo
 
+import _symbolic as sym
+
 ELLIPTIC32 = fib.elliptic_model(grid=32)
 PERTURBED32 = fib.perturbed_torus_model(eps=0.05, grid=32)
 PERTURBED64 = fib.perturbed_torus_model(eps=0.05, grid=64)
@@ -79,8 +81,8 @@ def test_corrected_form_closed_for_fiber_constant_c():
     model = fib.product_model(base_weight=1.0)
     assert fib.dform_residual(model, 0.4 + 0.2j, np.array([0.1 + 0.3j])) < 1e-8
     # Quartic base weight: c = 4 |t|^2 is still a fiber constant.
-    t, tb, zs, zbs = fib._wirtinger_symbols(1)
-    quartic = fib.model_from_potential(zs[0] * zbs[0] + (t * tb) ** 2, "quartic", n=1)
+    t, tb, zs, zbs = sym.symbols(1)
+    quartic = sym.model(zs[0] * zbs[0] + (t * tb) ** 2, "quartic")
     assert fib.dform_residual(quartic, 0.7 - 0.1j, np.array([0.2j])) < 1e-7
 
 
@@ -206,31 +208,40 @@ def test_elliptic_family_slice():
         fib.elliptic_family(1.0 - 0.5j)
 
 
-def test_models_share_compiled_jets_across_grids():
-    for coarse, fine in [(fib.elliptic_model(16), fib.elliptic_model(64)),
-                         (fib.perturbed_torus_model(0.05, 16),
-                          fib.build_model("perturbed-torus", eps=0.05, grid=64))]:
-        assert (coarse.grid, fine.grid) == (16, 64)
-        assert coarse.second is fine.second and coarse.third is fine.third
-    assert fib.perturbed_torus_model(0.04, 16).second is not PERTURBED32.second
+# Every family, with parameters off their defaults where the family has any.
+JET_CASES = [
+    ("product", {}), ("product", {"base_weight": 0.0}), ("product", {"base_weight": 2.5}),
+    ("vertical", {}),
+    ("cross", {}), ("cross", {"lam": 0.123}), ("cross", {"lam": -0.7}),
+    ("elliptic", {}), ("theta-weight", {}),
+    ("perturbed-torus", {}), ("perturbed-torus", {"eps": 0.05}),
+    ("perturbed-torus", {"eps": 0.3}), ("perturbed-torus", {"eps": -0.11}),
+]
 
 
-def test_elliptic_family_compiles_once(monkeypatch):
-    fib.elliptic_family(2j)
-    compiled = []
-    lambdify = fib.sp.lambdify
-    monkeypatch.setattr(fib.sp, "lambdify",
-                        lambda *a, **k: compiled.append(a) or lambdify(*a, **k))
-    fib.elliptic_family(0.5 + 1.5j)
-    assert compiled == []
-    # A potential not seen before compiles its five n = 1 jets.
-    fib.cross_term_model(lam=0.123)
-    assert len(compiled) == 5
+def test_jet_cases_cover_every_family():
+    assert {family for family, _ in JET_CASES} == set(fib.MODEL_FAMILIES)
+
+
+@pytest.mark.parametrize("case", range(len(JET_CASES)))
+def test_closed_form_jets_match_sympy(case):
+    family, params = JET_CASES[case]
+    hand = fib.build_model(family, **params)
+    second, third = sym.compile_jets(sym.family_potential(family, **params))
+    rng = np.random.default_rng([13, case])
+    for _ in range(6):
+        t = complex(rng.uniform(-1.5, 1.5), rng.uniform(0.3, 3.0))
+        pts = 1.5 * (rng.standard_normal((1, 9)) + 1j * rng.standard_normal((1, 9)))
+        got = hand.second(t, pts) + hand.third(t, pts)
+        want = second(t, pts) + third(t, pts)
+        for name, g, w in zip(("bb", "bf", "ff", "bff", "fff"), got, want):
+            assert g.shape == w.shape and g.dtype == w.dtype, name
+            assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w)), (name, t)
 
 
 def test_positivity_error():
-    t, tb, zs, zbs = fib._wirtinger_symbols(1)
-    bad = fib.model_from_potential(-zs[0] * zbs[0], "bad", n=1)
+    _, _, zs, zbs = sym.symbols(1)
+    bad = sym.model(-zs[0] * zbs[0], "bad")
     with pytest.raises(fib.PositivityError):
         fib.fiber_state(bad, 0.1, sample_count=4)
 

@@ -123,3 +123,36 @@ def test_bad_form_rejected():
 def test_bad_structure_rejected():
     with pytest.raises(ValueError):
         sl.ComplexStructure(J=np.eye(2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_expm_matches_scipy_on_hamiltonian_matrices(n):
+    # scipy is the oracle only: the runtime imports numpy alone.
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng([21, n])
+    m = np.eye(2 * n) + 0.2 * rng.standard_normal((2 * n, 2 * n))
+    congruent = m.T @ sl.standard_symplectic(n).form @ m
+    for space in (sl.standard_symplectic(n),
+                  sl.SymplecticSpace(n=n, form=(congruent - congruent.T) / 2.0)):
+        w = space.form
+        for scale in (0.1, 0.4):
+            for _ in range(25):
+                s = rng.standard_normal((2 * n, 2 * n))
+                x = np.linalg.solve(w, scale * (s + s.T) / 2.0)
+                want = scipy_linalg.expm(x)
+                got = sl.expm(x)
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+                assert np.max(np.abs(got.T @ w @ got - w)) <= 1e-12
+        # The production draw: same construction, so the same guarantee.
+        p = sl.random_symplectic_matrix(space, rng)
+        assert np.max(np.abs(p.T @ w @ p - w)) <= 1e-12
+
+
+def test_expm_exact_cases():
+    assert np.max(np.abs(sl.expm(np.zeros((4, 4))) - np.eye(4))) < 1e-15
+    rot = sl.expm(np.array([[0.0, -np.pi / 2], [np.pi / 2, 0.0]]))
+    assert np.max(np.abs(rot - [[0.0, -1.0], [1.0, 0.0]])) < 1e-15
+    # Large norm: the scaling-and-squaring branch.
+    assert sl.expm(np.diag([30.0, -30.0])) == pytest.approx(np.diag([np.exp(30.0),
+                                                                      np.exp(-30.0)]),
+                                                             rel=1e-13)
