@@ -94,7 +94,7 @@ MIN_GRID = 4
 # grid^2 points, and the largest fiber arrays the suites allocate hold 16
 # bytes per point: the complex fields of `fib.evaluate_fields`, the FFTs of
 # `SpectralFiber` and its two-row float coordinate and frequency stacks.  A
-# schumacher run holds about 36 of them at once (182 MB peak RSS at grid
+# schumacher run holds about 37 of them at once (195 MB peak RSS at grid
 # 512).  One such array may take at most FIBER_ARRAY_BYTES, which caps
 # --grid at MAX_GRID = 1024.
 FIBER_ARRAY_BYTES = 1 << 24
@@ -503,7 +503,7 @@ def suite_elliptic_family(cfg: SuiteConfig, tol: Tolerances):
     ]
     values = []
     for s in (0.5, 1.0, 2.0, 4.0):
-        g = fib.wp_fiber_metric(model, 1j * s)[0, 0].real
+        g = fib.wp_fiber_metric(fib.fiber_state(model, 1j * s))[0, 0].real
         values.append(g * s * s)
     spread = (max(values) - min(values)) / abs(np.mean(values))
     checks.append(_check("wp-coefficient-constancy", "wp-fiber-scaling", spread,
@@ -514,17 +514,17 @@ def suite_elliptic_family(cfg: SuiteConfig, tol: Tolerances):
                               threshold=float("nan"), comparison="recorded"))
     worst_bochner = 0.0
     worst_pair = 0.0
-    fiber = fib.SpectralFiber(model.lattice(1j), model.grid)
+    state = fib.fiber_state(model, 1j)
+    xg = state.spectral.points_grid[0]
     for _ in range(10):
         coeffs = rng.standard_normal(4)
-        xg = fiber.points_grid[0]
         phi = (coeffs[0] * np.cos(2 * np.pi * xg.real)
                + coeffs[1] * np.sin(2 * np.pi * xg.real)
                + coeffs[2] * np.cos(2 * np.pi * xg.imag)
                + coeffs[3] * np.cos(2 * np.pi * (xg.real + xg.imag)))
-        nk, nb, _ = fib.bkn_identity_check(model, 1j, phi)
+        nk, nb, _ = fib.bkn_identity_check(state, phi)
         worst_bochner = max(worst_bochner, abs(nk - nb))
-        worst_pair = max(worst_pair, abs(fib.kappa_phi_pairing(model, 1j, phi)))
+        worst_pair = max(worst_pair, abs(fib.kappa_phi_pairing(state, phi)))
     checks.append(_check("flat-fiber-bochner", "flat-fiber-bochner", worst_bochner,
                          tol("bochner")))
     checks.append(_check("variation-pairing", "flat-fiber-pairing", worst_pair,
@@ -551,14 +551,13 @@ def suite_schumacher(cfg: SuiteConfig, tol: Tolerances):
         pert = _configured_fibration(cfg)
     else:
         pert = fib.perturbed_torus_model(eps=0.05, grid=cfg.grid)
-    t_flat = 0.2 + 1.1j
-    t_pert = T_PERT
-    rep_flat = fib.schumacher_residual(model, t_flat)
-    rep_pert = fib.schumacher_residual(pert, t_pert)
-    lhs, rhs, fs_res = fib.fs_pushforward_check(pert, t_pert)
-    avg_lhs, avg_rhs = fib.average_horizontal_positivity(pert, t_pert)
-    mb = fib.bracket_mixed_check(pert, t_pert, np.array([0.23 + 0.11j]))
-    dbar = fib.dbar_closedness_residual(pert, t_pert)
+    rep_flat = fib.schumacher_residual(fib.fiber_state(model, 0.2 + 1.1j))
+    state = fib.fiber_state(pert, T_PERT)
+    rep_pert = fib.schumacher_residual(state)
+    lhs, rhs, fs_res = fib.fs_pushforward_check(state, rep_pert)
+    avg_lhs, avg_rhs = fib.average_horizontal_positivity(state, rep_pert)
+    mb = fib.bracket_mixed_check(pert, T_PERT, np.array([0.23 + 0.11j]))
+    dbar = fib.dbar_closedness_residual(state)
     return [
         _check("flat-family-residual", "schumacher-identity", rep_flat.residual,
                tol("schumacher-flat")),
@@ -912,7 +911,7 @@ def profile_wp_coefficient(config: SuiteConfig):
     model = fib.elliptic_model(config.grid)
     rows = []
     for s in np.linspace(0.5, 4.0, 15):
-        g = fib.wp_fiber_metric(model, 1j * s)[0, 0].real
+        g = fib.wp_fiber_metric(fib.fiber_state(model, 1j * s))[0, 0].real
         rows.append((float(s), float(g)))
     return ["im_t", "wp_coefficient"], rows
 

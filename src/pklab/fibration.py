@@ -3,10 +3,13 @@
 Models carry a local potential for the global form through its second and
 third mixed Wirtinger derivatives, written out by hand in numpy for each
 built-in family (tests/_symbolic.py differentiates the same potentials with
-sympy as their oracle).  Horizontal lifts, geodesic curvatures and the fiber
-tensors measuring the variation of complex structure are evaluated
-pointwise; on proper models the fibers are flat tori so fiber integration,
-the Laplacian and the degeneracy diagnostics are spectral.
+sympy as their oracle).  `fiber_state` is the one place that evaluates the
+fiber data at a base point: the torus grid or box samples, the jets, the
+inverse and determinant of the fiber metric, the horizontal lifts, the
+geodesic curvature and the variation tensors.  Each check reads a
+`FiberState` its caller built once and passed in.  On proper models the
+fibers are flat tori, so fiber integration, the Laplacian and the
+degeneracy diagnostics are spectral.
 """
 
 from __future__ import annotations
@@ -58,7 +61,6 @@ class FibrationModel:
     third: Callable
     lattice: Callable | None = None
     grid: int = 64
-    m: int = 1
 
     @property
     def proper(self) -> bool:
@@ -255,24 +257,35 @@ class SpectralFiber:
 # Pointwise fiber data
 # ---------------------------------------------------------------------------
 
+# Box samples per non-proper fiber, drawn from [-1, 1]^2 in each coordinate.
+BOX_SAMPLES = 64
+
+
 @dataclass(frozen=True)
 class FiberState:
-    """Lift coefficients, geodesic curvature and variation tensors at fixed t.
+    """The fiber data of a model at one base point t.
 
-    Arrays carry the sample-point axis last: ``lifts`` (n, P) holds the fiber
-    components u^a with V = d_t - u^a d_a, ``c`` (P,) the geodesic curvature,
+    Arrays carry the sample-point axis last: ``bb`` (P,), ``bf`` (n, P) and
+    ``ff`` (n, n, P) are the second jets, ``ff_inv`` and ``det_ff`` the
+    inverse and determinant of the fiber metric, ``lifts`` (n, P) the fiber
+    components u^a with V = d_t - u^a d_a, ``c`` (P,) the geodesic curvature
     and ``ks`` (n, n, P) the tensor A^a_b = ks[a, b] of the fiber-direction
     variation; ``kappa_pair`` gives its pointwise metric pairing.
+    ``spectral`` is the torus grid of a proper model, None for box samples.
     """
 
+    model: FibrationModel
     t: complex
     points: np.ndarray
+    bb: np.ndarray
+    bf: np.ndarray
+    ff: np.ndarray
+    ff_inv: np.ndarray
+    det_ff: np.ndarray
     lifts: np.ndarray
     c: np.ndarray
     ks: np.ndarray
-    ff: np.ndarray
-    ff_inv: np.ndarray
-    spectral: SpectralFiber | None = None
+    spectral: SpectralFiber | None
 
     def kappa_pair(self, other_ks: np.ndarray | None = None) -> np.ndarray:
         """Pointwise metric pairing <ks, other_ks> of variation tensors."""
@@ -294,6 +307,10 @@ def _invert_ff(ff: np.ndarray) -> np.ndarray:
     return np.moveaxis(np.linalg.inv(moved), (-2, -1), (0, 1))
 
 
+def _det_ff(ff: np.ndarray) -> np.ndarray:
+    return np.linalg.det(np.moveaxis(ff, (0, 1), (-2, -1)))
+
+
 def evaluate_fields(model: FibrationModel, t: complex, pts: np.ndarray):
     """(bb, bf, ff, ff_inv, lifts u, c, ks) at the given fiber points."""
     bb, bf, ff = model.second(t, pts)
@@ -310,34 +327,42 @@ def evaluate_fields(model: FibrationModel, t: complex, pts: np.ndarray):
     return bb, bf, ff, ff_inv, u, c, ks
 
 
-def fiber_state(model: FibrationModel, t: complex, sample_count: int = 128,
-                seed: int = 0) -> FiberState:
-    """Evaluate the fiber fields on the torus grid or on seeded box samples."""
+def fiber_state(model: FibrationModel, t: complex, seed: int = 0) -> FiberState:
+    """Evaluate the fiber data at t on the torus grid of a proper model, or
+    on BOX_SAMPLES box points drawn with `seed` otherwise."""
     if model.proper:
         fiber = SpectralFiber(model.lattice(t), model.grid)
         pts = fiber.points
     else:
         fiber = None
         rng = np.random.default_rng(seed)
-        pts = (rng.uniform(-1.0, 1.0, (model.n, sample_count))
-               + 1j * rng.uniform(-1.0, 1.0, (model.n, sample_count)))
+        pts = (rng.uniform(-1.0, 1.0, (model.n, BOX_SAMPLES))
+               + 1j * rng.uniform(-1.0, 1.0, (model.n, BOX_SAMPLES)))
     bb, bf, ff, ff_inv, u, c, ks = evaluate_fields(model, t, pts)
     herm = float(np.max(np.abs(c.imag)))
     if herm > 1e-9 * max(1.0, float(np.max(np.abs(c)))):
         raise ValueError(f"geodesic curvature failed Hermiticity ({herm:.2e})")
-    return FiberState(t=t, points=pts, lifts=u, c=c, ks=ks, ff=ff, ff_inv=ff_inv,
-                      spectral=fiber)
+    return FiberState(model=model, t=t, points=pts, bb=bb, bf=bf, ff=ff, ff_inv=ff_inv,
+                      det_ff=_det_ff(ff), lifts=u, c=c, ks=ks, spectral=fiber)
 
 
 # ---------------------------------------------------------------------------
 # Degeneracy diagnostics
 # ---------------------------------------------------------------------------
 
-def form_matrix(model: FibrationModel, t: complex, pts: np.ndarray) -> np.ndarray:
-    """Full (1+n) x (1+n) coefficient matrix of the form at each point."""
-    bb, bf, ff = model.second(t, pts)
-    cols = pts.shape[1]
-    h = np.empty((1 + model.n, 1 + model.n, cols), dtype=complex)
+# Step of the pointwise Wirtinger stencils in the (t, zeta) coordinates.
+FD_STEP = 1e-4
+
+# Seed of the box samples at the first base point of pk_residual; the i-th
+# base point draws with PK_SEED + i.
+PK_SEED = 1
+
+
+def form_matrix(bb: np.ndarray, bf: np.ndarray, ff: np.ndarray) -> np.ndarray:
+    """Full (1+n) x (1+n) coefficient matrix of the form at each point, from
+    the second jets ``model.second`` returns."""
+    n = bf.shape[0]
+    h = np.empty((1 + n, 1 + n) + bb.shape, dtype=complex)
     h[0, 0] = bb
     h[0, 1:] = bf
     h[1:, 0] = bf.conj()
@@ -346,10 +371,11 @@ def form_matrix(model: FibrationModel, t: complex, pts: np.ndarray) -> np.ndarra
 
 
 def top_power_norm(h: np.ndarray, fiber_dim: int) -> np.ndarray:
-    """Pointwise coefficient norm of the (n+1)-st power of a (1,1)-form.
+    """Pointwise coefficient norm of the (fiber_dim+1)-st power of a (1,1)-form.
 
-    The coefficients of omega^{n+1} / (n+1)! are the (n+1)-minors of the
-    matrix; the Euclidean norm over all minors is returned.
+    ``h`` is one coefficient matrix or a stack of them (matrix axes first).
+    The coefficients of omega^{k} / k! are the k-minors of the matrix; the
+    Euclidean norm over all minors is returned.
     """
     dim = h.shape[0]
     k = fiber_dim + 1
@@ -358,7 +384,7 @@ def top_power_norm(h: np.ndarray, fiber_dim: int) -> np.ndarray:
         for cols in combinations(range(dim), k):
             sub = h[np.ix_(rows, cols)]
             sub = np.moveaxis(sub, (0, 1), (-2, -1))
-            total += np.abs(np.linalg.det(sub)) ** 2
+            total += abs(np.linalg.det(sub)) ** 2
     return np.sqrt(total)
 
 
@@ -369,144 +395,115 @@ class PkReport:
     max_c: float
 
 
-def pk_residual(model: FibrationModel, t_samples: Sequence[complex],
-                sample_count: int = 64, seed: int = 1) -> PkReport:
+def pk_residual(model: FibrationModel, t_samples: Sequence[complex]) -> PkReport:
     """Sup over samples of the top-power coefficient norm and of |c|."""
     worst_top = 0.0
     worst_c = 0.0
     for i, t in enumerate(t_samples):
-        if model.proper:
-            pts = SpectralFiber(model.lattice(t), min(model.grid, 16)).points
-        else:
-            rng = np.random.default_rng(seed + i)
-            pts = (rng.uniform(-1.0, 1.0, (model.n, sample_count))
-                   + 1j * rng.uniform(-1.0, 1.0, (model.n, sample_count)))
-        h = form_matrix(model, t, pts)
+        state = fiber_state(model, t, seed=PK_SEED + i)
+        h = form_matrix(state.bb, state.bf, state.ff)
         worst_top = max(worst_top, float(np.max(top_power_norm(h, model.n))))
-        _, _, _, _, _, c, _ = evaluate_fields(model, t, pts)
-        worst_c = max(worst_c, float(np.max(np.abs(c))))
+        worst_c = max(worst_c, float(np.max(np.abs(state.c))))
     return PkReport(name=model.name, max_top_power=worst_top, max_c=worst_c)
 
 
-def dform_residual(model: FibrationModel, t: complex, zeta: np.ndarray,
-                   step: float = 1e-4) -> float:
+def dform_residual(model: FibrationModel, t: complex, zeta: np.ndarray) -> float:
     """d-closedness residual of the corrected form (base block minus c)."""
     zeta = np.asarray(zeta, dtype=complex).reshape(-1)
 
     def coeff(zvec: np.ndarray) -> np.ndarray:
-        pts = zvec[1:].reshape(-1, 1)
-        h = form_matrix(model, zvec[0], pts)[:, :, 0]
-        bb, bf, ff = model.second(zvec[0], pts)
-        ff_inv = _invert_ff(ff)
-        u = np.einsum("b...,ba...->a...", bf, ff_inv)
-        c = bb - np.einsum("a...,a...->...", u, bf.conj())
+        bb, bf, ff, _, _, c, _ = evaluate_fields(model, zvec[0], zvec[1:].reshape(-1, 1))
+        h = form_matrix(bb, bf, ff)[:, :, 0]
         h[0, 0] = h[0, 0] - c[0]
         return h
 
     z0 = np.concatenate([[t], zeta])
-    return _fd.d_residual_11(coeff, z0, step=step)
+    return _fd.d_residual_11(coeff, z0, step=FD_STEP)
 
 
 # ---------------------------------------------------------------------------
 # Fiber-integrated quantities
 # ---------------------------------------------------------------------------
 
-def _require_proper(model: FibrationModel) -> None:
-    if not model.proper:
-        raise PropernessError(f"model {model.name!r} has no fiber lattice")
+# t-step of the Richardson-extrapolated base stencils of log det(ff).  The
+# second difference amplifies rounding by 1/h^2 and the extrapolated stencil
+# leaves an O(h^4) truncation; on the perturbed torus at t = 0.3 + 1.2j the
+# schumacher residual is 7e-7 at h = 1e-4, 5e-8 at 5e-4 and 7e-8 at 1e-3.
+T_STEP = 5e-4
 
 
-def wp_fiber_metric(model: FibrationModel, t: complex) -> np.ndarray:
+def _require_proper(state: FiberState) -> None:
+    if state.spectral is None:
+        raise PropernessError(f"model {state.model.name!r} has no fiber lattice")
+
+
+def wp_fiber_metric(state: FiberState) -> np.ndarray:
     """1x1 fiber integral of the variation-tensor pairing against the volume."""
-    _require_proper(model)
-    state = fiber_state(model, t)
+    _require_proper(state)
     fiber = state.spectral
-    det_ff = np.linalg.det(np.moveaxis(state.ff, (0, 1), (-2, -1)))
-    inner = state.kappa_pair()
-    val = fiber.integrate_volume(fiber.to_grid(inner), fiber.to_grid(det_ff))
+    val = fiber.integrate_volume(fiber.to_grid(state.kappa_pair()),
+                                 fiber.to_grid(state.det_ff))
     return np.array([[val]])
 
 
-def dbar_closedness_residual(model: FibrationModel, t: complex) -> float:
+def dbar_closedness_residual(state: FiberState) -> float:
     """Spectral residual of d_bbar ks[a, c] - d_cbar ks[a, b] on the fiber."""
-    _require_proper(model)
-    state = fiber_state(model, t)
+    _require_proper(state)
     fiber = state.spectral
-    n = model.n
+    ks = fiber.to_grid(state.ks)
+    n = fiber.n
     worst = 0.0
     for a in range(n):
         for b in range(n):
-            gb = fiber.to_grid(state.ks[a, b])
             for cpt in range(b + 1, n):
-                gc = fiber.to_grid(state.ks[a, cpt])
-                diff = fiber.d_zbar(gc, b) - fiber.d_zbar(gb, cpt)
+                diff = fiber.d_zbar(ks[a, cpt], b) - fiber.d_zbar(ks[a, b], cpt)
                 worst = max(worst, float(np.max(np.abs(diff))))
     return worst
 
 
-def log_det_ff_grid(model: FibrationModel, t: complex, fiber: SpectralFiber) -> np.ndarray:
+def _log_det_jets(model: FibrationModel, t: complex,
+                  fiber: SpectralFiber) -> tuple[np.ndarray, np.ndarray]:
+    """log det(ff) (grid) and its analytic fiber gradient d_bbar log det(ff) =
+    tr(ff^{-1} d_bbar ff) (n, grid) at t, from one call of each jet."""
     _, _, ff = model.second(t, fiber.points)
-    det = np.linalg.det(np.moveaxis(ff, (0, 1), (-2, -1)))
-    return fiber.to_grid(np.log(det.real + 0j))
+    _, fff = model.third(t, fiber.points)
+    grad = np.einsum("ms...,smb...->b...", _invert_ff(ff), fff)
+    return fiber.to_grid(np.log(_det_ff(ff).real + 0j)), fiber.to_grid(grad)
 
 
-def dzbar_log_det_ff(model: FibrationModel, t: complex, pts: np.ndarray) -> np.ndarray:
-    """Analytic d_bbar log det(ff) from the third jets: tr(ff^{-1} d_bbar ff)."""
-    _, _, ff = model.second(t, pts)
-    ff_inv = _invert_ff(ff)
-    _, fff = model.third(t, pts)
-    return np.einsum("ms...,smb...->b...", ff_inv, fff)
-
-
-def _psi_base_derivatives(model: FibrationModel, t: complex, fiber: SpectralFiber,
-                          tstep: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _psi_base_derivatives(state: FiberState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Base derivatives of psi = log det(ff) on the fiber grid at t:
     psi_{t tbar} (grid) and psi_{t bbar} (n, grid) by Richardson-extrapolated
     t-stencils, and the analytic fiber gradient d_bbar psi (n, grid)."""
-    pts = fiber.points
+    t = state.t
+    psi0, grad0 = _log_det_jets(state.model, t, state.spectral)
 
-    def psi_grid(tv):
-        return log_det_ff_grid(model, tv, fiber)
+    def stencils(h):
+        # Both t-stencils read the jets at t + h, t - h, t + ih and t - ih:
+        # psi_{t tbar} by the real/imag 5-point stencil, d_t d_bbar psi by
+        # central differences of the gradient.
+        psi, grad = zip(*(_log_det_jets(state.model, t + s * h, state.spectral)
+                          for s in (1, -1, 1j, -1j)))
+        ttb = 0.25 * ((psi[0] - 2 * psi0 + psi[1]) / h**2
+                      + (psi[2] - 2 * psi0 + psi[3]) / h**2)
+        tb = 0.5 * ((grad[0] - grad[1]) / (2 * h) - 1j * (grad[2] - grad[3]) / (2 * h))
+        return ttb, tb
 
-    p0 = psi_grid(t)
-
-    def estimate(h):
-        # psi_{t tbar} via the real/imag 5-point stencil.
-        pp = psi_grid(t + h)
-        pm = psi_grid(t - h)
-        ip = psi_grid(t + 1j * h)
-        im = psi_grid(t - 1j * h)
-        return 0.25 * ((pp - 2 * p0 + pm) / h**2 + (ip - 2 * p0 + im) / h**2)
-
-    co, fi = estimate(tstep), estimate(tstep / 2)
-    psi_ttb = (4.0 * fi - co) / 3.0
-
-    def grad_bar(tv):
-        return np.stack([fiber.to_grid(g) for g in dzbar_log_det_ff(model, tv, pts)])
-
-    def holo_t(f):
-        def est(h):
-            return 0.5 * ((f(t + h) - f(t - h)) / (2 * h)
-                          - 1j * (f(t + 1j * h) - f(t - 1j * h)) / (2 * h))
-
-        c2, f2 = est(tstep), est(tstep / 2)
-        return (4.0 * f2 - c2) / 3.0
-
-    return psi_ttb, holo_t(grad_bar), grad_bar(t)
+    (ttb_c, tb_c), (ttb_f, tb_f) = stencils(T_STEP), stencils(T_STEP / 2)
+    return (4.0 * ttb_f - ttb_c) / 3.0, (4.0 * tb_f - tb_c) / 3.0, grad0
 
 
-def relative_canonical_curvature(model: FibrationModel, t: complex,
-                                 fiber: SpectralFiber, tstep: float = 1e-4) -> np.ndarray:
+def relative_canonical_curvature(state: FiberState,
+                                 psi: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
     """Theta(V, Vbar) grid: curvature of the relative canonical metric paired
-    with the horizontal lift, computed from t-differences of log det(ff) and
-    its analytic fiber gradient plus spectral fiber derivatives."""
-    pts = fiber.points
-    n = model.n
-    psi_ttb, psi_tb, gbar0 = _psi_base_derivatives(model, t, fiber, tstep)
+    with the horizontal lift, from the `_psi_base_derivatives` of log det(ff)
+    plus spectral fiber derivatives."""
+    fiber = state.spectral
+    n = fiber.n
+    psi_ttb, psi_tb, gbar0 = psi
     psi_fb = np.stack([np.stack([fiber.d_z(gbar0[b], a) for b in range(n)])
                        for a in range(n)])          # (a, b, grid): d_a d_bbar psi
-    _, _, ff, ff_inv, u, _, _ = evaluate_fields(model, t, pts)
-    ug = np.stack([fiber.to_grid(u[a]) for a in range(n)])
+    ug = fiber.to_grid(state.lifts)
     # Theta(V, Vbar) = psi_ttb - sum_b psi_{t bbar} conj(u^b)
     #                - sum_a psi_{a tbar} u^a + sum psi_{a bbar} u^a conj(u^b),
     # with psi_{a tbar} = conj(psi_{t abar}) since psi is real.
@@ -521,10 +518,14 @@ def relative_canonical_curvature(model: FibrationModel, t: complex,
 
 @dataclass(frozen=True)
 class SchumacherReport:
+    """The three grids of the identity, its residual, and the base derivatives
+    of log det(ff) (`_psi_base_derivatives`) they were computed from."""
+
     lhs: np.ndarray
     inner: np.ndarray
     box_c: np.ndarray
     residual: float
+    psi: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def box_on_function(fiber: SpectralFiber, f_grid: np.ndarray,
@@ -538,41 +539,38 @@ def box_on_function(fiber: SpectralFiber, f_grid: np.ndarray,
     return out
 
 
-def schumacher_residual(model: FibrationModel, t: complex,
-                        tstep: float = 1e-4) -> SchumacherReport:
+def schumacher_residual(state: FiberState) -> SchumacherReport:
     """Grid residual of: canonical curvature = pairing - Laplacian of c."""
-    _require_proper(model)
-    fiber = SpectralFiber(model.lattice(t), model.grid)
-    pts = fiber.points
-    _, _, ff, ff_inv, u, c, ks = evaluate_fields(model, t, pts)
-    fiber.check_resolution(fiber.to_grid(c).real)
-    lhs = relative_canonical_curvature(model, t, fiber, tstep=tstep)
-    inner = fiber.to_grid(kappa_pairing(ks, ks, ff, ff_inv))
-    ff_inv_grid = np.stack([np.stack([fiber.to_grid(ff_inv[a, b]) for b in range(model.n)])
-                            for a in range(model.n)])
-    box_c = box_on_function(fiber, fiber.to_grid(c), ff_inv_grid)
+    _require_proper(state)
+    fiber = state.spectral
+    c_grid = fiber.to_grid(state.c)
+    fiber.check_resolution(c_grid.real)
+    psi = _psi_base_derivatives(state)
+    lhs = relative_canonical_curvature(state, psi)
+    inner = fiber.to_grid(state.kappa_pair())
+    box_c = box_on_function(fiber, c_grid, fiber.to_grid(state.ff_inv))
     residual = float(np.max(np.abs(lhs - inner + box_c)))
-    return SchumacherReport(lhs=lhs, inner=inner, box_c=box_c, residual=residual)
+    return SchumacherReport(lhs=lhs, inner=inner, box_c=box_c, residual=residual, psi=psi)
 
 
-def fs_pushforward_check(model: FibrationModel, t: complex,
-                         tstep: float = 1e-4) -> tuple[float, float, float]:
+def fs_pushforward_check(state: FiberState,
+                         report: SchumacherReport) -> tuple[float, float, float]:
     """Fiber-integral identity: metric = pushforward of curvature wedge volume
-    plus pushforward of scalar curvature times the squared form (n = 1)."""
-    _require_proper(model)
-    if model.n != 1:
-        raise CaseNotCoveredError("pushforward identity implemented for 1-dim fibers")
-    fiber = SpectralFiber(model.lattice(t), model.grid)
-    pts = fiber.points
-    bb, bf, ff, ff_inv, u, c, ks = evaluate_fields(model, t, pts)
-    g_ff = fiber.to_grid(ff[0, 0]).real
-    g_bf = fiber.to_grid(bf[0])
-    g_bb = fiber.to_grid(bb)
+    plus pushforward of scalar curvature times the squared form (n = 1).
 
-    psi_ttb, (psi_tb,), (psi_zb,) = _psi_base_derivatives(model, t, fiber, tstep)
+    ``report`` is the `schumacher_residual` of the same state."""
+    _require_proper(state)
+    if state.model.n != 1:
+        raise CaseNotCoveredError("pushforward identity implemented for 1-dim fibers")
+    fiber = state.spectral
+    g_ff = fiber.to_grid(state.ff[0, 0]).real
+    g_bf = fiber.to_grid(state.bf[0])
+    g_bb = fiber.to_grid(state.bb)
+
+    psi_ttb, (psi_tb,), (psi_zb,) = report.psi
     psi_zzb = fiber.d_z(psi_zb, 0)
 
-    lhs = wp_fiber_metric(model, t)[0, 0].real
+    lhs = wp_fiber_metric(state)[0, 0].real
 
     scalar = -psi_zzb / g_ff
     det_h = g_bb * g_ff - np.abs(g_bf) ** 2
@@ -583,15 +581,13 @@ def fs_pushforward_check(model: FibrationModel, t: complex,
     return lhs, rhs, abs(lhs - rhs)
 
 
-def average_horizontal_positivity(model: FibrationModel, t: complex,
-                                  tstep: float = 1e-4) -> tuple[float, float]:
-    """(integral of the canonical curvature against the volume, metric value)."""
-    rep = schumacher_residual(model, t, tstep=tstep)
-    fiber = SpectralFiber(model.lattice(t), model.grid)
-    _, _, ff, _, _, _, _ = evaluate_fields(model, t, fiber.points)
-    det_ff = fiber.to_grid(np.linalg.det(np.moveaxis(ff, (0, 1), (-2, -1))))
-    lhs = fiber.integrate_volume(rep.lhs, det_ff).real
-    rhs = wp_fiber_metric(model, t)[0, 0].real
+def average_horizontal_positivity(state: FiberState,
+                                  report: SchumacherReport) -> tuple[float, float]:
+    """(integral of the canonical curvature against the volume, metric value);
+    ``report`` is the `schumacher_residual` of the same state."""
+    fiber = state.spectral
+    lhs = fiber.integrate_volume(report.lhs, fiber.to_grid(state.det_ff)).real
+    rhs = wp_fiber_metric(state)[0, 0].real
     return lhs, rhs
 
 
@@ -617,44 +613,36 @@ def _kappa_phi(state: FiberState, phi: np.ndarray) -> np.ndarray:
     return kphi.reshape(n, n, -1)
 
 
-def bkn_identity_check(model: FibrationModel, t: complex,
+def bkn_identity_check(state: FiberState,
                        phi_grid: np.ndarray) -> tuple[float, float, str]:
     """(norm of the potential's variation tensor, norm of its Laplacian, case tag).
 
     For flat fiber metrics the two norms agree; curved fiber cases are not
     covered and raise.
     """
-    _require_proper(model)
-    state = fiber_state(model, t)
+    _require_proper(state)
     _require_flat_fiber(state)
     fiber = state.spectral
-    n = model.n
     phi = np.asarray(phi_grid, dtype=complex).reshape(fiber.shape)
     kphi = _kappa_phi(state, phi)
     inner = kappa_pairing(kphi, kphi, state.ff, state.ff_inv)
-    det_ff = fiber.to_grid(np.linalg.det(np.moveaxis(state.ff, (0, 1), (-2, -1))).real)
+    det_ff = fiber.to_grid(state.det_ff.real)
     norm_k = np.sqrt(fiber.integrate_volume(fiber.to_grid(inner.real), det_ff).real)
-    ff_inv_grid = np.stack([np.stack([fiber.to_grid(state.ff_inv[a, b])
-                                      for b in range(n)]) for a in range(n)])
-    box_phi = box_on_function(fiber, phi, ff_inv_grid)
+    box_phi = box_on_function(fiber, phi, fiber.to_grid(state.ff_inv))
     norm_box = np.sqrt(fiber.integrate_volume(np.abs(box_phi) ** 2, det_ff).real)
     return norm_k, norm_box, "ricci-flat-fiber"
 
 
-def kappa_phi_pairing(model: FibrationModel, t: complex,
-                      phi_grid: np.ndarray) -> complex:
+def kappa_phi_pairing(state: FiberState, phi_grid: np.ndarray) -> complex:
     """Fiber integral <ks, kappa^phi>: vanishes for flat fibers (the scalar
     curvature is constant, so the variational pairing against any potential
     is trivial)."""
-    _require_proper(model)
-    state = fiber_state(model, t)
+    _require_proper(state)
     _require_flat_fiber(state)
     fiber = state.spectral
     phi = np.asarray(phi_grid, dtype=complex).reshape(fiber.shape)
-    kphi = _kappa_phi(state, phi)
-    pair = kappa_pairing(state.ks, kphi, state.ff, state.ff_inv)
-    det_ff = np.linalg.det(np.moveaxis(state.ff, (0, 1), (-2, -1)))
-    return fiber.integrate_volume(fiber.to_grid(pair), fiber.to_grid(det_ff))
+    pair = state.kappa_pair(_kappa_phi(state, phi))
+    return fiber.integrate_volume(fiber.to_grid(pair), fiber.to_grid(state.det_ff))
 
 
 # ---------------------------------------------------------------------------
@@ -665,11 +653,8 @@ def _lift_coefficients(model: FibrationModel):
     """Callable z = (t, zeta) -> components (1, -u^1..-u^n) of the lift."""
 
     def comps(zvec: np.ndarray) -> np.ndarray:
-        pts = zvec[1:].reshape(-1, 1)
-        _, bf, ff = model.second(zvec[0], pts)
-        ff_inv = _invert_ff(ff)
-        u = np.einsum("b...,ba...->a...", bf, ff_inv)[:, 0]
-        return np.concatenate([[1.0 + 0j], -u])
+        _, _, _, _, u, _, _ = evaluate_fields(model, zvec[0], zvec[1:].reshape(-1, 1))
+        return np.concatenate([[1.0 + 0j], -u[:, 0]])
 
     return comps
 
@@ -681,7 +666,7 @@ class MixedBracketReport:
 
 
 def bracket_mixed_check(model: FibrationModel, t: complex,
-                        zeta: np.ndarray, step: float = 1e-4) -> MixedBracketReport:
+                        zeta: np.ndarray) -> MixedBracketReport:
     """[V, conj(V)] is vertical and its hook into the form restricted to the
     fiber equals i d(c) restricted to the fiber."""
     comps = _lift_coefficients(model)
@@ -694,15 +679,14 @@ def bracket_mixed_check(model: FibrationModel, t: complex,
     part01 = np.zeros(dim, dtype=complex)
     part10 = np.zeros(dim, dtype=complex)
     for bidx in range(dim):
-        dcomp = _fd.holo_derivative(lambda z: comps(z).conj(), z0, bidx, step=step)
+        dcomp = _fd.holo_derivative(lambda z: comps(z).conj(), z0, bidx, step=FD_STEP)
         part01 += v0[bidx] * dcomp
-        dcomp2 = _fd.antiholo_derivative(comps, z0, bidx, step=step)
+        dcomp2 = _fd.antiholo_derivative(comps, z0, bidx, step=FD_STEP)
         part10 += -v0[bidx].conj() * dcomp2
 
     vertical = float(max(abs(part01[0]), abs(part10[0])))
 
-    pts = z0[1:].reshape(-1, 1)
-    h = form_matrix(model, z0[0], pts)[:, :, 0]
+    h = form_matrix(*model.second(z0[0], z0[1:].reshape(-1, 1)))[:, :, 0]
 
     def c_fn(zvec: np.ndarray) -> complex:
         p = zvec[1:].reshape(-1, 1)
@@ -713,11 +697,11 @@ def bracket_mixed_check(model: FibrationModel, t: complex,
     for beta in range(1, dim):
         # dzetabar^beta component: sum_A H[A, beta] X^A = d_betabar c.
         lhs = sum(h[a, beta] * part10[a] for a in range(dim))
-        rhs = _fd.antiholo_derivative(c_fn, z0, beta, step=step)
+        rhs = _fd.antiholo_derivative(c_fn, z0, beta, step=FD_STEP)
         worst = max(worst, abs(lhs - rhs))
         # dzeta^beta component: -sum_B H[beta, B] X^{Bbar} = d_beta c.
         lhs2 = -sum(h[beta, b] * part01[b] for b in range(dim))
-        rhs2 = _fd.holo_derivative(c_fn, z0, beta, step=step)
+        rhs2 = _fd.holo_derivative(c_fn, z0, beta, step=FD_STEP)
         worst = max(worst, abs(lhs2 - rhs2))
     return MixedBracketReport(verticality_residual=vertical,
                               contraction_residual=float(worst))
@@ -782,18 +766,16 @@ def elliptic_family(t: complex) -> EllipticSlice:
     top = 0.0
     zeta0 = 0.37 + 0.41j
     for zeta in [zeta0] + list(rng.standard_normal(3) + 1j * rng.standard_normal(3)):
-        pts = np.array([[zeta]], dtype=complex)
-        h_pot = form_matrix(model, t, pts)[:, :, 0]
+        h_pot = form_matrix(*model.second(t, np.array([[zeta]], dtype=complex)))[:, :, 0]
         h_pull, type_part = pullback_at(zeta)
         agreement = max(agreement, float(np.max(np.abs(h_pot - h_pull))))
         type_resid = max(type_resid, type_part)
         top = max(top, abs(np.linalg.det(h_pull)))
-    pts0 = np.array([[zeta0]], dtype=complex)
-    fiber_coeff = float(form_matrix(model, t, pts0)[1, 1, 0].real)
+    h0 = form_matrix(*model.second(t, np.array([[zeta0]], dtype=complex)))[:, :, 0]
+    fiber_coeff = float(h0[1, 1].real)
     if fiber_coeff <= 0:
         raise PositivityError("fiber coefficient must be positive")
-    return EllipticSlice(t=t, map_coefficients=(a, b),
-                         potential_form=form_matrix(model, t, pts0)[:, :, 0],
+    return EllipticSlice(t=t, map_coefficients=(a, b), potential_form=h0,
                          pullback_form=pullback_at(zeta0)[0],
                          agreement=agreement, type_residual=type_resid,
                          fiber_coefficient=fiber_coeff, top_power=top)

@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _fd
+from .fibration import top_power_norm
 
 
 class ChartError(ValueError):
@@ -112,22 +113,8 @@ def pk_form(model: BundleMetricModel, t: complex, v: np.ndarray) -> np.ndarray:
     return omega
 
 
-def top_power_norm(omega: np.ndarray, fiber_dim: int) -> float:
-    """Coefficient norm of the (fiber_dim + 1) power; the determinant when the
-    total dimension equals fiber_dim + 1 (one-dimensional base)."""
-    from itertools import combinations
-
-    k = fiber_dim + 1
-    dim = omega.shape[0]
-    total = 0.0
-    for rows in combinations(range(dim), k):
-        for cols in combinations(range(dim), k):
-            total += abs(np.linalg.det(omega[np.ix_(rows, cols)])) ** 2
-    return float(np.sqrt(total))
-
-
 def pk_top_power(model: BundleMetricModel, t: complex, v: np.ndarray) -> float:
-    return top_power_norm(pk_form(model, t, v), model.r - 1)
+    return float(top_power_norm(pk_form(model, t, v), model.r - 1))
 
 
 def fiber_positivity_margin(model: BundleMetricModel, t: complex, v: np.ndarray) -> float:

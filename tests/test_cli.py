@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from pklab import cli, kns
+from pklab import fibration as fib
 from pklab import wpcurv as wp
 
 
@@ -313,6 +314,32 @@ def test_grid_too_coarse_for_the_fiber_spectrum_exits_2(capsys):
 def test_single_weight_split_model_runs():
     rep = cli.run_suite(cli.SuiteConfig(suite="projbundle", samples=8, model="split weights=2"))
     assert "configured-model-consistency" in [c.name for c in rep.checks]
+
+
+def _call_log(monkeypatch, module, name):
+    """Replace module.name by a wrapper that logs each call's arguments."""
+    calls = []
+    original = getattr(module, name)
+
+    def logged(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, logged)
+    return calls
+
+
+def test_fibration_suites_build_each_fiber_state_once(monkeypatch):
+    psi = _call_log(monkeypatch, fib, "_psi_base_derivatives")
+    states = _call_log(monkeypatch, fib, "fiber_state")
+    cli.run_suite(cli.SuiteConfig(suite="schumacher", n=2, samples=20))
+    # One t-differentiation of log det(ff) per distinct (model, t).
+    assert sorted((s.model.name, s.t) for (s,) in psi) == [
+        ("elliptic", 0.2 + 1.1j), ("perturbed-torus(0.05)", cli.T_PERT)]
+    states.clear()
+    cli.run_suite(cli.SuiteConfig(suite="elliptic-family", n=2, samples=20))
+    # Four wp-coefficient heights, then one state for the Bochner loop.
+    assert [t for _, t in states] == [0.5j, 1j, 2j, 4j, 1j]
 
 
 def test_suite_all_concatenates_each_suite_in_order():

@@ -1,5 +1,7 @@
 """Fibration toolkit tests: lifts, curvatures, spectral identities, models."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -48,8 +50,8 @@ def test_hermitian_path_model_geodesic_curvature():
     geod = fib.hermitian_quadratic_model(geo.hermitian_geodesic(a0, a1), 2)
     lin = fib.hermitian_quadratic_model(geo.linear_hermitian_path(a0, a1), 2)
     for t in (0.2, 0.5, 0.8):
-        assert np.max(np.abs(fib.fiber_state(geod, t, sample_count=32).c)) < 1e-10
-    assert np.max(np.abs(fib.fiber_state(lin, 0.5, sample_count=32).c)) > 1e-3
+        assert np.max(np.abs(fib.fiber_state(geod, t).c)) < 1e-10
+    assert np.max(np.abs(fib.fiber_state(lin, 0.5).c)) > 1e-3
 
 
 def test_pk_equivalence_both_directions():
@@ -89,7 +91,7 @@ def test_corrected_form_closed_for_fiber_constant_c():
 def test_wp_metric_scaling_law():
     values = {}
     for s in (0.5, 1.0, 2.0, 4.0):
-        values[s] = fib.wp_fiber_metric(ELLIPTIC32, 1j * s)[0, 0].real
+        values[s] = fib.wp_fiber_metric(fib.fiber_state(ELLIPTIC32, 1j * s))[0, 0].real
     consts = [values[s] * s * s for s in values]
     assert np.ptp(consts) / abs(np.mean(consts)) < 1e-10
     assert values[1.0] / values[2.0] == pytest.approx(4.0, rel=1e-10)
@@ -97,15 +99,17 @@ def test_wp_metric_scaling_law():
 
 def test_wp_metric_requires_properness():
     with pytest.raises(fib.PropernessError):
-        fib.wp_fiber_metric(fib.cross_term_model(), 0.5)
+        fib.wp_fiber_metric(fib.fiber_state(fib.cross_term_model(), 0.5))
 
 
 def test_wp_metric_zero_for_product():
-    assert abs(fib.wp_fiber_metric(fib.product_model(), 0.6 + 0.4j)[0, 0]) < 1e-14
+    state = fib.fiber_state(fib.product_model(), 0.6 + 0.4j)
+    assert abs(fib.wp_fiber_metric(state)[0, 0]) < 1e-14
 
 
 def test_schumacher_product_all_terms_vanish():
-    rep = fib.schumacher_residual(fib.product_model(base_weight=1.0), 0.4 + 0.2j)
+    rep = fib.schumacher_residual(fib.fiber_state(fib.product_model(base_weight=1.0),
+                                                  0.4 + 0.2j))
     assert np.max(np.abs(rep.lhs)) < 1e-10
     assert np.max(np.abs(rep.inner)) < 1e-14
     assert np.max(np.abs(rep.box_c)) < 1e-10
@@ -113,7 +117,7 @@ def test_schumacher_product_all_terms_vanish():
 
 
 def test_schumacher_flat_family():
-    rep = fib.schumacher_residual(ELLIPTIC32, 0.2 + 1.1j)
+    rep = fib.schumacher_residual(fib.fiber_state(ELLIPTIC32, 0.2 + 1.1j))
     assert rep.residual < 1e-8
     # All three terms have the frozen flat-family values.
     s = 1.1
@@ -122,51 +126,70 @@ def test_schumacher_flat_family():
 
 
 def test_schumacher_perturbed_three_terms():
-    rep = fib.schumacher_residual(PERTURBED64, 0.3 + 1.2j)
+    rep = fib.schumacher_residual(fib.fiber_state(PERTURBED64, 0.3 + 1.2j))
     assert rep.residual < 1e-6
     # The Laplacian term must be a genuine player here.
     assert np.max(np.abs(rep.box_c)) > 1.0
     assert np.max(np.abs(rep.inner)) > 1.0
 
 
+def test_psi_stencils_evaluate_the_jets_once_per_t_point():
+    calls = []
+
+    def second(t, pts):
+        calls.append(t)
+        return PERTURBED32.second(t, pts)
+
+    state = fib.fiber_state(dataclasses.replace(PERTURBED32, second=second), 0.3 + 1.2j)
+    calls.clear()
+    fib._psi_base_derivatives(state)
+    assert len(calls) == len(set(calls)) == 9
+
+
 def test_schumacher_nyquist_guard():
     coarse = fib.perturbed_torus_model(eps=0.05, grid=8)
     with pytest.raises(fib.GridResolutionError):
-        fib.schumacher_residual(coarse, 0.3 + 1.2j)
+        fib.schumacher_residual(fib.fiber_state(coarse, 0.3 + 1.2j))
 
 
 def test_pushforward_and_average_positivity():
     # The perturbed model needs the full grid to clear the resolution guard.
     for model, t in ((ELLIPTIC32, 0.5 + 0.9j), (PERTURBED64, 0.3 + 1.2j)):
-        lhs, rhs, res = fib.fs_pushforward_check(model, t)
+        state = fib.fiber_state(model, t)
+        rep = fib.schumacher_residual(state)
+        lhs, rhs, res = fib.fs_pushforward_check(state, rep)
         assert res < 1e-6 * max(1.0, abs(lhs))
-        avg_lhs, avg_rhs = fib.average_horizontal_positivity(model, t)
+        avg_lhs, avg_rhs = fib.average_horizontal_positivity(state, rep)
         assert avg_rhs >= 0.0
         assert abs(avg_lhs - avg_rhs) < 1e-6 * max(1.0, abs(avg_rhs))
+        # The state and report the pushforward check read give the same
+        # averages as a state and report built fresh.
+        fresh = fib.fiber_state(model, t)
+        assert fib.average_horizontal_positivity(
+            fresh, fib.schumacher_residual(fresh)) == (avg_lhs, avg_rhs)
 
 
 def test_bochner_identity_and_pairing():
-    fiber = fib.SpectralFiber(ELLIPTIC32.lattice(1j), 32)
+    state = fib.fiber_state(ELLIPTIC32, 1j)
     rng = np.random.default_rng(6)
-    xg = fiber.points_grid[0]
+    xg = state.spectral.points_grid[0]
     for _ in range(5):
         c = rng.standard_normal(3)
         phi = (c[0] * np.cos(2 * np.pi * xg.real) + c[1] * np.sin(2 * np.pi * xg.imag)
                + c[2] * np.cos(2 * np.pi * (xg.real + xg.imag)))
-        nk, nb, tag = fib.bkn_identity_check(ELLIPTIC32, 1j, phi)
+        nk, nb, tag = fib.bkn_identity_check(state, phi)
         assert tag == "ricci-flat-fiber"
         assert abs(nk - nb) < 1e-10 * max(1.0, nk)
-        assert abs(fib.kappa_phi_pairing(ELLIPTIC32, 1j, phi)) < 1e-10
-    const = np.ones(fiber.shape)
-    nk, nb, _ = fib.bkn_identity_check(ELLIPTIC32, 1j, const)
+        assert abs(fib.kappa_phi_pairing(state, phi)) < 1e-10
+    const = np.ones(state.spectral.shape)
+    nk, nb, _ = fib.bkn_identity_check(state, const)
     assert nk == pytest.approx(0.0, abs=1e-12)
     assert nb == pytest.approx(0.0, abs=1e-12)
 
 
 def test_bochner_requires_flat_fiber():
     with pytest.raises(fib.CaseNotCoveredError):
-        fib.bkn_identity_check(PERTURBED32, 1j,
-                               np.ones((32, 32)))
+        fib.bkn_identity_check(fib.fiber_state(PERTURBED32, 1j), np.ones((32, 32)))
 
 
 def test_bracket_checks():
@@ -179,7 +202,7 @@ def test_bracket_checks():
 
 
 def test_variation_tensor_dbar_closed():
-    assert fib.dbar_closedness_residual(PERTURBED32, 0.3 + 1.2j) < 1e-8
+    assert fib.dbar_closedness_residual(fib.fiber_state(PERTURBED32, 0.3 + 1.2j)) < 1e-8
 
 
 def test_variation_tensor_symmetry():
@@ -243,7 +266,7 @@ def test_positivity_error():
     _, _, zs, zbs = sym.symbols(1)
     bad = sym.model(-zs[0] * zbs[0], "bad")
     with pytest.raises(fib.PositivityError):
-        fib.fiber_state(bad, 0.1, sample_count=4)
+        fib.fiber_state(bad, 0.1)
 
 
 def test_spectral_fiber_quadrature_and_derivatives():
