@@ -163,7 +163,7 @@ class SuiteConfig:
             if not model.proper:
                 raise UsageError("schumacher requires a torus-fiber model")
             try:
-                fib.fiber_state(model, T_PERT)
+                fib.check_positivity(model, T_PERT)
             except fib.PositivityError as exc:
                 raise UsageError(f"model {self.model!r} at t={T_PERT}: {exc}") from None
         for key, val in self.tolerances.items():
@@ -186,7 +186,7 @@ class SuiteConfig:
 class CheckRecord:
     name: str
     anchor: str
-    status: str             # pass | fail | inconclusive
+    status: str             # pass | fail
     value: float
     threshold: float
     comparison: str = "<="
@@ -424,7 +424,7 @@ def suite_curvature_formula(cfg: SuiteConfig, tol: Tolerances):
         resid = wp.curvature_formula_check(space, j0, frame, bp, fd=tensor)
         worst_sym = max(worst_sym, tensor.kahler_symmetry_defect())
         worst_closed = max(worst_closed, float(np.max(np.abs(
-            wp.ClosedFormCurvature(bp).tensor().entries - tensor.entries))))
+            wp.ClosedFormCurvature(bp.phi).tensor().entries - tensor.entries))))
         if resid > worst:
             worst = resid
             witness = {"basepoint": bp.phi.tolist()}
@@ -929,12 +929,12 @@ def profile_ma_refinement(config: SuiteConfig):
 def profile_burns_hsc(config: SuiteConfig):
     rng = np.random.default_rng([config.seed, 30])
     nsym = kns.sym_dim(config.n)
-    rows = []
+    points, directions = [], []
     for _ in range(min(config.samples, 40)):
-        bp = kns.random_bsd_point(config.n, rng, 0.75)
-        xi = rng.standard_normal(nsym) + 1j * rng.standard_normal(nsym)
-        rows.append((bp.radius, wp.ClosedFormCurvature(bp).hsc(xi)))
-    rows.sort()
+        points.append(kns.random_bsd_point(config.n, rng, 0.75))
+        directions.append(rng.standard_normal(nsym) + 1j * rng.standard_normal(nsym))
+    hsc = wp.ClosedFormCurvature(np.stack([bp.phi for bp in points])).hsc(np.stack(directions))
+    rows = sorted(zip([bp.radius for bp in points], hsc.tolist()))
     return ["basepoint_radius", "hsc"], rows
 
 

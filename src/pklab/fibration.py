@@ -299,15 +299,28 @@ def kappa_pairing(a: np.ndarray, b: np.ndarray, ff: np.ndarray,
     return np.einsum("ac...,sg...,as...,gc...->...", a, b.conj(), ff, ff_inv.conj())
 
 
-def _invert_ff(ff: np.ndarray) -> np.ndarray:
-    moved = np.moveaxis(ff, (0, 1), (-2, -1))
-    eig = np.linalg.eigvalsh(0.5 * (moved + np.conj(np.swapaxes(moved, -1, -2))))
-    if eig.min() <= 0:
+def _require_positive(ff: np.ndarray) -> None:
+    """Raise PositivityError unless the Hermitian part of every fiber metric
+    ff[:, :, ...] is positive definite (for one-dimensional fibers: Re ff)."""
+    if len(ff) == 1:
+        least = ff[0, 0].real
+    else:
+        moved = np.moveaxis(ff, (0, 1), (-2, -1))
+        least = np.linalg.eigvalsh(0.5 * (moved + np.conj(np.swapaxes(moved, -1, -2))))
+    if least.min() <= 0:
         raise PositivityError("fiber metric is not positive definite")
-    return np.moveaxis(np.linalg.inv(moved), (-2, -1), (0, 1))
+
+
+def _invert_ff(ff: np.ndarray) -> np.ndarray:
+    _require_positive(ff)
+    if len(ff) == 1:
+        return 1.0 / ff
+    return np.moveaxis(np.linalg.inv(np.moveaxis(ff, (0, 1), (-2, -1))), (-2, -1), (0, 1))
 
 
 def _det_ff(ff: np.ndarray) -> np.ndarray:
+    if len(ff) == 1:
+        return ff[0, 0].copy()
     return np.linalg.det(np.moveaxis(ff, (0, 1), (-2, -1)))
 
 
@@ -327,17 +340,28 @@ def evaluate_fields(model: FibrationModel, t: complex, pts: np.ndarray):
     return bb, bf, ff, ff_inv, u, c, ks
 
 
+def _fiber_points(model: FibrationModel, t: complex,
+                  seed: int) -> tuple[SpectralFiber | None, np.ndarray]:
+    """The torus grid of a proper model at t (with its spectral fiber), or
+    BOX_SAMPLES box points drawn with `seed` otherwise."""
+    if model.proper:
+        fiber = SpectralFiber(model.lattice(t), model.grid)
+        return fiber, fiber.points
+    rng = np.random.default_rng(seed)
+    return None, (rng.uniform(-1.0, 1.0, (model.n, BOX_SAMPLES))
+                  + 1j * rng.uniform(-1.0, 1.0, (model.n, BOX_SAMPLES)))
+
+
+def check_positivity(model: FibrationModel, t: complex, seed: int = 0) -> None:
+    """Raise PositivityError where `fiber_state(model, t, seed)` would, from
+    the fiber metric alone."""
+    _require_positive(model.second(t, _fiber_points(model, t, seed)[1])[2])
+
+
 def fiber_state(model: FibrationModel, t: complex, seed: int = 0) -> FiberState:
     """Evaluate the fiber data at t on the torus grid of a proper model, or
     on BOX_SAMPLES box points drawn with `seed` otherwise."""
-    if model.proper:
-        fiber = SpectralFiber(model.lattice(t), model.grid)
-        pts = fiber.points
-    else:
-        fiber = None
-        rng = np.random.default_rng(seed)
-        pts = (rng.uniform(-1.0, 1.0, (model.n, BOX_SAMPLES))
-               + 1j * rng.uniform(-1.0, 1.0, (model.n, BOX_SAMPLES)))
+    fiber, pts = _fiber_points(model, t, seed)
     bb, bf, ff, ff_inv, u, c, ks = evaluate_fields(model, t, pts)
     herm = float(np.max(np.abs(c.imag)))
     if herm > 1e-9 * max(1.0, float(np.max(np.abs(c)))):

@@ -123,9 +123,10 @@ def sym_from_coords(coords: np.ndarray, n: int) -> np.ndarray:
 
 
 def coords_from_sym(phi: np.ndarray) -> np.ndarray:
+    """Chart coordinates (upper triangle, row by row); phi may carry leading axes."""
     phi = np.asarray(phi, dtype=complex)
-    n = phi.shape[0]
-    return np.array([phi[a, b] for a in range(n) for b in range(a, n)], dtype=complex)
+    rows, cols = np.triu_indices(phi.shape[-1])
+    return phi[..., rows, cols]
 
 
 def random_bsd_point(n: int, rng: np.random.Generator, radius: float = 0.7) -> BsdPoint:

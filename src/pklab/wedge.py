@@ -45,13 +45,16 @@ def sort_sign(indices: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
 def compound_matrix(m: np.ndarray, k: int) -> np.ndarray:
     """k-th multiplicative extension: entries are k x k minors of m.
 
-    m may carry leading axes; each matrix of the stack is extended.
+    m may carry leading axes; each matrix of the stack is extended.  Degree 1
+    is m itself (a copy), not a stack of 1 x 1 determinants.
     """
     dim = m.shape[-1]
     sets = basis(dim, k)
     if k == 0:
         return np.ones(m.shape[:-2] + (1, 1), dtype=complex)
     m = np.asarray(m, dtype=complex)
+    if k == 1:
+        return m.copy()
     rows = np.array(sets)
     stack = m[..., rows[:, None, :, None], rows[None, :, None, :]]
     return np.linalg.det(stack)

@@ -33,7 +33,10 @@ KAHLER_SYM_TOL = 1e-6
 ORACLE_BASEPOINTS = 2
 ASCENT_STARTS = 3
 ASCENT_ITERATIONS = 50
-# metric_field: bytes of field matrices per block of a stacked evaluation.
+# hsc_ascent: rungs t, t/2, t/4, ... of the Armijo search per stacked call.
+ARMIJO_RUNGS = 4
+# Bytes of matrices per block of a stacked evaluation: metric_field's field
+# matrices, and the direction halves of burns_bounds' pairing stack.
 GRAM_BLOCK_BYTES = 1 << 22
 
 
@@ -171,14 +174,16 @@ def _fd_curvature(gram_at, z: np.ndarray, step: float) -> np.ndarray:
     gram_at (the chart coordinates, or one complex line through them).
 
     One gram_at call on the `_fd.hessian_points` gives the base value, the
-    gradient (from the Hessian's axis points) and the Hessian.
+    gradient (from the Hessian's axis points) and the Hessian.  gram_at may
+    return a stack of metrics (..., j, k) per point; the result is then
+    (..., j, k, l, m).
     """
     values = gram_at(_fd.hessian_points(z, step))
-    grads = _fd.hessian_gradient(values, step)                  # [l, j, k]
-    hess = _fd.hessian_combine(values, step)                    # [l, m, j, k]
+    grads = _fd.hessian_gradient(values, step)                  # [l, ..., j, k]
+    hess = _fd.hessian_combine(values, step)                    # [l, m, ..., j, k]
     bl = grads @ np.linalg.inv(values[0])
     r = -hess + bl[:, None] @ grads.conj().swapaxes(-1, -2)[None, :]
-    return r.transpose(2, 3, 0, 1)
+    return np.moveaxis(r, (0, 1), (-2, -1))
 
 
 def curvature_fd_along(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFrame,
@@ -193,115 +198,166 @@ def curvature_fd_along(space: SymplecticSpace, J: ComplexStructure, frame: Unita
     coords = coords_from_sym(basepoint.phi)
     field_, gram_at = metric_field(space, J, frame, degree=1)
     field_.guard(coords)
+    return _fd_along(gram_at, coords, eta, step)
+
+
+def _fd_along(gram_at, coords: np.ndarray, eta: np.ndarray, step: float) -> np.ndarray:
+    """`curvature_fd_along` on lines through coords (..., nsym) along eta
+    (..., nsym), broadcast: (..., nsym, nsym), every line's stencil in one
+    gram_at call."""
     eta = np.asarray(eta, dtype=complex)
-    r = _fd_curvature(lambda w: gram_at(coords + w[..., :1] * eta),
-                      np.zeros(1, dtype=complex), step)
-    return r[:, :, 0, 0]
+
+    def along(w):
+        return gram_at(coords + w[:, 0].reshape((-1,) + (1,) * eta.ndim) * eta)
+
+    return _fd_curvature(along, np.zeros(1, dtype=complex), step)[..., 0, 0]
 
 
 @dataclass(frozen=True)
 class ClosedFormCurvature:
-    """Closed-form canonical metric and curvature at a basepoint.
+    """Closed-form canonical metric and curvature on a stack of basepoints.
 
-    With B = (I - Phi conj(Phi))^{-1}, S_j the `kns.sym_basis` and direction
-    matrices X = sum xi_j S_j, Y = sum eta_j S_j:
+    phi has shape (..., n, n).  With B = (I - Phi conj(Phi))^{-1}, S_j the
+    `kns.sym_basis` and direction matrices X = sum xi_j S_j, Y = sum eta_j S_j:
 
         G(xi, eta) = tr(B X conj(B) conj(Y)),
         R(xi, xi, eta, eta) = -[tr(BX.BbXb.BY.BbYb) + tr(BX.BbYb.BY.BbXb)],
 
     with Bb = conj(B), Xb = conj(X).  This is the invariant Kahler metric of
-    the type-III domain (Einstein with Ric = -(n+1) G).  A pairing costs
-    O(n^3); the rank-4 tensor is built only by `tensor()`.
+    the type-III domain (Einstein with Ric = -(n+1) G).  Directions are
+    (..., nsym) and broadcast against the basepoint stack, so a stack of
+    shape (B, 1) pairs each of B basepoints with its own row of directions.
+    A pairing costs O(n^3); the rank-4 tensor is built only by `tensor()`.
     """
 
-    basepoint: BsdPoint
+    phi: np.ndarray
     b: np.ndarray = field(init=False, repr=False)
     basis: np.ndarray = field(init=False, repr=False)
+    entry: np.ndarray = field(init=False, repr=False)   # coordinate of X[a, b]
 
     def __post_init__(self):
-        phi = self.basepoint.phi
-        n = phi.shape[0]
+        phi = np.asarray(self.phi, dtype=complex)
+        n = phi.shape[-1]
+        rows, cols = np.triu_indices(n)
+        entry = np.empty((n, n), dtype=int)
+        entry[rows, cols] = entry[cols, rows] = np.arange(len(rows))
+        object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "b", np.linalg.inv(np.eye(n) - phi @ phi.conj()))
         object.__setattr__(self, "basis", np.stack(sym_basis(n)))
+        object.__setattr__(self, "entry", entry)
 
     def metric(self) -> np.ndarray:
-        """G[j, k] = tr(B S_j conj(B) S_k), in metric_field's convention."""
-        return np.einsum("jab,kba->jk", self.b @ self.basis, self.b.conj() @ self.basis)
+        """G[..., j, k] = tr(B S_j conj(B) S_k), in metric_field's convention."""
+        b = self.b[..., None, :, :]
+        return np.einsum("...jab,...kba->...jk", b @ self.basis, b.conj() @ self.basis)
 
     def _halves(self, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x = (xi @ self.basis.reshape(len(xi), -1)).reshape(self.b.shape)
+        x = np.asarray(xi, dtype=complex)[..., self.entry]     # X = sum xi_j S_j
         return self.b @ x, self.b.conj() @ x.conj()
 
-    def pair(self, xi: np.ndarray, eta: np.ndarray) -> complex:
+    def pair(self, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
         """R(xi, conj(xi), eta, conj(eta))."""
-        return complex(_pairing(*self._halves(xi), *self._halves(eta)))
+        return _pairing(*self._halves(xi), *self._halves(eta))
 
-    def hsc(self, xi: np.ndarray) -> float:
+    def hsc(self, xi: np.ndarray) -> np.ndarray:
         """Holomorphic sectional curvature R(xi, xi, xi, xi) / G(xi, xi)^2."""
         bx, bxb = self._halves(xi)
-        return float(_pairing(bx, bxb, bx, bxb).real / np.trace(bx @ bxb).real ** 2)
+        return _hsc(bx @ bxb)
 
     def sharp_direction(self) -> np.ndarray:
         """Coordinates of X = L L^T, L the Cholesky factor of I - Phi conj(Phi):
         there B X conj(B X) = I, so hsc = -2/n exactly."""
-        phi = self.basepoint.phi
-        lower = np.linalg.cholesky(np.eye(len(phi)) - phi @ phi.conj())
-        return coords_from_sym(lower @ lower.T)
+        lower = np.linalg.cholesky(np.eye(self.phi.shape[-1]) - self.phi @ self.phi.conj())
+        return coords_from_sym(lower @ lower.swapaxes(-1, -2))
 
     def tensor(self) -> CurvatureTensor:
-        """The full R_{j kbar l mbar}, for comparison with `curvature_fd`."""
+        """The full R_{j kbar l mbar} at a single basepoint, for comparison
+        with `curvature_fd`."""
         p = self.b @ self.basis
         q = self.b.conj() @ self.basis
         entries = _pairing(p[:, None, None, None], q[None, :, None, None],
                            p[None, None, :, None], q[None, None, None, :])
-        return CurvatureTensor(entries=entries, basepoint=self.basepoint)
+        return CurvatureTensor(entries=entries, basepoint=BsdPoint(self.phi))
+
+
+def _trace(m):
+    return np.trace(m, axis1=-2, axis2=-1)
+
+
+def _hsc(p):
+    """-2 tr(P^2) / tr(P)^2 = R(xi, xi, xi, xi) / G(xi, xi)^2 for P = BX conj(BX)."""
+    return -2.0 * _trace(p @ p).real / _trace(p).real ** 2
 
 
 def _pairing(bx, bxb, by, byb):
     """-[tr(bx.bxb.by.byb) + tr(bx.byb.by.bxb)], broadcast over leading axes."""
-    return -(np.trace(bx @ bxb @ by @ byb, axis1=-2, axis2=-1)
-             + np.trace(bx @ byb @ by @ bxb, axis1=-2, axis2=-1))
+    return -(_trace(bx @ bxb @ by @ byb) + _trace(bx @ byb @ by @ bxb))
 
 
-def hsc_ascent(curv: ClosedFormCurvature, starts: np.ndarray) -> float:
-    """Largest holomorphic sectional curvature met by gradient ascent.
+def hsc_ascent(curv: ClosedFormCurvature,
+               starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Holomorphic sectional curvature reached by gradient ascent from each
+    start, and the number of steps taken (both of shape starts.shape[:-1]).
 
-    From each start (a row of `starts`): steepest ascent for the metric G,
-    halving the step until the rise meets a quarter of the slope (Armijo),
-    for at most ASCENT_ITERATIONS steps or until the slope is rounding.
-    With P = BX conj(BX) and W = BX conj(B), the Wirtinger gradient of
-    hsc = -2 tr(P^2) / tr(P)^2 is d/dconj(xi_j) = -4 tr(M S_j) / tr(P)^3,
-    M = tr(P) P W - tr(P^2) W; the ascent direction is conj(G)^{-1} of it.
+    From each start (a row (..., nsym), broadcast against curv's stack):
+    steepest ascent for the metric G, halving the step until the rise meets
+    a quarter of the slope (Armijo), for at most ASCENT_ITERATIONS steps or
+    until the slope is rounding.  With P = BX conj(BX) and W = BX conj(B),
+    the Wirtinger gradient of hsc = -2 tr(P^2) / tr(P)^2 is
+    d/dconj(xi_j) = -4 tr(M S_j) / tr(P)^3, M = tr(P) P W - tr(P^2) W; the
+    ascent direction is conj(G)^{-1} of it.
+
+    The ascents run in lockstep, each with its own point, step, value and
+    stop flag.  A search evaluates ARMIJO_RUNGS rungs t, t/2, ... of every
+    ascent still searching in one call and takes the first rung that
+    passes: the step that halving one rung at a time would take.
     """
     g = curv.metric()
 
     def ascent_direction(xi):
+        """hsc at xi, the ascent direction and the slope along it."""
         bx, bxb = curv._halves(xi)
         p = bx @ bxb
         w = bx @ curv.b.conj()
-        tr_p = np.trace(p).real
-        m = tr_p * (p @ w) - np.trace(p @ p).real * w
-        grad = -4.0 * np.einsum("ab,jba->j", m, curv.basis) / tr_p ** 3
-        direction = np.linalg.solve(g.conj(), grad)
-        return direction, 2.0 * np.real(np.vdot(grad, direction))
+        tr_p, tr_pp = _trace(p).real, _trace(p @ p).real
+        m = tr_p[..., None, None] * (p @ w) - tr_pp[..., None, None] * w
+        grad = -4.0 * np.einsum("...ab,jba->...j", m, curv.basis) / tr_p[..., None] ** 3
+        direction = np.linalg.solve(g.conj(), grad[..., None])[..., 0]
+        slope = 2.0 * (grad.conj()[..., None, :] @ direction[..., None])[..., 0, 0].real
+        return -2.0 * tr_pp / tr_p ** 2, direction, slope     # = _hsc(p)
 
-    best = -np.inf
-    for xi in np.asarray(starts, dtype=complex):
+    xi = np.asarray(starts, dtype=complex)
+    shape = np.broadcast_shapes(xi.shape[:-1], curv.b.shape[:-2])
+    t = np.ones(shape)
+    steps = np.zeros(shape, dtype=int)
+    running = np.ones(shape, dtype=bool)
+    rungs = 0.5 ** np.arange(ARMIJO_RUNGS).reshape((-1,) + (1,) * len(shape))
+    for _ in range(ASCENT_ITERATIONS):
+        value, direction, slope = ascent_direction(xi)
+        running &= slope > 1e-14    # stationary to rounding
+        if not running.any():
+            break
+        accepted = np.zeros(shape)                # 0 where no rung passed
+        searching = running.copy()
+        top = t
+        while searching.any():
+            rung = top * rungs
+            live = searching & (rung > 1e-12)
+            rise = curv.hsc(xi + rung[..., None] * direction)
+            passed = live & ~(rise < value + 0.25 * rung * slope)
+            found = passed.any(axis=0)
+            accepted = np.where(found, top * 0.5 ** np.argmax(passed, axis=0), accepted)
+            searching &= ~found & live[-1]
+            top = top * 0.5 ** ARMIJO_RUNGS
+        moved = accepted > 0
+        running &= moved
+        xi = np.where(moved[..., None],
+                      _unit_vector(g, xi + accepted[..., None] * direction), xi)
+        t = np.where(moved, 2.0 * accepted, t)
+        steps += moved
+    else:       # every step was taken: the value is that of the last point
         value = curv.hsc(xi)
-        t = 1.0
-        for _ in range(ASCENT_ITERATIONS):
-            direction, slope = ascent_direction(xi)
-            if slope <= 1e-14:    # stationary to rounding
-                break
-            while t > 1e-12 and curv.hsc(xi + t * direction) < value + 0.25 * t * slope:
-                t /= 2.0
-            if t <= 1e-12:
-                break
-            xi = _unit_vector(g, xi + t * direction)
-            value = curv.hsc(xi)
-            t = 2.0 * t
-        best = max(best, value)
-    return float(best)
+    return value, steps
 
 
 def kahler_closedness_residual(space: SymplecticSpace, J: ComplexStructure,
@@ -356,14 +412,15 @@ def curvature_formula_check(space: SymplecticSpace, J: ComplexStructure,
     return float(np.max(np.abs(fd.entries - alg)))
 
 
-def df_inner(g: np.ndarray, xi: np.ndarray, eta: np.ndarray) -> complex:
-    """<xi, eta> = sum G[j,k] xi^j conj(eta^k): first index pairs with xi."""
-    return complex(np.dot(xi, g @ eta.conj()))
+def df_inner(g: np.ndarray, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """<xi, eta> = sum G[j,k] xi^j conj(eta^k): first index pairs with xi.
+
+    Broadcast over leading axes of g (..., N, N) and xi, eta (..., N)."""
+    return (xi[..., None, :] @ (g @ eta.conj()[..., None]))[..., 0, 0]
 
 
 def _unit_vector(g: np.ndarray, raw: np.ndarray) -> np.ndarray:
-    norm = np.sqrt(float(np.real(df_inner(g, raw, raw))))
-    return raw / norm
+    return raw / np.sqrt(df_inner(g, raw, raw).real)[..., None]
 
 
 def burns_bounds(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFrame,
@@ -376,12 +433,17 @@ def burns_bounds(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFram
     model, so the certified bound is -2/n for both the sectional and Ricci
     sides, and the paired bisectional bound is -(2/n) |<eta, xi>|^2.
 
-    Pairings come from `ClosedFormCurvature`.  Its metric is compared with
-    `metric_field` at every basepoint, and its two pairings of the first
-    sample with `curvature_fd_along` at the first ORACLE_BASEPOINTS
-    basepoints.  Each basepoint also records the sharpness witness L L^T
-    and a `hsc_ascent` from ASCENT_STARTS starts drawn from a second
-    generator, so the sweep's own draws are those of the tensor sweep.
+    Every draw comes first, in per-basepoint order: a basepoint, then the
+    (xi, eta) pair of each of its samples; the last basepoint may take fewer
+    samples.  Pairings come from `ClosedFormCurvature` on stacks: one call
+    pairs every sample's xi with xi, eta and the G-orthonormal basis of the
+    Ricci trace (in blocks of about GRAM_BLOCK_BYTES at large n).  Its metric is compared with one `metric_field` call on all
+    basepoints, and its two pairings of the first sample with the one-line
+    difference oracle (`curvature_fd_along`) at the first ORACLE_BASEPOINTS
+    basepoints, all lines in one call.  Each basepoint also records the
+    sharpness witness L L^T and a `hsc_ascent` from ASCENT_STARTS starts
+    drawn from a second generator, so the sweep's own draws are those of the
+    tensor sweep.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -391,63 +453,58 @@ def burns_bounds(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFram
     ascent_rng = np.random.default_rng([seed, 1])
     n_base = max(1, samples // 10)
     per_base = -(-samples // n_base)
-    _, gram_at = metric_field(space, J, frame, degree=1)
+    counts = [c for c in (min(per_base, samples - b * per_base) for b in range(n_base))
+              if c > 0]
+    phis, raws = [], []
+    for count in counts:
+        phis.append(random_bsd_point(n, rng, radius).phi)
+        raws.append(rng.standard_normal((count, 4, nsym)))    # re/im of xi, eta
+    phi = np.stack(phis)
+    raw = np.concatenate(raws)
+    owner = np.repeat(np.arange(len(counts)), counts)         # basepoint of each sample
+    starts = ascent_rng.standard_normal((len(counts), 2, ASCENT_STARTS, nsym))
 
-    max_hsc = -np.inf
-    max_bis = -np.inf
-    max_paired = -np.inf
-    max_ric = -np.inf
-    max_metric = max_pairing = max_einstein = max_sharp = 0.0
-    max_ascent = -np.inf
-    witness: dict = {}
-    done = 0
-    for base in range(n_base):
-        if done >= samples:
-            break
-        bp = random_bsd_point(n, rng, radius)
-        tensor = ClosedFormCurvature(bp)
-        g = tensor.metric()
-        max_metric = max(max_metric, float(np.max(np.abs(
-            g - gram_at(coords_from_sym(bp.phi))))))
-        max_sharp = max(max_sharp, abs(tensor.hsc(tensor.sharp_direction()) + 2.0 / n))
-        starts = (ascent_rng.standard_normal((ASCENT_STARTS, nsym))
-                  + 1j * ascent_rng.standard_normal((ASCENT_STARTS, nsym)))
-        max_ascent = max(max_ascent, hsc_ascent(tensor, starts))
-        # G-orthonormal basis for the Ricci trace (Gram in the y^H H x
-        # convention is the transpose of the coordinate matrix G).
-        chol = np.linalg.cholesky(g.T)
-        onb = np.linalg.inv(chol).conj().T   # columns are G-orthonormal
-        for k in range(per_base):
-            if done >= samples:
-                break
-            xi = _unit_vector(g, rng.standard_normal(nsym) + 1j * rng.standard_normal(nsym))
-            eta = _unit_vector(g, rng.standard_normal(nsym) + 1j * rng.standard_normal(nsym))
-            hsc = tensor.pair(xi, xi).real
-            bis = tensor.pair(xi, eta).real
-            pairing = df_inner(g, eta, xi)
-            paired_excess = bis + (2.0 / n) * abs(pairing) ** 2
-            ric = sum(tensor.pair(xi, onb[:, a]).real for a in range(nsym))
-            if hsc > max_hsc:
-                max_hsc = hsc
-                witness = {"basepoint": bp.phi.tolist(), "xi": xi.tolist()}
-            max_bis = max(max_bis, bis)
-            max_paired = max(max_paired, paired_excess)
-            max_ric = max(max_ric, ric)
-            max_einstein = max(max_einstein, abs(ric + (n + 1)))
-            if k == 0 and base < ORACLE_BASEPOINTS:
-                for direction in (xi, eta):
-                    along = curvature_fd_along(space, J, frame, bp, direction, step=step)
-                    oracle = np.einsum("jk,j,k->", along, xi, xi.conj())
-                    max_pairing = max(max_pairing,
-                                      abs(tensor.pair(xi, direction) - oracle))
-            done += 1
-    return BoundsReport(n=n, samples=done, max_hsc=float(max_hsc),
-                        max_bisectional=float(max_bis),
-                        max_paired_bisectional_excess=float(max_paired),
-                        max_ricci=float(max_ric), worst_hsc_witness=witness,
+    curv = ClosedFormCurvature(phi[:, None])                  # stack (bases, 1)
+    g = curv.metric()[:, 0]
+    coords = coords_from_sym(phi)
+    _, gram_at = metric_field(space, J, frame, degree=1)
+    max_metric = np.max(np.abs(g - gram_at(coords)))
+    max_sharp = np.max(np.abs(curv.hsc(curv.sharp_direction()) + 2.0 / n))
+    max_ascent = np.max(hsc_ascent(curv, starts[:, 0] + 1j * starts[:, 1])[0])
+
+    xi = _unit_vector(g[owner], raw[:, 0] + 1j * raw[:, 1])
+    eta = _unit_vector(g[owner], raw[:, 2] + 1j * raw[:, 3])
+    # G-orthonormal basis for the Ricci trace (Gram in the y^H H x convention
+    # is the transpose of the coordinate matrix G): rows of onb.
+    onb = np.linalg.inv(np.linalg.cholesky(g.swapaxes(-1, -2))).conj()
+
+    def sample_pairs(s):
+        """R(xi, xi, d, d) for d = xi, eta and the rows of onb, at samples s."""
+        directions = np.concatenate([xi[s, None], eta[s, None], onb[owner[s]]], axis=1)
+        return ClosedFormCurvature(phi[owner[s], None]).pair(xi[s, None], directions)
+
+    block = max(1, GRAM_BLOCK_BYTES // (16 * (nsym + 2) * n * n))
+    pairs = np.concatenate([sample_pairs(slice(i, i + block))
+                            for i in range(0, len(owner), block)])
+    hsc, bis = pairs[:, 0].real, pairs[:, 1].real
+    ric = pairs[:, 2:].real.sum(axis=-1)
+    paired_excess = bis + (2.0 / n) * np.abs(df_inner(g[owner], eta, xi)) ** 2
+    worst = int(np.argmax(hsc))
+
+    first = (np.cumsum(counts) - counts)[:ORACLE_BASEPOINTS]  # first sample of a basepoint
+    along = _fd_along(gram_at, coords[:len(first), None],
+                      np.stack([xi[first], eta[first]], axis=1), step)
+    oracle = np.einsum("...jk,...j,...k->...", along, xi[first, None], xi[first, None].conj())
+    max_pairing = np.max(np.abs(pairs[first, :2] - oracle))
+    return BoundsReport(n=n, samples=len(owner), max_hsc=float(hsc[worst]),
+                        max_bisectional=float(np.max(bis)),
+                        max_paired_bisectional_excess=float(np.max(paired_excess)),
+                        max_ricci=float(np.max(ric)),
+                        worst_hsc_witness={"basepoint": phi[owner[worst]].tolist(),
+                                           "xi": xi[worst].tolist()},
                         hsc_bound=-2.0 / n, max_metric_error=float(max_metric),
                         max_pairing_error=float(max_pairing),
-                        max_einstein_defect=float(max_einstein),
+                        max_einstein_defect=float(np.max(np.abs(ric + (n + 1)))),
                         max_sharpness_defect=float(max_sharp),
                         max_ascent_hsc=float(max_ascent))
 

@@ -271,6 +271,22 @@ def test_bad_model_rejected_before_running(suite, model, monkeypatch, capsys):
     assert _single_error_line(capsys)
 
 
+def test_model_probe_builds_no_fiber_state(monkeypatch, tmp_path):
+    # The --model probe checks positivity from the fiber metric alone; the
+    # schumacher suite builds one state per model (flat and configured).
+    built = []
+    fiber_state = fib.fiber_state
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return fiber_state(*args, **kwargs)
+
+    monkeypatch.setattr(fib, "fiber_state", counted)
+    assert cli.main_verify(["--suite", "schumacher", "--model", "perturbed-torus eps=0.02",
+                            "--out", str(tmp_path / "r.json")]) == 0
+    assert len(built) == 2
+
+
 @pytest.mark.parametrize("grid", ["0", "-4", "3"])
 def test_grid_without_top_third_rejected(grid, tmp_path, capsys):
     assert cli.main_verify(["--suite", "pk-equivalence", "--grid", grid]) == 2

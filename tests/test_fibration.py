@@ -267,6 +267,24 @@ def test_positivity_error():
     bad = sym.model(-zs[0] * zbs[0], "bad")
     with pytest.raises(fib.PositivityError):
         fib.fiber_state(bad, 0.1)
+    with pytest.raises(fib.PositivityError):
+        fib.check_positivity(bad, 0.1)
+    fib.check_positivity(PERTURBED32, 0.3 + 1.2j)
+
+
+def test_one_dimensional_fiber_inverse_and_determinant():
+    # The 1 x 1 path (reciprocal, the entry itself) against the stacked
+    # LAPACK path it bypasses.
+    rng = np.random.default_rng(12)
+    ff = (rng.uniform(0.1, 2.0, (1, 1, 50)) + 1j * rng.uniform(-1.0, 1.0, (1, 1, 50)))
+    moved = np.moveaxis(ff, (0, 1), (-2, -1))
+    inverse = np.moveaxis(np.linalg.inv(moved), (-2, -1), (0, 1))
+    assert np.max(np.abs(fib._invert_ff(ff) - inverse)) <= 1e-15 * np.max(np.abs(inverse))
+    assert np.array_equal(fib._det_ff(ff), ff[0, 0])
+    assert np.max(np.abs(fib._det_ff(ff) - np.linalg.det(moved))) <= 1e-15 * np.max(np.abs(ff))
+    ff[0, 0, 7] = -0.5 + 3.0j
+    with pytest.raises(fib.PositivityError):
+        fib._invert_ff(ff)
 
 
 def test_spectral_fiber_quadrature_and_derivatives():

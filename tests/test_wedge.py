@@ -83,6 +83,16 @@ def test_derivation_matrix_degree_one_is_a_copy():
     assert m[0, 0] != 99.0
 
 
+def test_compound_matrix_degree_one_is_an_exact_copy():
+    m = _random_complex(np.random.default_rng(1), 4)
+    stack = np.stack([m, 2.0 * m])
+    assert np.array_equal(wedge.compound_matrix(stack, 1), stack)
+    c = wedge.compound_matrix(m, 1)
+    assert np.array_equal(c, m)
+    c[0, 0] = 99.0
+    assert m[0, 0] != 99.0
+
+
 _entries = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
 
@@ -105,6 +115,17 @@ def test_derivation_is_derivative_of_compound(case):
     central = (wedge.compound_matrix(eye + t * a, k)
                - wedge.compound_matrix(eye - t * a, k)) / (2 * t)
     assert np.max(np.abs(wedge.derivation_matrix(a, k) - central), initial=0.0) < 1e-6
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrix_pair_and_degree())
+def test_compound_matrix_is_multiplicative(case):
+    a, b, k = case
+    lhs = wedge.compound_matrix(a @ b, k)
+    rhs = wedge.compound_matrix(a, k) @ wedge.compound_matrix(b, k)
+    assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
+    if k == 1:
+        assert np.array_equal(wedge.compound_matrix(a, k), a)
 
 
 @settings(max_examples=60, deadline=None)
