@@ -352,10 +352,10 @@ def _fiber_points(model: FibrationModel, t: complex,
                   + 1j * rng.uniform(-1.0, 1.0, (model.n, BOX_SAMPLES)))
 
 
-def check_positivity(model: FibrationModel, t: complex, seed: int = 0) -> None:
-    """Raise PositivityError where `fiber_state(model, t, seed)` would, from
-    the fiber metric alone."""
-    _require_positive(model.second(t, _fiber_points(model, t, seed)[1])[2])
+def check_positivity(model: FibrationModel, t: complex) -> None:
+    """Raise PositivityError where `fiber_state(model, t)` would, from the
+    fiber metric alone."""
+    _require_positive(model.second(t, _fiber_points(model, t, 0)[1])[2])
 
 
 def fiber_state(model: FibrationModel, t: complex, seed: int = 0) -> FiberState:

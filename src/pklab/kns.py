@@ -108,18 +108,18 @@ def sym_dim(n: int) -> int:
     return n * (n + 1) // 2
 
 
+def sym_entry(n: int) -> np.ndarray:
+    """entry[a, b]: the index of the chart coordinate of phi[a, b] = phi[b, a]
+    (the `coords_from_sym` layout)."""
+    rows, cols = np.triu_indices(n)
+    entry = np.empty((n, n), dtype=int)
+    entry[rows, cols] = entry[cols, rows] = np.arange(len(rows))
+    return entry
+
+
 def sym_from_coords(coords: np.ndarray, n: int) -> np.ndarray:
     """Symmetric matrix of chart coordinates; coords may carry leading axes."""
-    coords = np.asarray(coords, dtype=complex)
-    phi = np.zeros(coords.shape[:-1] + (n, n), dtype=complex)
-    idx = 0
-    for a in range(n):
-        for b in range(a, n):
-            phi[..., a, b] += coords[..., idx]
-            if a != b:
-                phi[..., b, a] += coords[..., idx]
-            idx += 1
-    return phi
+    return np.asarray(coords, dtype=complex)[..., sym_entry(n)]
 
 
 def coords_from_sym(phi: np.ndarray) -> np.ndarray:

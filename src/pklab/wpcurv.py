@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _fd
 from .higgs import HiggsField
-from .kns import BsdPoint, coords_from_sym, random_bsd_point, sym_basis, sym_dim
+from .kns import BsdPoint, coords_from_sym, random_bsd_point, sym_basis, sym_dim, sym_entry
 from .symplin import ComplexStructure, SymplecticSpace, UnitaryFrame
 
 KAHLER_SYM_TOL = 1e-6
@@ -104,6 +104,12 @@ class BoundsReport:
     max_ascent_hsc: float          # best hsc found by gradient ascent
 
 
+def _in_blocks(evaluate, length: int, block: int) -> np.ndarray:
+    """evaluate(s) on the slices s of range(length) of `block` items each,
+    concatenated along the first axis."""
+    return np.concatenate([evaluate(slice(i, i + block)) for i in range(0, length, block)])
+
+
 def metric_field(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFrame,
                  degree: int = 1):
     """coords -> Hilbert-Schmidt Gram matrix of the degree-(-1,1) field.
@@ -128,7 +134,7 @@ def metric_field(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFram
     def gram_at(coords: np.ndarray) -> np.ndarray:
         coords = np.asarray(coords, dtype=complex)
         flat = coords.reshape(-1, nsym)
-        out = np.concatenate([grams(flat[i:i + block]) for i in range(0, len(flat), block)])
+        out = _in_blocks(lambda s: grams(flat[s]), len(flat), block)
         return out.reshape(coords.shape[:-1] + (nsym, nsym))
 
     return field_, gram_at
@@ -233,23 +239,26 @@ class ClosedFormCurvature:
     phi: np.ndarray
     b: np.ndarray = field(init=False, repr=False)
     basis: np.ndarray = field(init=False, repr=False)
-    entry: np.ndarray = field(init=False, repr=False)   # coordinate of X[a, b]
+    entry: np.ndarray = field(init=False, repr=False)   # kns.sym_entry, built once
 
     def __post_init__(self):
         phi = np.asarray(self.phi, dtype=complex)
         n = phi.shape[-1]
-        rows, cols = np.triu_indices(n)
-        entry = np.empty((n, n), dtype=int)
-        entry[rows, cols] = entry[cols, rows] = np.arange(len(rows))
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "b", np.linalg.inv(np.eye(n) - phi @ phi.conj()))
         object.__setattr__(self, "basis", np.stack(sym_basis(n)))
-        object.__setattr__(self, "entry", entry)
+        object.__setattr__(self, "entry", sym_entry(n))
 
     def metric(self) -> np.ndarray:
-        """G[..., j, k] = tr(B S_j conj(B) S_k), in metric_field's convention."""
-        b = self.b[..., None, :, :]
-        return np.einsum("...jab,...kba->...jk", b @ self.basis, b.conj() @ self.basis)
+        """G[..., j, k] = tr(B S_j conj(B) S_k), in metric_field's convention;
+        a long basepoint stack is evaluated in blocks of about
+        GRAM_BLOCK_BYTES of the products B S_j."""
+        n, nsym = self.basis.shape[-1], len(self.basis)
+        b = self.b.reshape(-1, 1, n, n)
+        out = _in_blocks(lambda s: np.einsum("...jab,...kba->...jk", b[s] @ self.basis,
+                                             b[s].conj() @ self.basis),
+                         len(b), max(1, GRAM_BLOCK_BYTES // (16 * nsym * n * n)))
+        return out.reshape(self.b.shape[:-2] + (nsym, nsym))
 
     def _halves(self, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         x = np.asarray(xi, dtype=complex)[..., self.entry]     # X = sum xi_j S_j
@@ -313,6 +322,7 @@ def hsc_ascent(curv: ClosedFormCurvature,
     passes: the step that halving one rung at a time would take.
     """
     g = curv.metric()
+    g_conj = g.conj()
 
     def ascent_direction(xi):
         """hsc at xi, the ascent direction and the slope along it."""
@@ -322,7 +332,7 @@ def hsc_ascent(curv: ClosedFormCurvature,
         tr_p, tr_pp = _trace(p).real, _trace(p @ p).real
         m = tr_p[..., None, None] * (p @ w) - tr_pp[..., None, None] * w
         grad = -4.0 * np.einsum("...ab,jba->...j", m, curv.basis) / tr_p[..., None] ** 3
-        direction = np.linalg.solve(g.conj(), grad[..., None])[..., 0]
+        direction = np.linalg.solve(g_conj, grad[..., None])[..., 0]
         slope = 2.0 * (grad.conj()[..., None, :] @ direction[..., None])[..., 0, 0].real
         return -2.0 * tr_pp / tr_p ** 2, direction, slope     # = _hsc(p)
 
@@ -435,12 +445,14 @@ def burns_bounds(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFram
 
     Every draw comes first, in per-basepoint order: a basepoint, then the
     (xi, eta) pair of each of its samples; the last basepoint may take fewer
-    samples.  Pairings come from `ClosedFormCurvature` on stacks: one call
-    pairs every sample's xi with xi, eta and the G-orthonormal basis of the
-    Ricci trace (in blocks of about GRAM_BLOCK_BYTES at large n).  Its metric is compared with one `metric_field` call on all
-    basepoints, and its two pairings of the first sample with the one-line
-    difference oracle (`curvature_fd_along`) at the first ORACLE_BASEPOINTS
-    basepoints, all lines in one call.  Each basepoint also records the
+    samples.  Pairings come from `ClosedFormCurvature` on stacks: per
+    basepoint, one call pairs every sample's xi with xi and eta and one with
+    the G-orthonormal basis of the Ricci trace (in blocks of samples of about
+    GRAM_BLOCK_BYTES at large n).  Its metric is compared with one
+    `metric_field` call on all basepoints, and its two pairings of the first
+    sample with the one-line difference oracle (`curvature_fd_along`) at the
+    first ORACLE_BASEPOINTS basepoints, in blocks of lines of about
+    GRAM_BLOCK_BYTES (one call at small n).  Each basepoint also records the
     sharpness witness L L^T and a `hsc_ascent` from ASCENT_STARTS starts
     drawn from a second generator, so the sweep's own draws are those of the
     tensor sweep.
@@ -455,12 +467,12 @@ def burns_bounds(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFram
     per_base = -(-samples // n_base)
     counts = [c for c in (min(per_base, samples - b * per_base) for b in range(n_base))
               if c > 0]
-    phis, raws = [], []
+    phis, directions = [], []
     for count in counts:
         phis.append(random_bsd_point(n, rng, radius).phi)
-        raws.append(rng.standard_normal((count, 4, nsym)))    # re/im of xi, eta
+        raw = rng.standard_normal((count, 4, nsym))           # re/im of xi, eta
+        directions.append(raw[:, 0::2] + 1j * raw[:, 1::2])   # (xi, eta) per sample
     phi = np.stack(phis)
-    raw = np.concatenate(raws)
     owner = np.repeat(np.arange(len(counts)), counts)         # basepoint of each sample
     starts = ascent_rng.standard_normal((len(counts), 2, ASCENT_STARTS, nsym))
 
@@ -472,30 +484,40 @@ def burns_bounds(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFram
     max_sharp = np.max(np.abs(curv.hsc(curv.sharp_direction()) + 2.0 / n))
     max_ascent = np.max(hsc_ascent(curv, starts[:, 0] + 1j * starts[:, 1])[0])
 
-    xi = _unit_vector(g[owner], raw[:, 0] + 1j * raw[:, 1])
-    eta = _unit_vector(g[owner], raw[:, 2] + 1j * raw[:, 3])
-    # G-orthonormal basis for the Ricci trace (Gram in the y^H H x convention
-    # is the transpose of the coordinate matrix G): rows of onb.
-    onb = np.linalg.inv(np.linalg.cholesky(g.swapaxes(-1, -2))).conj()
-
-    def sample_pairs(s):
-        """R(xi, xi, d, d) for d = xi, eta and the rows of onb, at samples s."""
-        directions = np.concatenate([xi[s, None], eta[s, None], onb[owner[s]]], axis=1)
-        return ClosedFormCurvature(phi[owner[s], None]).pair(xi[s, None], directions)
+    def sample_block(base, xi_eta):
+        """Columns at the raw (xi, eta) pairs of one basepoint: the G-norms
+        of xi and eta, then R(xi, xi, d, d) for d = xi, eta, |G(eta, xi)|^2
+        and the Ricci trace (d over the rows of onb).  The basepoint's G and
+        onb broadcast against the samples: no matrix is copied per sample."""
+        # G-orthonormal basis for the Ricci trace (Gram in the y^H H x
+        # convention is the transpose of the coordinate matrix G): rows of onb.
+        onb = np.linalg.inv(np.linalg.cholesky(g[base].T)).conj()
+        norms = np.sqrt(df_inner(g[base], xi_eta, xi_eta).real)
+        xi_b, eta_b = (xi_eta / norms[..., None]).swapaxes(0, 1)
+        c = ClosedFormCurvature(phi[base])
+        return np.column_stack([norms, c.pair(xi_b[:, None], np.stack([xi_b, eta_b], 1)).real,
+                                np.abs(df_inner(g[base], eta_b, xi_b)) ** 2,
+                                c.pair(xi_b[:, None], onb).real.sum(axis=-1)])
 
     block = max(1, GRAM_BLOCK_BYTES // (16 * (nsym + 2) * n * n))
-    pairs = np.concatenate([sample_pairs(slice(i, i + block))
-                            for i in range(0, len(owner), block)])
-    hsc, bis = pairs[:, 0].real, pairs[:, 1].real
-    ric = pairs[:, 2:].real.sum(axis=-1)
-    paired_excess = bis + (2.0 / n) * np.abs(df_inner(g[owner], eta, xi)) ** 2
+    columns = np.concatenate([_in_blocks(lambda s: sample_block(base, d[s]), len(d), block)
+                              for base, d in enumerate(directions)])
+    norm_x, norm_y, hsc, bis, inner2, ric = columns.T
+    paired_excess = bis + (2.0 / n) * inner2
     worst = int(np.argmax(hsc))
+    xi_eta = np.concatenate(directions)
+    xi = xi_eta[:, 0] / norm_x[:, None]
 
     first = (np.cumsum(counts) - counts)[:ORACLE_BASEPOINTS]  # first sample of a basepoint
-    along = _fd_along(gram_at, coords[:len(first), None],
-                      np.stack([xi[first], eta[first]], axis=1), step)
+    origins = np.repeat(coords[:len(first)], 2, axis=0)
+    lines = np.stack([xi[first], xi_eta[first, 1] / norm_y[first, None]],
+                     axis=1).reshape(-1, nsym)
+    # Lines per oracle call: each line's stencil holds 17 Gram matrices.
+    line_block = max(1, GRAM_BLOCK_BYTES // (16 * 17 * nsym * nsym))
+    along = _in_blocks(lambda s: _fd_along(gram_at, origins[s], lines[s], step),
+                       len(lines), line_block).reshape(len(first), 2, nsym, nsym)
     oracle = np.einsum("...jk,...j,...k->...", along, xi[first, None], xi[first, None].conj())
-    max_pairing = np.max(np.abs(pairs[first, :2] - oracle))
+    max_pairing = np.max(np.abs(np.stack([hsc[first], bis[first]], axis=1) - oracle))
     return BoundsReport(n=n, samples=len(owner), max_hsc=float(hsc[worst]),
                         max_bisectional=float(np.max(bis)),
                         max_paired_bisectional_excess=float(np.max(paired_excess)),

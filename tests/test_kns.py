@@ -155,3 +155,16 @@ def test_structure_convention_transpose_relation():
     lhs = (a_vstar @ j0.covector_action()).T
     rhs = j0.J @ a_v
     assert np.max(np.abs(lhs - rhs)) < 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_sym_from_coords_is_the_basis_sum_and_inverts_coords_from_sym(n):
+    # The one index table `sym_entry` places coordinate j where sym_basis S_j
+    # is non-zero; on stacks, sym_from_coords and coords_from_sym invert each other.
+    rng = np.random.default_rng(70 + n)
+    nsym = kns.sym_dim(n)
+    coords = rng.standard_normal((3, 2, nsym)) + 1j * rng.standard_normal((3, 2, nsym))
+    phi = kns.sym_from_coords(coords, n)
+    basis = np.stack(kns.sym_basis(n))
+    assert np.array_equal(phi, np.einsum("...j,jab->...ab", coords, basis))
+    assert np.array_equal(kns.coords_from_sym(phi), coords)
