@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _fd, wedge
-from .kns import BsdPoint, sym_basis, sym_dim, sym_from_coords, coords_from_sym, BoundaryProximityError, spectral_radius_phibar, BOUNDARY_MARGIN
+from .kns import BsdPoint, sym_basis, sym_dim, sym_from_coords, BoundaryProximityError, spectral_radius_phibar, BOUNDARY_MARGIN
 from .symplin import ComplexStructure, SymplecticSpace, UnitaryFrame
 from .kns import structure_from_bsd
 
@@ -91,8 +91,12 @@ class HiggsField:
 
     def graph_frame(self, coords: np.ndarray) -> np.ndarray:
         phi = self.phi(coords)
-        eye = np.broadcast_to(np.eye(self.n), phi.shape)
-        return np.block([[eye, phi.conj()], [phi, eye]])
+        n = self.n
+        f = np.empty(phi.shape[:-2] + (2 * n, 2 * n), dtype=complex)
+        f[..., :n, :n] = f[..., n:, n:] = np.eye(n)
+        f[..., :n, n:] = phi.conj()
+        f[..., n:, :n] = phi
+        return f
 
     def theta1(self, coords: np.ndarray) -> np.ndarray:
         """theta_mu = Q (d_mu F) F^{-1}: images of the holomorphic frame columns,
@@ -124,9 +128,12 @@ class HiggsField:
     def frame_change(self, coords: np.ndarray) -> np.ndarray:
         return wedge.compound_matrix(self.graph_frame(coords), self.k)
 
-    def projectors(self, coords: np.ndarray) -> np.ndarray:
-        """Type projectors, one per entry of `types`: shape (..., npq, dim, dim)."""
-        wk = self.frame_change(coords)[..., None, :, :]
+    def projectors(self, coords: np.ndarray, wk: np.ndarray | None = None) -> np.ndarray:
+        """Type projectors, one per entry of `types`: shape (..., npq, dim, dim).
+        wk is `frame_change(coords)` when the caller has already formed it."""
+        if wk is None:
+            wk = self.frame_change(coords)
+        wk = wk[..., None, :, :]
         return wk @ self._type_diags @ np.linalg.inv(wk)
 
     def theta(self, coords: np.ndarray) -> np.ndarray:
@@ -155,15 +162,36 @@ class HiggsField:
 
     def frame_at(self, coords: np.ndarray) -> HiggsFrame:
         self.guard(coords)
-        projs = self.projectors(coords)
+        wk = self.frame_change(coords)
+        return self._frame(coords, wk, self.projectors(coords, wk), self.theta(coords),
+                           self.gram(coords))
+
+    def _frame(self, coords: np.ndarray, wk: np.ndarray, projs: np.ndarray,
+               theta: np.ndarray, gram: np.ndarray) -> HiggsFrame:
+        """The HiggsFrame of field values already taken at coords."""
         return HiggsFrame(
             k=self.k,
             phi=self.phi(coords),
             proj={pq: projs[..., b, :, :] for b, pq in enumerate(self.types)},
-            theta=self.theta(coords),
-            gram=self.gram(coords),
-            frame_change=self.frame_change(coords),
+            theta=theta,
+            gram=gram,
+            frame_change=wk,
         )
+
+    def stencil(self, coords: np.ndarray, step: float = _fd.DEFAULT_STEP) -> HiggsStencil:
+        """The field on the nested difference stencil at one base point,
+        every point evaluated once."""
+        self.guard(coords)
+        points = (coords, _fd.gradient_points(coords, step))
+        points += (_fd.gradient_points(points[1], step),)
+        wk = tuple(self.frame_change(p) for p in points)
+        projs = tuple(self.projectors(p, w) for p, w in zip(points, wk))
+        theta = tuple(self.theta(p) for p in points[:2])
+        gram = tuple(self.gram(p) for p in points[:2])
+        return HiggsStencil(
+            field=self, step=step, points=points, wk=wk, projs=projs, theta=theta,
+            theta_bar=tuple(self.theta_bar(p) for p in points[:2]), gram=gram,
+            frame=self._frame(coords, wk[0], projs[0], theta[0], gram[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +202,26 @@ class HiggsField:
 # the stencil point and the next-to-last the coordinate, and a stencil of
 # stencils is `_fd.gradient_points` of those points.
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class HiggsStencil:
+    """The field on the nested stencil at one base point (`HiggsField.stencil`).
+
+    Each tuple is indexed by stencil level: 0 the base point (nsym,), 1 its
+    `_fd.gradient_points` (8, nsym, nsym) and 2 theirs (8, 8, nsym, nsym,
+    nsym).  The checks below read these values and evaluate nothing else.
+    """
+
+    field: HiggsField
+    step: float
+    points: tuple[np.ndarray, ...]
+    wk: tuple[np.ndarray, ...]          # frame change, levels 0..2
+    projs: tuple[np.ndarray, ...]       # type projectors, levels 0..2
+    theta: tuple[np.ndarray, ...]       # levels 0..1
+    theta_bar: tuple[np.ndarray, ...]   # levels 0..1
+    gram: tuple[np.ndarray, ...]        # levels 0..1
+    frame: HiggsFrame                   # `HiggsField.frame_at` the base point
+
 
 def _projected(projs: np.ndarray, projs_pts: np.ndarray, values: np.ndarray | None,
                bar: bool, step: float) -> np.ndarray:
@@ -194,25 +242,22 @@ def _projected(projs: np.ndarray, projs_pts: np.ndarray, values: np.ndarray | No
     return total
 
 
-def _covariant_frame(field_: HiggsField, coords: np.ndarray, projs: np.ndarray,
-                     step: float) -> tuple[np.ndarray, np.ndarray]:
+def _covariant_frame(st: HiggsStencil, level: int) -> tuple[np.ndarray, np.ndarray]:
     """Projected holomorphic and antiholomorphic derivatives of the frame
-    sections (the wedge power of the graph frame) along every coordinate:
-    two arrays (*L, nsym, d, d) for coords (*L, nsym) with projectors projs."""
-    pts = _fd.gradient_points(coords, step)
-    sections = field_.frame_change(pts)[..., None, :, :]
-    projs_pts = field_.projectors(pts)
-    return tuple(_projected(projs, projs_pts, sections, bar, step)[..., 0, :, :]
+    sections (the wedge power of the graph frame) along every coordinate, at
+    the points of a stencil level: two arrays (*L, nsym, d, d)."""
+    sections = st.wk[level + 1][..., None, :, :]
+    return tuple(_projected(st.projs[level], st.projs[level + 1], sections, bar,
+                            st.step)[..., 0, :, :]
                  for bar in (False, True))
 
 
-def _connection_forms(field_: HiggsField, coords: np.ndarray,
-                      step: float) -> tuple[np.ndarray, np.ndarray]:
+def _connection_forms(st: HiggsStencil, level: int) -> tuple[np.ndarray, np.ndarray]:
     """Connection forms of the type-preserving part in the constant frame,
-    holomorphic and antiholomorphic, along every coordinate: (*L, nsym, d, d)."""
-    projs = field_.projectors(coords)
-    projs_pts = field_.projectors(_fd.gradient_points(coords, step))
-    return tuple(_projected(projs, projs_pts, None, bar, step)[..., 0, :, :]
+    holomorphic and antiholomorphic, along every coordinate, at the points of
+    a stencil level: (*L, nsym, d, d)."""
+    return tuple(_projected(st.projs[level], st.projs[level + 1], None, bar,
+                            st.step)[..., 0, :, :]
                  for bar in (False, True))
 
 
@@ -230,31 +275,22 @@ class SplitReport:
         return max(self.holo_residual, self.antiholo_residual)
 
 
-def connection_split_check(field_: HiggsField, coords: np.ndarray,
-                           step: float = 1e-3) -> SplitReport:
+def connection_split_check(st: HiggsStencil) -> SplitReport:
     """Residual of (plain derivative) = (type-projected derivative) + mixing field.
 
     Sample sections are the wedge powers of the holomorphic graph frame; the
     plain and projected derivatives are measured by central differences while
     the mixing field matrices come from the closed form.
     """
-    field_.guard(coords)
-    sections0 = field_.frame_change(coords)
-    pts = _fd.gradient_points(coords, step)
-    sections = field_.frame_change(pts)
-    projs_pts = field_.projectors(pts)
-    projs = field_.projectors(coords)
     residuals = []
-    for bar, mixing in ((False, field_.theta(coords)), (True, field_.theta_bar(coords))):
-        plain = _fd.xy_combine(sections, bar, step)
-        projected = _projected(projs, projs_pts, sections[..., None, :, :], bar, step)
-        residuals.append(float(np.max(np.abs(
-            plain - projected[..., 0, :, :] - mixing @ sections0))))
+    for bar, mixing, projected in zip((False, True), (st.theta[0], st.theta_bar[0]),
+                                      _covariant_frame(st, 0)):
+        plain = _fd.xy_combine(st.wk[1], bar, st.step)
+        residuals.append(float(np.max(np.abs(plain - projected - mixing @ st.wk[0]))))
     return SplitReport(holo_residual=residuals[0], antiholo_residual=residuals[1])
 
 
-def curvature_operator(field_: HiggsField, coords: np.ndarray,
-                       step: float = 1e-3) -> np.ndarray:
+def curvature_operator(st: HiggsStencil) -> np.ndarray:
     """Mixed curvature operators of the type-preserving connection by nested differences.
 
     Measures the commutator of the projected holomorphic and antiholomorphic
@@ -263,14 +299,10 @@ def curvature_operator(field_: HiggsField, coords: np.ndarray,
     Entry [j, kbar] is the operator of the pair (d_j, d_kbar); both orders of
     differentiation read one stencil of stencils.
     """
-    field_.guard(coords)
-    projs = field_.projectors(coords)
-    outer = _fd.gradient_points(coords, step)
-    projs_outer = field_.projectors(outer)
-    inner_holo, inner_anti = _covariant_frame(field_, outer, projs_outer, step)
-    first = _projected(projs, projs_outer, inner_anti, False, step)    # [j, kbar]
-    second = _projected(projs, projs_outer, inner_holo, True, step)    # [kbar, j]
-    return (first - second.swapaxes(0, 1)) @ np.linalg.inv(field_.frame_change(coords))
+    inner_holo, inner_anti = _covariant_frame(st, 1)
+    first = _projected(st.projs[0], st.projs[1], inner_anti, False, st.step)    # [j, kbar]
+    second = _projected(st.projs[0], st.projs[1], inner_holo, True, st.step)    # [kbar, j]
+    return (first - second.swapaxes(0, 1)) @ np.linalg.inv(st.wk[0])
 
 
 def curvature_algebraic(frame: HiggsFrame) -> np.ndarray:
@@ -332,8 +364,7 @@ class FlatnessReport:
         return max(self.mixed_residual, self.holo_residual, self.dbar_square_residual)
 
 
-def flatness_check(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFrame,
-                   basepoint: BsdPoint, k: int, step: float = 1e-3) -> FlatnessReport:
+def flatness_check(st: HiggsStencil) -> FlatnessReport:
     """Plaquette curvature residuals of the reassembled flat connection.
 
     The full connection form (type-preserving part measured by differences
@@ -342,26 +373,23 @@ def flatness_check(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFr
     must also square to zero (integrability of the induced holomorphic
     structure).
     """
-    field_ = HiggsField(space, J, frame, k)
-    coords = coords_from_sym(basepoint.phi)
-    field_.guard(coords)
-    nsym = field_.nsym
+    nsym = st.field.nsym
 
-    def forms(c):
-        """a_holo, a_anti and a_d_anti along every coordinate, at c (*L, nsym)."""
-        d_holo, d_anti = _connection_forms(field_, c, step)
-        return d_holo + field_.theta(c), d_anti + field_.theta_bar(c), d_anti
+    def forms(level):
+        """a_holo, a_anti and a_d_anti along every coordinate, at a stencil level."""
+        d_holo, d_anti = _connection_forms(st, level)
+        return d_holo + st.theta[level], d_anti + st.theta_bar[level], d_anti
 
     def commutators(a, b):
         """[a_j, b_kk] as entry [j, kk]."""
         return a[:, None] @ b[None, :] - b[None, :] @ a[:, None]
 
-    a_holo, a_anti, a_d_anti = forms(coords)
+    a_holo, a_anti, a_d_anti = forms(0)
     # Differences of the forms at the stencil points: [j, kk] is the
     # derivative along j of the form along kk.
-    s_holo, s_anti, s_d_anti = forms(_fd.gradient_points(coords, step))
-    da = _fd.xy_combine(s_anti, False, step)
-    db = _fd.xy_combine(s_holo, True, step).swapaxes(0, 1)
+    s_holo, s_anti, s_d_anti = forms(1)
+    da = _fd.xy_combine(s_anti, False, st.step)
+    db = _fd.xy_combine(s_holo, True, st.step).swapaxes(0, 1)
     mixed = float(np.max(np.abs(da - db + commutators(a_holo, a_anti))))
     if nsym == 1:
         # Single coordinate: the (2,0)/(0,2) planes are empty; report the
@@ -370,35 +398,27 @@ def flatness_check(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFr
     upper = np.triu_indices(nsym, 1)    # the planes kk > j
     squares = []
     for values, bar, a in ((s_holo, False, a_holo), (s_d_anti, True, a_d_anti)):
-        d = _fd.xy_combine(values, bar, step)
+        d = _fd.xy_combine(values, bar, st.step)
         squares.append(float(np.max(np.abs(
             (d - d.swapaxes(0, 1) + commutators(a, a))[upper]))))
     return FlatnessReport(mixed_residual=mixed, holo_residual=squares[0],
                           dbar_square_residual=squares[1])
 
 
-def chern_compatibility_check(field_: HiggsField, coords: np.ndarray,
-                              step: float = 1e-3) -> float:
+def chern_compatibility_check(st: HiggsStencil) -> float:
     """Residual of d<u,v> = <Du,v> + <u,Dv> on the holomorphic frame sections."""
-    field_.guard(coords)
-    pts = _fd.gradient_points(coords, step)
-    wk = field_.frame_change(pts)
-    pairings = wk.conj().swapaxes(-1, -2) @ field_.gram(pts) @ wk   # [b,a] = <U_a, U_b>
-    dpair = _fd.xy_combine(pairings, False, step)
-    gram0 = field_.gram(coords)
-    wk0 = field_.frame_change(coords)
-    du, dv = _covariant_frame(field_, coords, field_.projectors(coords), step)
+    wk, wk0, gram0 = st.wk[1], st.wk[0], st.gram[0]
+    pairings = wk.conj().swapaxes(-1, -2) @ st.gram[1] @ wk   # [b,a] = <U_a, U_b>
+    dpair = _fd.xy_combine(pairings, False, st.step)
+    du, dv = _covariant_frame(st, 0)
     expected = dv.conj().swapaxes(-1, -2) @ gram0 @ wk0 + wk0.conj().T @ gram0 @ du
     return float(np.max(np.abs(dpair - expected)))
 
 
-def theta_holomorphy_check(field_: HiggsField, coords: np.ndarray,
-                           step: float = 1e-3) -> float:
+def theta_holomorphy_check(st: HiggsStencil) -> float:
     """Residual of the antiholomorphic covariant derivative of the mixing field."""
-    field_.guard(coords)
-    pts = _fd.gradient_points(coords, step)
     # a_bar[kk, 0] is the antiholomorphic connection form along kk.
-    a_bar = _projected(field_.projectors(coords), field_.projectors(pts), None, True, step)
-    dtheta = _fd.xy_combine(field_.theta(pts), True, step)    # [kk, j]: d_kkbar theta_j
-    theta = field_.theta(coords)
+    a_bar = _projected(st.projs[0], st.projs[1], None, True, st.step)
+    dtheta = _fd.xy_combine(st.theta[1], True, st.step)    # [kk, j]: d_kkbar theta_j
+    theta = st.theta[0]
     return float(np.max(np.abs(dtheta + a_bar @ theta - theta @ a_bar)))

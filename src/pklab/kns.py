@@ -11,6 +11,7 @@ solve; their agreement is a core test surface.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -108,12 +109,14 @@ def sym_dim(n: int) -> int:
     return n * (n + 1) // 2
 
 
+@lru_cache(maxsize=None)
 def sym_entry(n: int) -> np.ndarray:
     """entry[a, b]: the index of the chart coordinate of phi[a, b] = phi[b, a]
-    (the `coords_from_sym` layout)."""
+    (the `coords_from_sym` layout).  The cached table is shared and read-only."""
     rows, cols = np.triu_indices(n)
     entry = np.empty((n, n), dtype=int)
     entry[rows, cols] = entry[cols, rows] = np.arange(len(rows))
+    entry.setflags(write=False)
     return entry
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _fd
 from .higgs import HiggsField
-from .kns import BsdPoint, coords_from_sym, random_bsd_point, sym_basis, sym_dim, sym_entry
+from .kns import BsdPoint, coords_from_sym, random_bsd_point, sym_basis, sym_dim, sym_from_coords
 from .symplin import ComplexStructure, SymplecticSpace, UnitaryFrame
 
 KAHLER_SYM_TOL = 1e-6
@@ -239,7 +239,6 @@ class ClosedFormCurvature:
     phi: np.ndarray
     b: np.ndarray = field(init=False, repr=False)
     basis: np.ndarray = field(init=False, repr=False)
-    entry: np.ndarray = field(init=False, repr=False)   # kns.sym_entry, built once
 
     def __post_init__(self):
         phi = np.asarray(self.phi, dtype=complex)
@@ -247,7 +246,6 @@ class ClosedFormCurvature:
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "b", np.linalg.inv(np.eye(n) - phi @ phi.conj()))
         object.__setattr__(self, "basis", np.stack(sym_basis(n)))
-        object.__setattr__(self, "entry", sym_entry(n))
 
     def metric(self) -> np.ndarray:
         """G[..., j, k] = tr(B S_j conj(B) S_k), in metric_field's convention;
@@ -261,7 +259,7 @@ class ClosedFormCurvature:
         return out.reshape(self.b.shape[:-2] + (nsym, nsym))
 
     def _halves(self, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x = np.asarray(xi, dtype=complex)[..., self.entry]     # X = sum xi_j S_j
+        x = sym_from_coords(xi, self.phi.shape[-1])     # X = sum xi_j S_j
         return self.b @ x, self.b.conj() @ x.conj()
 
     def pair(self, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -303,13 +301,14 @@ def _pairing(bx, bxb, by, byb):
     return -(_trace(bx @ bxb @ by @ byb) + _trace(bx @ byb @ by @ bxb))
 
 
-def hsc_ascent(curv: ClosedFormCurvature,
-               starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def hsc_ascent(curv: ClosedFormCurvature, starts: np.ndarray,
+               g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Holomorphic sectional curvature reached by gradient ascent from each
     start, and the number of steps taken (both of shape starts.shape[:-1]).
 
     From each start (a row (..., nsym), broadcast against curv's stack):
-    steepest ascent for the metric G, halving the step until the rise meets
+    steepest ascent for the metric g = curv.metric() (the caller's, shaped
+    to broadcast like curv's stack), halving the step until the rise meets
     a quarter of the slope (Armijo), for at most ASCENT_ITERATIONS steps or
     until the slope is rounding.  With P = BX conj(BX) and W = BX conj(B),
     the Wirtinger gradient of hsc = -2 tr(P^2) / tr(P)^2 is
@@ -321,7 +320,6 @@ def hsc_ascent(curv: ClosedFormCurvature,
     ascent still searching in one call and takes the first rung that
     passes: the step that halving one rung at a time would take.
     """
-    g = curv.metric()
     g_conj = g.conj()
 
     def ascent_direction(xi):
@@ -482,7 +480,7 @@ def burns_bounds(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFram
     _, gram_at = metric_field(space, J, frame, degree=1)
     max_metric = np.max(np.abs(g - gram_at(coords)))
     max_sharp = np.max(np.abs(curv.hsc(curv.sharp_direction()) + 2.0 / n))
-    max_ascent = np.max(hsc_ascent(curv, starts[:, 0] + 1j * starts[:, 1])[0])
+    max_ascent = np.max(hsc_ascent(curv, starts[:, 0] + 1j * starts[:, 1], g[:, None])[0])
 
     def sample_block(base, xi_eta):
         """Columns at the raw (xi, eta) pairs of one basepoint: the G-norms

@@ -144,7 +144,8 @@ def test_lockstep_ascents_take_the_sequential_steps(n, rungs, monkeypatch):
     phi = np.stack([kns.random_bsd_point(n, rng, 0.75).phi for _ in range(4)])
     starts = (rng.standard_normal((4, wp.ASCENT_STARTS, nsym))
               + 1j * rng.standard_normal((4, wp.ASCENT_STARTS, nsym)))
-    values, steps = wp.hsc_ascent(wp.ClosedFormCurvature(phi[:, None]), starts)
+    curv = wp.ClosedFormCurvature(phi[:, None])
+    values, steps = wp.hsc_ascent(curv, starts, curv.metric())
     assert values.shape == steps.shape == (4, wp.ASCENT_STARTS)
     for base in range(4):
         single = wp.ClosedFormCurvature(phi[base])

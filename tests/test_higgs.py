@@ -1,7 +1,9 @@
 """Degree-k bundle structure: mixing field, connection split, curvature.
 
-The five finite-difference checks evaluate whole stencils in one field call;
-they are compared here with the per-point nested loops they replaced.
+The five finite-difference checks read one stencil state per base point
+(`HiggsField.stencil`), whose nested stencil is evaluated in one field call
+per level; they are compared here with the per-point nested loops they
+replaced.
 """
 
 import numpy as np
@@ -92,7 +94,7 @@ def test_connection_split(n, k):
     _, _, _, field_ = field_for(n, k)
     rng = np.random.default_rng(3)
     for bp in [kns.BsdPoint(phi=np.zeros((n, n))), kns.random_bsd_point(n, rng, 0.45)]:
-        rep = hg.connection_split_check(field_, kns.coords_from_sym(bp.phi))
+        rep = hg.connection_split_check(field_.stencil(kns.coords_from_sym(bp.phi)))
         assert rep.residual < 1e-6
 
 
@@ -100,7 +102,7 @@ def test_connection_split_near_boundary():
     _, _, _, field_ = field_for(2, 1)
     rng = np.random.default_rng(23)
     bp = kns.random_bsd_point(2, rng, 0.9)
-    rep = hg.connection_split_check(field_, kns.coords_from_sym(bp.phi))
+    rep = hg.connection_split_check(field_.stencil(kns.coords_from_sym(bp.phi)))
     assert rep.residual < 1e-5
 
 
@@ -109,7 +111,7 @@ def test_curvature_operator_frozen_value():
     # line-bundle weight 2(1 - |t|^2)) gives diag(+1, -1) on (dz, dzbar).
     _, _, _, field_ = field_for(1, 1)
     zero = np.zeros(1, dtype=complex)
-    theta_fd = hg.curvature_operator(field_, zero)
+    theta_fd = hg.curvature_operator(field_.stencil(zero))
     assert theta_fd.shape == (1, 1, 2, 2)
     assert np.allclose(theta_fd[0, 0], np.diag([1.0, -1.0]), atol=1e-8)
     frame = field_.frame_at(zero)
@@ -122,7 +124,7 @@ def test_curvature_matches_algebra(n, k):
     rng = np.random.default_rng(31)
     coords = kns.coords_from_sym(kns.random_bsd_point(n, rng, 0.5).phi)
     frame = field_.frame_at(coords)
-    fd = hg.curvature_operator(field_, coords)
+    fd = hg.curvature_operator(field_.stencil(coords))
     alg = hg.curvature_algebraic(frame)
     assert fd.shape == alg.shape == (field_.nsym, field_.nsym, frame.dim, frame.dim)
     assert np.max(np.abs(fd - alg)) < 1e-5
@@ -131,19 +133,17 @@ def test_curvature_matches_algebra(n, k):
 def test_degree_zero_curvature_zero():
     _, _, _, field_ = field_for(1, 0)
     zero = np.zeros(1, dtype=complex)
-    assert np.max(np.abs(hg.curvature_operator(field_, zero))) < 1e-12
+    assert np.max(np.abs(hg.curvature_operator(field_.stencil(zero)))) < 1e-12
 
 
 @pytest.mark.parametrize("n,k", [(1, 1), (2, 2)])
 def test_flatness_and_holomorphy(n, k):
-    sp, j0, frame, field_ = field_for(n, k)
+    _, _, _, field_ = field_for(n, k)
     rng = np.random.default_rng(8)
-    bp = kns.random_bsd_point(n, rng, 0.4)
-    rep = hg.flatness_check(sp, j0, frame, bp, k)
-    assert rep.residual < 1e-5
-    coords = kns.coords_from_sym(bp.phi)
-    assert hg.chern_compatibility_check(field_, coords) < 1e-5
-    assert hg.theta_holomorphy_check(field_, coords) < 1e-5
+    st = field_.stencil(kns.coords_from_sym(kns.random_bsd_point(n, rng, 0.4).phi))
+    assert hg.flatness_check(st).residual < 1e-5
+    assert hg.chern_compatibility_check(st) < 1e-5
+    assert hg.theta_holomorphy_check(st) < 1e-5
 
 
 def test_degree_out_of_range():
@@ -310,21 +310,49 @@ def holomorphy_loop(pf, coords):
 
 @pytest.mark.parametrize("n,k", [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)])
 def test_batched_checks_equal_per_point_loops(n, k):
-    sp, j0, frame, field_ = field_for(n, k)
+    _, _, _, field_ = field_for(n, k)
     bp = kns.random_bsd_point(n, np.random.default_rng([n, k]), 0.45)
     coords = kns.coords_from_sym(bp.phi)
     pf = PointField(field_)
+    st = field_.stencil(coords)
 
-    split = hg.connection_split_check(field_, coords)
+    split = hg.connection_split_check(st)
     assert (split.holo_residual, split.antiholo_residual) == split_loop(pf, coords)
-    curv = hg.curvature_operator(field_, coords)
+    curv = hg.curvature_operator(st)
     for j in range(n * (n + 1) // 2):
         for kb in range(n * (n + 1) // 2):
             assert np.array_equal(curv[j, kb], curvature_loop(pf, coords, j, kb))
-    flat = hg.flatness_check(sp, j0, frame, bp, k)
+    flat = hg.flatness_check(st)
     assert (flat.mixed_residual, flat.holo_residual, flat.dbar_square_residual) == flatness_loop(pf, coords)
-    assert hg.chern_compatibility_check(field_, coords) == chern_loop(pf, coords)
-    assert hg.theta_holomorphy_check(field_, coords) == holomorphy_loop(pf, coords)
+    assert hg.chern_compatibility_check(st) == chern_loop(pf, coords)
+    assert hg.theta_holomorphy_check(st) == holomorphy_loop(pf, coords)
+    frame_k = field_.frame_at(coords)
+    for name in ("phi", "theta", "gram", "frame_change"):
+        assert np.array_equal(getattr(st.frame, name), getattr(frame_k, name))
+    assert all(np.array_equal(st.frame.proj[pq], frame_k.proj[pq]) for pq in field_.types)
+
+
+def test_higgs_suite_evaluates_each_stencil_point_once(monkeypatch):
+    # The suite builds one stencil state per (degree, base point); every
+    # point of its nested stencil reaches `projectors` and `frame_change`
+    # once, and `projectors` reuses the wedge power it is handed.
+    points = {"projectors": 0, "frame_change": 0}
+    for name in points:
+        method = getattr(hg.HiggsField, name)
+
+        def counted(self, coords, *args, _name=name, _method=method):
+            points[_name] += int(np.prod(np.shape(coords)[:-1]))
+            return _method(self, coords, *args)
+
+        monkeypatch.setattr(hg.HiggsField, name, counted)
+    report = cli.run_suite(cli.SuiteConfig(suite="higgs", n=2))
+    assert report.passed
+    nsym = 3
+    per_state = 1 + 8 * nsym + (8 * nsym) ** 2
+    assert per_state == 601
+    states = 3 * 2    # degrees 0..2 at two base points
+    assert points["projectors"] <= states * per_state
+    assert points["frame_change"] <= states * per_state
 
 
 @st.composite

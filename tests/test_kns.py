@@ -168,3 +168,21 @@ def test_sym_from_coords_is_the_basis_sum_and_inverts_coords_from_sym(n):
     basis = np.stack(kns.sym_basis(n))
     assert np.array_equal(phi, np.einsum("...j,jab->...ab", coords, basis))
     assert np.array_equal(kns.coords_from_sym(phi), coords)
+
+
+def test_sym_entry_is_one_shared_read_only_table():
+    entry = kns.sym_entry(3)
+    assert kns.sym_entry(3) is entry
+    assert not entry.flags.writeable
+    with pytest.raises(ValueError):
+        entry[0, 0] = 1
+    # sym_from_coords indexes with the shared table but hands out a fresh,
+    # writable matrix each call.
+    coords = np.arange(6, dtype=complex)
+    phi = kns.sym_from_coords(coords, 3)
+    again = kns.sym_from_coords(coords, 3)
+    assert phi.flags.writeable and not np.shares_memory(phi, again)
+    assert not np.shares_memory(phi, coords)
+    phi[0, 0] = 99.0
+    assert again[0, 0] == 0.0 and coords[0] == 0.0
+    assert np.array_equal(kns.sym_entry(3), [[0, 1, 2], [1, 3, 4], [2, 4, 5]])

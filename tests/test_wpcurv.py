@@ -217,7 +217,7 @@ def test_hsc_ascent_reaches_the_bound_from_below(n):
     closed = wp.ClosedFormCurvature(kns.random_bsd_point(n, rng, 0.75).phi)
     nsym = kns.sym_dim(n)
     starts = rng.standard_normal((3, nsym)) + 1j * rng.standard_normal((3, nsym))
-    best = np.max(wp.hsc_ascent(closed, starts)[0])
+    best = np.max(wp.hsc_ascent(closed, starts, closed.metric())[0])
     assert max(closed.hsc(x) for x in starts) < best <= -2.0 / n + 1e-12
     assert best > -2.0 / n - 1e-6
 
