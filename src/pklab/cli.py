@@ -94,7 +94,7 @@ MIN_GRID = 4
 # grid^2 points, and the largest fiber arrays the suites allocate hold 16
 # bytes per point: the complex fields of `fib.evaluate_fields`, the FFTs of
 # `SpectralFiber` and its two-row float coordinate and frequency stacks.  A
-# schumacher run holds about 37 of them at once (195 MB peak RSS at grid
+# schumacher run holds about 43 of them at once (219 MB peak RSS at grid
 # 512).  One such array may take at most FIBER_ARRAY_BYTES, which caps
 # --grid at MAX_GRID = 1024.
 FIBER_ARRAY_BYTES = 1 << 24
@@ -103,8 +103,8 @@ MAX_GRID = math.isqrt(FIBER_ARRAY_BYTES // 16)
 
 def parse_model_spec(spec: str) -> tuple[str, dict]:
     """Parse "family key=val key=val" into a family name and parameters: each
-    key a parameter of the family, each value a finite number (a comma list
-    of them for ``weights``)."""
+    key a parameter of the family, each value a finite number, an int when
+    written in digits (for ``weights`` a tuple of floats from a comma list)."""
     parts = spec.split()
     if not parts:
         raise UsageError("empty model specification")
@@ -124,7 +124,7 @@ def parse_model_spec(spec: str) -> tuple[str, dict]:
         nums = [_number(float, v, f"model parameter {key!r}") for v in val.split(",")]
         if not all(map(math.isfinite, nums)) or (len(nums) > 1 and key != "weights"):
             raise UsageError(f"model parameter {key!r} must be a finite number, got {val!r}")
-        params[key] = val if key == "weights" else int(val) if val.isdigit() else nums[0]
+        params[key] = tuple(nums) if key == "weights" else int(val) if val.isdigit() else nums[0]
     return family, params
 
 
@@ -157,6 +157,9 @@ class SuiteConfig:
                     f"grid {grid} is too large: one fiber array would take "
                     f"{16 * grid * grid / 2**20:.2f} MiB, over the "
                     f"{FIBER_ARRAY_BYTES >> 20} MiB budget (grid <= {MAX_GRID})")
+        rank = params.get("r", 1)
+        if not isinstance(rank, int) or rank < 1:
+            raise UsageError(f"bundle rank r must be an integer >= 1, got {rank!r}")
         if self.model is not None and self.suite in ("schumacher", "all"):
             # Probe the model once where the schumacher suite uses it.
             model = _configured_fibration(self)
@@ -494,7 +497,7 @@ def suite_elliptic_family(cfg: SuiteConfig, tol: Tolerances):
         worst_type = max(worst_type, slc.type_residual)
         worst_top = max(worst_top, slc.top_power)
         pts = (rng.standard_normal((1, 8)) + 1j * rng.standard_normal((1, 8)))
-        _, _, _, _, _, c, _ = fib.evaluate_fields(model, t, pts)
+        c = fib.evaluate_fields(model, t, pts).c
         worst_c = max(worst_c, float(np.max(np.abs(c))))
     checks = [
         _check("representation-agreement", "elliptic-two-forms", worst_agree,
@@ -545,7 +548,7 @@ def _configured_fibration(cfg: SuiteConfig) -> fib.FibrationModel:
     if family not in fib.MODEL_FAMILIES:
         raise UsageError(f"suite schumacher needs a fibration family, got {family!r}")
     params.setdefault("grid", cfg.grid)
-    return fib.build_model(family, **params)
+    return fib.MODEL_FAMILIES[family](**params)
 
 
 def suite_schumacher(cfg: SuiteConfig, tol: Tolerances):
@@ -649,22 +652,18 @@ def suite_geodesics(cfg: SuiteConfig, tol: Tolerances):
         g1 = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         a0 = g0 @ g0.conj().T + 0.6 * np.eye(n)
         a1 = g1 @ g1.conj().T + 0.6 * np.eye(n)
-        geod = geo.hermitian_geodesic(a0, a1)
-        lin = geo.linear_hermitian_path(a0, a1)
-        dual = geo.hermitian_geodesic(geo.complex_legendre(a0), geo.complex_legendre(a1))
-        lind = geo.linear_hermitian_path(geo.complex_legendre(a0), geo.complex_legendre(a1))
+        b0, b1 = geo.complex_legendre(a0), geo.complex_legendre(a1)
+        geod, lin, dual, lind = (fib.hermitian_quadratic_model(path, n) for path in (
+            geo.hermitian_geodesic(a0, a1), geo.linear_hermitian_path(a0, a1),
+            geo.hermitian_geodesic(b0, b1), geo.linear_hermitian_path(b0, b1)))
         lin_best = lind_best = 0.0
         for _ in range(5):
             z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             tau = complex(rng.uniform(0.2, 0.8), rng.uniform(-1, 1))
-            ma_geo = max(ma_geo,
-                         abs(geo.ma_determinant(geo.QuadraticPotential(geod), tau, z)))
-            ma_dual = max(ma_dual,
-                          abs(geo.ma_determinant(geo.QuadraticPotential(dual), tau, z)))
-            lin_best = max(lin_best,
-                           abs(geo.ma_determinant(geo.QuadraticPotential(lin), tau, z)))
-            lind_best = max(lind_best,
-                            abs(geo.ma_determinant(geo.QuadraticPotential(lind), tau, z)))
+            ma_geo = max(ma_geo, abs(geo.ma_determinant(geod, tau, z)))
+            ma_dual = max(ma_dual, abs(geo.ma_determinant(dual, tau, z)))
+            lin_best = max(lin_best, abs(geo.ma_determinant(lin, tau, z)))
+            lind_best = max(lind_best, abs(geo.ma_determinant(lind, tau, z)))
         ma_lin = min(ma_lin, lin_best)
         ma_lin_dual = min(ma_lin_dual, lind_best)
     checks += [
@@ -731,7 +730,7 @@ def suite_brunn_minkowski(cfg: SuiteConfig, tol: Tolerances):
     rng = np.random.default_rng([cfg.seed, 9])
     checks = []
     for n in (2, 3):
-        basis = geo.symmetric_basis(n)
+        basis = kns.sym_basis(n)
         worst = np.inf
         for _ in range(cfg.samples):
             g = rng.standard_normal((n, n))
@@ -817,7 +816,7 @@ def suite_projbundle(cfg: SuiteConfig, tol: Tolerances):
     if cfg.model is not None:
         family, params = parse_model_spec(cfg.model)
         if family in pb.BUNDLE_FAMILIES:
-            model = pb.build_bundle_model(family, **params)
+            model = pb.BUNDLE_FAMILIES[family](**params)
             resid = pb.projective_flatness_residual(model, 0.4 + 0.2j)
             v = np.ones(model.r, dtype=complex)
             top = pb.pk_top_power(model, 0.4 + 0.2j, v)

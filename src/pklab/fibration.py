@@ -14,7 +14,7 @@ degeneracy diagnostics are spectral.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -271,7 +271,8 @@ class FiberState:
     components u^a with V = d_t - u^a d_a, ``c`` (P,) the geodesic curvature
     and ``ks`` (n, n, P) the tensor A^a_b = ks[a, b] of the fiber-direction
     variation; ``kappa_pair`` gives its pointwise metric pairing.
-    ``spectral`` is the torus grid of a proper model, None for box samples.
+    ``spectral`` is the torus grid of a proper model, None for box samples
+    and for the points `evaluate_fields` is handed.
     """
 
     model: FibrationModel
@@ -324,8 +325,8 @@ def _det_ff(ff: np.ndarray) -> np.ndarray:
     return np.linalg.det(np.moveaxis(ff, (0, 1), (-2, -1)))
 
 
-def evaluate_fields(model: FibrationModel, t: complex, pts: np.ndarray):
-    """(bb, bf, ff, ff_inv, lifts u, c, ks) at the given fiber points."""
+def evaluate_fields(model: FibrationModel, t: complex, pts: np.ndarray) -> FiberState:
+    """The fiber data at the given fiber points (``spectral`` None)."""
     bb, bf, ff = model.second(t, pts)
     ff_inv = _invert_ff(ff)
     # u^a = g_{t bbar} g^{bbar a};  the inverse convention is
@@ -337,7 +338,8 @@ def evaluate_fields(model: FibrationModel, t: complex, pts: np.ndarray):
     dinv = -np.einsum("cs...,smb...,ma...->cab...", ff_inv, fff, ff_inv)
     ks = -(np.einsum("cb...,ca...->ab...", bff, ff_inv)
            + np.einsum("c...,cab...->ab...", bf, dinv))
-    return bb, bf, ff, ff_inv, u, c, ks
+    return FiberState(model=model, t=t, points=pts, bb=bb, bf=bf, ff=ff, ff_inv=ff_inv,
+                      det_ff=_det_ff(ff), lifts=u, c=c, ks=ks, spectral=None)
 
 
 def _fiber_points(model: FibrationModel, t: complex,
@@ -362,12 +364,11 @@ def fiber_state(model: FibrationModel, t: complex, seed: int = 0) -> FiberState:
     """Evaluate the fiber data at t on the torus grid of a proper model, or
     on BOX_SAMPLES box points drawn with `seed` otherwise."""
     fiber, pts = _fiber_points(model, t, seed)
-    bb, bf, ff, ff_inv, u, c, ks = evaluate_fields(model, t, pts)
-    herm = float(np.max(np.abs(c.imag)))
-    if herm > 1e-9 * max(1.0, float(np.max(np.abs(c)))):
+    state = evaluate_fields(model, t, pts)
+    herm = float(np.max(np.abs(state.c.imag)))
+    if herm > 1e-9 * max(1.0, float(np.max(np.abs(state.c)))):
         raise ValueError(f"geodesic curvature failed Hermiticity ({herm:.2e})")
-    return FiberState(model=model, t=t, points=pts, bb=bb, bf=bf, ff=ff, ff_inv=ff_inv,
-                      det_ff=_det_ff(ff), lifts=u, c=c, ks=ks, spectral=fiber)
+    return replace(state, spectral=fiber)
 
 
 # ---------------------------------------------------------------------------
@@ -436,9 +437,9 @@ def dform_residual(model: FibrationModel, t: complex, zeta: np.ndarray) -> float
     zeta = np.asarray(zeta, dtype=complex).reshape(-1)
 
     def coeff(zvec: np.ndarray) -> np.ndarray:
-        bb, bf, ff, _, _, c, _ = evaluate_fields(model, zvec[0], zvec[1:].reshape(-1, 1))
-        h = form_matrix(bb, bf, ff)[:, :, 0]
-        h[0, 0] = h[0, 0] - c[0]
+        state = evaluate_fields(model, zvec[0], zvec[1:].reshape(-1, 1))
+        h = form_matrix(state.bb, state.bf, state.ff)[:, :, 0]
+        h[0, 0] = h[0, 0] - state.c[0]
         return h
 
     z0 = np.concatenate([[t], zeta])
@@ -461,12 +462,15 @@ def _require_proper(state: FiberState) -> None:
         raise PropernessError(f"model {state.model.name!r} has no fiber lattice")
 
 
-def wp_fiber_metric(state: FiberState) -> np.ndarray:
-    """1x1 fiber integral of the variation-tensor pairing against the volume."""
+def wp_fiber_metric(state: FiberState, inner: np.ndarray | None = None) -> np.ndarray:
+    """1x1 fiber integral of the variation-tensor pairing against the volume;
+    inner is the pairing grid (`SchumacherReport.inner`) when the caller has
+    already formed it."""
     _require_proper(state)
     fiber = state.spectral
-    val = fiber.integrate_volume(fiber.to_grid(state.kappa_pair()),
-                                 fiber.to_grid(state.det_ff))
+    if inner is None:
+        inner = fiber.to_grid(state.kappa_pair())
+    val = fiber.integrate_volume(inner, fiber.to_grid(state.det_ff))
     return np.array([[val]])
 
 
@@ -498,23 +502,20 @@ def _log_det_jets(model: FibrationModel, t: complex,
 def _psi_base_derivatives(state: FiberState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Base derivatives of psi = log det(ff) on the fiber grid at t:
     psi_{t tbar} (grid) and psi_{t bbar} (n, grid) by Richardson-extrapolated
-    t-stencils, and the analytic fiber gradient d_bbar psi (n, grid)."""
-    t = state.t
-    psi0, grad0 = _log_det_jets(state.model, t, state.spectral)
+    t-stencils, and the analytic fiber gradient d_bbar psi (n, grid).
 
-    def stencils(h):
-        # Both t-stencils read the jets at t + h, t - h, t + ih and t - ih:
-        # psi_{t tbar} by the real/imag 5-point stencil, d_t d_bbar psi by
-        # central differences of the gradient.
-        psi, grad = zip(*(_log_det_jets(state.model, t + s * h, state.spectral)
-                          for s in (1, -1, 1j, -1j)))
-        ttb = 0.25 * ((psi[0] - 2 * psi0 + psi[1]) / h**2
-                      + (psi[2] - 2 * psi0 + psi[3]) / h**2)
-        tb = 0.5 * ((grad[0] - grad[1]) / (2 * h) - 1j * (grad[2] - grad[3]) / (2 * h))
-        return ttb, tb
+    Both t-stencils read the jets at the `_fd.xy_points` of t: psi_{t bbar}
+    is `_fd.xy_combine` of the gradient, psi_{t tbar} the real/imag 5-point
+    Laplacian of the same psi values."""
+    psi0, grad0 = _log_det_jets(state.model, state.t, state.spectral)
+    psi, grad = zip(*(_log_det_jets(state.model, p[0], state.spectral)
+                      for p in _fd.xy_points(np.array([state.t]), 0, T_STEP)))
 
-    (ttb_c, tb_c), (ttb_f, tb_f) = stencils(T_STEP), stencils(T_STEP / 2)
-    return (4.0 * ttb_f - ttb_c) / 3.0, (4.0 * tb_f - tb_c) / 3.0, grad0
+    def laplacian(v, h):
+        return 0.25 * ((v[0] - 2 * psi0 + v[1]) / h**2 + (v[2] - 2 * psi0 + v[3]) / h**2)
+
+    ttb_c, ttb_f = laplacian(psi[:4], T_STEP), laplacian(psi[4:], T_STEP / 2)
+    return (4.0 * ttb_f - ttb_c) / 3.0, _fd.xy_combine(grad, False, T_STEP), grad0
 
 
 def relative_canonical_curvature(state: FiberState,
@@ -594,7 +595,7 @@ def fs_pushforward_check(state: FiberState,
     psi_ttb, (psi_tb,), (psi_zb,) = report.psi
     psi_zzb = fiber.d_z(psi_zb, 0)
 
-    lhs = wp_fiber_metric(state)[0, 0].real
+    lhs = wp_fiber_metric(state, report.inner)[0, 0].real
 
     scalar = -psi_zzb / g_ff
     det_h = g_bb * g_ff - np.abs(g_bf) ** 2
@@ -611,7 +612,7 @@ def average_horizontal_positivity(state: FiberState,
     ``report`` is the `schumacher_residual` of the same state."""
     fiber = state.spectral
     lhs = fiber.integrate_volume(report.lhs, fiber.to_grid(state.det_ff)).real
-    rhs = wp_fiber_metric(state)[0, 0].real
+    rhs = wp_fiber_metric(state, report.inner)[0, 0].real
     return lhs, rhs
 
 
@@ -677,7 +678,7 @@ def _lift_coefficients(model: FibrationModel):
     """Callable z = (t, zeta) -> components (1, -u^1..-u^n) of the lift."""
 
     def comps(zvec: np.ndarray) -> np.ndarray:
-        _, _, _, _, u, _, _ = evaluate_fields(model, zvec[0], zvec[1:].reshape(-1, 1))
+        u = evaluate_fields(model, zvec[0], zvec[1:].reshape(-1, 1)).lifts
         return np.concatenate([[1.0 + 0j], -u[:, 0]])
 
     return comps
@@ -713,9 +714,7 @@ def bracket_mixed_check(model: FibrationModel, t: complex,
     h = form_matrix(*model.second(z0[0], z0[1:].reshape(-1, 1)))[:, :, 0]
 
     def c_fn(zvec: np.ndarray) -> complex:
-        p = zvec[1:].reshape(-1, 1)
-        _, _, _, _, _, c, _ = evaluate_fields(model, zvec[0], p)
-        return complex(c[0])
+        return complex(evaluate_fields(model, zvec[0], zvec[1:].reshape(-1, 1)).c[0])
 
     worst = 0.0
     for beta in range(1, dim):
@@ -886,14 +885,6 @@ MODEL_FAMILIES = {
     "theta-weight": theta_weight_model,
     "perturbed-torus": perturbed_torus_model,
 }
-
-
-def build_model(family: str, **params) -> FibrationModel:
-    """Instantiate a built-in family by name with keyword parameters."""
-    if family not in MODEL_FAMILIES:
-        raise ValueError(f"unknown model family {family!r}; known: "
-                         f"{', '.join(sorted(MODEL_FAMILIES))}")
-    return MODEL_FAMILIES[family](**params)
 
 
 def hermitian_quadratic_model(path, n: int, name: str = "hermitian-path") -> FibrationModel:

@@ -3,9 +3,10 @@
 Positive Hermitian matrices carry the geodesic A0^{1/2} (A0^{-1/2} A1
 A0^{-1/2})^t A0^{1/2}, characterized by the vanishing of A'' - A' A^{-1} A'
 and equivalently by the degeneracy of the full complex Hessian of the
-associated quadratic potential.  Real convex functions carry the dual
-structure: geodesics are inverse transforms of linear dual paths, and the
-log-determinant is strictly convex on the positive cone.
+associated quadratic potential (`fibration.hermitian_quadratic_model`).
+Real convex functions carry the dual structure: geodesics are inverse
+transforms of linear dual paths, and the log-determinant is strictly convex
+on the positive cone.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .fibration import FibrationModel, form_matrix
 
 EIG_CLAMP = 1e-14
 
@@ -107,32 +110,11 @@ def complex_legendre(a: np.ndarray) -> np.ndarray:
     return np.linalg.inv(a)
 
 
-class QuadraticPotential:
-    """phi(tau, z) = z^T A(Re tau) conj(z) as a Hessian provider.
-
-    The potential is constant in Im tau, so base derivatives carry the chain
-    rule factors 1/2 and 1/4.
-    """
-
-    def __init__(self, path: HermitianPath):
-        self.path = path
-
-    def hessian(self, tau: complex, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        n = z.size
-        a, da, d2a = self.path(float(np.real(tau)))
-        h = np.empty((n + 1, n + 1), dtype=complex)
-        h[0, 0] = 0.25 * np.einsum("jk,j,k->", d2a, z, z.conj())
-        h[0, 1:] = 0.5 * np.einsum("jb,j->b", da, z)
-        h[1:, 0] = h[0, 1:].conj()
-        # h[1+a, 1+b] = d_a d_bbar phi = A[a, b] transposed into (a, bbar) slots.
-        h[1:, 1:] = np.asarray(a, dtype=complex)
-        return h
-
-
-def ma_determinant(potential, tau: complex, z: np.ndarray) -> float:
-    """Determinant of the full complex Hessian at a point (real for Hermitian)."""
-    h = potential.hessian(tau, np.asarray(z, dtype=complex))
+def ma_determinant(model: FibrationModel, tau: complex, z: np.ndarray) -> float:
+    """Determinant of the full complex Hessian of the model's potential at
+    (tau, z), the `form_matrix` of its second jets (real for Hermitian)."""
+    z = np.asarray(z, dtype=complex)
+    h = form_matrix(*model.second(tau, z[:, None]))[:, :, 0]
     return float(np.real(np.linalg.det(h)))
 
 
@@ -298,19 +280,6 @@ class ConeBasis:
 
     def matrix(self) -> np.ndarray:
         return sum(c * b for c, b in zip(self.point, self.basis))
-
-
-def symmetric_basis(n: int) -> list[np.ndarray]:
-    out = []
-    for i in range(n):
-        for j in range(i, n):
-            m = np.zeros((n, n))
-            if i == j:
-                m[i, i] = 1.0
-            else:
-                m[i, j] = m[j, i] = 1.0
-            out.append(m)
-    return out
 
 
 def bm_hessian(cone: ConeBasis) -> np.ndarray:

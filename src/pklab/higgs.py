@@ -156,9 +156,13 @@ class HiggsField:
     def gram(self, coords: np.ndarray) -> np.ndarray:
         return wedge.compound_matrix(self.gram1(coords), self.k)
 
-    def theta_bar(self, coords: np.ndarray) -> np.ndarray:
+    def theta_bar(self, coords: np.ndarray, theta: np.ndarray | None = None) -> np.ndarray:
+        """The conjugate mixing field; theta is `theta(coords)` when the caller
+        has already formed it."""
+        if theta is None:
+            theta = self.theta(coords)
         c = wedge.conjugation_matrix(self.n, self.k)
-        return c @ self.theta(coords).conj() @ c
+        return c @ theta.conj() @ c
 
     def frame_at(self, coords: np.ndarray) -> HiggsFrame:
         self.guard(coords)
@@ -190,7 +194,8 @@ class HiggsField:
         gram = tuple(self.gram(p) for p in points[:2])
         return HiggsStencil(
             field=self, step=step, points=points, wk=wk, projs=projs, theta=theta,
-            theta_bar=tuple(self.theta_bar(p) for p in points[:2]), gram=gram,
+            theta_bar=tuple(self.theta_bar(p, t) for p, t in zip(points[:2], theta)),
+            gram=gram,
             frame=self._frame(coords, wk[0], projs[0], theta[0], gram[0]))
 
 
@@ -242,21 +247,18 @@ def _projected(projs: np.ndarray, projs_pts: np.ndarray, values: np.ndarray | No
     return total
 
 
-def _covariant_frame(st: HiggsStencil, level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Projected holomorphic and antiholomorphic derivatives of the frame
-    sections (the wedge power of the graph frame) along every coordinate, at
-    the points of a stencil level: two arrays (*L, nsym, d, d)."""
-    sections = st.wk[level + 1][..., None, :, :]
+def _covariant_frame(st: HiggsStencil, level: int,
+                     sections: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Projected holomorphic and antiholomorphic derivatives along every
+    coordinate, at the points of a stencil level: two arrays (*L, nsym, d, d).
+
+    sections are the frame sections (the wedge power of the graph frame,
+    ``st.wk[level + 1]``) at the next level; with None the results are the
+    connection forms of the type-preserving part in the constant frame.
+    """
+    if sections is not None:
+        sections = sections[..., None, :, :]
     return tuple(_projected(st.projs[level], st.projs[level + 1], sections, bar,
-                            st.step)[..., 0, :, :]
-                 for bar in (False, True))
-
-
-def _connection_forms(st: HiggsStencil, level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Connection forms of the type-preserving part in the constant frame,
-    holomorphic and antiholomorphic, along every coordinate, at the points of
-    a stencil level: (*L, nsym, d, d)."""
-    return tuple(_projected(st.projs[level], st.projs[level + 1], None, bar,
                             st.step)[..., 0, :, :]
                  for bar in (False, True))
 
@@ -284,7 +286,7 @@ def connection_split_check(st: HiggsStencil) -> SplitReport:
     """
     residuals = []
     for bar, mixing, projected in zip((False, True), (st.theta[0], st.theta_bar[0]),
-                                      _covariant_frame(st, 0)):
+                                      _covariant_frame(st, 0, st.wk[1])):
         plain = _fd.xy_combine(st.wk[1], bar, st.step)
         residuals.append(float(np.max(np.abs(plain - projected - mixing @ st.wk[0]))))
     return SplitReport(holo_residual=residuals[0], antiholo_residual=residuals[1])
@@ -299,7 +301,7 @@ def curvature_operator(st: HiggsStencil) -> np.ndarray:
     Entry [j, kbar] is the operator of the pair (d_j, d_kbar); both orders of
     differentiation read one stencil of stencils.
     """
-    inner_holo, inner_anti = _covariant_frame(st, 1)
+    inner_holo, inner_anti = _covariant_frame(st, 1, st.wk[2])
     first = _projected(st.projs[0], st.projs[1], inner_anti, False, st.step)    # [j, kbar]
     second = _projected(st.projs[0], st.projs[1], inner_holo, True, st.step)    # [kbar, j]
     return (first - second.swapaxes(0, 1)) @ np.linalg.inv(st.wk[0])
@@ -314,8 +316,7 @@ def curvature_algebraic(frame: HiggsFrame) -> np.ndarray:
 
 def adjoint_check(frame: HiggsFrame) -> float:
     """max_j | theta_j^* - conj(theta_j) | mixing metric adjoint and real structure."""
-    n2 = int(round((1 + 8 * len(frame.theta)) ** 0.5 - 1)) // 2  # nsym -> n
-    c = wedge.conjugation_matrix(n2, frame.k)
+    c = wedge.conjugation_matrix(frame.phi.shape[-1], frame.k)
     worst = 0.0
     for t in frame.theta:
         tbar = c @ t.conj() @ c
@@ -377,7 +378,7 @@ def flatness_check(st: HiggsStencil) -> FlatnessReport:
 
     def forms(level):
         """a_holo, a_anti and a_d_anti along every coordinate, at a stencil level."""
-        d_holo, d_anti = _connection_forms(st, level)
+        d_holo, d_anti = _covariant_frame(st, level, None)
         return d_holo + st.theta[level], d_anti + st.theta_bar[level], d_anti
 
     def commutators(a, b):
@@ -410,7 +411,7 @@ def chern_compatibility_check(st: HiggsStencil) -> float:
     wk, wk0, gram0 = st.wk[1], st.wk[0], st.gram[0]
     pairings = wk.conj().swapaxes(-1, -2) @ st.gram[1] @ wk   # [b,a] = <U_a, U_b>
     dpair = _fd.xy_combine(pairings, False, st.step)
-    du, dv = _covariant_frame(st, 0)
+    du, dv = _covariant_frame(st, 0, st.wk[1])
     expected = dv.conj().swapaxes(-1, -2) @ gram0 @ wk0 + wk0.conj().T @ gram0 @ du
     return float(np.max(np.abs(dpair - expected)))
 

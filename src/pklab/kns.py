@@ -351,12 +351,12 @@ def holomorphy_probe(space: SymplecticSpace, J: ComplexStructure, frame: Unitary
     base_coords = coords_from_sym(base.phi)
     dir_coords = coords_from_sym(direction)
 
-    # All stencil points must stay inside the domain before any chart work.
-    for delta in (step, -step, 1j * step, -1j * step, step / 2, -step / 2,
-                  1j * step / 2, -1j * step / 2):
-        probe_phi = sym_from_coords(base_coords + delta * dir_coords, frame.n)
-        if spectral_radius_phibar(probe_phi) >= 1.0 - BOUNDARY_MARGIN:
-            raise BoundaryProximityError("finite-difference stencil exits the domain")
+    # All stencil points must stay inside the domain before any chart work:
+    # the offsets along the direction are the Richardson `_fd.xy_points`.
+    offsets = _fd.xy_points(np.zeros(1, dtype=complex), 0, step)
+    probe_phi = sym_from_coords(base_coords + offsets * dir_coords, frame.n)
+    if spectral_radius_phibar(probe_phi) >= 1.0 - BOUNDARY_MARGIN:
+        raise BoundaryProximityError("finite-difference stencil exits the domain")
 
     target_J = structure_from_bsd(J, frame, base)
     target_frame = unitary_frame(space, target_J)

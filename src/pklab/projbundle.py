@@ -205,20 +205,13 @@ def twisted_model(h0: np.ndarray, weight: float = 1.0,
     return BundleMetricModel(r=r, jets=jets, name=name or f"twisted({weight})")
 
 
-# Built-in bundle families by name; each takes its parameters by keyword.
+# Built-in bundle families by name; each takes its parameters by keyword
+# (`cli.parse_model_spec` parses and checks them).
 BUNDLE_FAMILIES = {
-    "constant": lambda r=2: constant_model(np.eye(int(r))),
-    "twisted": lambda r=2, weight=1.0: twisted_model(np.eye(int(r)), weight=float(weight)),
-    "split": lambda weights="1,2": split_twist_model(
-        [float(w) for w in weights.split(",")] if isinstance(weights, str) else weights),
+    "constant": lambda r=2: constant_model(np.eye(r)),
+    "twisted": lambda r=2, weight=1.0: twisted_model(np.eye(r), weight=weight),
+    "split": lambda weights=(1.0, 2.0): split_twist_model(weights),
 }
-
-
-def build_bundle_model(family: str, **params) -> BundleMetricModel:
-    """Instantiate a built-in bundle family by name with keyword parameters."""
-    if family not in BUNDLE_FAMILIES:
-        raise ValueError(f"unknown bundle family {family!r}")
-    return BUNDLE_FAMILIES[family](**params)
 
 
 def split_twist_model(weights: Sequence[float],

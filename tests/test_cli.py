@@ -261,6 +261,10 @@ def test_unusable_output_path_rejected_before_running(tmp_path, monkeypatch, cap
     ("schumacher", "perturbed-torus grid=2"),
     ("schumacher", "perturbed-torus grid=-4"),
     ("schumacher", "perturbed-torus grid=32.5"),
+    ("projbundle", "twisted r=0"),
+    ("projbundle", "constant r=0"),
+    ("projbundle", "twisted r=-1"),
+    ("projbundle", "twisted r=2.5"),
 ])
 def test_bad_model_rejected_before_running(suite, model, monkeypatch, capsys):
     def no_run(config):
@@ -356,6 +360,14 @@ def test_fibration_suites_build_each_fiber_state_once(monkeypatch):
     cli.run_suite(cli.SuiteConfig(suite="elliptic-family", n=2, samples=20))
     # Four wp-coefficient heights, then one state for the Bochner loop.
     assert [t for _, t in states] == [0.5j, 1j, 2j, 4j, 1j]
+
+
+def test_schumacher_pairs_each_state_once(monkeypatch):
+    # One pairing grid per fiber state: the pushforward and average-positivity
+    # checks integrate the one in the schumacher report.
+    pairs = _call_log(monkeypatch, fib, "kappa_pairing")
+    cli.run_suite(cli.SuiteConfig(suite="schumacher", n=2, samples=20))
+    assert len(pairs) == 2
 
 
 def test_suite_all_concatenates_each_suite_in_order():

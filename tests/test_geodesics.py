@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from pklab import fibration as fib
 from pklab import geodesics as geo
+from pklab import kns
 
 
 def rand_pd(rng, n):
@@ -52,21 +54,15 @@ def test_geodesic_rejects_bad_input():
         geo.hermitian_geodesic(np.array([[1.0, 2.0], [0.0, 1.0]]), np.eye(2))
 
 
-class _UnitHessian:
-    """phi = |z|^2 + |tau|^2: unit Hessian reference."""
-
-    def hessian(self, tau, z):
-        return np.eye(np.asarray(z).size + 1, dtype=complex)
-
-
 def test_ma_determinant_cases():
-    assert geo.ma_determinant(_UnitHessian(), 0.3,
+    # phi = |z|^2 + |tau|^2: unit Hessian reference.
+    assert geo.ma_determinant(fib.product_model(), 0.3,
                               np.array([0.2 + 0.1j])) == pytest.approx(1.0)
     rng = np.random.default_rng(2)
     a0, a1 = rand_pd(rng, 2), rand_pd(rng, 2)
     z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    geod = geo.QuadraticPotential(geo.hermitian_geodesic(a0, a1))
-    lin = geo.QuadraticPotential(geo.linear_hermitian_path(a0, a1))
+    geod = fib.hermitian_quadratic_model(geo.hermitian_geodesic(a0, a1), 2)
+    lin = fib.hermitian_quadratic_model(geo.linear_hermitian_path(a0, a1), 2)
     assert abs(geo.ma_determinant(geod, 0.4 + 0.7j, z)) < 1e-10
     assert abs(geo.ma_determinant(lin, 0.4 + 0.7j, z)) > 1e-3
 
@@ -81,7 +77,7 @@ def test_ma_equivalence_with_theta_tt():
                      geo.linear_hermitian_path(a0, a1)):
             theta = max(np.max(np.abs(geo.theta_tt(path, t)))
                         for t in (0.25, 0.5, 0.75))
-            pot = geo.QuadraticPotential(path)
+            pot = fib.hermitian_quadratic_model(path, n)
             ma = max(abs(geo.ma_determinant(
                 pot, complex(t, rng.uniform(-1, 1)),
                 rng.standard_normal(n) + 1j * rng.standard_normal(n)))
@@ -104,7 +100,7 @@ def test_complex_legendre_preserves_degeneracy():
         dual = geo.hermitian_geodesic(geo.complex_legendre(a0),
                                       geo.complex_legendre(a1))
         z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        assert abs(geo.ma_determinant(geo.QuadraticPotential(dual),
+        assert abs(geo.ma_determinant(fib.hermitian_quadratic_model(dual, 2),
                                       0.3 + 0.4j, z)) < 1e-10
 
 
@@ -194,7 +190,7 @@ def test_bm_hessian_closed_forms():
 def test_bm_hessian_positive_on_cone():
     rng = np.random.default_rng(5)
     for n in (2, 3):
-        basis = geo.symmetric_basis(n)
+        basis = kns.sym_basis(n)
         for _ in range(20):
             g = rng.standard_normal((n, n))
             a = g @ g.T + 0.3 * np.eye(n)

@@ -395,7 +395,7 @@ def test_wrong_conjugate_field_fails_the_suite(monkeypatch):
     assert status[record] == "pass"
     theta_bar = hg.HiggsField.theta_bar
     monkeypatch.setattr(hg.HiggsField, "theta_bar",
-                        lambda self, coords: -theta_bar(self, coords))
+                        lambda self, coords, theta=None: -theta_bar(self, coords, theta))
     status = {r.name: r.status for r in cli.run_suite(config).checks}
     assert status[record] == "fail"
 
