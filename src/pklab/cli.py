@@ -19,7 +19,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -93,10 +93,10 @@ MIN_GRID = 4
 # Every fibration family has one-dimensional fibers, so a fiber grid has
 # grid^2 points, and the largest fiber arrays the suites allocate hold 16
 # bytes per point: the complex fields of `fib.evaluate_fields`, the FFTs of
-# `SpectralFiber` and its two-row float coordinate and frequency stacks.  A
-# schumacher run holds about 43 of them at once (219 MB peak RSS at grid
-# 512).  One such array may take at most FIBER_ARRAY_BYTES, which caps
-# --grid at MAX_GRID = 1024.
+# `SpectralFiber`, its Fourier symbols and its two-row float coordinate
+# and frequency stacks.  A schumacher run holds about 38 of them at once
+# (195 MB peak RSS at grid 512).  One such array may take at most
+# FIBER_ARRAY_BYTES, which caps --grid at MAX_GRID = 1024.
 FIBER_ARRAY_BYTES = 1 << 24
 MAX_GRID = math.isqrt(FIBER_ARRAY_BYTES // 16)
 
@@ -148,7 +148,7 @@ class SuiteConfig:
             raise UsageError("samples must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise UsageError("seed must be a 64-bit unsigned integer")
-        params = parse_model_spec(self.model)[1] if self.model is not None else {}
+        family, params = parse_model_spec(self.model) if self.model is not None else (None, {})
         for grid in (self.grid, params.get("grid", self.grid)):
             if not isinstance(grid, int) or grid < MIN_GRID:
                 raise UsageError(f"grid must be an integer >= {MIN_GRID}, got {grid!r}")
@@ -160,7 +160,8 @@ class SuiteConfig:
         rank = params.get("r", 1)
         if not isinstance(rank, int) or rank < 1:
             raise UsageError(f"bundle rank r must be an integer >= 1, got {rank!r}")
-        if self.model is not None and self.suite in ("schumacher", "all"):
+        if family is not None and (self.suite == "schumacher" or
+                                   (self.suite == "all" and family in fib.MODEL_FAMILIES)):
             # Probe the model once where the schumacher suite uses it.
             model = _configured_fibration(self)
             if not model.proper:
@@ -331,8 +332,9 @@ def suite_kns_roundtrip(cfg: SuiteConfig, tol: Tolerances):
 
 # The Higgs-layer suites stop at this rank.  At n=4 the nested difference
 # stencil of `higgs` has 8 nsym x 8 nsym = 6400 inner points, and each k=2
-# projector stack on them alone takes about 240 MB; `higgs --n 3` (2304
-# inner points, one stencil state at a time) peaks at about 118 MB RSS.
+# projector stack on them (3 types of 28 x 28 matrices per point) alone
+# takes about 240 MB; `higgs --n 3` (2304 inner points, one stencil state at
+# a time) takes about 0.55 s in-process and peaks at about 119 MB RSS.
 HIGGS_MAX_RANK = 3
 
 
@@ -462,22 +464,25 @@ def suite_trace_inequality(cfg: SuiteConfig, tol: Tolerances):
     worst_gap = -np.inf
     witness = None
     for n in range(1, 7):
-        for _ in range(max(1, cfg.samples)):
-            kappa = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            lhs, rhs = wp.trace_inequality(kappa)
-            scale = max(1.0, lhs)
-            gap = (rhs - lhs) / scale
-            if gap > worst_gap:
-                worst_gap = gap
-                witness = {"kappa": [[str(x) for x in row] for row in kappa.tolist()]}
+        # Sample s draws the real then the imaginary part of its kappa.
+        raw = rng.standard_normal((max(1, cfg.samples), 2, n, n))
+        kappa = raw[:, 0] + 1j * raw[:, 1]
+        lhs, rhs = wp.trace_inequality(kappa)
+        gap = (rhs - lhs) / np.maximum(1.0, lhs)
+        worst = int(np.argmax(gap))
+        if gap[worst] > worst_gap:
+            worst_gap = gap[worst]
+            witness = {"kappa": [[str(x) for x in row] for row in kappa[worst].tolist()]}
     worst_eq = 0.0
     for n in range(1, 7):
-        for _ in range(max(50, cfg.samples // 10)):
-            q = np.linalg.qr(rng.standard_normal((n, n))
-                             + 1j * rng.standard_normal((n, n)))[0]
-            c = rng.uniform(0.2, 3.0)
-            lhs, rhs = wp.trace_inequality(c * q)
-            worst_eq = max(worst_eq, abs(lhs - rhs) / max(1.0, lhs))
+        count = max(50, cfg.samples // 10)
+        raw = np.empty((count, n, n), dtype=complex)
+        c = np.empty(count)
+        for i in range(count):
+            raw[i] = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            c[i] = rng.uniform(0.2, 3.0)
+        lhs, rhs = wp.trace_inequality(c[:, None, None] * np.linalg.qr(raw)[0])
+        worst_eq = max(worst_eq, float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, lhs))))
     return [
         _check("pointwise-inequality", "trace-power-inequality", worst_gap,
                tol("trace-inequality"), witness=witness),
@@ -518,22 +523,20 @@ def suite_elliptic_family(cfg: SuiteConfig, tol: Tolerances):
     checks.append(CheckRecord(name="wp-coefficient-value", anchor="wp-fiber-scaling",
                               status="pass", value=float(np.mean(values)),
                               threshold=float("nan"), comparison="recorded"))
-    worst_bochner = 0.0
-    worst_pair = 0.0
     state = fib.fiber_state(model, 1j)
     xg = state.spectral.points_grid[0]
-    for _ in range(10):
-        coeffs = rng.standard_normal(4)
-        phi = (coeffs[0] * np.cos(2 * np.pi * xg.real)
-               + coeffs[1] * np.sin(2 * np.pi * xg.real)
-               + coeffs[2] * np.cos(2 * np.pi * xg.imag)
-               + coeffs[3] * np.cos(2 * np.pi * (xg.real + xg.imag)))
-        nk, nb, _ = fib.bkn_identity_check(state, phi)
-        worst_bochner = max(worst_bochner, abs(nk - nb))
-        worst_pair = max(worst_pair, abs(fib.kappa_phi_pairing(state, phi)))
-    checks.append(_check("flat-fiber-bochner", "flat-fiber-bochner", worst_bochner,
-                         tol("bochner")))
-    checks.append(_check("variation-pairing", "flat-fiber-pairing", worst_pair,
+    # Ten Bochner potentials, one per row of coefficients, as one stack.
+    coeffs = rng.standard_normal((10, 4))[:, :, None, None]
+    phi = (coeffs[:, 0] * np.cos(2 * np.pi * xg.real)
+           + coeffs[:, 1] * np.sin(2 * np.pi * xg.real)
+           + coeffs[:, 2] * np.cos(2 * np.pi * xg.imag)
+           + coeffs[:, 3] * np.cos(2 * np.pi * (xg.real + xg.imag)))
+    kphi = fib.kappa_phi(state, phi)
+    nk, nb, _ = fib.bkn_identity_check(state, phi, kphi)
+    pair = fib.kappa_phi_pairing(state, phi, kphi)
+    checks.append(_check("flat-fiber-bochner", "flat-fiber-bochner",
+                         np.max(np.abs(nk - nb)), tol("bochner")))
+    checks.append(_check("variation-pairing", "flat-fiber-pairing", np.max(np.abs(pair)),
                          tol("bochner")))
     return checks
 
@@ -557,7 +560,9 @@ def suite_schumacher(cfg: SuiteConfig, tol: Tolerances):
         pert = _configured_fibration(cfg)
     else:
         pert = fib.perturbed_torus_model(eps=0.05, grid=cfg.grid)
-    rep_flat = fib.schumacher_residual(fib.fiber_state(model, 0.2 + 1.1j))
+    # Only the residual of the flat family is kept: its grids are freed
+    # before the configured model's state is built.
+    flat_residual = fib.schumacher_residual(fib.fiber_state(model, 0.2 + 1.1j)).residual
     state = fib.fiber_state(pert, T_PERT)
     rep_pert = fib.schumacher_residual(state)
     lhs, rhs, fs_res = fib.fs_pushforward_check(state, rep_pert)
@@ -565,7 +570,7 @@ def suite_schumacher(cfg: SuiteConfig, tol: Tolerances):
     mb = fib.bracket_mixed_check(pert, T_PERT, np.array([0.23 + 0.11j]))
     dbar = fib.dbar_closedness_residual(state)
     return [
-        _check("flat-family-residual", "schumacher-identity", rep_flat.residual,
+        _check("flat-family-residual", "schumacher-identity", flat_residual,
                tol("schumacher-flat")),
         _check("perturbed-residual", "schumacher-identity", rep_pert.residual,
                tol("schumacher-perturbed")),
@@ -730,14 +735,11 @@ def suite_brunn_minkowski(cfg: SuiteConfig, tol: Tolerances):
     rng = np.random.default_rng([cfg.seed, 9])
     checks = []
     for n in (2, 3):
-        basis = kns.sym_basis(n)
-        worst = np.inf
-        for _ in range(cfg.samples):
-            g = rng.standard_normal((n, n))
-            a = g @ g.T + 0.3 * np.eye(n)
-            point = np.array([a[i, j] for i in range(n) for j in range(i, n)])
-            cone = geo.ConeBasis(basis=basis, point=point)
-            worst = min(worst, float(np.linalg.eigvalsh(geo.bm_hessian(cone)).min()))
+        g = rng.standard_normal((cfg.samples, n, n))
+        a = g @ g.swapaxes(-1, -2) + 0.3 * np.eye(n)
+        rows, cols = np.triu_indices(n)
+        cone = geo.ConeBasis(basis=kns.sym_basis(n), point=a[:, rows, cols])
+        worst = float(np.linalg.eigvalsh(geo.bm_hessian(cone)).min())
         checks.append(_check(f"hessian-min-eig-n{n}", "logdet-convexity", worst,
                              tol("bm-positivity"), comparison=">="))
     worst_rho = np.inf
@@ -774,11 +776,14 @@ def suite_projbundle(cfg: SuiteConfig, tol: Tolerances):
     for model in flat_models:
         for _ in range(max(1, cfg.samples // len(flat_models) // 4)):
             t = rng.standard_normal() + 1j * rng.standard_normal()
-            for _ in range(4):
-                v = rng.standard_normal(model.r) + 1j * rng.standard_normal(model.r)
-                v[model.chart] = 1.0
-                worst_top = max(worst_top, pb.pk_top_power(model, t, v))
-                worst_pos = min(worst_pos, pb.fiber_positivity_margin(model, t, v))
+            v = np.empty((4, model.r), dtype=complex)
+            for i in range(4):
+                v[i] = rng.standard_normal(model.r) + 1j * rng.standard_normal(model.r)
+            v[:, model.chart] = 1.0
+            omega = pb.pk_form(model, t, v)
+            worst_top = max(worst_top, float(np.max(pb.pk_top_power(model, t, v, omega))))
+            worst_pos = min(worst_pos,
+                            float(np.min(pb.fiber_positivity_margin(model, t, v, omega))))
             worst_flat = max(worst_flat, pb.projective_flatness_residual(model, t))
         worst_fs = max(worst_fs, pb.fiber_fs_check(model, 0.3,
                                                    samples=max(8, cfg.samples // 40),
@@ -815,17 +820,16 @@ def suite_projbundle(cfg: SuiteConfig, tol: Tolerances):
                          tol("projflat-zero")))
     if cfg.model is not None:
         family, params = parse_model_spec(cfg.model)
-        if family in pb.BUNDLE_FAMILIES:
-            model = pb.BUNDLE_FAMILIES[family](**params)
-            resid = pb.projective_flatness_residual(model, 0.4 + 0.2j)
-            v = np.ones(model.r, dtype=complex)
-            top = pb.pk_top_power(model, 0.4 + 0.2j, v)
-            # The two degeneracy detectors must agree on the configured model.
-            consistent = 0.0 if (resid < 1e-8) == (top < 1e-8) else 1.0
-            checks.append(_check("configured-model-consistency", "projflat-degenerate",
-                                 consistent, 0.5,
-                                 witness={"family": family, "residual": resid,
-                                          "top_power": top}))
+        model = pb.BUNDLE_FAMILIES[family](**params)
+        resid = pb.projective_flatness_residual(model, 0.4 + 0.2j)
+        v = np.ones(model.r, dtype=complex)
+        top = pb.pk_top_power(model, 0.4 + 0.2j, v)
+        # The two degeneracy detectors must agree on the configured model.
+        consistent = 0.0 if (resid < 1e-8) == (top < 1e-8) else 1.0
+        checks.append(_check("configured-model-consistency", "projflat-degenerate",
+                             consistent, 0.5,
+                             witness={"family": family, "residual": resid,
+                                      "top_power": top}))
     return checks
 
 
@@ -844,9 +848,15 @@ SUITES = {
 }
 
 
+# The suite that reads a --model of each family registry; every other suite
+# runs without the model.
+MODEL_SUITES = {"schumacher": fib.MODEL_FAMILIES, "projbundle": pb.BUNDLE_FAMILIES}
+
+
 def run_suite(config: SuiteConfig) -> SuiteReport:
     """Execute the named suite (or all of them, one after another in registry
     order, each check prefixed with its suite name) and collect check records.
+    A --model goes only to the suite of its family's registry (`MODEL_SUITES`).
     """
     start = time.perf_counter()
     tol = Tolerances(config)
@@ -855,9 +865,13 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     else:
         names = [config.suite]
     results: list[CheckRecord] = []
+    family = parse_model_spec(config.model)[0] if config.model is not None else None
     for name in names:
         prefix = f"{name}/" if config.suite == "all" else ""
-        for record in SUITES[name](config, tol):
+        suite_config = config
+        if family is not None and family not in MODEL_SUITES.get(name, ()):
+            suite_config = replace(config, model=None)
+        for record in SUITES[name](suite_config, tol):
             record.name = prefix + record.name
             results.append(record)
     elapsed = time.perf_counter() - start

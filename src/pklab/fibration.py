@@ -15,12 +15,11 @@ degeneracy diagnostics are spectral.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
 
-from . import _fd
+from . import _fd, wedge
 
 
 class PositivityError(ValueError):
@@ -185,7 +184,14 @@ def _perturbed_torus_jets(eps: float) -> tuple[Callable, Callable]:
 # ---------------------------------------------------------------------------
 
 class SpectralFiber:
-    """Uniform grid on C^n / lattice with exact Fourier differentiation."""
+    """Uniform grid on C^n / lattice with exact Fourier differentiation.
+
+    A derivative is a Fourier multiplier: d/dx_r multiplies the coefficient
+    of exp(i mu.x) by i mu_r, so d/dz^a and d/dzbar^a multiply it by
+    ``symbol_z[a]`` = (i/2)(mu_a - i mu_{n+a}) and ``symbol_zbar[a]`` =
+    (i/2)(mu_a + i mu_{n+a}).  Every derivative transforms over the last 2n
+    (grid) axes, so a stack of functions is one transform pair.
+    """
 
     def __init__(self, generators: np.ndarray, size: int):
         gens = np.atleast_2d(np.asarray(generators, dtype=complex))
@@ -207,7 +213,10 @@ class SpectralFiber:
         freqs = np.meshgrid(*([np.fft.fftfreq(size, d=1.0 / size)] * (2 * self.n)),
                             indexing="ij")
         k = np.stack(freqs)                                     # (2n, grid)
-        self.mu = 2.0 * np.pi * np.einsum("rs,s...->r...", np.linalg.inv(self.L).T, k)
+        mu = 2.0 * np.pi * np.einsum("rs,s...->r...", np.linalg.inv(self.L).T, k)
+        self.symbol_z = 0.5j * (mu[:self.n] - 1j * mu[self.n:])      # (n, grid)
+        self.symbol_zbar = 0.5j * (mu[:self.n] + 1j * mu[self.n:])
+        self._axes = tuple(range(-2 * self.n, 0))
 
     @property
     def points(self) -> np.ndarray:
@@ -216,21 +225,35 @@ class SpectralFiber:
     def to_grid(self, flat: np.ndarray) -> np.ndarray:
         return np.asarray(flat).reshape(flat.shape[:-1] + self.shape)
 
-    def _dx(self, f: np.ndarray, r: int) -> np.ndarray:
-        return np.fft.ifftn(1j * self.mu[r] * np.fft.fftn(f))
+    def _multiply(self, f: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+        """The Fourier multiplier `symbol` applied to f (..., grid): one
+        fftn and one ifftn over the grid axes, the latter in place."""
+        spec = symbol * np.fft.fftn(f, axes=self._axes)
+        return np.fft.ifftn(spec, axes=self._axes, out=spec)
 
     def d_z(self, f: np.ndarray, a: int) -> np.ndarray:
-        return 0.5 * (self._dx(f, a) - 1j * self._dx(f, self.n + a))
+        return self._multiply(f, self.symbol_z[a])
 
     def d_zbar(self, f: np.ndarray, a: int) -> np.ndarray:
-        return 0.5 * (self._dx(f, a) + 1j * self._dx(f, self.n + a))
+        return self._multiply(f, self.symbol_zbar[a])
 
-    def integrate_lebesgue(self, f: np.ndarray) -> complex:
-        return complex(np.mean(f) * self.covolume)
+    def second(self, f: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """[a, b] = D_a E_b f for the multiplier stacks left = D and right = E
+        (each `symbol_z` or `symbol_zbar`): shape (n, n) + f.shape, the
+        products of the symbols under one transform pair."""
+        n = self.n
+        product = (left[:, None] * right[None, :]).reshape(
+            (n, n) + (1,) * (np.ndim(f) - 2 * n) + self.shape)
+        return self._multiply(f, product)
 
-    def integrate_volume(self, f: np.ndarray, det_ff: np.ndarray) -> complex:
-        """Integral of f against the fiber volume form (2^n det g) dLeb."""
-        return complex(np.mean(f * det_ff) * (2.0 ** self.n) * self.covolume)
+    def integrate_lebesgue(self, f: np.ndarray) -> complex | np.ndarray:
+        """Integral of f (..., grid) against Lebesgue measure, per leading index."""
+        return np.mean(f, axis=self._axes) * self.covolume
+
+    def integrate_volume(self, f: np.ndarray, det_ff: np.ndarray) -> complex | np.ndarray:
+        """Integral of f (..., grid) against the fiber volume form
+        (2^n det g) dLeb, per leading index."""
+        return np.mean(f * det_ff, axis=self._axes) * (2.0 ** self.n) * self.covolume
 
     def nyquist_fraction(self, f: np.ndarray) -> float:
         spec = np.abs(np.fft.fftn(f)) ** 2
@@ -399,18 +422,11 @@ def top_power_norm(h: np.ndarray, fiber_dim: int) -> np.ndarray:
     """Pointwise coefficient norm of the (fiber_dim+1)-st power of a (1,1)-form.
 
     ``h`` is one coefficient matrix or a stack of them (matrix axes first).
-    The coefficients of omega^{k} / k! are the k-minors of the matrix; the
-    Euclidean norm over all minors is returned.
+    The coefficients of omega^{k} / k! are the k-minors of the matrix, the
+    entries of its `wedge.compound_matrix`; their Euclidean norm is returned.
     """
-    dim = h.shape[0]
-    k = fiber_dim + 1
-    total = np.zeros(h.shape[2:], dtype=float)
-    for rows in combinations(range(dim), k):
-        for cols in combinations(range(dim), k):
-            sub = h[np.ix_(rows, cols)]
-            sub = np.moveaxis(sub, (0, 1), (-2, -1))
-            total += abs(np.linalg.det(sub)) ** 2
-    return np.sqrt(total)
+    minors = wedge.compound_matrix(np.moveaxis(h, (0, 1), (-2, -1)), fiber_dim + 1)
+    return np.sqrt(np.sum(np.abs(minors) ** 2, axis=(-2, -1)))
 
 
 @dataclass(frozen=True)
@@ -515,7 +531,10 @@ def _psi_base_derivatives(state: FiberState) -> tuple[np.ndarray, np.ndarray, np
         return 0.25 * ((v[0] - 2 * psi0 + v[1]) / h**2 + (v[2] - 2 * psi0 + v[3]) / h**2)
 
     ttb_c, ttb_f = laplacian(psi[:4], T_STEP), laplacian(psi[4:], T_STEP / 2)
-    return (4.0 * ttb_f - ttb_c) / 3.0, _fd.xy_combine(grad, False, T_STEP), grad0
+    psi_ttb = (4.0 * ttb_f - ttb_c) / 3.0
+    # The psi values are spent: free them before the gradient's difference.
+    del psi, psi0, ttb_c, ttb_f
+    return psi_ttb, _fd.xy_combine(grad, False, T_STEP), grad0
 
 
 def relative_canonical_curvature(state: FiberState,
@@ -526,8 +545,7 @@ def relative_canonical_curvature(state: FiberState,
     fiber = state.spectral
     n = fiber.n
     psi_ttb, psi_tb, gbar0 = psi
-    psi_fb = np.stack([np.stack([fiber.d_z(gbar0[b], a) for b in range(n)])
-                       for a in range(n)])          # (a, b, grid): d_a d_bbar psi
+    psi_fb = np.stack([fiber.d_z(gbar0, a) for a in range(n)])  # [a, b]: d_a d_bbar psi
     ug = fiber.to_grid(state.lifts)
     # Theta(V, Vbar) = psi_ttb - sum_b psi_{t bbar} conj(u^b)
     #                - sum_a psi_{a tbar} u^a + sum psi_{a bbar} u^a conj(u^b),
@@ -555,13 +573,10 @@ class SchumacherReport:
 
 def box_on_function(fiber: SpectralFiber, f_grid: np.ndarray,
                     ff_inv_grid: np.ndarray) -> np.ndarray:
-    """dbar-Laplacian on functions: -g^{bbar a} d_a d_bbar f."""
-    n = fiber.n
-    out = np.zeros_like(f_grid, dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            out -= ff_inv_grid[b, a] * fiber.d_z(fiber.d_zbar(f_grid, b), a)
-    return out
+    """dbar-Laplacian on functions: -g^{bbar a} d_a d_bbar f; f_grid may
+    carry leading axes."""
+    second = fiber.second(f_grid, fiber.symbol_z, fiber.symbol_zbar)   # [a, b]
+    return np.einsum("ba...,ab...->...", -ff_inv_grid, second)
 
 
 def schumacher_residual(state: FiberState) -> SchumacherReport:
@@ -627,46 +642,54 @@ def _require_flat_fiber(state: FiberState) -> None:
         raise CaseNotCoveredError("identity requires a fiber-flat metric")
 
 
-def _kappa_phi(state: FiberState, phi: np.ndarray) -> np.ndarray:
-    """Flat-fiber variation tensor of a fiber potential, flattened point axis."""
+def kappa_phi(state: FiberState, phi_grid: np.ndarray) -> np.ndarray:
+    """Flat-fiber variation tensor of fiber potentials phi_grid (..., grid):
+    shape (n, n, ..., P), the point axis flattened."""
     fiber = state.spectral
     n = fiber.n
+    phi = np.asarray(phi_grid)
     ff_inv0 = state.ff_inv[..., 0]
-    second_bar = np.stack([np.stack([fiber.d_zbar(fiber.d_zbar(phi, g), b)
-                                     for b in range(n)]) for g in range(n)])
+    second_bar = fiber.second(phi, fiber.symbol_zbar, fiber.symbol_zbar)  # [g, b]
     kphi = np.einsum("ga,gb...->ab...", ff_inv0, second_bar)
-    return kphi.reshape(n, n, -1)
+    return kphi.reshape((n, n) + phi.shape[:-2 * n] + (-1,))
 
 
-def bkn_identity_check(state: FiberState,
-                       phi_grid: np.ndarray) -> tuple[float, float, str]:
+def bkn_identity_check(state: FiberState, phi_grid: np.ndarray,
+                       kphi: np.ndarray | None = None
+                       ) -> tuple[float | np.ndarray, float | np.ndarray, str]:
     """(norm of the potential's variation tensor, norm of its Laplacian, case tag).
 
-    For flat fiber metrics the two norms agree; curved fiber cases are not
-    covered and raise.
+    phi_grid may carry leading axes, and the norms then carry them too;
+    kphi is `kappa_phi(state, phi_grid)` when the caller has already formed
+    it.  For flat fiber metrics the two norms agree; curved fiber cases are
+    not covered and raise.
     """
     _require_proper(state)
     _require_flat_fiber(state)
     fiber = state.spectral
-    phi = np.asarray(phi_grid, dtype=complex).reshape(fiber.shape)
-    kphi = _kappa_phi(state, phi)
-    inner = kappa_pairing(kphi, kphi, state.ff, state.ff_inv)
+    phi = np.asarray(phi_grid)
+    if kphi is None:
+        kphi = kappa_phi(state, phi)
+    inner = kappa_pairing(kphi, kphi, state.ff, state.ff_inv).real
     det_ff = fiber.to_grid(state.det_ff.real)
-    norm_k = np.sqrt(fiber.integrate_volume(fiber.to_grid(inner.real), det_ff).real)
+    norm_k = np.sqrt(fiber.integrate_volume(fiber.to_grid(inner), det_ff).real)
+    del inner
     box_phi = box_on_function(fiber, phi, fiber.to_grid(state.ff_inv))
     norm_box = np.sqrt(fiber.integrate_volume(np.abs(box_phi) ** 2, det_ff).real)
     return norm_k, norm_box, "ricci-flat-fiber"
 
 
-def kappa_phi_pairing(state: FiberState, phi_grid: np.ndarray) -> complex:
+def kappa_phi_pairing(state: FiberState, phi_grid: np.ndarray,
+                      kphi: np.ndarray | None = None) -> complex | np.ndarray:
     """Fiber integral <ks, kappa^phi>: vanishes for flat fibers (the scalar
     curvature is constant, so the variational pairing against any potential
-    is trivial)."""
+    is trivial).  phi_grid and kphi as for `bkn_identity_check`."""
     _require_proper(state)
     _require_flat_fiber(state)
     fiber = state.spectral
-    phi = np.asarray(phi_grid, dtype=complex).reshape(fiber.shape)
-    pair = state.kappa_pair(_kappa_phi(state, phi))
+    if kphi is None:
+        kphi = kappa_phi(state, phi_grid)
+    pair = state.kappa_pair(kphi)
     return fiber.integrate_volume(fiber.to_grid(pair), fiber.to_grid(state.det_ff))
 
 

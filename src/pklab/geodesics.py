@@ -273,27 +273,24 @@ def gradient_image_probe(grid: ConvexGrid, pairs: int = 100,
 
 @dataclass(frozen=True)
 class ConeBasis:
-    """Basis of real symmetric matrices and a coefficient point in the cone."""
+    """Basis of real symmetric matrices and a coefficient point in the cone;
+    point (..., len(basis)) may carry leading axes, a stack of points."""
 
     basis: Sequence[np.ndarray]
     point: np.ndarray
 
     def matrix(self) -> np.ndarray:
-        return sum(c * b for c, b in zip(self.point, self.basis))
+        return np.einsum("...j,jab->...ab", self.point, np.asarray(self.basis))
 
 
 def bm_hessian(cone: ConeBasis) -> np.ndarray:
-    """Hessian of -log det at the cone point: entries tr(A^{-1} A_j A^{-1} A_k)."""
+    """Hessian of -log det at the cone point: entries tr(A^{-1} A_j A^{-1} A_k),
+    stacked like the point."""
     a = cone.matrix()
-    if np.linalg.eigvalsh(0.5 * (a + a.T)).min() <= 0:
+    if np.linalg.eigvalsh(0.5 * (a + a.swapaxes(-1, -2))).min() <= 0:
         raise ConeError("point lies outside the positive cone")
-    solved = [np.linalg.solve(a, b) for b in cone.basis]
-    size = len(cone.basis)
-    h = np.empty((size, size))
-    for j in range(size):
-        for k in range(j, size):
-            h[j, k] = h[k, j] = float(np.trace(solved[j] @ solved[k]).real)
-    return h
+    solved = np.linalg.solve(a[..., None, :, :], np.asarray(cone.basis))
+    return np.einsum("...jab,...kba->...jk", solved, solved)
 
 
 @dataclass(frozen=True)
@@ -321,11 +318,9 @@ def mabuchi_profile(hess0: np.ndarray, hess1: np.ndarray, t_samples: Sequence[fl
             raise ConeError("quadratic Hessians must be positive definite")
     ts = np.asarray(list(t_samples), dtype=float)
     delta = h1 - h0
-    rho = np.empty(ts.size)
-    for i, t in enumerate(ts):
-        ht = (1.0 - t) * h0 + t * h1
-        m = np.linalg.solve(ht, delta)
-        rho[i] = float(np.trace(m @ m).real)
+    w = ts[:, None, None]
+    m = np.linalg.solve((1.0 - w) * h0 + w * h1, delta)
+    rho = np.trace(m @ m, axis1=-2, axis2=-1)
     degenerate = bool(np.max(np.abs(delta)) == 0.0)
     margin = None
     if not degenerate and ts.size >= 3:

@@ -66,62 +66,68 @@ def projective_flatness_residual(model: BundleMetricModel, t: complex) -> float:
 
 def _chart_coordinates(model: BundleMetricModel, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=complex)
-    if v.size != model.r:
+    if v.ndim < 1 or v.shape[-1] != model.r:
         raise ValueError("fiber point must have one component per rank")
-    if abs(v[model.chart]) < 1e-13:
+    if np.min(np.abs(v[..., model.chart])) < 1e-13:
         raise ChartError("normalizing coordinate vanishes at this point")
-    return v / v[model.chart]
+    return v / v[..., model.chart, None]
 
 
-def _log_hessian(h: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, complex]:
-    """(d^2 log H / dv dvbar, H) for H = h_{a bbar} v^a conj(v^b)."""
-    w = h @ v.conj()
-    bigH = complex(v @ w)
-    L = h / bigH - np.outer(w, w.conj()) / bigH**2
-    return L, bigH
+def _log_hessian(h: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(d^2 log H / dv dvbar, H) for H = h_{a bbar} v^a conj(v^b), stacked
+    like the points v (..., r)."""
+    w = np.einsum("ab,...b->...a", h, v.conj())
+    big_h = np.einsum("...a,...a->...", v, w)[..., None, None]
+    return h / big_h - w[..., :, None] * w.conj()[..., None, :] / big_h**2, big_h[..., 0, 0]
 
 
 def pk_form(model: BundleMetricModel, t: complex, v: np.ndarray) -> np.ndarray:
     """Coefficient matrix of the twisted form at (t, [v]) in the affine chart.
 
-    Basis order: dt first, then the fiber differentials skipping the chart
-    coordinate.  The matrix is Hermitian; its fiber block is the log-Hessian
-    in the corrected frame and the base block carries the curvature pairing
-    plus the trace-part twist.
+    v (..., r) may be a stack of fiber points over the one base point t; the
+    matrices are stacked like it.  Basis order: dt first, then the fiber
+    differentials skipping the chart coordinate.  The matrix is Hermitian;
+    its fiber block is the log-Hessian in the corrected frame and the base
+    block carries the curvature pairing plus the trace-part twist.
     """
     v = _chart_coordinates(model, v)
     h, dh, _ = model.jets(t)
     hinv = np.linalg.inv(h)
-    L, bigH = _log_hessian(h, v)
+    L, big_h = _log_hessian(h, v)
     rmat = chern_curvature(model, t)
     ric = complex(np.trace(hinv @ rmat))
     # delta v^a = dv^a + b^a dt with b^a = v^beta h^{gbar a} d_t h_{beta gbar}.
-    b = np.einsum("b,ga,bg->a", v, hinv, dh)
-    fiber_idx = [a for a in range(model.r) if a != model.chart]
+    b = np.einsum("...b,ga,bg->...a", v, hinv, dh)
+    fiber_idx = np.array([a for a in range(model.r) if a != model.chart], dtype=int)
     dim = 1 + len(fiber_idx)
-    omega = np.empty((dim, dim), dtype=complex)
-    base_base = (-np.einsum("ab,a,b->", rmat, v, v.conj()) / bigH
-                 + ric / model.r
-                 + np.einsum("ab,a,b->", L, b, b.conj()))
-    omega[0, 0] = base_base
-    for col, nu in enumerate(fiber_idx):
-        omega[0, 1 + col] = np.einsum("a,a->", L[:, nu], b)
-        omega[1 + col, 0] = np.conj(omega[0, 1 + col])
-    for rw, mu in enumerate(fiber_idx):
-        for col, nu in enumerate(fiber_idx):
-            omega[1 + rw, 1 + col] = L[mu, nu]
+    omega = np.empty(v.shape[:-1] + (dim, dim), dtype=complex)
+    omega[..., 0, 0] = (-np.einsum("ab,...a,...b->...", rmat, v, v.conj()) / big_h
+                        + ric / model.r
+                        + np.einsum("...ab,...a,...b->...", L, b, b.conj()))
+    omega[..., 0, 1:] = np.einsum("...an,...a->...n", L[..., :, fiber_idx], b)
+    omega[..., 1:, 0] = omega[..., 0, 1:].conj()
+    omega[..., 1:, 1:] = L[..., fiber_idx[:, None], fiber_idx]
     return omega
 
 
-def pk_top_power(model: BundleMetricModel, t: complex, v: np.ndarray) -> float:
-    return float(top_power_norm(pk_form(model, t, v), model.r - 1))
+def pk_top_power(model: BundleMetricModel, t: complex, v: np.ndarray,
+                 omega: np.ndarray | None = None) -> float | np.ndarray:
+    """Coefficient norm of the top power of the form at (t, [v]), stacked
+    like v; omega is `pk_form(model, t, v)` when the caller has already
+    formed it."""
+    if omega is None:
+        omega = pk_form(model, t, v)
+    return top_power_norm(np.moveaxis(omega, (-2, -1), (0, 1)), model.r - 1)
 
 
-def fiber_positivity_margin(model: BundleMetricModel, t: complex, v: np.ndarray) -> float:
-    """Smallest eigenvalue of the fiber block of the form."""
-    omega = pk_form(model, t, v)
-    block = omega[1:, 1:]
-    return float(np.linalg.eigvalsh(0.5 * (block + block.conj().T)).min())
+def fiber_positivity_margin(model: BundleMetricModel, t: complex, v: np.ndarray,
+                            omega: np.ndarray | None = None) -> float | np.ndarray:
+    """Smallest eigenvalue of the fiber block of the form, stacked like v;
+    omega as for `pk_top_power`."""
+    if omega is None:
+        omega = pk_form(model, t, v)
+    block = omega[..., 1:, 1:]
+    return np.linalg.eigvalsh(0.5 * (block + block.conj().swapaxes(-1, -2))).min(axis=-1)
 
 
 def fubini_study_reference(h: np.ndarray, v: np.ndarray, chart: int) -> np.ndarray:
@@ -130,17 +136,17 @@ def fubini_study_reference(h: np.ndarray, v: np.ndarray, chart: int) -> np.ndarr
     Factors h = C C^H, rotates into coordinates where the squared length is
     the standard one (|C^T v|^2), applies the standard log-Hessian and pulls
     back through the chart Jacobian; an independent route to the fiber
-    restriction.
+    restriction.  v (..., r) may be a stack of points.
     """
     r = h.shape[0]
     w_eig, u = np.linalg.eigh(0.5 * (h + h.conj().T))
     c = u @ np.diag(np.sqrt(np.clip(w_eig, 0.0, None)))   # h = C C^H
-    vt = c.T @ v                     # rotated homogeneous coordinates
-    big = float(np.real(vt.conj() @ vt))
-    l_std = (np.eye(r) * big - np.outer(vt.conj(), vt)) / big**2
+    vt = v @ c                       # rotated homogeneous coordinates C^T v
+    big = np.sum(vt.conj() * vt, axis=-1).real[..., None, None]
+    l_std = (np.eye(r) * big - vt.conj()[..., :, None] * vt[..., None, :]) / big**2
     full = c @ l_std @ c.conj().T
-    fiber_idx = [a for a in range(r) if a != chart]
-    return full[np.ix_(fiber_idx, fiber_idx)]
+    fiber_idx = np.array([a for a in range(r) if a != chart], dtype=int)
+    return full[..., fiber_idx[:, None], fiber_idx]
 
 
 def fiber_fs_check(model: BundleMetricModel, t: complex, samples: int = 20,
@@ -148,14 +154,12 @@ def fiber_fs_check(model: BundleMetricModel, t: complex, samples: int = 20,
     """Sup over sampled chart points of |fiber block - reference form|."""
     rng = np.random.default_rng(seed)
     h = model.metric(t)
-    worst = 0.0
-    for _ in range(samples):
-        v = rng.standard_normal(model.r) + 1j * rng.standard_normal(model.r)
-        v[model.chart] = 1.0
-        block = pk_form(model, t, v)[1:, 1:]
-        ref = fubini_study_reference(h, v, model.chart)
-        worst = max(worst, float(np.max(np.abs(block - ref))))
-    return worst
+    v = np.empty((samples, model.r), dtype=complex)
+    for i in range(samples):
+        v[i] = rng.standard_normal(model.r) + 1j * rng.standard_normal(model.r)
+    v[:, model.chart] = 1.0
+    block = pk_form(model, t, v)[:, 1:, 1:]
+    return float(np.max(np.abs(block - fubini_study_reference(h, v, model.chart))))
 
 
 def d_closedness_residual(model: BundleMetricModel, t: complex, v: np.ndarray,

@@ -42,22 +42,58 @@ def sort_sign(indices: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     return tuple(arr), sign
 
 
+@lru_cache(maxsize=None)
+def _laplace_table(dim: int, k: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Gather table of the first-row Laplace expansion of the k-compound.
+
+    For basis sets I, J of degree k and each position p < k,
+
+        C_k[I, J] = sum_p (-1)^p m[I_0, J_p] C_{k-1}[I - I_0, J - J_p].
+
+    Entry p is a pair of (C_k, C_k) flat indices: into m (dim x dim) and
+    into C_{k-1}.  The cached arrays are shared and read-only.
+    """
+    sets = basis(dim, k)
+    idx = index_map(dim, k - 1)
+    size = len(basis(dim, k - 1))
+    first = np.array([s[0] for s in sets])
+    rest = np.array([idx[s[1:]] for s in sets])
+    table = []
+    for p in range(k):
+        col = np.array([s[p] for s in sets])
+        minor = np.array([idx[s[:p] + s[p + 1:]] for s in sets])
+        entries = (first[:, None] * dim + col[None, :], rest[:, None] * size + minor[None, :])
+        for a in entries:
+            a.setflags(write=False)
+        table.append(entries)
+    return tuple(table)
+
+
 def compound_matrix(m: np.ndarray, k: int) -> np.ndarray:
     """k-th multiplicative extension: entries are k x k minors of m.
 
     m may carry leading axes; each matrix of the stack is extended.  Degree 1
-    is m itself (a copy), not a stack of 1 x 1 determinants.
+    is m itself (a copy), not a stack of 1 x 1 determinants.  Higher degrees
+    expand every minor along its first row over the minors of one degree
+    less (`_laplace_table`), so degree k costs sum_j j C(dim, j)^2 products
+    per matrix and no determinant call.
     """
     dim = m.shape[-1]
-    sets = basis(dim, k)
+    if k < 0 or k > dim:
+        raise ValueError(f"degree {k} out of range for dimension {dim}")
     if k == 0:
         return np.ones(m.shape[:-2] + (1, 1), dtype=complex)
     m = np.asarray(m, dtype=complex)
-    if k == 1:
-        return m.copy()
-    rows = np.array(sets)
-    stack = m[..., rows[:, None, :, None], rows[None, :, None, :]]
-    return np.linalg.det(stack)
+    lead = m.shape[:-2]
+    flat = m.reshape(lead + (dim * dim,))
+    out = m.copy()
+    for degree in range(2, k + 1):
+        prev = out.reshape(lead + (-1,))
+        out = 0.0
+        for p, (m_idx, prev_idx) in enumerate(_laplace_table(dim, degree)):
+            term = np.take(flat, m_idx, axis=-1) * np.take(prev, prev_idx, axis=-1)
+            out = out - term if p % 2 else out + term
+    return out
 
 
 @lru_cache(maxsize=None)

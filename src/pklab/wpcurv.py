@@ -446,14 +446,15 @@ def burns_bounds(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFram
     samples.  Pairings come from `ClosedFormCurvature` on stacks: per
     basepoint, one call pairs every sample's xi with xi and eta and one with
     the G-orthonormal basis of the Ricci trace (in blocks of samples of about
-    GRAM_BLOCK_BYTES at large n).  Its metric is compared with one
-    `metric_field` call on all basepoints, and its two pairings of the first
-    sample with the one-line difference oracle (`curvature_fd_along`) at the
-    first ORACLE_BASEPOINTS basepoints, in blocks of lines of about
-    GRAM_BLOCK_BYTES (one call at small n).  Each basepoint also records the
-    sharpness witness L L^T and a `hsc_ascent` from ASCENT_STARTS starts
-    drawn from a second generator, so the sweep's own draws are those of the
-    tensor sweep.
+    GRAM_BLOCK_BYTES at large n).  Basepoints run in blocks whose metrics
+    take about GRAM_BLOCK_BYTES, so G is held for one block at a time: per
+    block, the closed-form metric is compared with one `metric_field` call,
+    and each basepoint records the sharpness witness L L^T and a
+    `hsc_ascent` from ASCENT_STARTS starts drawn from a second generator, so
+    the sweep's own draws are those of the tensor sweep.  The two pairings
+    of the first sample meet the one-line difference oracle
+    (`curvature_fd_along`) at the first ORACLE_BASEPOINTS basepoints, in
+    blocks of lines of about GRAM_BLOCK_BYTES (one call at small n).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -473,34 +474,49 @@ def burns_bounds(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFram
     phi = np.stack(phis)
     owner = np.repeat(np.arange(len(counts)), counts)         # basepoint of each sample
     starts = ascent_rng.standard_normal((len(counts), 2, ASCENT_STARTS, nsym))
-
-    curv = ClosedFormCurvature(phi[:, None])                  # stack (bases, 1)
-    g = curv.metric()[:, 0]
     coords = coords_from_sym(phi)
     _, gram_at = metric_field(space, J, frame, degree=1)
-    max_metric = np.max(np.abs(g - gram_at(coords)))
-    max_sharp = np.max(np.abs(curv.hsc(curv.sharp_direction()) + 2.0 / n))
-    max_ascent = np.max(hsc_ascent(curv, starts[:, 0] + 1j * starts[:, 1], g[:, None])[0])
 
-    def sample_block(base, xi_eta):
-        """Columns at the raw (xi, eta) pairs of one basepoint: the G-norms
-        of xi and eta, then R(xi, xi, d, d) for d = xi, eta, |G(eta, xi)|^2
-        and the Ricci trace (d over the rows of onb).  The basepoint's G and
-        onb broadcast against the samples: no matrix is copied per sample."""
+    def sample_block(base, g, xi_eta):
+        """Columns at the raw (xi, eta) pairs of one basepoint with metric g:
+        the G-norms of xi and eta, then R(xi, xi, d, d) for d = xi, eta,
+        |G(eta, xi)|^2 and the Ricci trace (d over the rows of onb).  The
+        basepoint's G and onb broadcast against the samples: no matrix is
+        copied per sample."""
         # G-orthonormal basis for the Ricci trace (Gram in the y^H H x
         # convention is the transpose of the coordinate matrix G): rows of onb.
-        onb = np.linalg.inv(np.linalg.cholesky(g[base].T)).conj()
-        norms = np.sqrt(df_inner(g[base], xi_eta, xi_eta).real)
+        onb = np.linalg.inv(np.linalg.cholesky(g.T)).conj()
+        norms = np.sqrt(df_inner(g, xi_eta, xi_eta).real)
         xi_b, eta_b = (xi_eta / norms[..., None]).swapaxes(0, 1)
         c = ClosedFormCurvature(phi[base])
         return np.column_stack([norms, c.pair(xi_b[:, None], np.stack([xi_b, eta_b], 1)).real,
-                                np.abs(df_inner(g[base], eta_b, xi_b)) ** 2,
+                                np.abs(df_inner(g, eta_b, xi_b)) ** 2,
                                 c.pair(xi_b[:, None], onb).real.sum(axis=-1)])
 
     block = max(1, GRAM_BLOCK_BYTES // (16 * (nsym + 2) * n * n))
-    columns = np.concatenate([_in_blocks(lambda s: sample_block(base, d[s]), len(d), block)
-                              for base, d in enumerate(directions)])
-    norm_x, norm_y, hsc, bis, inner2, ric = columns.T
+
+    def base_block(bases):
+        """Rows at the samples of the basepoints `bases`: sample_block's
+        columns, then the basepoint's metric error, sharpness defect and best
+        ascent.  G exists only for the basepoints of one block."""
+        curv = ClosedFormCurvature(phi[bases, None])          # stack (bases, 1)
+        g = curv.metric()[:, 0]
+        per_base = np.stack([
+            np.max(np.abs(g - gram_at(coords[bases])), axis=(-2, -1)),
+            np.abs(curv.hsc(curv.sharp_direction()) + 2.0 / n)[:, 0],
+            np.max(hsc_ascent(curv, starts[bases, 0] + 1j * starts[bases, 1],
+                              g[:, None])[0], axis=-1)], axis=-1)
+        rows = []
+        for i, base in enumerate(range(len(counts))[bases]):
+            d = directions[base]
+            cols = _in_blocks(lambda s: sample_block(base, g[i], d[s]), len(d), block)
+            rows.append(np.column_stack([cols, np.broadcast_to(per_base[i], (len(d), 3))]))
+        return np.concatenate(rows)
+
+    # Basepoints per block: their Gram matrices take about GRAM_BLOCK_BYTES.
+    columns = _in_blocks(base_block, len(counts), max(1, GRAM_BLOCK_BYTES // (16 * nsym * nsym)))
+    norm_x, norm_y, hsc, bis, inner2, ric, metric_err, sharp, ascent = columns.T
+    max_metric, max_sharp, max_ascent = np.max(metric_err), np.max(sharp), np.max(ascent)
     paired_excess = bis + (2.0 / n) * inner2
     worst = int(np.argmax(hsc))
     xi_eta = np.concatenate(directions)
@@ -529,13 +545,13 @@ def burns_bounds(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFram
                         max_ascent_hsc=float(max_ascent))
 
 
-def trace_inequality(kappa: np.ndarray) -> tuple[float, float]:
-    """(tr((k* k)^2), (1/n) (tr k* k)^2); the left side always dominates."""
+def trace_inequality(kappa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(tr((k* k)^2), (1/n) (tr k* k)^2); the left side always dominates.
+
+    kappa (..., n, n) may carry leading axes; both sides then carry them."""
     kappa = np.asarray(kappa, dtype=complex)
-    if kappa.ndim != 2 or kappa.shape[0] != kappa.shape[1]:
+    if kappa.ndim < 2 or kappa.shape[-1] != kappa.shape[-2]:
         raise ValueError("square matrix required")
-    n = kappa.shape[0]
-    gram = kappa.conj().T @ kappa
-    lhs = float(np.real(np.trace(gram @ gram)))
-    rhs = float(np.real(np.trace(gram)) ** 2) / n
-    return lhs, rhs
+    n = kappa.shape[-1]
+    gram = kappa.conj().swapaxes(-1, -2) @ kappa
+    return _trace(gram @ gram).real, _trace(gram).real ** 2 / n

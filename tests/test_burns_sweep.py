@@ -177,8 +177,8 @@ def test_closed_form_curvature_broadcasts_over_basepoints():
 
 
 def test_pairing_stack_in_blocks_matches_one_block(monkeypatch):
-    # A one-byte budget evaluates the pairing stack one sample per block and
-    # the oracle one line per call.
+    # A one-byte budget runs one basepoint per block, evaluates the pairing
+    # stack one sample per block and the oracle one line per call.
     space, j0, frame = workspace(3)
     whole = wp.burns_bounds(space, j0, frame, samples=23, seed=4)
     monkeypatch.setattr(wp, "GRAM_BLOCK_BYTES", 1)

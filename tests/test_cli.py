@@ -389,3 +389,38 @@ def test_malformed_values_rejected(tmp_path, capsys):
         path.write_text(text)
         assert cli.main_verify(["--config", str(path)]) == 2
         assert _single_error_line(capsys)
+
+
+def _suite_models(monkeypatch):
+    """Patch every registered suite to log the --model it is handed."""
+    seen = {}
+    for name, suite in list(cli.SUITES.items()):
+        def logged(cfg, tol, suite=suite, name=name):
+            seen[name] = cfg.model
+            return suite(cfg, tol)
+
+        monkeypatch.setitem(cli.SUITES, name, logged)
+    return seen
+
+
+def test_all_gives_a_bundle_model_to_projbundle(monkeypatch):
+    seen = _suite_models(monkeypatch)
+    model = "split weights=1,2,0.5"
+    rep = cli.run_suite(cli.SuiteConfig(suite="all", n=1, samples=4, model=model))
+    assert seen == {name: model if name == "projbundle" else None for name in cli.SUITES}
+    alone = cli.run_suite(cli.SuiteConfig(suite="projbundle", n=1, samples=4, model=model))
+    want = [cli.asdict(c) for c in alone.checks]
+    assert [cli.asdict(c) | {"name": c.name[len("projbundle/"):]} for c in rep.checks
+            if c.name.startswith("projbundle/")] == want
+    assert alone.passed and "configured-model-consistency" in [c["name"] for c in want]
+
+
+def test_all_gives_a_fibration_model_to_schumacher_only(monkeypatch):
+    seen = _suite_models(monkeypatch)
+    model = "perturbed-torus eps=0.02"
+    rep = cli.run_suite(cli.SuiteConfig(suite="all", n=1, samples=4, model=model))
+    assert seen == {name: model if name == "schumacher" else None for name in cli.SUITES}
+    alone = cli.run_suite(cli.SuiteConfig(suite="schumacher", n=1, samples=4, model=model))
+    assert alone.passed
+    assert [c.value for c in rep.checks if c.name.startswith("schumacher/")] == [
+        c.value for c in alone.checks]

@@ -298,3 +298,89 @@ def test_spectral_fiber_quadrature_and_derivatives():
     assert np.max(np.abs(fiber.d_z(f, 0) - expect)) < 1e-10
     assert abs(fiber.integrate_lebesgue(f)) < 1e-12
     assert fiber.integrate_lebesgue(np.ones_like(f)).real == pytest.approx(1.0)
+
+
+def _torus_trig_polynomial(tau, size):
+    """A trig polynomial on C/(Z + tau Z) and its exact Wirtinger derivatives.
+
+    With z = a + b tau, f = cos(2 pi a) sin(4 pi b) + sin(2 pi (a + b)).
+    Returns the fiber, f and its d_z, d_zbar, d_z d_zbar and d_zbar d_zbar."""
+    fiber = fib.SpectralFiber(np.array([[1.0], [tau]]), size)
+    z = fiber.points_grid[0]
+    b = z.imag / tau.imag
+    a = z.real - tau.real * b
+    # a and b are real-affine in (z, zbar): their Wirtinger derivatives.
+    b_z, b_zb = 1.0 / (2j * tau.imag), -1.0 / (2j * tau.imag)
+    a_z, a_zb = 0.5 - tau.real * b_z, 0.5 - tau.real * b_zb
+    k = 2.0 * np.pi
+    f = np.cos(k * a) * np.sin(2 * k * b) + np.sin(k * (a + b))
+    f_a = -k * np.sin(k * a) * np.sin(2 * k * b) + k * np.cos(k * (a + b))
+    f_b = 2 * k * np.cos(k * a) * np.cos(2 * k * b) + k * np.cos(k * (a + b))
+    f_aa = -k * k * np.cos(k * a) * np.sin(2 * k * b) - k * k * np.sin(k * (a + b))
+    f_ab = -2 * k * k * np.sin(k * a) * np.cos(2 * k * b) - k * k * np.sin(k * (a + b))
+    f_bb = -4 * k * k * np.cos(k * a) * np.sin(2 * k * b) - k * k * np.sin(k * (a + b))
+
+    def second(u, v):        # D_u D_v f for affine (a, b) with derivatives u, v
+        return f_aa * u[0] * v[0] + f_ab * (u[0] * v[1] + u[1] * v[0]) + f_bb * u[1] * v[1]
+
+    z_, zb_ = (a_z, b_z), (a_zb, b_zb)
+    return (fiber, f, f_a * a_z + f_b * b_z, f_a * a_zb + f_b * b_zb,
+            second(z_, zb_), second(zb_, zb_))
+
+
+@pytest.mark.parametrize("tau", [1j, 0.3 + 1.1j, -0.45 + 0.8j])
+def test_fourier_multipliers_match_exact_derivatives(tau):
+    fiber, f, f_z, f_zb, f_zzb, f_zbzb = _torus_trig_polynomial(tau, 32)
+    scale = np.max(np.abs(f_zbzb))
+    assert np.max(np.abs(fiber.d_z(f, 0) - f_z)) < 1e-12 * scale
+    assert np.max(np.abs(fiber.d_zbar(f, 0) - f_zb)) < 1e-12 * scale
+    mixed = fiber.second(f, fiber.symbol_z, fiber.symbol_zbar)
+    bars = fiber.second(f, fiber.symbol_zbar, fiber.symbol_zbar)
+    assert mixed.shape == bars.shape == (1, 1) + f.shape
+    assert np.max(np.abs(mixed[0, 0] - f_zzb)) < 1e-12 * scale
+    assert np.max(np.abs(bars[0, 0] - f_zbzb)) < 1e-12 * scale
+    # The fused second derivatives against the nested first derivatives,
+    # and a stack of functions against each function.
+    nested = fiber.d_z(fiber.d_zbar(f, 0), 0)
+    assert np.max(np.abs(mixed[0, 0] - nested)) < 1e-12 * scale
+    assert np.max(np.abs(bars[0, 0] - fiber.d_zbar(fiber.d_zbar(f, 0), 0))) < 1e-12 * scale
+    stack = np.stack([f, 2.0 * f_z, f.conj()])
+    assert np.array_equal(fiber.d_zbar(stack, 0)[1], fiber.d_zbar(2.0 * f_z, 0))
+    fused = fiber.second(stack, fiber.symbol_z, fiber.symbol_zbar)
+    assert fused.shape == (1, 1, 3) + f.shape
+    for i in range(3):
+        assert np.array_equal(fused[0, 0, i], fiber.second(stack[i], fiber.symbol_z,
+                                                           fiber.symbol_zbar)[0, 0])
+
+
+def test_stacked_bochner_checks_equal_each_potential():
+    state = fib.fiber_state(ELLIPTIC32, 1j)
+    xg = state.spectral.points_grid[0]
+    c = np.random.default_rng(8).standard_normal((4, 2))[:, :, None, None]
+    phi = c[:, 0] * np.cos(2 * np.pi * xg.real) + c[:, 1] * np.sin(2 * np.pi * (xg.real + xg.imag))
+    kphi = fib.kappa_phi(state, phi)
+    nk, nb, _ = fib.bkn_identity_check(state, phi, kphi)
+    pair = fib.kappa_phi_pairing(state, phi, kphi)
+    assert nk.shape == nb.shape == pair.shape == (4,)
+    for i in range(4):
+        one_k, one_b, _ = fib.bkn_identity_check(state, phi[i])
+        assert one_k == nk[i] and one_b == nb[i]
+        assert fib.kappa_phi_pairing(state, phi[i]) == pair[i]
+
+
+def test_elliptic_family_transforms_the_bochner_stack_twice(monkeypatch):
+    # One fftn of the ten potentials for their variation tensors and one for
+    # their Laplacians; a pair of first derivatives per Wirtinger derivative
+    # took 120.
+    from pklab import cli
+
+    calls = []
+    fftn = np.fft.fftn
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return fftn(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fftn", counted)
+    assert cli.run_suite(cli.SuiteConfig(suite="elliptic-family", n=2, samples=20)).passed
+    assert calls == [(10, 64, 64)] * 2

@@ -221,3 +221,42 @@ def test_mabuchi_profile():
     assert degenerate.degenerate
     assert degenerate.min_rho == 0.0
     assert degenerate.log_convexity_margin is None
+
+
+def bm_hessian_loop(cone):
+    """bm_hessian before stacking: one solve per basis matrix and one trace
+    per (j, k) entry at a single point."""
+    a = sum(c * b for c, b in zip(cone.point, cone.basis))
+    solved = [np.linalg.solve(a, b) for b in cone.basis]
+    size = len(cone.basis)
+    h = np.empty((size, size))
+    for j in range(size):
+        for k in range(j, size):
+            h[j, k] = h[k, j] = float(np.trace(solved[j] @ solved[k]).real)
+    return h
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_bm_hessian_matches_the_point_loop(n):
+    rng = np.random.default_rng(30 + n)
+    g = rng.standard_normal((7, n, n))
+    a = g @ g.swapaxes(-1, -2) + 0.3 * np.eye(n)
+    rows, cols = np.triu_indices(n)
+    cone = geo.ConeBasis(basis=kns.sym_basis(n), point=a[:, rows, cols])
+    assert np.array_equal(cone.matrix(), a)
+    stacked = geo.bm_hessian(cone)
+    assert stacked.shape == (7, len(rows), len(rows))
+    for i in range(7):
+        one = bm_hessian_loop(geo.ConeBasis(basis=cone.basis, point=cone.point[i]))
+        assert np.max(np.abs(stacked[i] - one)) <= 1e-13 * np.max(np.abs(one))
+
+
+def test_stacked_mabuchi_profile_matches_the_time_loop():
+    rng = np.random.default_rng(33)
+    h0, h1 = (x @ x.T + 0.4 * np.eye(3) for x in rng.standard_normal((2, 3, 3)))
+    ts = np.linspace(0.05, 0.95, 19)
+    rep = geo.mabuchi_profile(h0, h1, ts)
+    for i, t in enumerate(ts):
+        m = np.linalg.solve((1.0 - t) * h0 + t * h1, h1 - h0)
+        assert rep.rho[i] == float(np.trace(m @ m).real)
+    assert np.array_equal(rep.ts, ts)

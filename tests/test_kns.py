@@ -186,3 +186,56 @@ def test_sym_entry_is_one_shared_read_only_table():
     phi[0, 0] = 99.0
     assert again[0, 0] == 0.0 and coords[0] == 0.0
     assert np.array_equal(kns.sym_entry(3), [[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+
+
+def motion_form_residual_loop(point, zeta, step=1e-4):
+    """motion_form_residual before its stencil was stacked: one z(t, zeta)
+    evaluation, with its own domain check, per stencil point, and one
+    pairing per (a, b)."""
+    n = point.n
+    nsym = kns.sym_dim(n)
+    x0 = np.concatenate([kns.coords_from_sym(point.phi), np.asarray(zeta, dtype=complex)])
+    dim = x0.size
+    real0 = np.concatenate([x0.real, x0.imag])
+
+    def z_real(xr):
+        zc = xr[:dim] + 1j * xr[dim:]
+        z = kns.inverse_motion(kns.BsdPoint(phi=kns.sym_from_coords(zc[:nsym], n)), zc[nsym:])
+        return np.concatenate([z.real, z.imag])
+
+    jac = np.empty((2 * n, 2 * dim))
+    for a in range(2 * dim):
+        e = np.zeros(2 * dim)
+        e[a] = step
+        jac[:, a] = (z_real(real0 - 2 * e) - 8.0 * z_real(real0 - e)
+                     + 8.0 * z_real(real0 + e) - z_real(real0 + 2 * e)) / (12.0 * step)
+    omega = jac.T @ kns._standard_sym_matrix(n) @ jac
+    sel = np.concatenate([np.arange(nsym), dim + np.arange(nsym)])
+    omega[np.ix_(sel, sel)] += kns._standard_sym_matrix(nsym)
+    omega_inv = np.linalg.inv(omega)
+    holo = [np.eye(2 * dim)[s] + 1j * np.eye(2 * dim)[dim + s] for s in range(dim)]
+    return max(abs(holo[a] @ omega_inv @ holo[b]) for a in range(dim) for b in range(a, dim))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_motion_stencil_matches_the_point_loop(n):
+    rng = np.random.default_rng(60 + n)
+    for _ in range(3):
+        pt = kns.random_bsd_point(n, rng, 0.6)
+        zeta = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        new, old = kns.motion_form_residual(pt, zeta), motion_form_residual_loop(pt, zeta)
+        # Both are the rounding of a difference quotient: 1/(12 h) = 833.
+        assert new < 1e-10 and old < 1e-10
+        assert abs(new - old) < 1e-10
+    phis = np.stack([kns.random_bsd_point(n, rng, 0.6).phi for _ in range(4)])
+    zetas = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
+    stacked = kns._inverse_motion(phis, zetas)
+    for i in range(4):
+        one = kns.inverse_motion(kns.BsdPoint(phi=phis[i]), zetas[i])
+        assert np.max(np.abs(stacked[i] - one)) <= 1e-14 * np.max(np.abs(one))
+
+
+def test_motion_stencil_refuses_points_outside_the_domain():
+    pt = kns.BsdPoint(phi=np.array([[1.0 - 5e-5]]))
+    with pytest.raises(kns.DomainError):
+        kns.motion_form_residual(pt, np.array([0.3 + 0.1j]))

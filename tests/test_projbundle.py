@@ -111,3 +111,65 @@ def test_chart_exclusion():
     model = pb.constant_model(np.eye(2))
     with pytest.raises(pb.ChartError):
         pb.pk_form(model, 0.1, np.array([0.0, 1.0]))
+
+
+def pk_form_loop(model, t, v):
+    """pk_form at one fiber point before stacking, entry by entry."""
+    v = np.asarray(v, dtype=complex) / v[model.chart]
+    h, dh, _ = model.jets(t)
+    hinv = np.linalg.inv(h)
+    w = h @ v.conj()
+    big = complex(v @ w)
+    L = h / big - np.outer(w, w.conj()) / big**2
+    rmat = pb.chern_curvature(model, t)
+    ric = complex(np.trace(hinv @ rmat))
+    b = np.einsum("b,ga,bg->a", v, hinv, dh)
+    idx = [a for a in range(model.r) if a != model.chart]
+    omega = np.empty((1 + len(idx), 1 + len(idx)), dtype=complex)
+    omega[0, 0] = (-np.einsum("ab,a,b->", rmat, v, v.conj()) / big + ric / model.r
+                   + np.einsum("ab,a,b->", L, b, b.conj()))
+    for col, nu in enumerate(idx):
+        omega[0, 1 + col] = np.einsum("a,a->", L[:, nu], b)
+        omega[1 + col, 0] = np.conj(omega[0, 1 + col])
+    for row, mu in enumerate(idx):
+        for col, nu in enumerate(idx):
+            omega[1 + row, 1 + col] = L[mu, nu]
+    return omega
+
+
+@pytest.mark.parametrize("model", [pb.twisted_model(rand_pd(np.random.default_rng(1), 3), 0.8),
+                                   pb.split_twist_model((1.0, 2.0, 0.5)),
+                                   pb.constant_model(np.eye(2))])
+def test_stacked_forms_match_the_point_loop(model):
+    rng = np.random.default_rng(71)
+    v = rng.standard_normal((5, model.r)) + 1j * rng.standard_normal((5, model.r))
+    v[:, model.chart] = 1.0
+    t = 0.4 - 0.7j
+    omega = pb.pk_form(model, t, v)
+    top = pb.pk_top_power(model, t, v, omega)
+    margin = pb.fiber_positivity_margin(model, t, v, omega)
+    reference = pb.fubini_study_reference(model.metric(t), v, model.chart)
+    for i in range(5):
+        one = pk_form_loop(model, t, v[i])
+        assert np.max(np.abs(omega[i] - one)) <= 1e-14 * np.max(np.abs(one))
+        assert top[i] == pytest.approx(pb.pk_top_power(model, t, v[i]), rel=1e-12, abs=1e-15)
+        assert margin[i] == pytest.approx(pb.fiber_positivity_margin(model, t, v[i]),
+                                          rel=1e-12)
+        assert np.max(np.abs(reference[i] - pb.fubini_study_reference(
+            model.metric(t), v[i], model.chart))) < 1e-15
+
+
+def test_projbundle_suite_forms_each_point_once(monkeypatch):
+    from pklab import cli
+
+    built = []
+    pk_form = pb.pk_form
+
+    def logged(model, t, v):
+        built.extend((model.name, complex(t), tuple(np.round(row, 14)))
+                     for row in np.reshape(v, (-1, model.r)))
+        return pk_form(model, t, v)
+
+    monkeypatch.setattr(pb, "pk_form", logged)
+    assert cli.run_suite(cli.SuiteConfig(suite="projbundle", n=2, samples=20)).passed
+    assert built and len(built) == len(set(built))

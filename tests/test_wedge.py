@@ -1,6 +1,7 @@
-"""Exterior-power bookkeeping: the table-driven derivation extension against
-the index loop it replaced, its defining properties, stacked inputs, the
-cached real structure, and the batched metric pairing."""
+"""Exterior-power bookkeeping: the table-driven derivation and compound
+extensions against the index loop and the determinants of gathered minors
+they replaced, their defining properties, stacked inputs, the cached real
+structure, and the batched metric pairing."""
 
 import numpy as np
 import pytest
@@ -30,6 +31,15 @@ def derivation_matrix_loop(m, k):
                 if sign != 0:
                     out[idx[full], col] += sign * coeff
     return out
+
+
+def compound_matrix_by_minors(m, k):
+    """The determinants of gathered k x k minors compound_matrix used before
+    its Laplace expansion."""
+    sets = wedge.basis(m.shape[-1], k)
+    rows = np.array(sets, dtype=int).reshape(len(sets), k)
+    m = np.asarray(m, dtype=complex)
+    return np.linalg.det(m[..., rows[:, None, :, None], rows[None, :, None, :]])
 
 
 def gram_loop(field_, coords):
@@ -73,6 +83,16 @@ def test_stacked_extensions_equal_each_matrix(dim):
             assert out.shape == (2, 3, size, size)
             for idx in np.ndindex(2, 3):
                 assert np.array_equal(out[idx], extend(stack[idx], k)), (extend, dim, k)
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_compound_matrix_equals_determinants_of_minors(dim):
+    rng = np.random.default_rng(40 + dim)
+    stack = np.stack([_random_complex(rng, dim, 0.2) for _ in range(6)]).reshape(2, 3, dim, dim)
+    for k in range(dim + 1):
+        new, old = wedge.compound_matrix(stack, k), compound_matrix_by_minors(stack, k)
+        assert new.shape == old.shape
+        assert np.max(np.abs(new - old)) <= 1e-13 * np.max(np.abs(old)), (dim, k)
 
 
 def test_derivation_matrix_degree_one_is_a_copy():
@@ -126,6 +146,26 @@ def test_compound_matrix_is_multiplicative(case):
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
     if k == 1:
         assert np.array_equal(wedge.compound_matrix(a, k), a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrix_pair_and_degree())
+def test_compound_of_inverse_is_inverse_of_compound(case):
+    a, _, k = case
+    a = a + 3.0 * np.eye(len(a))       # diagonally dominant: well conditioned
+    lhs = wedge.compound_matrix(np.linalg.inv(a), k)
+    rhs = np.linalg.inv(wedge.compound_matrix(a, k))
+    assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrix_pair_and_degree())
+def test_top_compound_is_the_determinant(case):
+    a, _, _ = case
+    top = wedge.compound_matrix(a, len(a))
+    assert top.shape == (1, 1)
+    det = np.linalg.det(a)
+    assert abs(top[0, 0] - det) <= 1e-12 * max(1.0, abs(det))
 
 
 @settings(max_examples=60, deadline=None)

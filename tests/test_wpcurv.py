@@ -283,3 +283,42 @@ def test_stacked_gram_at_equals_per_point_calls(n):
     for idx in np.ndindex(2, 3):
         single = gram_at(coords[idx])
         assert np.max(np.abs(stacked[idx] - single)) <= 1e-15 * np.max(np.abs(single))
+
+
+def trace_inequality_records_loop(seed, samples):
+    """The per-sample loops of the trace-inequality suite before stacking:
+    (worst gap, witness kappa, worst equality defect)."""
+    rng = np.random.default_rng([seed, 5])
+    worst_gap, witness = -np.inf, None
+    for n in range(1, 7):
+        for _ in range(max(1, samples)):
+            kappa = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            lhs, rhs = wp.trace_inequality(kappa)
+            gap = (rhs - lhs) / max(1.0, lhs)
+            if gap > worst_gap:
+                worst_gap, witness = gap, kappa
+    worst_eq = 0.0
+    for n in range(1, 7):
+        for _ in range(max(50, samples // 10)):
+            q = np.linalg.qr(rng.standard_normal((n, n))
+                             + 1j * rng.standard_normal((n, n)))[0]
+            lhs, rhs = wp.trace_inequality(rng.uniform(0.2, 3.0) * q)
+            worst_eq = max(worst_eq, abs(lhs - rhs) / max(1.0, lhs))
+    return worst_gap, witness, worst_eq
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_stacked_trace_inequality_suite_matches_the_sample_loop(seed, monkeypatch):
+    from pklab import cli
+
+    # A failing tolerance makes the suite report its witness.
+    monkeypatch.setitem(cli.DEFAULT_TOLERANCES, "trace-inequality", -1.0)
+    cfg = cli.SuiteConfig(suite="trace-inequality", seed=seed, samples=20)
+    gap, eq = cli.suite_trace_inequality(cfg, cli.Tolerances(cfg))
+    want_gap, want_kappa, want_eq = trace_inequality_records_loop(seed, 20)
+    assert (gap.value, eq.value) == (want_gap, want_eq)
+    assert gap.witness == {"kappa": [[str(x) for x in row] for row in want_kappa.tolist()]}
+    stack = np.random.default_rng(seed).standard_normal((5, 2, 3, 3))
+    stack = stack[:, 0] + 1j * stack[:, 1]
+    lhs, rhs = wp.trace_inequality(stack)
+    assert [(a, b) for a, b in zip(lhs, rhs)] == [wp.trace_inequality(k) for k in stack]
