@@ -101,6 +101,11 @@ FIBER_ARRAY_BYTES = 1 << 24
 MAX_GRID = math.isqrt(FIBER_ARRAY_BYTES // 16)
 
 
+# The suite that reads a --model of each family registry; every other suite
+# runs without the model.
+MODEL_SUITES = {"schumacher": fib.MODEL_FAMILIES, "projbundle": pb.BUNDLE_FAMILIES}
+
+
 def parse_model_spec(spec: str) -> tuple[str, dict]:
     """Parse "family key=val key=val" into a family name and parameters: each
     key a parameter of the family, each value a finite number, an int when
@@ -109,7 +114,8 @@ def parse_model_spec(spec: str) -> tuple[str, dict]:
     if not parts:
         raise UsageError("empty model specification")
     family = parts[0]
-    builders = {**fib.MODEL_FAMILIES, **pb.BUNDLE_FAMILIES}
+    builders = {name: build for registry in MODEL_SUITES.values()
+                for name, build in registry.items()}
     if family not in builders:
         raise UsageError(f"unknown model family {family!r}")
     keys = tuple(inspect.signature(builders[family]).parameters)
@@ -161,7 +167,7 @@ class SuiteConfig:
         if not isinstance(rank, int) or rank < 1:
             raise UsageError(f"bundle rank r must be an integer >= 1, got {rank!r}")
         if family is not None and (self.suite == "schumacher" or
-                                   (self.suite == "all" and family in fib.MODEL_FAMILIES)):
+                                   (self.suite == "all" and family in MODEL_SUITES["schumacher"])):
             # Probe the model once where the schumacher suite uses it.
             model = _configured_fibration(self)
             if not model.proper:
@@ -533,7 +539,7 @@ def suite_elliptic_family(cfg: SuiteConfig, tol: Tolerances):
            + coeffs[:, 3] * np.cos(2 * np.pi * (xg.real + xg.imag)))
     kphi = fib.kappa_phi(state, phi)
     nk, nb, _ = fib.bkn_identity_check(state, phi, kphi)
-    pair = fib.kappa_phi_pairing(state, phi, kphi)
+    pair = fib.kappa_phi_pairing(state, kphi)
     checks.append(_check("flat-fiber-bochner", "flat-fiber-bochner",
                          np.max(np.abs(nk - nb)), tol("bochner")))
     checks.append(_check("variation-pairing", "flat-fiber-pairing", np.max(np.abs(pair)),
@@ -548,10 +554,10 @@ T_PERT = 0.3 + 1.2j
 def _configured_fibration(cfg: SuiteConfig) -> fib.FibrationModel:
     """The --model fibration family, at cfg.grid unless the spec sets grid."""
     family, params = parse_model_spec(cfg.model)
-    if family not in fib.MODEL_FAMILIES:
+    if family not in MODEL_SUITES["schumacher"]:
         raise UsageError(f"suite schumacher needs a fibration family, got {family!r}")
     params.setdefault("grid", cfg.grid)
-    return fib.MODEL_FAMILIES[family](**params)
+    return MODEL_SUITES["schumacher"][family](**params)
 
 
 def suite_schumacher(cfg: SuiteConfig, tol: Tolerances):
@@ -781,9 +787,8 @@ def suite_projbundle(cfg: SuiteConfig, tol: Tolerances):
                 v[i] = rng.standard_normal(model.r) + 1j * rng.standard_normal(model.r)
             v[:, model.chart] = 1.0
             omega = pb.pk_form(model, t, v)
-            worst_top = max(worst_top, float(np.max(pb.pk_top_power(model, t, v, omega))))
-            worst_pos = min(worst_pos,
-                            float(np.min(pb.fiber_positivity_margin(model, t, v, omega))))
+            worst_top = max(worst_top, float(np.max(pb.pk_top_power(omega))))
+            worst_pos = min(worst_pos, float(np.min(pb.fiber_positivity_margin(omega))))
             worst_flat = max(worst_flat, pb.projective_flatness_residual(model, t))
         worst_fs = max(worst_fs, pb.fiber_fs_check(model, 0.3,
                                                    samples=max(8, cfg.samples // 40),
@@ -799,7 +804,7 @@ def suite_projbundle(cfg: SuiteConfig, tol: Tolerances):
     for weights in ((1.0, 2.0), (1.0, 2.0, 0.5)):
         model = pb.split_twist_model(weights)
         resid = pb.projective_flatness_residual(model, 0.5)
-        top = pb.pk_top_power(model, 0.5, np.ones(model.r, dtype=complex))
+        top = pb.pk_top_power(pb.pk_form(model, 0.5, np.ones(model.r, dtype=complex)))
         checks.append(_check(f"falsifier-residual-r{model.r}", "projflat-falsifier",
                              resid, 0.1, comparison=">="))
         checks.append(_check(f"falsifier-top-power-r{model.r}", "projflat-falsifier",
@@ -820,10 +825,10 @@ def suite_projbundle(cfg: SuiteConfig, tol: Tolerances):
                          tol("projflat-zero")))
     if cfg.model is not None:
         family, params = parse_model_spec(cfg.model)
-        model = pb.BUNDLE_FAMILIES[family](**params)
+        model = MODEL_SUITES["projbundle"][family](**params)
         resid = pb.projective_flatness_residual(model, 0.4 + 0.2j)
         v = np.ones(model.r, dtype=complex)
-        top = pb.pk_top_power(model, 0.4 + 0.2j, v)
+        top = pb.pk_top_power(pb.pk_form(model, 0.4 + 0.2j, v))
         # The two degeneracy detectors must agree on the configured model.
         consistent = 0.0 if (resid < 1e-8) == (top < 1e-8) else 1.0
         checks.append(_check("configured-model-consistency", "projflat-degenerate",
@@ -846,11 +851,6 @@ SUITES = {
     "brunn-minkowski": suite_brunn_minkowski,
     "projbundle": suite_projbundle,
 }
-
-
-# The suite that reads a --model of each family registry; every other suite
-# runs without the model.
-MODEL_SUITES = {"schumacher": fib.MODEL_FAMILIES, "projbundle": pb.BUNDLE_FAMILIES}
 
 
 def run_suite(config: SuiteConfig) -> SuiteReport:

@@ -421,11 +421,11 @@ def form_matrix(bb: np.ndarray, bf: np.ndarray, ff: np.ndarray) -> np.ndarray:
 def top_power_norm(h: np.ndarray, fiber_dim: int) -> np.ndarray:
     """Pointwise coefficient norm of the (fiber_dim+1)-st power of a (1,1)-form.
 
-    ``h`` is one coefficient matrix or a stack of them (matrix axes first).
+    ``h`` is one coefficient matrix or a stack of them (matrix axes last).
     The coefficients of omega^{k} / k! are the k-minors of the matrix, the
     entries of its `wedge.compound_matrix`; their Euclidean norm is returned.
     """
-    minors = wedge.compound_matrix(np.moveaxis(h, (0, 1), (-2, -1)), fiber_dim + 1)
+    minors = wedge.compound_matrix(h, fiber_dim + 1)
     return np.sqrt(np.sum(np.abs(minors) ** 2, axis=(-2, -1)))
 
 
@@ -442,7 +442,7 @@ def pk_residual(model: FibrationModel, t_samples: Sequence[complex]) -> PkReport
     worst_c = 0.0
     for i, t in enumerate(t_samples):
         state = fiber_state(model, t, seed=PK_SEED + i)
-        h = form_matrix(state.bb, state.bf, state.ff)
+        h = np.moveaxis(form_matrix(state.bb, state.bf, state.ff), (0, 1), (-2, -1))
         worst_top = max(worst_top, float(np.max(top_power_norm(h, model.n))))
         worst_c = max(worst_c, float(np.max(np.abs(state.c))))
     return PkReport(name=model.name, max_top_power=worst_top, max_c=worst_c)
@@ -654,22 +654,19 @@ def kappa_phi(state: FiberState, phi_grid: np.ndarray) -> np.ndarray:
     return kphi.reshape((n, n) + phi.shape[:-2 * n] + (-1,))
 
 
-def bkn_identity_check(state: FiberState, phi_grid: np.ndarray,
-                       kphi: np.ndarray | None = None
+def bkn_identity_check(state: FiberState, phi_grid: np.ndarray, kphi: np.ndarray
                        ) -> tuple[float | np.ndarray, float | np.ndarray, str]:
     """(norm of the potential's variation tensor, norm of its Laplacian, case tag).
 
     phi_grid may carry leading axes, and the norms then carry them too;
-    kphi is `kappa_phi(state, phi_grid)` when the caller has already formed
-    it.  For flat fiber metrics the two norms agree; curved fiber cases are
-    not covered and raise.
+    kphi is its variation tensor `kappa_phi(state, phi_grid)`.  For flat
+    fiber metrics the two norms agree; curved fiber cases are not covered
+    and raise.
     """
     _require_proper(state)
     _require_flat_fiber(state)
     fiber = state.spectral
     phi = np.asarray(phi_grid)
-    if kphi is None:
-        kphi = kappa_phi(state, phi)
     inner = kappa_pairing(kphi, kphi, state.ff, state.ff_inv).real
     det_ff = fiber.to_grid(state.det_ff.real)
     norm_k = np.sqrt(fiber.integrate_volume(fiber.to_grid(inner), det_ff).real)
@@ -679,16 +676,13 @@ def bkn_identity_check(state: FiberState, phi_grid: np.ndarray,
     return norm_k, norm_box, "ricci-flat-fiber"
 
 
-def kappa_phi_pairing(state: FiberState, phi_grid: np.ndarray,
-                      kphi: np.ndarray | None = None) -> complex | np.ndarray:
-    """Fiber integral <ks, kappa^phi>: vanishes for flat fibers (the scalar
-    curvature is constant, so the variational pairing against any potential
-    is trivial).  phi_grid and kphi as for `bkn_identity_check`."""
+def kappa_phi_pairing(state: FiberState, kphi: np.ndarray) -> complex | np.ndarray:
+    """Fiber integral <ks, kappa^phi> of a variation tensor `kappa_phi`
+    returns: vanishes for flat fibers (the scalar curvature is constant, so
+    the variational pairing against any potential is trivial)."""
     _require_proper(state)
     _require_flat_fiber(state)
     fiber = state.spectral
-    if kphi is None:
-        kphi = kappa_phi(state, phi_grid)
     pair = state.kappa_pair(kphi)
     return fiber.integrate_volume(fiber.to_grid(pair), fiber.to_grid(state.det_ff))
 

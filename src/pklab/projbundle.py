@@ -110,22 +110,15 @@ def pk_form(model: BundleMetricModel, t: complex, v: np.ndarray) -> np.ndarray:
     return omega
 
 
-def pk_top_power(model: BundleMetricModel, t: complex, v: np.ndarray,
-                 omega: np.ndarray | None = None) -> float | np.ndarray:
-    """Coefficient norm of the top power of the form at (t, [v]), stacked
-    like v; omega is `pk_form(model, t, v)` when the caller has already
-    formed it."""
-    if omega is None:
-        omega = pk_form(model, t, v)
-    return top_power_norm(np.moveaxis(omega, (-2, -1), (0, 1)), model.r - 1)
+def pk_top_power(omega: np.ndarray) -> float | np.ndarray:
+    """Coefficient norm of the top power of a form omega that `pk_form`
+    returned, one value per fiber point of its stack."""
+    return top_power_norm(omega, omega.shape[-1] - 1)
 
 
-def fiber_positivity_margin(model: BundleMetricModel, t: complex, v: np.ndarray,
-                            omega: np.ndarray | None = None) -> float | np.ndarray:
-    """Smallest eigenvalue of the fiber block of the form, stacked like v;
-    omega as for `pk_top_power`."""
-    if omega is None:
-        omega = pk_form(model, t, v)
+def fiber_positivity_margin(omega: np.ndarray) -> float | np.ndarray:
+    """Smallest eigenvalue of the fiber block of a form omega that `pk_form`
+    returned, one value per fiber point of its stack."""
     block = omega[..., 1:, 1:]
     return np.linalg.eigvalsh(0.5 * (block + block.conj().swapaxes(-1, -2))).min(axis=-1)
 

@@ -73,10 +73,14 @@ def compound_matrix(m: np.ndarray, k: int) -> np.ndarray:
     """k-th multiplicative extension: entries are k x k minors of m.
 
     m may carry leading axes; each matrix of the stack is extended.  Degree 1
-    is m itself (a copy), not a stack of 1 x 1 determinants.  Higher degrees
-    expand every minor along its first row over the minors of one degree
-    less (`_laplace_table`), so degree k costs sum_j j C(dim, j)^2 products
-    per matrix and no determinant call.
+    is m itself (a copy), not a stack of 1 x 1 determinants.  Up to half the
+    dimension, every minor is expanded along its first row over the minors of
+    one degree less (`_laplace_table`): degree k then costs sum_j j C(dim, j)^2
+    products per matrix, no more than the k^2 C(dim, k)^2 entries of its
+    gathered minors, and no determinant call.  Above half the dimension the
+    lower degrees outgrow the result (at the top degree of a 16 x 16 matrix,
+    degree 8 alone has 12870^2 entries), so each k x k minor is gathered and
+    taken by one LAPACK determinant, and the top degree is det m.
     """
     dim = m.shape[-1]
     if k < 0 or k > dim:
@@ -84,9 +88,14 @@ def compound_matrix(m: np.ndarray, k: int) -> np.ndarray:
     if k == 0:
         return np.ones(m.shape[:-2] + (1, 1), dtype=complex)
     m = np.asarray(m, dtype=complex)
+    if k == 1:
+        return m.copy()
+    if 2 * k > dim:
+        rows = np.array(basis(dim, k))
+        return np.linalg.det(m[..., rows[:, None, :, None], rows[None, :, None, :]])
     lead = m.shape[:-2]
     flat = m.reshape(lead + (dim * dim,))
-    out = m.copy()
+    out = m
     for degree in range(2, k + 1):
         prev = out.reshape(lead + (-1,))
         out = 0.0

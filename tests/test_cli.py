@@ -424,3 +424,10 @@ def test_all_gives_a_fibration_model_to_schumacher_only(monkeypatch):
     assert alone.passed
     assert [c.value for c in rep.checks if c.name.startswith("schumacher/")] == [
         c.value for c in alone.checks]
+
+
+def test_projbundle_runs_a_rank_sixteen_model():
+    # The configured model's top power is one 16 x 16 determinant.
+    rep = cli.run_suite(cli.SuiteConfig(suite="projbundle", model="constant r=16"))
+    assert rep.passed
+    assert "configured-model-consistency" in [c.name for c in rep.checks]

@@ -176,19 +176,22 @@ def test_bochner_identity_and_pairing():
         c = rng.standard_normal(3)
         phi = (c[0] * np.cos(2 * np.pi * xg.real) + c[1] * np.sin(2 * np.pi * xg.imag)
                + c[2] * np.cos(2 * np.pi * (xg.real + xg.imag)))
-        nk, nb, tag = fib.bkn_identity_check(state, phi)
+        kphi = fib.kappa_phi(state, phi)
+        nk, nb, tag = fib.bkn_identity_check(state, phi, kphi)
         assert tag == "ricci-flat-fiber"
         assert abs(nk - nb) < 1e-10 * max(1.0, nk)
-        assert abs(fib.kappa_phi_pairing(state, phi)) < 1e-10
+        assert abs(fib.kappa_phi_pairing(state, kphi)) < 1e-10
     const = np.ones(state.spectral.shape)
-    nk, nb, _ = fib.bkn_identity_check(state, const)
+    nk, nb, _ = fib.bkn_identity_check(state, const, fib.kappa_phi(state, const))
     assert nk == pytest.approx(0.0, abs=1e-12)
     assert nb == pytest.approx(0.0, abs=1e-12)
 
 
 def test_bochner_requires_flat_fiber():
     with pytest.raises(fib.CaseNotCoveredError):
-        fib.bkn_identity_check(fib.fiber_state(PERTURBED32, 1j), np.ones((32, 32)))
+        state = fib.fiber_state(PERTURBED32, 1j)
+        phi = np.ones((32, 32))
+        fib.bkn_identity_check(state, phi, fib.kappa_phi(state, phi))
 
 
 def test_bracket_checks():
@@ -360,12 +363,13 @@ def test_stacked_bochner_checks_equal_each_potential():
     phi = c[:, 0] * np.cos(2 * np.pi * xg.real) + c[:, 1] * np.sin(2 * np.pi * (xg.real + xg.imag))
     kphi = fib.kappa_phi(state, phi)
     nk, nb, _ = fib.bkn_identity_check(state, phi, kphi)
-    pair = fib.kappa_phi_pairing(state, phi, kphi)
+    pair = fib.kappa_phi_pairing(state, kphi)
     assert nk.shape == nb.shape == pair.shape == (4,)
     for i in range(4):
-        one_k, one_b, _ = fib.bkn_identity_check(state, phi[i])
+        one_kphi = fib.kappa_phi(state, phi[i])
+        one_k, one_b, _ = fib.bkn_identity_check(state, phi[i], one_kphi)
         assert one_k == nk[i] and one_b == nb[i]
-        assert fib.kappa_phi_pairing(state, phi[i]) == pair[i]
+        assert fib.kappa_phi_pairing(state, one_kphi) == pair[i]
 
 
 def test_elliptic_family_transforms_the_bochner_stack_twice(monkeypatch):

@@ -17,7 +17,7 @@ def test_flat_trivial_fubini_study():
     omega = pb.pk_form(model, 0.2, np.array([1.0, w]))
     assert omega[1, 1].real == pytest.approx(1.0 / (1.0 + abs(w) ** 2) ** 2)
     assert abs(omega[0, 0]) < 1e-14 and abs(omega[0, 1]) < 1e-14
-    assert pb.pk_top_power(model, 0.2, np.array([1.0, w])) < 1e-14
+    assert pb.pk_top_power(pb.pk_form(model, 0.2, np.array([1.0, w]))) < 1e-14
 
 
 def test_twisted_family_is_projectively_flat():
@@ -28,8 +28,9 @@ def test_twisted_family_is_projectively_flat():
         v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         v[0] = 1.0
         assert pb.projective_flatness_residual(model, t) < 1e-12
-        assert pb.pk_top_power(model, t, v) < 1e-10
-        assert pb.fiber_positivity_margin(model, t, v) > 0
+        omega = pb.pk_form(model, t, v)
+        assert pb.pk_top_power(omega) < 1e-10
+        assert pb.fiber_positivity_margin(omega) > 0
 
 
 def test_twisted_curvature_is_identity_times_form():
@@ -43,10 +44,10 @@ def test_twisted_curvature_is_identity_times_form():
 def test_split_model_falsifies():
     model = pb.split_twist_model([1.0, 2.0])
     assert pb.projective_flatness_residual(model, 0.5) > 0.1
-    assert pb.pk_top_power(model, 0.5, np.array([1.0, 1.0])) > 1e-3
+    assert pb.pk_top_power(pb.pk_form(model, 0.5, np.array([1.0, 1.0]))) > 1e-3
     model3 = pb.split_twist_model([1.0, 2.0, 0.5])
     assert pb.projective_flatness_residual(model3, 0.5) > 0.1
-    assert pb.pk_top_power(model3, 0.5, np.ones(3, dtype=complex)) > 1e-3
+    assert pb.pk_top_power(pb.pk_form(model3, 0.5, np.ones(3, dtype=complex))) > 1e-3
 
 
 def test_scaled_constant_is_flat():
@@ -70,7 +71,7 @@ def test_fiber_fs_all_charts():
         # Top power vanishes in every chart of a flat model.
         v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         v[chart] = 1.0
-        assert pb.pk_top_power(model, 0.1, v) < 1e-12
+        assert pb.pk_top_power(pb.pk_form(model, 0.1, v)) < 1e-12
 
 
 def test_fiber_fs_projectively_flat_family():
@@ -146,15 +147,14 @@ def test_stacked_forms_match_the_point_loop(model):
     v[:, model.chart] = 1.0
     t = 0.4 - 0.7j
     omega = pb.pk_form(model, t, v)
-    top = pb.pk_top_power(model, t, v, omega)
-    margin = pb.fiber_positivity_margin(model, t, v, omega)
+    top = pb.pk_top_power(omega)
+    margin = pb.fiber_positivity_margin(omega)
     reference = pb.fubini_study_reference(model.metric(t), v, model.chart)
     for i in range(5):
         one = pk_form_loop(model, t, v[i])
         assert np.max(np.abs(omega[i] - one)) <= 1e-14 * np.max(np.abs(one))
-        assert top[i] == pytest.approx(pb.pk_top_power(model, t, v[i]), rel=1e-12, abs=1e-15)
-        assert margin[i] == pytest.approx(pb.fiber_positivity_margin(model, t, v[i]),
-                                          rel=1e-12)
+        assert top[i] == pytest.approx(pb.pk_top_power(one), rel=1e-12, abs=1e-15)
+        assert margin[i] == pytest.approx(pb.fiber_positivity_margin(one), rel=1e-12)
         assert np.max(np.abs(reference[i] - pb.fubini_study_reference(
             model.metric(t), v[i], model.chart))) < 1e-15
 

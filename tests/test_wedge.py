@@ -3,6 +3,8 @@ extensions against the index loop and the determinants of gathered minors
 they replaced, their defining properties, stacked inputs, the cached real
 structure, and the batched metric pairing."""
 
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,8 +36,8 @@ def derivation_matrix_loop(m, k):
 
 
 def compound_matrix_by_minors(m, k):
-    """The determinants of gathered k x k minors compound_matrix used before
-    its Laplace expansion."""
+    """The determinants of gathered k x k minors: compound_matrix at every
+    degree before its Laplace expansion, and still above half the dimension."""
     sets = wedge.basis(m.shape[-1], k)
     rows = np.array(sets, dtype=int).reshape(len(sets), k)
     m = np.asarray(m, dtype=complex)
@@ -93,6 +95,27 @@ def test_compound_matrix_equals_determinants_of_minors(dim):
         new, old = wedge.compound_matrix(stack, k), compound_matrix_by_minors(stack, k)
         assert new.shape == old.shape
         assert np.max(np.abs(new - old)) <= 1e-13 * np.max(np.abs(old)), (dim, k)
+
+
+@pytest.mark.parametrize("dim, degrees", [(6, range(7)), (16, (1, 2, 3, 15, 16))])
+def test_compound_tables_never_outgrow_the_result(monkeypatch, dim, degrees):
+    """No Laplace table of a lower degree has more entries than the k-compound
+    asked for: the top degree of a 16 x 16 matrix is one determinant, not a
+    climb through the 12870 x 12870 minors of degree 8."""
+    table = wedge._laplace_table
+    for k in degrees:
+        def guarded(d, degree, k=k):
+            assert comb(d, degree) <= comb(d, k), (d, degree, k)
+            return table(d, degree)
+
+        monkeypatch.setattr(wedge, "_laplace_table", guarded)
+        rng = np.random.default_rng(dim + k)
+        stack = np.stack([_random_complex(rng, dim) for _ in range(2)])
+        out = wedge.compound_matrix(stack, k)
+        assert out.shape == (2, comb(dim, k), comb(dim, k))
+        if k == dim:
+            det = np.linalg.det(stack)
+            assert np.max(np.abs(out[:, 0, 0] - det)) <= 1e-13 * np.max(np.abs(det))
 
 
 def test_derivation_matrix_degree_one_is_a_copy():
