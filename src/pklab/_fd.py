@@ -1,8 +1,10 @@
 """Finite-difference helpers for Wirtinger derivatives of matrix-valued fields.
 
 All fields are real-analytic functions of several complex variables, given as
-callables of a complex coordinate vector.  Derivatives are taken coordinate by
-coordinate with central differences:
+callables on stacks of points: a field takes complex coordinates of shape
+(..., N) and returns its values with the same leading axes, followed by the
+value's own shape.  Derivatives are taken coordinate by coordinate with
+central differences:
 
     d/dz   = (d/dx - i d/dy) / 2,      d/dzbar = (d/dx + i d/dy) / 2,
 
@@ -10,9 +12,9 @@ optionally improved by one step of Richardson extrapolation (h and h/2).
 A stencil is built in two parts: one function stacks its shifted points
 (`xy_points`, `gradient_points`, `hessian_points`) and another forms the
 derivative from the field values there (`xy_combine`, `hessian_combine`,
-`hessian_gradient`), so a field that takes stacked coordinates is evaluated
-on a whole stencil in one call.  `holo_derivative`, `antiholo_derivative`
-and `hermitian_hessian` evaluate a field one point per call.
+`hessian_gradient`).  The helpers that take a field (`holo_derivative`,
+`antiholo_derivative`, `dbar_along`, `hermitian_hessian`, `d_residual_11`)
+evaluate it once, on the whole stencil.
 """
 
 from __future__ import annotations
@@ -67,33 +69,28 @@ def xy_combine(values: np.ndarray, bar: bool, step: float = DEFAULT_STEP,
     return (4.0 * fine - coarse) / 3.0
 
 
-def _xy_stencil(f: Field, z: np.ndarray, idx: int, step: float, richardson: bool,
-                bar: bool) -> np.ndarray:
-    """Wirtinger derivative of f along coordinate idx, evaluating f at one
-    stencil point per call."""
-    values = np.stack([np.asarray(f(p)) for p in xy_points(z, idx, step, richardson)])
-    return xy_combine(values, bar, step, richardson)
-
-
 def holo_derivative(f: Field, z: np.ndarray, idx: int, step: float = DEFAULT_STEP,
                     richardson: bool = True) -> np.ndarray:
     """d f / d z^idx by central differences along the x and y directions."""
-    return _xy_stencil(f, z, idx, step, richardson, bar=False)
+    values = np.asarray(f(xy_points(z, idx, step, richardson)))
+    return xy_combine(values, False, step, richardson)
 
 
 def antiholo_derivative(f: Field, z: np.ndarray, idx: int, step: float = DEFAULT_STEP,
                         richardson: bool = True) -> np.ndarray:
     """d f / d zbar^idx by central differences."""
-    return _xy_stencil(f, z, idx, step, richardson, bar=True)
+    values = np.asarray(f(xy_points(z, idx, step, richardson)))
+    return xy_combine(values, True, step, richardson)
 
 
 def dbar_along(f: Field, z: np.ndarray, direction: np.ndarray, step: float = DEFAULT_STEP,
                richardson: bool = False) -> np.ndarray:
     """d f / d zbar along a complex direction (f restricted to z + w*direction)."""
+    z = np.asarray(z, dtype=complex)
     direction = np.asarray(direction, dtype=complex)
 
     def g(w: np.ndarray) -> np.ndarray:
-        return f(np.asarray(z, dtype=complex) + w[0] * direction)
+        return f(z + w[..., :1] * direction)
 
     return antiholo_derivative(g, np.zeros(1, dtype=complex), 0, step=step, richardson=richardson)
 
@@ -180,9 +177,8 @@ def hessian_gradient(values: np.ndarray, step: float = DEFAULT_STEP) -> np.ndarr
 
 def hermitian_hessian(f: Field, z: np.ndarray, step: float = DEFAULT_STEP) -> np.ndarray:
     """Mixed complex Hessian d^2 f / (dz^l dzbar^m), shape (N, N) + f.shape,
-    evaluating f at one `hessian_points` point per call."""
-    return hessian_combine(np.stack([np.asarray(f(p)) for p in hessian_points(z, step)]),
-                           step)
+    from one evaluation of f on the `hessian_points`."""
+    return hessian_combine(np.asarray(f(hessian_points(z, step))), step)
 
 
 def closedness_defect(grads: np.ndarray) -> float:
@@ -199,6 +195,5 @@ def d_residual_11(coeff: Field, z: np.ndarray, step: float = DEFAULT_STEP) -> fl
     d_c coeff[a,b] = d_a coeff[c,b] of holomorphic derivatives (the (1,2) part
     follows by conjugation).  Returns the worst entrywise violation.
     """
-    z = np.asarray(z, dtype=complex)
-    return closedness_defect(np.stack([holo_derivative(coeff, z, c, step=step)
-                                       for c in range(z.size)]))
+    values = np.asarray(coeff(gradient_points(np.asarray(z, dtype=complex), step)))
+    return closedness_defect(xy_combine(values, False, step))

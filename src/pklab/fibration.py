@@ -46,12 +46,14 @@ class CaseNotCoveredError(ValueError):
 class FibrationModel:
     """Analytic relative Kahler model with one-dimensional base.
 
-    ``second(t, pts)`` returns (bb, bf, ff): the mixed base-base (scalar grid),
+    ``second(t, pts)`` returns (bb, bf, ff): the mixed base-base (P,),
     base-fiber (n, P) and fiber-fiber (n, n, P) second derivatives of the
-    potential at fiber points ``pts`` (complex (n, P)).  ``third`` returns
-    (bff, fff) with bff[c, b] = d_t d_cbar d_bbar g and
-    fff[a, c, b] = d_a d_cbar d_bbar g.  ``lattice`` maps t to 2n complex
-    generators (rows) of the fiber lattice, or None for non-proper models.
+    potential at fiber points ``pts`` (complex (n, *P)).  The base point t is
+    a scalar or an array broadcast against the point axes P, one base point
+    per fiber point.  ``third`` returns (bff, fff) with
+    bff[c, b] = d_t d_cbar d_bbar g and fff[a, c, b] = d_a d_cbar d_bbar g.
+    ``lattice`` maps t to 2n complex generators (rows) of the fiber lattice,
+    or None for non-proper models.
     """
 
     name: str
@@ -78,9 +80,15 @@ def model_from_potential(jets: tuple[Callable, Callable], name: str, n: int = 1,
 
 
 def _wirtinger(tv, pts):
-    """(t, tbar, z, zbar) of an n = 1 model at base point tv and fiber points pts."""
+    """(t, tbar, z, zbar) of an n = 1 model at base points tv and fiber points pts."""
     z = np.asarray(pts, dtype=complex)[0]
     return tv, np.conj(tv), z, np.conj(z)
+
+
+def _point_shape(tv, pts) -> tuple[int, ...]:
+    """The point axes of a jet: those of the fiber points pts (n, *P)
+    broadcast with the base points tv."""
+    return np.broadcast_shapes(np.shape(tv), np.shape(pts)[1:])
 
 
 def _full(value, shape) -> np.ndarray:
@@ -100,10 +108,10 @@ def _split_jets(base_weight: float) -> tuple[Callable, Callable]:
     """Jets of |z|^2 + w |t|^2."""
 
     def second(tv, pts):
-        return _n1_second(np.shape(pts)[1:], base_weight, 0.0, 1.0)
+        return _n1_second(_point_shape(tv, pts), base_weight, 0.0, 1.0)
 
     def third(tv, pts):
-        return _n1_third(np.shape(pts)[1:], 0.0, 0.0)
+        return _n1_third(_point_shape(tv, pts), 0.0, 0.0)
 
     return second, third
 
@@ -119,12 +127,12 @@ def _flat_torus_jets(sign: int) -> tuple[Callable, Callable]:
     def second(tv, pts):
         t, tb, z, zb = _wirtinger(tv, pts)
         q = z + sign * zb
-        return _n1_second(z.shape, c * q**2 / (t - tb)**3, -2j * q / (t - tb)**2,
-                          2j / (t - tb))
+        return _n1_second(_point_shape(tv, pts), c * q**2 / (t - tb)**3,
+                          -2j * q / (t - tb)**2, 2j / (t - tb))
 
     def third(tv, pts):
         t, tb, z, _ = _wirtinger(tv, pts)
-        return _n1_third(z.shape, c / (t - tb)**2, 0.0)
+        return _n1_third(_point_shape(tv, pts), c / (t - tb)**2, 0.0)
 
     return second, third
 
@@ -286,7 +294,8 @@ BOX_SAMPLES = 64
 
 @dataclass(frozen=True)
 class FiberState:
-    """The fiber data of a model at one base point t.
+    """The fiber data of a model at one base point t (or, from
+    `evaluate_fields`, at one base point per fiber point).
 
     Arrays carry the sample-point axis last: ``bb`` (P,), ``bf`` (n, P) and
     ``ff`` (n, n, P) are the second jets, ``ff_inv`` and ``det_ff`` the
@@ -348,8 +357,10 @@ def _det_ff(ff: np.ndarray) -> np.ndarray:
     return np.linalg.det(np.moveaxis(ff, (0, 1), (-2, -1)))
 
 
-def evaluate_fields(model: FibrationModel, t: complex, pts: np.ndarray) -> FiberState:
-    """The fiber data at the given fiber points (``spectral`` None)."""
+def evaluate_fields(model: FibrationModel, t: complex | np.ndarray,
+                    pts: np.ndarray) -> FiberState:
+    """The fiber data at the given fiber points (``spectral`` None); t is one
+    base point, or an array of them broadcast against the point axes of pts."""
     bb, bf, ff = model.second(t, pts)
     ff_inv = _invert_ff(ff)
     # u^a = g_{t bbar} g^{bbar a};  the inverse convention is
@@ -453,10 +464,10 @@ def dform_residual(model: FibrationModel, t: complex, zeta: np.ndarray) -> float
     zeta = np.asarray(zeta, dtype=complex).reshape(-1)
 
     def coeff(zvec: np.ndarray) -> np.ndarray:
-        state = evaluate_fields(model, zvec[0], zvec[1:].reshape(-1, 1))
-        h = form_matrix(state.bb, state.bf, state.ff)[:, :, 0]
-        h[0, 0] = h[0, 0] - state.c[0]
-        return h
+        state = evaluate_fields(model, zvec[..., 0], np.moveaxis(zvec[..., 1:], -1, 0))
+        h = form_matrix(state.bb, state.bf, state.ff)
+        h[0, 0] = h[0, 0] - state.c
+        return np.moveaxis(h, (0, 1), (-2, -1))
 
     z0 = np.concatenate([[t], zeta])
     return _fd.d_residual_11(coeff, z0, step=FD_STEP)
@@ -522,7 +533,13 @@ def _psi_base_derivatives(state: FiberState) -> tuple[np.ndarray, np.ndarray, np
 
     Both t-stencils read the jets at the `_fd.xy_points` of t: psi_{t bbar}
     is `_fd.xy_combine` of the gradient, psi_{t tbar} the real/imag 5-point
-    Laplacian of the same psi values."""
+    Laplacian of the same psi values.
+
+    The jets take one t per call here, although they broadcast over stacks
+    of t: at grid 64 on a 2-CPU host, the jets, inverse and log-determinant
+    of one stacked call on the nine t-points took 14 ms, and this whole loop
+    8.5 ms (minimum of 15 calls).  The work is bound by array passes over
+    the fiber grid, which a nine-fold stack makes no fewer and larger."""
     psi0, grad0 = _log_det_jets(state.model, state.t, state.spectral)
     psi, grad = zip(*(_log_det_jets(state.model, p[0], state.spectral)
                       for p in _fd.xy_points(np.array([state.t]), 0, T_STEP)))
@@ -538,14 +555,14 @@ def _psi_base_derivatives(state: FiberState) -> tuple[np.ndarray, np.ndarray, np
 
 
 def relative_canonical_curvature(state: FiberState,
-                                 psi: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+                                 psi: tuple[np.ndarray, np.ndarray, np.ndarray],
+                                 psi_fb: np.ndarray) -> np.ndarray:
     """Theta(V, Vbar) grid: curvature of the relative canonical metric paired
     with the horizontal lift, from the `_psi_base_derivatives` of log det(ff)
-    plus spectral fiber derivatives."""
+    and the fiber Hessian psi_fb[a, b] = d_a d_bbar psi (n, n, grid)."""
     fiber = state.spectral
     n = fiber.n
-    psi_ttb, psi_tb, gbar0 = psi
-    psi_fb = np.stack([fiber.d_z(gbar0, a) for a in range(n)])  # [a, b]: d_a d_bbar psi
+    psi_ttb, psi_tb, _ = psi
     ug = fiber.to_grid(state.lifts)
     # Theta(V, Vbar) = psi_ttb - sum_b psi_{t bbar} conj(u^b)
     #                - sum_a psi_{a tbar} u^a + sum psi_{a bbar} u^a conj(u^b),
@@ -561,14 +578,17 @@ def relative_canonical_curvature(state: FiberState,
 
 @dataclass(frozen=True)
 class SchumacherReport:
-    """The three grids of the identity, its residual, and the base derivatives
-    of log det(ff) (`_psi_base_derivatives`) they were computed from."""
+    """The three grids of the identity, its residual, and the derivatives of
+    psi = log det(ff) they were computed from: the base derivatives
+    (`_psi_base_derivatives`) and the fiber Hessian psi_fb[a, b] =
+    d_a d_bbar psi."""
 
     lhs: np.ndarray
     inner: np.ndarray
     box_c: np.ndarray
     residual: float
     psi: tuple[np.ndarray, np.ndarray, np.ndarray]
+    psi_fb: np.ndarray
 
 
 def box_on_function(fiber: SpectralFiber, f_grid: np.ndarray,
@@ -586,11 +606,13 @@ def schumacher_residual(state: FiberState) -> SchumacherReport:
     c_grid = fiber.to_grid(state.c)
     fiber.check_resolution(c_grid.real)
     psi = _psi_base_derivatives(state)
-    lhs = relative_canonical_curvature(state, psi)
+    psi_fb = np.stack([fiber.d_z(psi[2], a) for a in range(fiber.n)])
+    lhs = relative_canonical_curvature(state, psi, psi_fb)
     inner = fiber.to_grid(state.kappa_pair())
     box_c = box_on_function(fiber, c_grid, fiber.to_grid(state.ff_inv))
     residual = float(np.max(np.abs(lhs - inner + box_c)))
-    return SchumacherReport(lhs=lhs, inner=inner, box_c=box_c, residual=residual, psi=psi)
+    return SchumacherReport(lhs=lhs, inner=inner, box_c=box_c, residual=residual, psi=psi,
+                            psi_fb=psi_fb)
 
 
 def fs_pushforward_check(state: FiberState,
@@ -607,8 +629,8 @@ def fs_pushforward_check(state: FiberState,
     g_bf = fiber.to_grid(state.bf[0])
     g_bb = fiber.to_grid(state.bb)
 
-    psi_ttb, (psi_tb,), (psi_zb,) = report.psi
-    psi_zzb = fiber.d_z(psi_zb, 0)
+    psi_ttb, (psi_tb,), _ = report.psi
+    psi_zzb = report.psi_fb[0, 0]
 
     lhs = wp_fiber_metric(state, report.inner)[0, 0].real
 
@@ -691,16 +713,6 @@ def kappa_phi_pairing(state: FiberState, kphi: np.ndarray) -> complex | np.ndarr
 # Vector-field bracket oracles
 # ---------------------------------------------------------------------------
 
-def _lift_coefficients(model: FibrationModel):
-    """Callable z = (t, zeta) -> components (1, -u^1..-u^n) of the lift."""
-
-    def comps(zvec: np.ndarray) -> np.ndarray:
-        u = evaluate_fields(model, zvec[0], zvec[1:].reshape(-1, 1)).lifts
-        return np.concatenate([[1.0 + 0j], -u[:, 0]])
-
-    return comps
-
-
 @dataclass(frozen=True)
 class MixedBracketReport:
     verticality_residual: float
@@ -710,39 +722,43 @@ class MixedBracketReport:
 def bracket_mixed_check(model: FibrationModel, t: complex,
                         zeta: np.ndarray) -> MixedBracketReport:
     """[V, conj(V)] is vertical and its hook into the form restricted to the
-    fiber equals i d(c) restricted to the fiber."""
-    comps = _lift_coefficients(model)
+    fiber equals i d(c) restricted to the fiber.
+
+    The lift components V = (1, -u^1..-u^n) and c are evaluated once, on the
+    `_fd.gradient_points` of z0 = (t, zeta) and z0 itself; their holomorphic
+    and antiholomorphic derivatives read those values."""
     z0 = np.concatenate([[t], np.asarray(zeta, dtype=complex).reshape(-1)])
     dim = z0.size
-    v0 = comps(z0)
+    pts = np.concatenate([_fd.gradient_points(z0, FD_STEP).reshape(-1, dim), z0[None]])
+    state = evaluate_fields(model, pts[:, 0], pts[:, 1:].T)
+    comps = np.concatenate([np.ones((1, len(pts)), dtype=complex), -state.lifts]).T
+    v0 = comps[-1]
+    comps = comps[:-1].reshape(8, dim, dim)            # [point, coordinate B, component A]
+    c = state.c[:-1].reshape(8, dim)
 
     # (0,1) components of [V, conj(V)]: V^B d_B conj(V^A); (1,0) components:
     # -conj(V^B) d_Bbar V^A.
+    d_conj = _fd.xy_combine(comps.conj(), False, FD_STEP)
+    dbar = _fd.xy_combine(comps, True, FD_STEP)
     part01 = np.zeros(dim, dtype=complex)
     part10 = np.zeros(dim, dtype=complex)
     for bidx in range(dim):
-        dcomp = _fd.holo_derivative(lambda z: comps(z).conj(), z0, bidx, step=FD_STEP)
-        part01 += v0[bidx] * dcomp
-        dcomp2 = _fd.antiholo_derivative(comps, z0, bidx, step=FD_STEP)
-        part10 += -v0[bidx].conj() * dcomp2
+        part01 += v0[bidx] * d_conj[bidx]
+        part10 += -v0[bidx].conj() * dbar[bidx]
 
     vertical = float(max(abs(part01[0]), abs(part10[0])))
 
-    h = form_matrix(*model.second(z0[0], z0[1:].reshape(-1, 1)))[:, :, 0]
-
-    def c_fn(zvec: np.ndarray) -> complex:
-        return complex(evaluate_fields(model, zvec[0], zvec[1:].reshape(-1, 1)).c[0])
+    h = form_matrix(state.bb[-1:], state.bf[:, -1:], state.ff[:, :, -1:])[:, :, 0]
+    dc, dc_bar = (_fd.xy_combine(c, bar, FD_STEP) for bar in (False, True))
 
     worst = 0.0
     for beta in range(1, dim):
         # dzetabar^beta component: sum_A H[A, beta] X^A = d_betabar c.
         lhs = sum(h[a, beta] * part10[a] for a in range(dim))
-        rhs = _fd.antiholo_derivative(c_fn, z0, beta, step=FD_STEP)
-        worst = max(worst, abs(lhs - rhs))
+        worst = max(worst, abs(lhs - dc_bar[beta]))
         # dzeta^beta component: -sum_B H[beta, B] X^{Bbar} = d_beta c.
         lhs2 = -sum(h[beta, b] * part01[b] for b in range(dim))
-        rhs2 = _fd.holo_derivative(c_fn, z0, beta, step=FD_STEP)
-        worst = max(worst, abs(lhs2 - rhs2))
+        worst = max(worst, abs(lhs2 - dc[beta]))
     return MixedBracketReport(verticality_residual=vertical,
                               contraction_residual=float(worst))
 
@@ -850,10 +866,11 @@ def cross_term_model(lam: float = 0.2, grid: int = 16) -> FibrationModel:
 
     def second(tv, pts):
         t, tb, z, zb = _wirtinger(tv, pts)
-        return _n1_second(z.shape, lam * z * zb + 1, lam * tb * z, lam * t * tb + 1)
+        return _n1_second(_point_shape(tv, pts), lam * z * zb + 1, lam * tb * z,
+                          lam * t * tb + 1)
 
     def third(tv, pts):
-        return _n1_third(np.shape(pts)[1:], 0.0, 0.0)
+        return _n1_third(_point_shape(tv, pts), 0.0, 0.0)
 
     return model_from_potential((second, third), f"cross({lam})", lattice=None, grid=grid)
 
@@ -904,14 +921,35 @@ MODEL_FAMILIES = {
 }
 
 
+def _per_distinct_t(jet: Callable, tv: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """A jet of a scalar base point on base points tv broadcast against the
+    fiber points pts (n, *P): one call per distinct value of tv."""
+    pts = np.asarray(pts, dtype=complex)
+    shape = _point_shape(tv, pts)
+    t = np.broadcast_to(tv, shape)
+    pts = np.broadcast_to(pts, pts.shape[:1] + shape)
+    outs = None
+    for value in np.unique(t):
+        sel = t == value
+        parts = jet(value, pts[:, sel])
+        if outs is None:
+            outs = tuple(np.empty(part.shape[:-1] + shape, dtype=complex) for part in parts)
+        for out, part in zip(outs, parts):
+            out[..., sel] = part
+    return outs
+
+
 def hermitian_quadratic_model(path, n: int, name: str = "hermitian-path") -> FibrationModel:
     """Potential z^T A(Re tau) conj(z) for a path of positive matrices.
 
     The base is the complexified real line; jets follow from the chain rule
-    d_tau = (1/2) d_x on functions of the real part.
+    d_tau = (1/2) d_x on functions of the real part.  The path is evaluated
+    once per distinct base point.
     """
 
     def second(tv, pts):
+        if np.ndim(tv):
+            return _per_distinct_t(second, tv, pts)
         a, da, d2a = path(float(np.real(tv)))
         cols = pts.shape[1]
         bb = 0.25 * np.einsum("jk,j...,k...->...", d2a, pts, pts.conj())
@@ -922,8 +960,8 @@ def hermitian_quadratic_model(path, n: int, name: str = "hermitian-path") -> Fib
     def third(tv, pts):
         # All third jets with two conjugate fiber slots vanish on a pure
         # z-zbar quadratic.
-        cols = pts.shape[1]
-        return (np.zeros((n, n, cols), dtype=complex),
-                np.zeros((n, n, n, cols), dtype=complex))
+        shape = _point_shape(tv, pts)
+        return (np.zeros((n, n) + shape, dtype=complex),
+                np.zeros((n, n, n) + shape, dtype=complex))
 
     return FibrationModel(name=name, n=n, second=second, third=third, lattice=None)

@@ -118,6 +118,28 @@ def ma_determinant(model: FibrationModel, tau: complex, z: np.ndarray) -> float:
     return float(np.real(np.linalg.det(h)))
 
 
+def ma_scale(a: np.ndarray, delta: np.ndarray, z: np.ndarray) -> tuple[float, float]:
+    """Closed-form scale of `ma_determinant` for the potential z^T A conj(z)
+    of a Hermitian path, with A = A(Re tau) at the point and delta = A1 - A0.
+
+    With M = A^{-1/2} delta A^{-1/2}, returns (s, floor):
+    s = (1/4) det A <z, A z> |M|^2 (operator norm) and
+    floor = (sigma_min(M) / |M|)^2.  Along the linear path
+    (1 - t) A0 + t A1 the determinant is -(1/4) det A |A^{-1/2} delta conj(z)|^2,
+    so floor <= |det| / s <= 1 at every point (README "Numerical
+    conventions"); along the geodesic it vanishes.  Both numbers are
+    invariant under scaling of A and delta and under congruence
+    A -> g A g^H.
+    """
+    z = np.asarray(z, dtype=complex)
+    chol = np.linalg.cholesky(a)
+    m = np.linalg.solve(chol, np.linalg.solve(chol, delta).conj().T)   # L^-1 delta L^-H
+    sigma = np.abs(np.linalg.eigvalsh(m))
+    top = float(np.max(sigma))
+    scale = 0.25 * float(np.linalg.det(a).real) * float(np.real(z @ a @ z.conj())) * top**2
+    return scale, (float(np.min(sigma)) / top) ** 2
+
+
 # ---------------------------------------------------------------------------
 # Convex grids and the real transform
 # ---------------------------------------------------------------------------

@@ -22,6 +22,11 @@ from .kns import structure_from_bsd
 ALGEBRAIC_TOL = 1e-10
 FD_TOL = 1e-5
 
+# The inner frame changes of a `HiggsStencil` are formed in blocks of at most
+# this many bytes (8 MiB), so their peak memory does not grow with the
+# 64 nsym^2 points of the inner stencil.
+STENCIL_BLOCK_BYTES = 1 << 23
+
 
 @dataclass(frozen=True)
 class HiggsFrame:
@@ -71,6 +76,10 @@ class HiggsField:
         masks = wedge.type_masks(n, k)
         self.types = list(masks)
         self._type_diags = np.stack([np.diag(mask.astype(complex)) for mask in masks.values()])
+        # same[a, b]: wedge basis elements a and b have one type, so Y * same
+        # keeps the type-preserving blocks of a matrix Y in the frame W.
+        label = np.argmax(np.stack(list(masks.values())), axis=0)
+        self.same = label[:, None] == label[None, :]
         # Rows of the reference covector basis (xi, conj(xi)) in the real dual.
         self.covectors = np.vstack([frame.columns, frame.columns.conj()])
         # dF_mu = [[0, 0], [S_mu, 0]] in the reference wedge-1 basis.
@@ -128,6 +137,11 @@ class HiggsField:
     def frame_change(self, coords: np.ndarray) -> np.ndarray:
         return wedge.compound_matrix(self.graph_frame(coords), self.k)
 
+    def frame_inverse(self, coords: np.ndarray) -> np.ndarray:
+        """The inverse of `frame_change`: by Cauchy-Binet, the wedge power of
+        the inverse graph frame."""
+        return wedge.compound_matrix(np.linalg.inv(self.graph_frame(coords)), self.k)
+
     def projectors(self, coords: np.ndarray, wk: np.ndarray | None = None) -> np.ndarray:
         """Type projectors, one per entry of `types`: shape (..., npq, dim, dim).
         wk is `frame_change(coords)` when the caller has already formed it."""
@@ -184,19 +198,40 @@ class HiggsField:
 
     def stencil(self, coords: np.ndarray, step: float = _fd.DEFAULT_STEP) -> HiggsStencil:
         """The field on the nested difference stencil at one base point,
-        every point evaluated once."""
+        every point evaluated once and the projectors at the base point only."""
         self.guard(coords)
         points = (coords, _fd.gradient_points(coords, step))
-        points += (_fd.gradient_points(points[1], step),)
         wk = tuple(self.frame_change(p) for p in points)
-        projs = tuple(self.projectors(p, w) for p, w in zip(points, wk))
-        theta = tuple(self.theta(p) for p in points[:2])
-        gram = tuple(self.gram(p) for p in points[:2])
+        theta = tuple(self.theta(p) for p in points)
+        gram = tuple(self.gram(p) for p in points)
         return HiggsStencil(
-            field=self, step=step, points=points, wk=wk, projs=projs, theta=theta,
-            theta_bar=tuple(self.theta_bar(p, t) for p, t in zip(points[:2], theta)),
+            field=self, step=step, points=points, wk=wk,
+            winv=tuple(self.frame_inverse(p) for p in points),
+            dwk=(tuple(_fd.xy_combine(wk[1], bar, step) for bar in (False, True)),
+                 self._inner_differences(points[1], step)),
+            theta=theta,
+            theta_bar=tuple(self.theta_bar(p, t) for p, t in zip(points, theta)),
             gram=gram,
-            frame=self._frame(coords, wk[0], projs[0], theta[0], gram[0]))
+            frame=self._frame(coords, wk[0], self.projectors(coords, wk[0]), theta[0],
+                              gram[0]))
+
+    def _inner_differences(self, outer: np.ndarray, step: float) -> tuple[np.ndarray, ...]:
+        """Holomorphic and antiholomorphic differences of `frame_change` at
+        every point of `outer`, along every coordinate: two arrays
+        (*outer.shape[:-1], nsym, dim, dim).
+
+        The frame changes of the inner stencil are formed in blocks of outer
+        points, each block's stack at most STENCIL_BLOCK_BYTES, and reduced to
+        their differences before the next block."""
+        flat = outer.reshape(-1, self.nsym)
+        dim = len(self.same)
+        out = np.empty((2, len(flat), self.nsym, dim, dim), dtype=complex)
+        block = max(1, STENCIL_BLOCK_BYTES // (8 * self.nsym * dim * dim * 16))
+        for start in range(0, len(flat), block):
+            inner = self.frame_change(_fd.gradient_points(flat[start:start + block], step))
+            for i, bar in enumerate((False, True)):
+                out[i, start:start + block] = _fd.xy_combine(inner, bar, step)
+        return tuple(d.reshape(outer.shape[:-1] + d.shape[1:]) for d in out)
 
 
 # ---------------------------------------------------------------------------
@@ -206,61 +241,58 @@ class HiggsField:
 # of coordinates (*L, nsym) has shape (S, *L, nsym, nsym), its leading axis
 # the stencil point and the next-to-last the coordinate, and a stencil of
 # stencils is `_fd.gradient_points` of those points.
+#
+# Every column of the frame W (`HiggsField.frame_change`) has one type, so
+# the type projectors are pi_b = W diag_b W^{-1} and pi_b W = W diag_b at
+# every point.  For sections V whose columns keep those types (W itself and
+# its covariant derivative) and any linear difference operator D,
+#
+#     sum_b pi_b D(pi_b V) = sum_b W diag_b W^{-1} (DV) diag_b = W bd(W^{-1} DV),
+#     sum_b pi_b D pi_b    = -W off(W^{-1} DW) W^{-1}     (D a derivation),
+#
+# with bd(Y) = Y * same and off(Y) = Y * ~same (`HiggsField.same`).  The
+# checks take D as central differences of W on the stencil and never form a
+# projector there.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class HiggsStencil:
     """The field on the nested stencil at one base point (`HiggsField.stencil`).
 
-    Each tuple is indexed by stencil level: 0 the base point (nsym,), 1 its
-    `_fd.gradient_points` (8, nsym, nsym) and 2 theirs (8, 8, nsym, nsym,
-    nsym).  The checks below read these values and evaluate nothing else.
+    Each tuple is indexed by stencil level: 0 the base point (nsym,) and 1
+    its `_fd.gradient_points` (8, nsym, nsym).  ``dwk[level]`` holds the
+    holomorphic and antiholomorphic differences, along every coordinate, of
+    the frame change at the next level: at level 1 that is the inner stencil
+    (8 x 8 nsym x nsym points), which is not kept.  The checks below read
+    these values and evaluate nothing else.
     """
 
     field: HiggsField
     step: float
     points: tuple[np.ndarray, ...]
-    wk: tuple[np.ndarray, ...]          # frame change, levels 0..2
-    projs: tuple[np.ndarray, ...]       # type projectors, levels 0..2
-    theta: tuple[np.ndarray, ...]       # levels 0..1
-    theta_bar: tuple[np.ndarray, ...]   # levels 0..1
-    gram: tuple[np.ndarray, ...]        # levels 0..1
+    wk: tuple[np.ndarray, ...]          # frame change W
+    winv: tuple[np.ndarray, ...]        # its inverse
+    dwk: tuple[tuple[np.ndarray, np.ndarray], ...]   # (D W, Dbar W) of the next level
+    theta: tuple[np.ndarray, ...]
+    theta_bar: tuple[np.ndarray, ...]
+    gram: tuple[np.ndarray, ...]
     frame: HiggsFrame                   # `HiggsField.frame_at` the base point
 
 
-def _projected(projs: np.ndarray, projs_pts: np.ndarray, values: np.ndarray | None,
-               bar: bool, step: float) -> np.ndarray:
-    """sum_pq pi_pq d_j (pi_pq s) at base points, along every coordinate j.
-
-    projs (*L, npq, d, d) are the type projectors at the base points and
-    projs_pts (S, *L, J, npq, d, d) those at their `_fd.gradient_points`; values
-    (S, *L, J, e, d, d) holds e sections at the stencil points, or is None
-    for s = I (the connection form, e = 1).  Returns (*L, J, e, d, d).
-    """
-    spread = projs_pts[..., :, None, :, :]
-    if values is not None:
-        spread = spread @ values[..., None, :, :, :]
-    terms = projs[..., None, :, None, :, :] @ _fd.xy_combine(spread, bar, step)
-    total = np.zeros(terms.shape[:-4] + terms.shape[-3:], dtype=complex)
-    for b in range(terms.shape[-4]):
-        total = total + terms[..., b, :, :, :]
-    return total
+def _covariant(st: HiggsStencil, level: int, dv: np.ndarray) -> np.ndarray:
+    """sum_b pi_b D(pi_b V) = W bd(W^{-1} DV) at the points of a stencil level,
+    for sections V with typed columns and their differences dv (*L, J, ..., d, d)
+    along every coordinate J."""
+    w, winv = st.wk[level][..., None, :, :], st.winv[level][..., None, :, :]
+    return w @ np.where(st.field.same, winv @ dv, 0.0)
 
 
-def _covariant_frame(st: HiggsStencil, level: int,
-                     sections: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Projected holomorphic and antiholomorphic derivatives along every
-    coordinate, at the points of a stencil level: two arrays (*L, nsym, d, d).
-
-    sections are the frame sections (the wedge power of the graph frame,
-    ``st.wk[level + 1]``) at the next level; with None the results are the
-    connection forms of the type-preserving part in the constant frame.
-    """
-    if sections is not None:
-        sections = sections[..., None, :, :]
-    return tuple(_projected(st.projs[level], st.projs[level + 1], sections, bar,
-                            st.step)[..., 0, :, :]
-                 for bar in (False, True))
+def _connection_form(st: HiggsStencil, level: int, dw: np.ndarray) -> np.ndarray:
+    """sum_b pi_b D pi_b = -W off(W^{-1} DW) W^{-1}, the connection form of the
+    type-preserving part in the constant frame, from the differences dw
+    (*L, J, d, d) of the frame at a stencil level."""
+    w, winv = st.wk[level][..., None, :, :], st.winv[level][..., None, :, :]
+    return -(w @ np.where(st.field.same, 0.0, winv @ dw) @ winv)
 
 
 # ---------------------------------------------------------------------------
@@ -281,13 +313,13 @@ def connection_split_check(st: HiggsStencil) -> SplitReport:
     """Residual of (plain derivative) = (type-projected derivative) + mixing field.
 
     Sample sections are the wedge powers of the holomorphic graph frame; the
-    plain and projected derivatives are measured by central differences while
-    the mixing field matrices come from the closed form.
+    plain derivative is measured by central differences, the projected one is
+    `_covariant` of those differences and the mixing field matrices come from
+    the closed form.
     """
     residuals = []
-    for bar, mixing, projected in zip((False, True), (st.theta[0], st.theta_bar[0]),
-                                      _covariant_frame(st, 0, st.wk[1])):
-        plain = _fd.xy_combine(st.wk[1], bar, st.step)
+    for mixing, plain in zip((st.theta[0], st.theta_bar[0]), st.dwk[0]):
+        projected = _covariant(st, 0, plain)
         residuals.append(float(np.max(np.abs(plain - projected - mixing @ st.wk[0]))))
     return SplitReport(holo_residual=residuals[0], antiholo_residual=residuals[1])
 
@@ -299,12 +331,14 @@ def curvature_operator(st: HiggsStencil) -> np.ndarray:
     derivatives on the graph frame sections; first-derivative terms cancel in
     the commutator, leaving the curvature operator applied to the frame.
     Entry [j, kbar] is the operator of the pair (d_j, d_kbar); both orders of
-    differentiation read one stencil of stencils.
+    differentiation read one stencil of stencils.  The covariant derivative
+    of the frame keeps the type of each column, so `_covariant` applies at
+    both levels.
     """
-    inner_holo, inner_anti = _covariant_frame(st, 1, st.wk[2])
-    first = _projected(st.projs[0], st.projs[1], inner_anti, False, st.step)    # [j, kbar]
-    second = _projected(st.projs[0], st.projs[1], inner_holo, True, st.step)    # [kbar, j]
-    return (first - second.swapaxes(0, 1)) @ np.linalg.inv(st.wk[0])
+    inner_holo, inner_anti = (_covariant(st, 1, d) for d in st.dwk[1])
+    first = _covariant(st, 0, _fd.xy_combine(inner_anti, False, st.step))    # [j, kbar]
+    second = _covariant(st, 0, _fd.xy_combine(inner_holo, True, st.step))    # [kbar, j]
+    return (first - second.swapaxes(0, 1)) @ st.winv[0]
 
 
 def curvature_algebraic(frame: HiggsFrame) -> np.ndarray:
@@ -378,7 +412,7 @@ def flatness_check(st: HiggsStencil) -> FlatnessReport:
 
     def forms(level):
         """a_holo, a_anti and a_d_anti along every coordinate, at a stencil level."""
-        d_holo, d_anti = _covariant_frame(st, level, None)
+        d_holo, d_anti = (_connection_form(st, level, d) for d in st.dwk[level])
         return d_holo + st.theta[level], d_anti + st.theta_bar[level], d_anti
 
     def commutators(a, b):
@@ -411,7 +445,7 @@ def chern_compatibility_check(st: HiggsStencil) -> float:
     wk, wk0, gram0 = st.wk[1], st.wk[0], st.gram[0]
     pairings = wk.conj().swapaxes(-1, -2) @ st.gram[1] @ wk   # [b,a] = <U_a, U_b>
     dpair = _fd.xy_combine(pairings, False, st.step)
-    du, dv = _covariant_frame(st, 0, st.wk[1])
+    du, dv = (_covariant(st, 0, d) for d in st.dwk[0])
     expected = dv.conj().swapaxes(-1, -2) @ gram0 @ wk0 + wk0.conj().T @ gram0 @ du
     return float(np.max(np.abs(dpair - expected)))
 
@@ -419,7 +453,7 @@ def chern_compatibility_check(st: HiggsStencil) -> float:
 def theta_holomorphy_check(st: HiggsStencil) -> float:
     """Residual of the antiholomorphic covariant derivative of the mixing field."""
     # a_bar[kk, 0] is the antiholomorphic connection form along kk.
-    a_bar = _projected(st.projs[0], st.projs[1], None, True, st.step)
+    a_bar = _connection_form(st, 0, st.dwk[0][1])[:, None]
     dtheta = _fd.xy_combine(st.theta[1], True, st.step)    # [kk, j]: d_kkbar theta_j
     theta = st.theta[0]
     return float(np.max(np.abs(dtheta + a_bar @ theta - theta @ a_bar)))

@@ -20,8 +20,7 @@ from .symplin import (
     ComplexStructure,
     SymplecticSpace,
     UnitaryFrame,
-    polarize_structure,
-    type_projectors,
+    _polarize,
     unitary_frame,
 )
 
@@ -155,16 +154,30 @@ def random_bsd_point(n: int, rng: np.random.Generator, radius: float = 0.7) -> B
 # Chart maps
 # ---------------------------------------------------------------------------
 
-def _cayley_operator(J: ComplexStructure, Jp: ComplexStructure) -> np.ndarray:
-    """(1 + J J')(1 - J J')^{-1} as an operator on covector coordinate columns."""
-    k = J.covector_action()
-    kp = Jp.covector_action()
-    prod = k @ kp
+def _cayley_operators(J: ComplexStructure, jps: np.ndarray) -> np.ndarray:
+    """(1 + J J')(1 - J J')^{-1} as operators on covector coordinate columns,
+    for a stack of structure matrices jps (..., 2n, 2n)."""
+    prod = J.covector_action() @ jps.swapaxes(-1, -2)
     eye = np.eye(J.dim)
     denom = eye - prod
-    if np.linalg.cond(denom) > 1e14:
+    if np.max(np.linalg.cond(denom)) > 1e14:
         raise DomainError("1 - J J' is singular: structures are not a compatible pair")
-    return np.linalg.solve(denom.T, (eye + prod).T).T
+    return np.linalg.solve(denom.swapaxes(-1, -2), (eye + prod).swapaxes(-1, -2)).swapaxes(-1, -2)
+
+
+def _kns_tensors(J: ComplexStructure, jps: np.ndarray, frame: UnitaryFrame) -> np.ndarray:
+    """`kns_tensor` on a stack of structure matrices jps (..., 2n, 2n): the
+    chart matrices (..., n, n), each checked for a spurious (1,0) part."""
+    op = _cayley_operators(J, jps)
+    basis = frame.dual_basis_matrix()
+    n = frame.n
+    coeffs = np.linalg.solve(basis, op @ basis[:, :n])
+    purity = np.max(np.abs(coeffs[..., :n, :]), axis=(-2, -1))
+    scale = np.maximum(1.0, np.max(np.abs(coeffs), axis=(-2, -1)))
+    if np.any(purity > 1e-9 * scale):
+        worst = float(np.max(purity))
+        raise DomainError(f"tensor image has a spurious (1,0) part ({worst:.2e})")
+    return coeffs[..., n:, :]
 
 
 def kns_tensor(J: ComplexStructure, Jp: ComplexStructure, frame: UnitaryFrame) -> BsdPoint:
@@ -174,16 +187,28 @@ def kns_tensor(J: ComplexStructure, Jp: ComplexStructure, frame: UnitaryFrame) -
     the (0,1) covectors; its coefficients against the conjugate frame are the
     chart coordinates.
     """
-    op = _cayley_operator(J, Jp)
-    basis = frame.dual_basis_matrix()
+    return BsdPoint(phi=_kns_tensors(J, Jp.J[None], frame)[0])
+
+
+def _kns_tensors_by_projection(jps: np.ndarray, frame: UnitaryFrame) -> np.ndarray:
+    """`kns_tensor_by_projection` on a stack of structure matrices jps
+    (..., 2n, 2n): the chart matrices (..., n, n)."""
     n = frame.n
-    images = op @ basis[:, :n]
-    coeffs = np.linalg.solve(basis, images)
-    purity = float(np.max(np.abs(coeffs[:n, :])))
-    scale = max(1.0, float(np.max(np.abs(coeffs))))
-    if purity > 1e-9 * scale:
-        raise DomainError(f"tensor image has a spurious (1,0) part ({purity:.2e})")
-    return BsdPoint(phi=coeffs[n:, :])
+    p10 = 0.5 * (np.eye(2 * n) - 1j * jps.swapaxes(-1, -2))   # `type_projectors`
+    u, s, _ = np.linalg.svd(p10)
+    if np.min(s[..., n - 1]) < 0.5:
+        raise DomainError("degenerate (1,0) space")
+    basis_p = u[..., :n]                      # columns span (1,0) covectors of J'
+    basis_bar = frame.dual_basis_matrix()[:, n:]   # (0,1) covectors of J
+    stacked = np.concatenate(
+        [basis_p, np.broadcast_to(basis_bar, basis_p.shape[:-2] + basis_bar.shape)], axis=-1)
+    if np.max(np.linalg.cond(stacked)) > 1e14:
+        raise DomainError("(1,0) of J' and (0,1) of J fail to be transverse")
+    phi = np.empty(jps.shape[:-2] + (n, n), dtype=complex)
+    for k in range(n):
+        rhs = np.broadcast_to(frame.columns[k], basis_p.shape[:-1])
+        phi[..., k] = -np.linalg.solve(stacked, rhs[..., None])[..., n:, 0]
+    return phi
 
 
 def kns_tensor_by_projection(J: ComplexStructure, Jp: ComplexStructure,
@@ -195,45 +220,44 @@ def kns_tensor_by_projection(J: ComplexStructure, Jp: ComplexStructure,
     conjugate frame, gives the matrix.  No Cayley algebra is used: the
     (1,0) space of J' comes from its type projector's column space.
     """
-    n = frame.n
-    p10, _ = type_projectors(Jp)
-    u, s, _ = np.linalg.svd(p10)
-    if s[n - 1] < 0.5:
-        raise DomainError("degenerate (1,0) space")
-    basis_p = u[:, :n]                       # columns span (1,0) covectors of J'
-    basis_bar = frame.dual_basis_matrix()[:, n:]   # (0,1) covectors of J
-    stacked = np.hstack([basis_p, basis_bar])
-    if np.linalg.cond(stacked) > 1e14:
-        raise DomainError("(1,0) of J' and (0,1) of J fail to be transverse")
-    phi = np.empty((n, n), dtype=complex)
-    for k in range(n):
-        coeff = np.linalg.solve(stacked, frame.columns[k])
-        phi[:, k] = -coeff[n:]
-    return phi
+    return _kns_tensors_by_projection(Jp.J[None], frame)[0]
 
 
-def structure_from_bsd(J: ComplexStructure, frame: UnitaryFrame, point: BsdPoint) -> ComplexStructure:
-    """Compatible structure whose (1,0) covectors are spanned by xi^k + sum phi[j,k] conj(xi^j)."""
+def _structures_from_bsd(frame: UnitaryFrame, phi: np.ndarray) -> np.ndarray:
+    """`structure_from_bsd` on a stack of chart matrices phi (..., n, n): the
+    structure matrices (..., 2n, 2n), polarized but not checked for
+    J^2 = -I (`ComplexStructure` checks one)."""
     n = frame.n
-    if point.n != n:
-        raise DomainError("point size does not match the frame")
-    phi = point.phi
-    graph = np.block([[np.eye(n), phi.conj()], [phi, np.eye(n)]])
+    graph = np.empty(phi.shape[:-2] + (2 * n, 2 * n), dtype=complex)
+    graph[..., :n, :n] = graph[..., n:, n:] = np.eye(n)
+    graph[..., :n, n:] = phi.conj()
+    graph[..., n:, :n] = phi
     basis = frame.dual_basis_matrix() @ graph
     eig = np.diag(np.concatenate([1j * np.ones(n), -1j * np.ones(n)]))
     k_new = basis @ eig @ np.linalg.inv(basis)
     imag_norm = float(np.max(np.abs(k_new.imag)))
     if imag_norm > 1e-9:
         raise DomainError(f"reconstructed structure is not real ({imag_norm:.2e})")
-    return polarize_structure(k_new.real.T)
+    return _polarize(k_new.real.swapaxes(-1, -2))
+
+
+def structure_from_bsd(J: ComplexStructure, frame: UnitaryFrame, point: BsdPoint) -> ComplexStructure:
+    """Compatible structure whose (1,0) covectors are spanned by xi^k + sum phi[j,k] conj(xi^j)."""
+    if point.n != frame.n:
+        raise DomainError("point size does not match the frame")
+    return ComplexStructure(J=_structures_from_bsd(frame, point.phi[None])[0])
+
+
+def _berndtsson_tensors(a: np.ndarray, b: np.ndarray, cond_limit: float = 1e12) -> np.ndarray:
+    """`berndtsson_tensor` on stacks of linear and antilinear parts (..., n, n)."""
+    if np.max(np.linalg.cond(a)) > cond_limit:
+        raise AdmissibilityError("complex-linear part is singular within tolerance")
+    return np.linalg.solve(a, b)
 
 
 def berndtsson_tensor(T: RealLinearMap, cond_limit: float = 1e12) -> np.ndarray:
     """T1^{-1} T2 for an admissible real-linear map T = T1 + T2."""
-    a = T.linear_part
-    if np.linalg.cond(a) > cond_limit:
-        raise AdmissibilityError("complex-linear part is singular within tolerance")
-    return np.linalg.solve(a, T.antilinear_part)
+    return _berndtsson_tensors(T.linear_part[None], T.antilinear_part[None], cond_limit)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +266,12 @@ def berndtsson_tensor(T: RealLinearMap, cond_limit: float = 1e12) -> np.ndarray:
 
 def holomorphic_motion(point: BsdPoint, z: np.ndarray) -> np.ndarray:
     """zeta = z + phi conj(z)."""
-    z = np.asarray(z, dtype=complex)
-    return z + point.phi @ z.conj()
+    return _holomorphic_motion(point.phi, np.asarray(z, dtype=complex))
+
+
+def _holomorphic_motion(phi: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """`holomorphic_motion` on stacks: phi (..., n, n) and z (..., n)."""
+    return z + (phi @ z.conj()[..., None])[..., 0]
 
 
 def inverse_motion(point: BsdPoint, zeta: np.ndarray) -> np.ndarray:
@@ -273,34 +301,41 @@ def motion_form_residual(point: BsdPoint, zeta: np.ndarray, step: float = 1e-4) 
     (1,0) coordinate differentials to zero; that is the vanishing of the
     (2,0) part ((0,2) follows by conjugation since the form is real).
     """
-    n = point.n
+    zeta = np.asarray(zeta, dtype=complex)
+    return float(_motion_form_residuals(point.phi[None], zeta[None], step)[0])
+
+
+def _motion_form_residuals(phi: np.ndarray, zeta: np.ndarray, step: float = 1e-4) -> np.ndarray:
+    """`motion_form_residual` on stacks: phi (S, n, n) and zeta (S, n)."""
+    n = phi.shape[-1]
     nsym = sym_dim(n)
-    x0 = np.concatenate([coords_from_sym(point.phi), np.asarray(zeta, dtype=complex)])
-    dim = x0.size
+    x0 = np.concatenate([coords_from_sym(phi), zeta], axis=-1)
+    dim = x0.shape[-1]
 
     # Real Jacobian of z(t, zeta) by a fourth-order central stencil (it keeps
     # the pullback oracle near 1e-12): the 4 x 2 dim points real0 + c h e_a,
     # c in (-2, -1, 1, 2), in one stacked evaluation.
-    real0 = np.concatenate([x0.real, x0.imag])
+    real0 = np.concatenate([x0.real, x0.imag], axis=-1)
     offsets = np.array([-2.0, -1.0, 1.0, 2.0])[:, None, None] * (step * np.eye(2 * dim))
-    xr = real0 + offsets
+    xr = real0[:, None, None, :] + offsets
     xc = xr[..., :dim] + 1j * xr[..., dim:]
-    phi = sym_from_coords(xc[..., :nsym], n)
-    _require_domain(phi)
-    z = _inverse_motion(phi, xc[..., nsym:])
-    v = np.concatenate([z.real, z.imag], axis=-1)               # (4, 2 dim, 2n)
-    jac = ((v[0] - 8.0 * v[1] + 8.0 * v[2] - v[3]) / (12.0 * step)).T
+    phis = sym_from_coords(xc[..., :nsym], n)
+    _require_domain(phis)
+    z = _inverse_motion(phis, xc[..., nsym:])
+    v = np.concatenate([z.real, z.imag], axis=-1)               # (S, 4, 2 dim, 2n)
+    jac = ((v[:, 0] - 8.0 * v[:, 1] + 8.0 * v[:, 2] - v[:, 3]) / (12.0 * step)).swapaxes(-1, -2)
 
-    omega = jac.T @ _standard_sym_matrix(n) @ jac
+    omega = jac.swapaxes(-1, -2) @ _standard_sym_matrix(n) @ jac
     base_block = _standard_sym_matrix(nsym)
     # Base coordinates sit at real slots [0, nsym) and [dim, dim + nsym).
     sel = np.concatenate([np.arange(nsym), dim + np.arange(nsym)])
-    omega[np.ix_(sel, sel)] += base_block
+    omega[..., sel[:, None], sel] += base_block
 
     # Row s is the (1,0) coordinate differential of slot s: d x_s + i d y_s.
     holo = np.hstack([np.eye(dim), 1j * np.eye(dim)])
     pairings = holo @ np.linalg.inv(omega) @ holo.T
-    return float(np.max(np.abs(pairings[np.triu_indices(dim)])))
+    rows, cols = np.triu_indices(dim)
+    return np.max(np.abs(pairings[..., rows, cols]), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +344,17 @@ def motion_form_residual(point: BsdPoint, zeta: np.ndarray, step: float = 1e-4) 
 
 def chart_transition(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFrame,
                      target_J: ComplexStructure, target_frame: UnitaryFrame):
-    """Coordinate expression of the transition into the chart centered at target_J."""
+    """Coordinate expression of the transition into the chart centered at
+    target_J, on a stack of chart coordinates (..., nsym)."""
+    n = frame.n
 
     def transition(coords: np.ndarray) -> np.ndarray:
-        pt = BsdPoint(phi=sym_from_coords(coords, frame.n))
-        jp = structure_from_bsd(J, frame, pt)
-        return kns_tensor(target_J, jp, target_frame).phi
+        phi = sym_from_coords(coords, n)
+        _require_domain(phi)
+        jps = _structures_from_bsd(frame, phi.reshape((-1, n, n)))
+        out = _kns_tensors(target_J, jps, target_frame)
+        _require_domain(out)
+        return out.reshape(phi.shape)
 
     return transition
 
@@ -349,6 +389,6 @@ def holomorphy_probe(space: SymplecticSpace, J: ComplexStructure, frame: Unitary
     target_frame = unitary_frame(space, target_J)
     transition = chart_transition(space, J, frame, target_J, target_frame)
 
-    residual = _fd.dbar_along(lambda c: transition(c), base_coords,
-                              dir_coords, step=step, richardson=richardson)
+    residual = _fd.dbar_along(transition, base_coords, dir_coords, step=step,
+                              richardson=richardson)
     return float(np.max(np.abs(residual)))

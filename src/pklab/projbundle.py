@@ -25,7 +25,11 @@ class ChartError(ValueError):
 
 @dataclass(frozen=True)
 class BundleMetricModel:
-    """jets(t) -> (h, dh, ddh): metric matrix, d_t h and d_t d_tbar h."""
+    """jets(t) -> (h, dh, ddh): metric matrix, d_t h and d_t d_tbar h.
+
+    t may be a stack of base points; the jets then carry its axes before
+    the matrix axes.
+    """
 
     r: int
     jets: Callable[[complex], tuple[np.ndarray, np.ndarray, np.ndarray]]
@@ -41,14 +45,14 @@ class BundleMetricModel:
 
 
 def chern_curvature(model: BundleMetricModel, t: complex) -> np.ndarray:
-    """Lowered curvature matrix R[a, b] = R_{a bbar t tbar}.
+    """Lowered curvature matrix R[a, b] = R_{a bbar t tbar}, stacked like t.
 
     R_{a bbar} = -d_t d_tbar h_{a bbar} + sum h^{sbar tau} d_t h_{a sbar}
     conj(d_t h_{b tau bar}).
     """
     h, dh, ddh = model.jets(t)
     hinv = np.linalg.inv(h)
-    return -np.asarray(ddh, dtype=complex) + dh @ hinv @ dh.conj().T
+    return -np.asarray(ddh, dtype=complex) + dh @ hinv @ dh.conj().swapaxes(-1, -2)
 
 
 def ricci(model: BundleMetricModel, t: complex) -> complex:
@@ -75,8 +79,8 @@ def _chart_coordinates(model: BundleMetricModel, v: np.ndarray) -> np.ndarray:
 
 def _log_hessian(h: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(d^2 log H / dv dvbar, H) for H = h_{a bbar} v^a conj(v^b), stacked
-    like the points v (..., r)."""
-    w = np.einsum("ab,...b->...a", h, v.conj())
+    like the points v (..., r) broadcast with the metrics h (..., r, r)."""
+    w = np.einsum("...ab,...b->...a", h, v.conj())
     big_h = np.einsum("...a,...a->...", v, w)[..., None, None]
     return h / big_h - w[..., :, None] * w.conj()[..., None, :] / big_h**2, big_h[..., 0, 0]
 
@@ -84,8 +88,9 @@ def _log_hessian(h: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def pk_form(model: BundleMetricModel, t: complex, v: np.ndarray) -> np.ndarray:
     """Coefficient matrix of the twisted form at (t, [v]) in the affine chart.
 
-    v (..., r) may be a stack of fiber points over the one base point t; the
-    matrices are stacked like it.  Basis order: dt first, then the fiber
+    v (..., r) may be a stack of fiber points, over one base point t or over
+    a stack of them broadcast with the points; the matrices are stacked like
+    the points.  Basis order: dt first, then the fiber
     differentials skipping the chart coordinate.  The matrix is Hermitian;
     its fiber block is the log-Hessian in the corrected frame and the base
     block carries the curvature pairing plus the trace-part twist.
@@ -95,13 +100,13 @@ def pk_form(model: BundleMetricModel, t: complex, v: np.ndarray) -> np.ndarray:
     hinv = np.linalg.inv(h)
     L, big_h = _log_hessian(h, v)
     rmat = chern_curvature(model, t)
-    ric = complex(np.trace(hinv @ rmat))
+    ric = np.trace(hinv @ rmat, axis1=-2, axis2=-1)
     # delta v^a = dv^a + b^a dt with b^a = v^beta h^{gbar a} d_t h_{beta gbar}.
-    b = np.einsum("...b,ga,bg->...a", v, hinv, dh)
+    b = np.einsum("...b,...ga,...bg->...a", v, hinv, dh)
     fiber_idx = np.array([a for a in range(model.r) if a != model.chart], dtype=int)
     dim = 1 + len(fiber_idx)
     omega = np.empty(v.shape[:-1] + (dim, dim), dtype=complex)
-    omega[..., 0, 0] = (-np.einsum("ab,...a,...b->...", rmat, v, v.conj()) / big_h
+    omega[..., 0, 0] = (-np.einsum("...ab,...a,...b->...", rmat, v, v.conj()) / big_h
                         + ric / model.r
                         + np.einsum("...ab,...a,...b->...", L, b, b.conj()))
     omega[..., 0, 1:] = np.einsum("...an,...a->...n", L[..., :, fiber_idx], b)
@@ -157,15 +162,15 @@ def fiber_fs_check(model: BundleMetricModel, t: complex, samples: int = 20,
 
 def d_closedness_residual(model: BundleMetricModel, t: complex, v: np.ndarray,
                           step: float = 1e-4) -> float:
-    """Exterior-derivative residual of the assembled coefficient field."""
+    """Exterior-derivative residual of the assembled coefficient field, from
+    one `pk_form` call on its whole stencil."""
     v = _chart_coordinates(model, v)
     fiber_idx = [a for a in range(model.r) if a != model.chart]
 
     def coeff(z: np.ndarray) -> np.ndarray:
-        vv = np.ones(model.r, dtype=complex)
-        for pos, a in enumerate(fiber_idx):
-            vv[a] = z[1 + pos]
-        return pk_form(model, z[0], vv)
+        vv = np.ones(z.shape[:-1] + (model.r,), dtype=complex)
+        vv[..., fiber_idx] = z[..., 1:]
+        return pk_form(model, z[..., 0], vv)
 
     z0 = np.concatenate([[t], v[fiber_idx]])
     return _fd.d_residual_11(coeff, z0, step=step)
@@ -181,7 +186,8 @@ def constant_model(h0: np.ndarray, name: str = "constant") -> BundleMetricModel:
     zero = np.zeros_like(h0)
 
     def jets(t: complex):
-        return h0, zero, zero
+        shape = np.shape(t) + h0.shape
+        return tuple(np.broadcast_to(m, shape) for m in (h0, zero, zero))
 
     return BundleMetricModel(r=r, jets=jets, name=name)
 
@@ -193,6 +199,7 @@ def twisted_model(h0: np.ndarray, weight: float = 1.0,
     r = h0.shape[0]
 
     def jets(t: complex):
+        t = np.asarray(t)[..., None, None]
         f = np.exp(-weight * abs(t) ** 2)
         h = f * h0
         dh = -weight * np.conj(t) * h
@@ -217,12 +224,16 @@ def split_twist_model(weights: Sequence[float],
     weights = np.asarray(list(weights), dtype=float)
     r = weights.size
 
+    def diag(entries: np.ndarray) -> np.ndarray:
+        out = np.zeros(entries.shape + (r,), dtype=complex)
+        out[..., np.arange(r), np.arange(r)] = entries
+        return out
+
     def jets(t: complex):
+        t = np.asarray(t)[..., None]
         f = np.exp(-weights * abs(t) ** 2)
-        h = np.diag(f.astype(complex))
-        dh = np.diag((-weights * np.conj(t) * f).astype(complex))
-        ddh = np.diag((weights * (weights * abs(t) ** 2 - 1.0) * f).astype(complex))
-        return h, dh, ddh
+        return (diag(f), diag(-weights * np.conj(t) * f),
+                diag(weights * (weights * abs(t) ** 2 - 1.0) * f))
 
     return BundleMetricModel(r=r, jets=jets,
                              name=name or f"split{tuple(weights.tolist())}")

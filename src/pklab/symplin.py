@@ -283,15 +283,24 @@ def polarize_structure(j: np.ndarray) -> ComplexStructure:
     Newton iteration j <- (j - j^{-1}) / 2 converges quadratically to the
     nearest matrix square root of -I along the isospectral family.
     """
-    j = np.asarray(j, dtype=float)
-    best = j
-    best_defect = np.inf
+    return ComplexStructure(J=_polarize(np.asarray(j, dtype=float)[None])[0])
+
+
+def _polarize(j: np.ndarray) -> np.ndarray:
+    """`polarize_structure` on a stack of real matrices (..., d, d): each
+    matrix iterates, and keeps its best iterate, as it would alone."""
+    best = j.copy()
+    best_defect = np.full(j.shape[:-2], np.inf)
+    active = np.ones(j.shape[:-2], dtype=bool)
+    eye = np.eye(j.shape[-1])
     for _ in range(40):
-        scale = max(1.0, float(np.max(np.abs(j))) ** 2)
-        defect = float(np.max(np.abs(j @ j + np.eye(j.shape[0])))) / scale
-        if defect < best_defect:
-            best, best_defect = j, defect
-        if defect < 1e-15:
+        scale = np.maximum(1.0, np.max(np.abs(j), axis=(-2, -1)) ** 2)
+        defect = np.max(np.abs(j @ j + eye), axis=(-2, -1)) / scale
+        better = active & (defect < best_defect)
+        best[better] = j[better]
+        best_defect[better] = defect[better]
+        active &= defect >= 1e-15
+        if not active.any():
             break
-        j = 0.5 * (j - np.linalg.inv(j))
-    return ComplexStructure(J=best)
+        j = np.where(active[..., None, None], 0.5 * (j - np.linalg.inv(j)), j)
+    return best

@@ -66,10 +66,10 @@ def test_rank_clamp_noted_on_stderr(tmp_path, capsys):
                  if line.startswith("note:")]
         return json.loads(out.read_text()), notes
 
-    clamped, notes = run(4)
-    assert notes == ["note: suite higgs runs at n=3 (requested n=4)"]
-    assert clamped["config"]["n"] == 4
-    plain, notes = run(3)
+    clamped, notes = run(5)
+    assert notes == ["note: suite higgs runs at n=4 (requested n=5)"]
+    assert clamped["config"]["n"] == 5
+    plain, notes = run(4)
     assert notes == []
     assert clamped["checks"] == plain["checks"]
 

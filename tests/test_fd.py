@@ -1,4 +1,8 @@
-"""Stacked finite-difference stencils against the per-point loops they replaced."""
+"""Stacked finite-difference stencils against the per-point loops they replaced.
+
+Every field here takes a stack of points (..., N) and returns its values with
+the same leading axes; each stencil helper evaluates it once.
+"""
 
 import numpy as np
 import pytest
@@ -65,9 +69,13 @@ def _fields(n):
     mix = rng.standard_normal((3, nsym)) + 1j * rng.standard_normal((3, nsym))
 
     def analytic(z):
-        """A smooth matrix field that is neither holomorphic nor antiholomorphic."""
-        u = mix @ z
-        return np.outer(u, np.exp(u.conj())) + np.diag(np.abs(u) ** 4)
+        """A smooth matrix field that is neither holomorphic nor antiholomorphic.
+
+        u = mix z is summed along the last axis, in one order for a point and
+        for a stack."""
+        u = (np.asarray(z)[..., None, :] * mix).sum(axis=-1)
+        outer = u[..., :, None] * np.exp(u.conj())[..., None, :]
+        return outer + np.abs(u)[..., None] ** 4 * np.eye(3)
 
     return [gram_at, analytic]
 
@@ -93,3 +101,65 @@ def test_closedness_defect_matches_the_pair_loop():
                 for c in range(4) for a in range(c + 1, 4))
     assert _fd.closedness_defect(grads) == worst
     assert _fd.closedness_defect(grads[:1, :1]) == 0.0
+
+
+def _wirtinger_loop(f, z, idx, bar, step=1e-3, richardson=True):
+    """Central x/y differences along coordinate idx, one point per call."""
+
+    def shifted(delta):
+        w = np.array(z, dtype=complex)
+        w[idx] += delta
+        return np.asarray(f(w))
+
+    def estimate(h):
+        dx = (shifted(h) - shifted(-h)) / (2.0 * h)
+        dy = (shifted(1j * h) - shifted(-1j * h)) / (2.0 * h)
+        return 0.5 * (dx + 1j * dy) if bar else 0.5 * (dx - 1j * dy)
+
+    if not richardson:
+        return estimate(step)
+    return (4.0 * estimate(step / 2.0) - estimate(step)) / 3.0
+
+
+class _Counted:
+    """A field that counts its calls."""
+
+    def __init__(self, f):
+        self.f = f
+        self.calls = 0
+
+    def __call__(self, z):
+        self.calls += 1
+        return self.f(z)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_each_stencil_helper_calls_its_field_once(n):
+    z = kns.coords_from_sym(kns.random_bsd_point(n, np.random.default_rng(60 + n), 0.6).phi)
+    direction = np.linspace(0.3, 1.0, z.size) + 0.2j
+    for f in _fields(n):
+        for helper, args in ((_fd.holo_derivative, (z, z.size - 1)),
+                             (_fd.antiholo_derivative, (z, 0)),
+                             (_fd.dbar_along, (z, direction)),
+                             (_fd.hermitian_hessian, (z,)),
+                             (_fd.d_residual_11, (z,))):
+            counted = _Counted(f)
+            helper(counted, *args)
+            assert counted.calls == 1, helper.__name__
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_first_derivative_helpers_equal_the_point_loops(n):
+    z = kns.coords_from_sym(kns.random_bsd_point(n, np.random.default_rng(70 + n), 0.6).phi)
+    direction = np.linspace(0.3, 1.0, z.size) + 0.2j
+    for f in _fields(n):
+        for idx in range(z.size):
+            assert np.array_equal(_fd.holo_derivative(f, z, idx),
+                                  _wirtinger_loop(f, z, idx, False))
+            assert np.array_equal(_fd.antiholo_derivative(f, z, idx, richardson=False),
+                                  _wirtinger_loop(f, z, idx, True, richardson=False))
+        along = _wirtinger_loop(lambda w: f(z + w[0] * direction), np.zeros(1), 0, True,
+                                richardson=False)
+        assert np.array_equal(_fd.dbar_along(f, z, direction), along)
+        grads = np.stack([_wirtinger_loop(f, z, c, False) for c in range(z.size)])
+        assert _fd.d_residual_11(f, z) == _fd.closedness_defect(grads)

@@ -4,7 +4,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pklab import cli
 from pklab import fibration as fib
 from pklab import geodesics as geo
 
@@ -262,6 +264,110 @@ def test_closed_form_jets_match_sympy(case):
         for name, g, w in zip(("bb", "bf", "ff", "bff", "fff"), got, want):
             assert g.shape == w.shape and g.dtype == w.dtype, name
             assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w)), (name, t)
+
+
+@st.composite
+def _stacked_base_points(draw):
+    case = draw(st.integers(0, len(JET_CASES) - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.integers(1, 6))
+    ts = rng.uniform(-1.5, 1.5, count) + 1j * rng.uniform(0.3, 3.0, count)
+    pts = 1.5 * (rng.standard_normal((1, count)) + 1j * rng.standard_normal((1, count)))
+    return case, ts, pts
+
+
+@settings(max_examples=60, deadline=None)
+@given(_stacked_base_points())
+def test_stacked_t_jets_equal_per_t_calls(case):
+    # One base point per fiber point, in one call, against one call per t:
+    # exactly with t as a one-element stack, and to rounding with t a Python
+    # scalar (numpy's array loops may fuse a complex product, its scalar
+    # arithmetic does not).
+    index, ts, pts = case
+    family, params = JET_CASES[index]
+    model = fib.MODEL_FAMILIES[family](**params)
+    stacked = model.second(ts, pts) + model.third(ts, pts)
+    for i, t in enumerate(ts):
+        one = pts[:, i:i + 1]
+        single = model.second(ts[i:i + 1], one) + model.third(ts[i:i + 1], one)
+        scalar = model.second(complex(t), one) + model.third(complex(t), one)
+        for got, want, near in zip(stacked, single, scalar):
+            assert got.shape[:-1] == want.shape[:-1] == near.shape[:-1]
+            assert np.array_equal(got[..., i:i + 1], want), (family, params)
+            assert np.allclose(want, near, rtol=1e-15, atol=1e-15 * np.max(np.abs(near)))
+
+
+def test_hermitian_path_jets_evaluate_the_path_once_per_distinct_t():
+    a0 = np.array([[2.0, 0.4 + 0.1j], [0.4 - 0.1j, 1.0]])
+    a1 = np.array([[1.0, -0.3j], [0.3j, 2.5]])
+    path = geo.linear_hermitian_path(a0, a1)
+    calls = []
+
+    def logged(x):
+        calls.append(x)
+        return path(x)
+
+    model = fib.hermitian_quadratic_model(geo.HermitianPath(logged), 2)
+    ts = np.array([0.3, 0.62, 0.3, 0.62, 0.45])
+    pts = np.arange(10).reshape(2, 5) * (0.1 + 0.2j)
+    stacked = model.second(ts, pts)
+    assert sorted(calls) == [0.3, 0.45, 0.62]
+    for i, t in enumerate(ts):
+        for got, want in zip(stacked, model.second(t, pts[:, i:i + 1])):
+            assert np.array_equal(got[..., i:i + 1], want)
+
+
+def test_schumacher_makes_one_jet_call_per_kind_in_the_bracket_check(monkeypatch):
+    calls = {"second": 0, "third": 0}
+    check = fib.bracket_mixed_check
+
+    def counted_check(model, t, zeta):
+        def counted(kind):
+            jet = getattr(model, kind)
+
+            def call(tv, pts):
+                calls[kind] += 1
+                return jet(tv, pts)
+
+            return call
+
+        return check(dataclasses.replace(model, second=counted("second"),
+                                         third=counted("third")), t, zeta)
+
+    monkeypatch.setattr(fib, "bracket_mixed_check", counted_check)
+    assert cli.run_suite(cli.SuiteConfig(suite="schumacher")).passed
+    assert calls == {"second": 1, "third": 1}
+
+
+def test_bracket_check_equals_the_per_point_stencils():
+    # The per-point stencils of the scalar-t lift and c it replaced.
+    from pklab import _fd
+
+    model, t, zeta = PERTURBED32, 0.3 + 1.2j, np.array([0.23 + 0.11j])
+    z0 = np.concatenate([[t], zeta])
+
+    def comps(z):
+        u = fib.evaluate_fields(model, complex(z[0]), z[1:].reshape(-1, 1)).lifts
+        return np.concatenate([[1.0 + 0j], -u[:, 0]])
+
+    def c_fn(z):
+        return complex(fib.evaluate_fields(model, complex(z[0]), z[1:].reshape(-1, 1)).c[0])
+
+    def wirtinger(f, idx, bar):
+        values = np.stack([f(p) for p in _fd.xy_points(z0, idx, fib.FD_STEP)])
+        return _fd.xy_combine(values, bar, fib.FD_STEP)
+
+    v0 = comps(z0)
+    part01 = sum(v0[b] * wirtinger(lambda z: comps(z).conj(), b, False) for b in range(2))
+    part10 = sum(-v0[b].conj() * wirtinger(comps, b, True) for b in range(2))
+    h = fib.form_matrix(*model.second(t, zeta.reshape(-1, 1)))[:, :, 0]
+    lhs10 = h[0, 1] * part10[0] + h[1, 1] * part10[1]
+    lhs01 = -(h[1, 0] * part01[0] + h[1, 1] * part01[1])
+    contraction = max(abs(lhs10 - wirtinger(c_fn, 1, True)),
+                      abs(lhs01 - wirtinger(c_fn, 1, False)))
+    rep = fib.bracket_mixed_check(model, t, zeta)
+    assert rep.verticality_residual == max(abs(part01[0]), abs(part10[0]))
+    assert rep.contraction_residual == contraction
 
 
 def test_positivity_error():

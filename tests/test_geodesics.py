@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pklab import cli
 from pklab import fibration as fib
 from pklab import geodesics as geo
 from pklab import kns
@@ -83,6 +84,48 @@ def test_ma_equivalence_with_theta_tt():
                 rng.standard_normal(n) + 1j * rng.standard_normal(n)))
                 for t in (0.25, 0.5, 0.75) for _ in range(3))
             assert (theta < 1e-10) == (ma < 1e-8)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ma_scale_bounds_the_linear_path_and_is_invariant(n):
+    # floor <= |det| / s <= 1 along the linear path, with equality at n = 1,
+    # and the ratio is unchanged by scaling and by a congruence of the path.
+    rng = np.random.default_rng(30 + n)
+    a0, a1 = rand_pd(rng, n), rand_pd(rng, n)
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) + 3 * np.eye(n)
+    z = np.arange(1, n + 1) + 0.5j
+    # The potential of g A g^H at z' = g^{-T} z equals that of A at z.
+    cases = [(a0, a1, z), (2.5 * a0, 2.5 * a1, z),
+             (g @ a0 @ g.conj().T, g @ a1 @ g.conj().T, np.linalg.solve(g.T, z))]
+    ratios = []
+    tau = 0.37 + 0.2j
+    for b0, b1, z in cases:
+        path = geo.linear_hermitian_path(b0, b1)
+        model = fib.hermitian_quadratic_model(path, n)
+        scale, floor = geo.ma_scale(path(tau.real)[0], b1 - b0, z)
+        ratio = abs(geo.ma_determinant(model, tau, z)) / scale
+        assert floor * (1 - 1e-12) <= ratio <= 1 + 1e-12
+        if n == 1:
+            assert ratio == pytest.approx(1.0, rel=1e-12)
+        ratios.append((ratio, floor))
+    for ratio, floor in ratios[1:]:
+        assert ratio == pytest.approx(ratios[0][0], rel=1e-9)
+        assert floor == pytest.approx(ratios[0][1], rel=1e-9)
+
+
+def test_linear_path_swapped_for_the_geodesic_fails_the_falsifiers(monkeypatch):
+    config = cli.SuiteConfig(suite="geodesics", n=2, samples=20, seed=7)
+    status = {r.name: r.status for r in cli.run_suite(config).checks}
+    assert status["ma-along-linear"] == status["ma-dual-linear"] == "pass"
+    monkeypatch.setattr(geo, "linear_hermitian_path", geo.hermitian_geodesic)
+    status = {r.name: r.status for r in cli.run_suite(config).checks}
+    assert status["ma-along-linear"] == status["ma-dual-linear"] == "fail"
+
+
+@pytest.mark.parametrize("seed", [1, 2, 9, 14, 17])
+def test_falsifiers_pass_at_the_seeds_the_absolute_witness_failed(seed):
+    report = cli.run_suite(cli.SuiteConfig(suite="geodesics", n=2, samples=20, seed=seed))
+    assert report.passed
 
 
 def test_complex_legendre():

@@ -1,9 +1,11 @@
 """Degree-k bundle structure: mixing field, connection split, curvature.
 
 The five finite-difference checks read one stencil state per base point
-(`HiggsField.stencil`), whose nested stencil is evaluated in one field call
-per level; they are compared here with the per-point nested loops they
-replaced.
+(`HiggsField.stencil`) and take the type-preserving derivatives from frame
+changes alone (`higgs._covariant`, `higgs._connection_form`).  They are
+compared here with per-point nested loops of the same formulas, exactly,
+and with the projector loops sum_b pi_b D(pi_b .) they replaced, to
+rounding.
 """
 
 import numpy as np
@@ -161,8 +163,10 @@ def test_boundary_guard():
 
 
 # ---------------------------------------------------------------------------
-# Per-point oracles: the nested loops the batched checks replaced, one
-# stencil point per field call, with the point memo they relied on.
+# Per-point oracles: nested loops, one stencil point per field call, with a
+# point memo.  `PointField` differentiates the type projectors,
+# sum_b pi_b D(pi_b .); `FramePointField` uses the frame-only formulas of the
+# batched checks.
 # ---------------------------------------------------------------------------
 
 def _wirtinger(f, z, idx, bar, step=1e-3):
@@ -211,6 +215,9 @@ class PointField:
     def gram(self, c):
         return self._value("gram", c)
 
+    def inverse(self, c):
+        return np.linalg.inv(self.frame_change(c))
+
     def covariant(self, c0, j, bar, section):
         total = np.zeros_like(np.asarray(section(c0)))
         for b, p0 in enumerate(self.projectors(c0)):
@@ -223,6 +230,23 @@ class PointField:
         for b, p0 in enumerate(self.projectors(c0)):
             out += p0 @ _wirtinger(lambda c, _b=b: self.projectors(c)[_b], c0, j, bar)
         return out
+
+
+class FramePointField(PointField):
+    """The frame-only formulas, one point at a time: W bd(W^{-1} DV) and
+    -W off(W^{-1} DW) W^{-1}."""
+
+    def inverse(self, c):
+        return self._value("frame_inverse", c)
+
+    def covariant(self, c0, j, bar, section):
+        dv = _wirtinger(section, c0, j, bar)
+        return self.frame_change(c0) @ np.where(self.field.same, self.inverse(c0) @ dv, 0.0)
+
+    def connection_form(self, c0, j, bar):
+        dw = _wirtinger(self.frame_change, c0, j, bar)
+        winv = self.inverse(c0)
+        return -(self.frame_change(c0) @ np.where(self.field.same, 0.0, winv @ dw) @ winv)
 
 
 def split_loop(pf, coords):
@@ -248,7 +272,7 @@ def curvature_loop(pf, coords, j, kbar):
 
     first = pf.covariant(coords, j, False, d_anti)
     second = pf.covariant(coords, kbar, True, d_holo)
-    return (first - second) @ np.linalg.inv(pf.frame_change(coords))
+    return (first - second) @ pf.inverse(coords)
 
 
 def flatness_loop(pf, coords):
@@ -308,34 +332,59 @@ def holomorphy_loop(pf, coords):
     return worst
 
 
-@pytest.mark.parametrize("n,k", [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)])
+def _checks(st):
+    """The five checks of a stencil state, as loop-comparable values."""
+    split = hg.connection_split_check(st)
+    flat = hg.flatness_check(st)
+    return ((split.holo_residual, split.antiholo_residual), hg.curvature_operator(st),
+            (flat.mixed_residual, flat.holo_residual, flat.dbar_square_residual),
+            hg.chern_compatibility_check(st), hg.theta_holomorphy_check(st))
+
+
+def _loops(pf, coords):
+    nsym = pf.nsym
+    curv = np.array([[curvature_loop(pf, coords, j, kb) for kb in range(nsym)]
+                     for j in range(nsym)])
+    return (split_loop(pf, coords), curv, flatness_loop(pf, coords), chern_loop(pf, coords),
+            holomorphy_loop(pf, coords))
+
+
+ALL_DEGREES = [(n, k) for n in (1, 2) for k in range(2 * n + 1)]
+
+
+@pytest.mark.parametrize("n,k", ALL_DEGREES)
 def test_batched_checks_equal_per_point_loops(n, k):
     _, _, _, field_ = field_for(n, k)
     bp = kns.random_bsd_point(n, np.random.default_rng([n, k]), 0.45)
     coords = kns.coords_from_sym(bp.phi)
-    pf = PointField(field_)
     st = field_.stencil(coords)
-
-    split = hg.connection_split_check(st)
-    assert (split.holo_residual, split.antiholo_residual) == split_loop(pf, coords)
-    curv = hg.curvature_operator(st)
-    for j in range(n * (n + 1) // 2):
-        for kb in range(n * (n + 1) // 2):
-            assert np.array_equal(curv[j, kb], curvature_loop(pf, coords, j, kb))
-    flat = hg.flatness_check(st)
-    assert (flat.mixed_residual, flat.holo_residual, flat.dbar_square_residual) == flatness_loop(pf, coords)
-    assert hg.chern_compatibility_check(st) == chern_loop(pf, coords)
-    assert hg.theta_holomorphy_check(st) == holomorphy_loop(pf, coords)
+    batched, loops = _checks(st), _loops(FramePointField(field_), coords)
+    assert batched[0] == loops[0]
+    assert np.array_equal(batched[1], loops[1])
+    assert batched[2:] == loops[2:]
     frame_k = field_.frame_at(coords)
     for name in ("phi", "theta", "gram", "frame_change"):
         assert np.array_equal(getattr(st.frame, name), getattr(frame_k, name))
     assert all(np.array_equal(st.frame.proj[pq], frame_k.proj[pq]) for pq in field_.types)
 
 
+@pytest.mark.parametrize("n,k", ALL_DEGREES)
+def test_frame_only_checks_equal_the_projector_loops(n, k):
+    # The projector loops sum_b pi_b D(pi_b .) are the oracle of the
+    # frame-only formulas: the two agree to rounding, well inside the
+    # checks' 1e-5 threshold.
+    _, _, _, field_ = field_for(n, k)
+    bp = kns.random_bsd_point(n, np.random.default_rng([n, k, 1]), 0.45)
+    coords = kns.coords_from_sym(bp.phi)
+    batched, loops = _checks(field_.stencil(coords)), _loops(PointField(field_), coords)
+    for value, oracle in zip(batched, loops):
+        assert np.max(np.abs(np.subtract(value, oracle))) <= 1e-10
+
+
 def test_higgs_suite_evaluates_each_stencil_point_once(monkeypatch):
     # The suite builds one stencil state per (degree, base point); every
-    # point of its nested stencil reaches `projectors` and `frame_change`
-    # once, and `projectors` reuses the wedge power it is handed.
+    # point of its nested stencil reaches `frame_change` once, and
+    # `projectors` only the base point, reusing the wedge power it is handed.
     points = {"projectors": 0, "frame_change": 0}
     for name in points:
         method = getattr(hg.HiggsField, name)
@@ -351,8 +400,18 @@ def test_higgs_suite_evaluates_each_stencil_point_once(monkeypatch):
     per_state = 1 + 8 * nsym + (8 * nsym) ** 2
     assert per_state == 601
     states = 3 * 2    # degrees 0..2 at two base points
-    assert points["projectors"] <= states * per_state
-    assert points["frame_change"] <= states * per_state
+    assert points["projectors"] == states
+    assert points["frame_change"] == states * per_state
+
+
+def test_inner_differences_in_blocks_equal_one_block(monkeypatch):
+    _, _, _, field_ = field_for(2, 2)
+    coords = kns.coords_from_sym(kns.random_bsd_point(2, np.random.default_rng(5), 0.5).phi)
+    whole = field_.stencil(coords)
+    monkeypatch.setattr(hg, "STENCIL_BLOCK_BYTES", 1)
+    blocked = field_.stencil(coords)
+    for a, b in zip(whole.dwk[1], blocked.dwk[1]):
+        assert np.array_equal(a, b)
 
 
 @st.composite
@@ -384,6 +443,10 @@ def test_batched_fields_equal_per_point_values(case):
         assert np.array_equal(thetas[idx], field_.theta(coords[idx]))
     assert np.allclose(projs.sum(axis=-3), np.eye(dim), atol=1e-10)
     assert np.allclose(projs @ projs, projs, atol=1e-10)
+    inverses = field_.frame_inverse(coords)
+    assert np.allclose(inverses @ frames, np.eye(dim), atol=1e-10)
+    for idx in np.ndindex(*lead):
+        assert np.array_equal(inverses[idx], field_.frame_inverse(coords[idx]))
 
 
 def test_wrong_conjugate_field_fails_the_suite(monkeypatch):
@@ -396,6 +459,26 @@ def test_wrong_conjugate_field_fails_the_suite(monkeypatch):
     theta_bar = hg.HiggsField.theta_bar
     monkeypatch.setattr(hg.HiggsField, "theta_bar",
                         lambda self, coords, theta=None: -theta_bar(self, coords, theta))
+    status = {r.name: r.status for r in cli.run_suite(config).checks}
+    assert status[record] == "fail"
+
+
+def _off_blocks(st, level, dv):
+    """`higgs._covariant` with the complement mask: W off(W^{-1} DV)."""
+    w, winv = st.wk[level][..., None, :, :], st.winv[level][..., None, :, :]
+    return w @ np.where(st.field.same, 0.0, winv @ dv)
+
+
+@pytest.mark.parametrize("mutation", [lambda st, level, dv: dv, _off_blocks],
+                         ids=["plain-difference", "off-blocks"])
+def test_wrong_covariant_derivative_fails_the_suite(monkeypatch, mutation):
+    # Dropping the type mask (grad W = DW) or keeping the off-type blocks
+    # instead of the type-preserving ones must fail the split identity.
+    record = "connection-identities-k1"
+    config = cli.SuiteConfig(suite="higgs", n=2)
+    status = {r.name: r.status for r in cli.run_suite(config).checks}
+    assert status[record] == "pass"
+    monkeypatch.setattr(hg, "_covariant", mutation)
     status = {r.name: r.status for r in cli.run_suite(config).checks}
     assert status[record] == "fail"
 

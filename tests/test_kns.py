@@ -239,3 +239,47 @@ def test_motion_stencil_refuses_points_outside_the_domain():
     pt = kns.BsdPoint(phi=np.array([[1.0 - 5e-5]]))
     with pytest.raises(kns.DomainError):
         kns.motion_form_residual(pt, np.array([0.3 + 0.1j]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_chart_maps_equal_the_per_point_maps(n):
+    sp, j0, frame = workspace(n)
+    rng = np.random.default_rng(40 + n)
+    structures = [sl.random_compatible_structure(sp, rng) for _ in range(7)]
+    jps = np.stack([j.J for j in structures])
+    phi = kns._kns_tensors(j0, jps, frame)
+    proj = kns._kns_tensors_by_projection(jps, frame)
+    back = kns._structures_from_bsd(frame, phi)
+    for i, jp in enumerate(structures):
+        point = kns.kns_tensor(j0, jp, frame)
+        assert np.array_equal(phi[i], point.phi)
+        assert np.array_equal(proj[i], kns.kns_tensor_by_projection(j0, jp, frame))
+        assert np.array_equal(back[i], kns.structure_from_bsd(j0, frame, point).J)
+    a = rng.standard_normal((5, n, n)) + 1j * rng.standard_normal((5, n, n)) + 3 * np.eye(n)
+    b = rng.standard_normal((5, n, n)) + 1j * rng.standard_normal((5, n, n))
+    tensors = kns._berndtsson_tensors(a, b)
+    for i in range(5):
+        one = kns.berndtsson_tensor(kns.RealLinearMap(linear_part=a[i], antilinear_part=b[i]))
+        assert np.array_equal(tensors[i], one)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_stacked_motion_and_transition_equal_the_per_point_values(n):
+    sp, j0, frame = workspace(n)
+    rng = np.random.default_rng(50 + n)
+    points = [kns.random_bsd_point(n, rng, 0.6) for _ in range(4)]
+    z = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
+    phis = np.stack([p.phi for p in points])
+    zeta = kns._holomorphic_motion(phis, z)
+    residuals = kns._motion_form_residuals(phis, zeta)
+    for i, p in enumerate(points):
+        assert np.array_equal(zeta[i], kns.holomorphic_motion(p, z[i]))
+        assert residuals[i] == kns.motion_form_residual(p, zeta[i])
+    target = kns.structure_from_bsd(j0, frame, points[0])
+    transition = kns.chart_transition(sp, j0, frame, target, sl.unitary_frame(sp, target))
+    coords = np.stack([kns.coords_from_sym(p.phi) for p in points[1:]])
+    stacked = transition(coords)
+    for i, c in enumerate(coords):
+        assert np.array_equal(stacked[i], transition(c))
+    with pytest.raises(kns.DomainError):
+        transition(np.stack([coords[0], 2.0 * np.ones_like(coords[0])]))

@@ -85,7 +85,7 @@ def test_ricci_matches_log_determinant():
     model = pb.split_twist_model([1.0, 2.0])
 
     def logdet(z):
-        return np.array(np.log(np.linalg.det(model.jets(z[0])[0])).real)
+        return np.log(np.linalg.det(model.jets(z[..., 0])[0])).real
 
     hess = _fd.hermitian_hessian(logdet, np.array([0.5 + 0j]), step=1e-4)
     assert pb.ricci(model, 0.5).real == pytest.approx(-hess[0, 0].real, abs=1e-6)
@@ -166,10 +166,42 @@ def test_projbundle_suite_forms_each_point_once(monkeypatch):
     pk_form = pb.pk_form
 
     def logged(model, t, v):
-        built.extend((model.name, complex(t), tuple(np.round(row, 14)))
-                     for row in np.reshape(v, (-1, model.r)))
+        ts = np.broadcast_to(t, np.shape(v)[:-1]).ravel()
+        built.extend((model.name, complex(tt), tuple(np.round(row, 14)))
+                     for tt, row in zip(ts, np.reshape(v, (-1, model.r))))
         return pk_form(model, t, v)
 
     monkeypatch.setattr(pb, "pk_form", logged)
     assert cli.run_suite(cli.SuiteConfig(suite="projbundle", n=2, samples=20)).passed
     assert built and len(built) == len(set(built))
+
+
+@pytest.mark.parametrize("model", [pb.twisted_model(rand_pd(np.random.default_rng(2), 3), 0.8),
+                                   pb.split_twist_model((1.0, 2.0, 0.5)),
+                                   pb.constant_model(np.eye(2))])
+def test_forms_over_a_stack_of_base_points_equal_one_call_per_point(model):
+    rng = np.random.default_rng(72)
+    ts = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    v = rng.standard_normal((6, model.r)) + 1j * rng.standard_normal((6, model.r))
+    v[:, model.chart] = 1.0
+    stacked = pb.pk_form(model, ts, v)
+    curvature = pb.chern_curvature(model, ts)
+    for i in range(6):
+        assert np.array_equal(stacked[i], pb.pk_form(model, ts[i:i + 1], v[i:i + 1])[0])
+        assert np.array_equal(curvature[i], pb.chern_curvature(model, ts[i:i + 1])[0])
+        one = pk_form_loop(model, complex(ts[i]), v[i])
+        assert np.max(np.abs(stacked[i] - one)) <= 1e-14 * np.max(np.abs(one))
+
+
+def test_closedness_residual_makes_one_form_call(monkeypatch):
+    calls = []
+    pk_form = pb.pk_form
+
+    def counted(model, t, v):
+        calls.append(np.shape(v))
+        return pk_form(model, t, v)
+
+    monkeypatch.setattr(pb, "pk_form", counted)
+    model = pb.split_twist_model((1.0, 2.0, 0.5))
+    assert pb.d_closedness_residual(model, 0.3 + 0.1j, np.array([1.0, 0.4, 0.4])) < 1e-6
+    assert calls == [(8, 3, 3)]
