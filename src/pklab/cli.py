@@ -219,7 +219,6 @@ class SuiteReport:
 class Tolerances:
     def __init__(self, cfg: SuiteConfig):
         self.cfg = cfg
-        self.overrides = sorted(cfg.tolerances)
 
     def __call__(self, key: str) -> float:
         return self.cfg.tolerances.get(key, DEFAULT_TOLERANCES[key])
@@ -277,12 +276,11 @@ def suite_kns_roundtrip(cfg: SuiteConfig, tol: Tolerances):
     # the chart maps on the stack.
     jps = np.stack([sl.random_compatible_structure(space, rng).J
                     for _ in range(cfg.samples)])
-    phi = kns._kns_tensors(j0, jps, frame)
-    kns._require_domain(phi)
+    phi = kns.kns_tensor(j0, jps, frame)
     worst_sym = float(np.max(np.abs(phi - phi.swapaxes(-1, -2))))
     worst_radius = kns.spectral_radius_phibar(phi) ** 0.5
-    worst_agree = float(np.max(np.abs(kns._kns_tensors_by_projection(jps, frame) - phi)))
-    rt = np.max(np.abs(kns._structures_from_bsd(frame, phi) - jps), axis=(-2, -1))
+    worst_agree = float(np.max(np.abs(kns.kns_tensor_by_projection(jps, frame) - phi)))
+    rt = np.max(np.abs(kns.structure_from_bsd(frame, phi) - jps), axis=(-2, -1))
     worst_rt = float(np.max(rt))
     witness = {"J": jps[np.argmax(rt)].tolist()} if worst_rt > 0.0 else None
     checks = [
@@ -295,21 +293,25 @@ def suite_kns_roundtrip(cfg: SuiteConfig, tol: Tolerances):
                1.0 - tol("bsd-radius-margin")),
     ]
 
-    # Berndtsson-style tensor invariance under complex-linear reparametrization.
+    # Berndtsson-style tensor invariance under complex-linear reparametrization:
+    # the identity is homogeneous of degree one in b, so each sample's
+    # residual is read in units of max(1, max |rhs|).
     a, b, s = (np.empty((20, n, n), dtype=complex) for _ in range(3))
     for i in range(20):
         a[i] = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) + 3 * np.eye(n)
         b[i] = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         s[i] = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) + 3 * np.eye(n)
-    lhs = kns._berndtsson_tensors(a @ s, b @ s.conj())
-    rhs = np.linalg.solve(s, kns._berndtsson_tensors(a, b) @ s.conj())
+    rhs = np.linalg.solve(s, kns.berndtsson_tensor(a, b) @ s.conj())
+    lhs = kns.berndtsson_tensor(a @ s, b @ s.conj())
+    unit = np.maximum(1.0, np.max(np.abs(rhs), axis=(-2, -1)))
     checks.append(_check("tensor-invariance", "linear-map-tensor",
-                         float(np.max(np.abs(lhs - rhs))), tol("berndtsson-invariance")))
+                         float(np.max(np.max(np.abs(lhs - rhs), axis=(-2, -1)) / unit)),
+                         tol("berndtsson-invariance")))
 
     base = kns.random_bsd_point(n, rng, 0.4)
     direction = kns.sym_from_coords(rng.standard_normal(kns.sym_dim(n))
                                     + 1j * rng.standard_normal(kns.sym_dim(n)), n)
-    probe = kns.holomorphy_probe(space, j0, frame, base, direction)
+    probe = kns.holomorphy_probe(space, frame, base, direction)
     checks.append(_check("chart-transition-holomorphy", "chart-holomorphy", probe,
                          tol("holomorphy-probe")))
 
@@ -318,9 +320,9 @@ def suite_kns_roundtrip(cfg: SuiteConfig, tol: Tolerances):
     for i in range(5):
         phis[i] = kns.random_bsd_point(n, rng, 0.6).phi
         z[i] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    zeta = kns._holomorphic_motion(phis, z)
-    worst_motion = float(np.max(np.abs(kns._inverse_motion(phis, zeta) - z)))
-    worst_type = float(np.max(kns._motion_form_residuals(phis, zeta)))
+    zeta = kns.holomorphic_motion(phis, z)
+    worst_motion = float(np.max(np.abs(kns.inverse_motion(phis, zeta) - z)))
+    worst_type = float(np.max(kns.motion_form_residual(phis, zeta)))
     checks.append(_check("motion-roundtrip", "holomorphic-motion", worst_motion,
                          tol("motion-roundtrip")))
     checks.append(_check("motion-form-type", "motion-form-type", worst_type,

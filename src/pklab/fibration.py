@@ -80,9 +80,14 @@ def model_from_potential(jets: tuple[Callable, Callable], name: str, n: int = 1,
 
 
 def _wirtinger(tv, pts):
-    """(t, tbar, z, zbar) of an n = 1 model at base points tv and fiber points pts."""
+    """(t, tbar, z, zbar) of an n = 1 model at base points tv and fiber points pts.
+
+    A scalar tv is read as a one-element stack, so a scalar and a stacked
+    base point go through the same numpy array arithmetic.
+    """
     z = np.asarray(pts, dtype=complex)[0]
-    return tv, np.conj(tv), z, np.conj(z)
+    t = np.reshape(tv, (1,) * z.ndim) if np.ndim(tv) == 0 else tv
+    return t, np.conj(t), z, np.conj(z)
 
 
 def _point_shape(tv, pts) -> tuple[int, ...]:

@@ -43,17 +43,12 @@ def _check_pd(a: np.ndarray, what: str = "matrix") -> np.ndarray:
 # Hermitian-form geodesics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HermitianPath:
-    """t -> (A, A', A'') of Hermitian matrices on a real interval."""
-
-    evaluator: Callable[[float], tuple[np.ndarray, np.ndarray, np.ndarray]]
-
-    def __call__(self, t: float):
-        return self.evaluator(t)
+# A Hermitian path is a callable t -> (A, A', A'') of Hermitian matrices on a
+# real interval.
+PathJets = Callable[[float], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
-def theta_tt(path: HermitianPath, t: float) -> np.ndarray:
+def theta_tt(path: PathJets, t: float) -> np.ndarray:
     """A'' - A' A^{-1} A': zero along geodesics, Hermitian always."""
     a, da, d2a = path(t)
     a = _check_pd(a, "path value")
@@ -73,7 +68,7 @@ def _matrix_power_factors(a0: np.ndarray, a1: np.ndarray):
     return root, um, np.log(wm)
 
 
-def hermitian_geodesic(a0: np.ndarray, a1: np.ndarray) -> HermitianPath:
+def hermitian_geodesic(a0: np.ndarray, a1: np.ndarray) -> PathJets:
     """Geodesic A0^{1/2} exp(t log(A0^{-1/2} A1 A0^{-1/2})) A0^{1/2}.
 
     Eigendecompositions keep the path exactly Hermitian; first and second
@@ -82,26 +77,26 @@ def hermitian_geodesic(a0: np.ndarray, a1: np.ndarray) -> HermitianPath:
     root, um, logw = _matrix_power_factors(a0, a1)
     base = root @ um
 
-    def evaluator(t: float):
+    def path(t: float):
         et = np.exp(t * logw)
         a = base @ np.diag(et) @ base.conj().T
         da = base @ np.diag(logw * et) @ base.conj().T
         d2a = base @ np.diag(logw**2 * et) @ base.conj().T
         return 0.5 * (a + a.conj().T), 0.5 * (da + da.conj().T), 0.5 * (d2a + d2a.conj().T)
 
-    return HermitianPath(evaluator=evaluator)
+    return path
 
 
-def linear_hermitian_path(a0: np.ndarray, a1: np.ndarray) -> HermitianPath:
+def linear_hermitian_path(a0: np.ndarray, a1: np.ndarray) -> PathJets:
     """Straight-line interpolation; not a geodesic unless the endpoints commute."""
     a0 = _check_pd(a0, "left endpoint")
     a1 = _check_pd(a1, "right endpoint")
     delta = a1 - a0
 
-    def evaluator(t: float):
+    def path(t: float):
         return a0 + t * delta, delta, np.zeros_like(delta)
 
-    return HermitianPath(evaluator=evaluator)
+    return path
 
 
 def complex_legendre(a: np.ndarray) -> np.ndarray:

@@ -15,12 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _fd, wedge
-from .kns import BsdPoint, sym_basis, sym_dim, sym_from_coords, BoundaryProximityError, spectral_radius_phibar, BOUNDARY_MARGIN
+from .kns import (BOUNDARY_MARGIN, BoundaryProximityError, graph_frame, spectral_radius_phibar,
+                  sym_basis, sym_dim, sym_from_coords)
 from .symplin import ComplexStructure, SymplecticSpace, UnitaryFrame
 from .kns import structure_from_bsd
-
-ALGEBRAIC_TOL = 1e-10
-FD_TOL = 1e-5
 
 # The inner frame changes of a `HiggsStencil` are formed in blocks of at most
 # this many bytes (8 MiB), so their peak memory does not grow with the
@@ -98,27 +96,18 @@ class HiggsField:
         if spectral_radius_phibar(self.phi(coords)) >= 1.0 - BOUNDARY_MARGIN:
             raise BoundaryProximityError("stencil exits the bounded domain")
 
-    def graph_frame(self, coords: np.ndarray) -> np.ndarray:
-        phi = self.phi(coords)
-        n = self.n
-        f = np.empty(phi.shape[:-2] + (2 * n, 2 * n), dtype=complex)
-        f[..., :n, :n] = f[..., n:, n:] = np.eye(n)
-        f[..., :n, n:] = phi.conj()
-        f[..., n:, :n] = phi
-        return f
-
     def theta1(self, coords: np.ndarray) -> np.ndarray:
         """theta_mu = Q (d_mu F) F^{-1}: images of the holomorphic frame columns,
         with Q = I - F sel F^{-1} and sel the projection onto the first n slots;
         shape (..., nsym, 2n, 2n)."""
-        f = self.graph_frame(coords)
+        f = graph_frame(self.phi(coords))
         finv = np.linalg.inv(f)
         q = np.eye(2 * self.n) - f @ self._sel @ finv
         return q[..., None, :, :] @ self._dF @ finv[..., None, :, :]
 
     def structure(self, coords: np.ndarray) -> ComplexStructure:
         """The compatible structure at one point (the oracle route of `gram1`)."""
-        return structure_from_bsd(self.J, self.frame, BsdPoint(phi=self.phi(coords)))
+        return ComplexStructure(J=structure_from_bsd(self.frame, self.phi(coords)))
 
     def gram1(self, coords: np.ndarray) -> np.ndarray:
         """Dual Gram matrix of the degree-1 covectors in closed form:
@@ -129,18 +118,18 @@ class HiggsField:
         phi = self.phi(coords)
         a = np.eye(self.n) - phi @ phi.conj()
         zero = np.zeros_like(a)
-        finv = np.linalg.inv(self.graph_frame(coords))
+        finv = np.linalg.inv(graph_frame(phi))
         return finv.conj().swapaxes(-1, -2) @ np.block([[a.conj(), zero], [zero, a]]) @ finv
 
     # -- degree-k assembly ---------------------------------------------------
 
     def frame_change(self, coords: np.ndarray) -> np.ndarray:
-        return wedge.compound_matrix(self.graph_frame(coords), self.k)
+        return wedge.compound_matrix(graph_frame(self.phi(coords)), self.k)
 
     def frame_inverse(self, coords: np.ndarray) -> np.ndarray:
         """The inverse of `frame_change`: by Cauchy-Binet, the wedge power of
         the inverse graph frame."""
-        return wedge.compound_matrix(np.linalg.inv(self.graph_frame(coords)), self.k)
+        return wedge.compound_matrix(np.linalg.inv(graph_frame(self.phi(coords))), self.k)
 
     def projectors(self, coords: np.ndarray, wk: np.ndarray | None = None) -> np.ndarray:
         """Type projectors, one per entry of `types`: shape (..., npq, dim, dim).
@@ -158,7 +147,7 @@ class HiggsField:
         (..., nsym, nsym, dim, dim).  F is affine in the coordinates, so
         d_mu F = dF_mu, d_mu F^{-1} = -F^{-1} dF_mu F^{-1} and
         d_mu Q = -(dF_mu sel F^{-1} + F sel d_mu F^{-1})."""
-        f = self.graph_frame(coords)[..., None, :, :]
+        f = graph_frame(self.phi(coords))[..., None, :, :]
         finv = np.linalg.inv(f)
         q = np.eye(2 * self.n) - f @ self._sel @ finv
         dfinv = -finv @ self._dF @ finv                                # [mu]

@@ -20,12 +20,15 @@ from .symplin import (
     ComplexStructure,
     SymplecticSpace,
     UnitaryFrame,
-    _polarize,
+    polarize_structure,
     unitary_frame,
 )
 
 SYM_TOL = 1e-10
 BOUNDARY_MARGIN = 1e-12
+# A real-linear map is admissible while its complex-linear part has at most
+# this condition number.
+ADMISSIBLE_COND = 1e12
 
 
 class DomainError(ValueError):
@@ -75,22 +78,6 @@ class BsdPoint:
     @property
     def radius(self) -> float:
         return spectral_radius_phibar(self.phi) ** 0.5
-
-
-@dataclass(frozen=True)
-class RealLinearMap:
-    """T(z) = A z + B conj(z) on C^n."""
-
-    linear_part: np.ndarray
-    antilinear_part: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.linear_part, dtype=complex)
-        b = np.asarray(self.antilinear_part, dtype=complex)
-        if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("linear and antilinear parts must be square of equal size")
-        object.__setattr__(self, "linear_part", a)
-        object.__setattr__(self, "antilinear_part", b)
 
 
 # ---------------------------------------------------------------------------
@@ -152,23 +139,42 @@ def random_bsd_point(n: int, rng: np.random.Generator, radius: float = 0.7) -> B
 
 # ---------------------------------------------------------------------------
 # Chart maps
+#
+# Every map takes stacks: structure matrices (..., 2n, 2n), chart matrices
+# (..., n, n), fiber vectors (..., n), and returns its values stacked along
+# the same leading axes.
 # ---------------------------------------------------------------------------
 
-def _cayley_operators(J: ComplexStructure, jps: np.ndarray) -> np.ndarray:
-    """(1 + J J')(1 - J J')^{-1} as operators on covector coordinate columns,
-    for a stack of structure matrices jps (..., 2n, 2n)."""
+def graph_frame(phi: np.ndarray) -> np.ndarray:
+    """F = [[I, conj(phi)], [phi, I]] for chart matrices phi (..., n, n).
+
+    Against the reference basis (xi, conj(xi)), column k < n of F holds the
+    (1,0) covector xi^k + sum_j phi[j, k] conj(xi^j) of the structure phi
+    labels, and column n + k its conjugate.
+    """
+    n = phi.shape[-1]
+    f = np.empty(phi.shape[:-2] + (2 * n, 2 * n), dtype=complex)
+    f[..., :n, :n] = f[..., n:, n:] = np.eye(n)
+    f[..., :n, n:] = phi.conj()
+    f[..., n:, :n] = phi
+    return f
+
+
+def kns_tensor(J: ComplexStructure, jps: np.ndarray, frame: UnitaryFrame) -> np.ndarray:
+    """Chart matrices of the Cayley-form tensor of structures J' against J.
+
+    The operator (1 + J J')(1 - J J')^{-1} on covector coordinate columns,
+    restricted to the (1,0) covectors of J, lands in the (0,1) covectors;
+    its coefficients against the conjugate frame are the chart coordinates.
+    Each matrix is checked for a spurious (1,0) part and for membership of
+    the domain.
+    """
     prod = J.covector_action() @ jps.swapaxes(-1, -2)
     eye = np.eye(J.dim)
     denom = eye - prod
     if np.max(np.linalg.cond(denom)) > 1e14:
         raise DomainError("1 - J J' is singular: structures are not a compatible pair")
-    return np.linalg.solve(denom.swapaxes(-1, -2), (eye + prod).swapaxes(-1, -2)).swapaxes(-1, -2)
-
-
-def _kns_tensors(J: ComplexStructure, jps: np.ndarray, frame: UnitaryFrame) -> np.ndarray:
-    """`kns_tensor` on a stack of structure matrices jps (..., 2n, 2n): the
-    chart matrices (..., n, n), each checked for a spurious (1,0) part."""
-    op = _cayley_operators(J, jps)
+    op = np.linalg.solve(denom.swapaxes(-1, -2), (eye + prod).swapaxes(-1, -2)).swapaxes(-1, -2)
     basis = frame.dual_basis_matrix()
     n = frame.n
     coeffs = np.linalg.solve(basis, op @ basis[:, :n])
@@ -177,22 +183,19 @@ def _kns_tensors(J: ComplexStructure, jps: np.ndarray, frame: UnitaryFrame) -> n
     if np.any(purity > 1e-9 * scale):
         worst = float(np.max(purity))
         raise DomainError(f"tensor image has a spurious (1,0) part ({worst:.2e})")
-    return coeffs[..., n:, :]
+    phi = coeffs[..., n:, :]
+    _require_domain(phi)
+    return phi
 
 
-def kns_tensor(J: ComplexStructure, Jp: ComplexStructure, frame: UnitaryFrame) -> BsdPoint:
-    """Matrix of the Cayley-form tensor of J' against J in the given frame.
+def kns_tensor_by_projection(jps: np.ndarray, frame: UnitaryFrame) -> np.ndarray:
+    """Independent construction of the chart matrices by a projection solve.
 
-    The full-space operator restricted to the (1,0) covectors of J lands in
-    the (0,1) covectors; its coefficients against the conjugate frame are the
-    chart coordinates.
+    Decomposes each frame covector xi^k along (1,0)-covectors of J' plus
+    (0,1)-covectors of J; minus the second component, expanded in the
+    conjugate frame, gives the matrix.  No Cayley algebra is used: the
+    (1,0) space of J' comes from its type projector's column space.
     """
-    return BsdPoint(phi=_kns_tensors(J, Jp.J[None], frame)[0])
-
-
-def _kns_tensors_by_projection(jps: np.ndarray, frame: UnitaryFrame) -> np.ndarray:
-    """`kns_tensor_by_projection` on a stack of structure matrices jps
-    (..., 2n, 2n): the chart matrices (..., n, n)."""
     n = frame.n
     p10 = 0.5 * (np.eye(2 * n) - 1j * jps.swapaxes(-1, -2))   # `type_projectors`
     u, s, _ = np.linalg.svd(p10)
@@ -211,78 +214,76 @@ def _kns_tensors_by_projection(jps: np.ndarray, frame: UnitaryFrame) -> np.ndarr
     return phi
 
 
-def kns_tensor_by_projection(J: ComplexStructure, Jp: ComplexStructure,
-                             frame: UnitaryFrame) -> np.ndarray:
-    """Independent construction of the chart matrix by a projection solve.
+def structure_from_bsd(frame: UnitaryFrame, phi: np.ndarray) -> np.ndarray:
+    """Structure matrices whose (1,0) covectors are the first n columns of
+    the `graph_frame` of chart matrices phi in the reference basis.
 
-    Decomposes each frame covector xi^k along (1,0)-covectors of J' plus
-    (0,1)-covectors of J; minus the second component, expanded in the
-    conjugate frame, gives the matrix.  No Cayley algebra is used: the
-    (1,0) space of J' comes from its type projector's column space.
+    Each phi must lie in the domain; the matrices are polarized but not
+    checked for J^2 = -I (`ComplexStructure` checks one).
     """
-    return _kns_tensors_by_projection(Jp.J[None], frame)[0]
-
-
-def _structures_from_bsd(frame: UnitaryFrame, phi: np.ndarray) -> np.ndarray:
-    """`structure_from_bsd` on a stack of chart matrices phi (..., n, n): the
-    structure matrices (..., 2n, 2n), polarized but not checked for
-    J^2 = -I (`ComplexStructure` checks one)."""
+    phi = np.asarray(phi, dtype=complex)
     n = frame.n
-    graph = np.empty(phi.shape[:-2] + (2 * n, 2 * n), dtype=complex)
-    graph[..., :n, :n] = graph[..., n:, n:] = np.eye(n)
-    graph[..., :n, n:] = phi.conj()
-    graph[..., n:, :n] = phi
-    basis = frame.dual_basis_matrix() @ graph
+    if phi.shape[-2:] != (n, n):
+        raise DomainError("chart matrices do not match the frame size")
+    _require_domain(phi)
+    basis = frame.dual_basis_matrix() @ graph_frame(phi)
     eig = np.diag(np.concatenate([1j * np.ones(n), -1j * np.ones(n)]))
     k_new = basis @ eig @ np.linalg.inv(basis)
     imag_norm = float(np.max(np.abs(k_new.imag)))
     if imag_norm > 1e-9:
         raise DomainError(f"reconstructed structure is not real ({imag_norm:.2e})")
-    return _polarize(k_new.real.swapaxes(-1, -2))
+    return polarize_structure(k_new.real.swapaxes(-1, -2))
 
 
-def structure_from_bsd(J: ComplexStructure, frame: UnitaryFrame, point: BsdPoint) -> ComplexStructure:
-    """Compatible structure whose (1,0) covectors are spanned by xi^k + sum phi[j,k] conj(xi^j)."""
-    if point.n != frame.n:
-        raise DomainError("point size does not match the frame")
-    return ComplexStructure(J=_structures_from_bsd(frame, point.phi[None])[0])
-
-
-def _berndtsson_tensors(a: np.ndarray, b: np.ndarray, cond_limit: float = 1e12) -> np.ndarray:
-    """`berndtsson_tensor` on stacks of linear and antilinear parts (..., n, n)."""
-    if np.max(np.linalg.cond(a)) > cond_limit:
+def berndtsson_tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """T1^{-1} T2 for admissible real-linear maps T(z) = T1 z + T2 conj(z),
+    from stacks of their linear parts a and antilinear parts b (..., n, n)."""
+    if np.max(np.linalg.cond(a)) > ADMISSIBLE_COND:
         raise AdmissibilityError("complex-linear part is singular within tolerance")
     return np.linalg.solve(a, b)
-
-
-def berndtsson_tensor(T: RealLinearMap, cond_limit: float = 1e12) -> np.ndarray:
-    """T1^{-1} T2 for an admissible real-linear map T = T1 + T2."""
-    return _berndtsson_tensors(T.linear_part[None], T.antilinear_part[None], cond_limit)[0]
 
 
 # ---------------------------------------------------------------------------
 # Holomorphic motion
 # ---------------------------------------------------------------------------
 
-def holomorphic_motion(point: BsdPoint, z: np.ndarray) -> np.ndarray:
-    """zeta = z + phi conj(z)."""
-    return _holomorphic_motion(point.phi, np.asarray(z, dtype=complex))
+def holomorphic_motion(phi: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """zeta = z + phi conj(z), on stacks phi (..., n, n) and z (..., n)."""
+    z = np.asarray(z, dtype=complex)
+    return z + (np.asarray(phi) @ z.conj()[..., None])[..., 0]
 
 
-def _holomorphic_motion(phi: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """`holomorphic_motion` on stacks: phi (..., n, n) and z (..., n)."""
-    return z + (phi @ z.conj()[..., None])[..., 0]
-
-
-def inverse_motion(point: BsdPoint, zeta: np.ndarray) -> np.ndarray:
-    """z = (1 - phi conj(phi))^{-1} (zeta - phi conj(zeta))."""
-    return _inverse_motion(point.phi, np.asarray(zeta, dtype=complex))
-
-
-def _inverse_motion(phi: np.ndarray, zeta: np.ndarray) -> np.ndarray:
-    """`inverse_motion` on stacks: phi (..., n, n) and zeta (..., n), unchecked."""
+def inverse_motion(phi: np.ndarray, zeta: np.ndarray) -> np.ndarray:
+    """z = (1 - phi conj(phi))^{-1} (zeta - phi conj(zeta)), on stacks phi
+    (..., n, n) and zeta (..., n); the domain is not checked."""
+    phi = np.asarray(phi, dtype=complex)
+    zeta = np.asarray(zeta, dtype=complex)
     rhs = zeta - (phi @ zeta.conj()[..., None])[..., 0]
     return np.linalg.solve(np.eye(phi.shape[-1]) - phi @ phi.conj(), rhs[..., None])[..., 0]
+
+
+def _motion_jacobian(phi: np.ndarray, zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Wirtinger Jacobians (dz/dw, dz/dwbar), each (..., n, nsym + n), of the
+    inverse motion z = B (zeta - phi conj(zeta)), B = (1 - phi conj(phi))^{-1},
+    in the variables w = (chart coordinates t, zeta).  With phi = sum t_mu S_mu:
+
+        dz/dt_mu = B S_mu (conj(phi) z - conj(zeta)),   dz/dtbar_mu = B phi S_mu z,
+        dz/dzeta = B,                                   dz/dzetabar = -B phi.
+    """
+    n = phi.shape[-1]
+    eye = np.eye(n)
+    b = np.linalg.inv(eye - phi @ phi.conj())
+    z = inverse_motion(phi, zeta)
+    basis = np.stack(sym_basis(n))
+
+    def columns(v, unit):
+        """[S_mu v for every mu | unit]: shape (..., n, nsym + n)."""
+        sv = np.einsum("mab,...b->...am", basis, v)
+        return np.concatenate([sv, np.broadcast_to(unit, sv.shape[:-1] + (n,))], axis=-1)
+
+    holo = b @ columns((phi.conj() @ z[..., None])[..., 0] - zeta.conj(), eye)
+    anti = b @ phi @ columns(z, -eye)
+    return holo, anti
 
 
 def _standard_sym_matrix(dim: int) -> np.ndarray:
@@ -293,37 +294,26 @@ def _standard_sym_matrix(dim: int) -> np.ndarray:
     return w
 
 
-def motion_form_residual(point: BsdPoint, zeta: np.ndarray, step: float = 1e-4) -> float:
-    """Worst pairing of two holomorphic coordinate differentials under the motion form.
+def motion_form_residual(phi: np.ndarray, zeta: np.ndarray) -> np.ndarray:
+    """Worst pairing of two holomorphic coordinate differentials under the
+    motion form, at each point of stacks phi (..., n, n) and zeta (..., n).
 
     The pullback of the flat fiber form under the inverse motion, completed by
     a base Kahler term so the total form is symplectic, must pair any two
     (1,0) coordinate differentials to zero; that is the vanishing of the
-    (2,0) part ((0,2) follows by conjugation since the form is real).
+    (2,0) part ((0,2) follows by conjugation since the form is real).  The
+    pullback reads the closed-form Jacobian `_motion_jacobian`.
     """
+    phi = np.asarray(phi, dtype=complex)
     zeta = np.asarray(zeta, dtype=complex)
-    return float(_motion_form_residuals(point.phi[None], zeta[None], step)[0])
-
-
-def _motion_form_residuals(phi: np.ndarray, zeta: np.ndarray, step: float = 1e-4) -> np.ndarray:
-    """`motion_form_residual` on stacks: phi (S, n, n) and zeta (S, n)."""
+    _require_domain(phi)
     n = phi.shape[-1]
     nsym = sym_dim(n)
-    x0 = np.concatenate([coords_from_sym(phi), zeta], axis=-1)
-    dim = x0.shape[-1]
-
-    # Real Jacobian of z(t, zeta) by a fourth-order central stencil (it keeps
-    # the pullback oracle near 1e-12): the 4 x 2 dim points real0 + c h e_a,
-    # c in (-2, -1, 1, 2), in one stacked evaluation.
-    real0 = np.concatenate([x0.real, x0.imag], axis=-1)
-    offsets = np.array([-2.0, -1.0, 1.0, 2.0])[:, None, None] * (step * np.eye(2 * dim))
-    xr = real0[:, None, None, :] + offsets
-    xc = xr[..., :dim] + 1j * xr[..., dim:]
-    phis = sym_from_coords(xc[..., :nsym], n)
-    _require_domain(phis)
-    z = _inverse_motion(phis, xc[..., nsym:])
-    v = np.concatenate([z.real, z.imag], axis=-1)               # (S, 4, 2 dim, 2n)
-    jac = ((v[:, 0] - 8.0 * v[:, 1] + 8.0 * v[:, 2] - v[:, 3]) / (12.0 * step)).swapaxes(-1, -2)
+    dim = nsym + n
+    dz, dzbar = _motion_jacobian(phi, zeta)
+    # Real Jacobian in (Re w, Im w): d/du = d/dw + d/dwbar, d/dv = i (d/dw - d/dwbar).
+    du, dv = dz + dzbar, 1j * (dz - dzbar)
+    jac = np.block([[du.real, dv.real], [du.imag, dv.imag]])
 
     omega = jac.swapaxes(-1, -2) @ _standard_sym_matrix(n) @ jac
     base_block = _standard_sym_matrix(nsym)
@@ -342,26 +332,21 @@ def _motion_form_residuals(phi: np.ndarray, zeta: np.ndarray, step: float = 1e-4
 # Holomorphy probe
 # ---------------------------------------------------------------------------
 
-def chart_transition(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFrame,
-                     target_J: ComplexStructure, target_frame: UnitaryFrame):
+def chart_transition(frame: UnitaryFrame, target_J: ComplexStructure,
+                     target_frame: UnitaryFrame):
     """Coordinate expression of the transition into the chart centered at
     target_J, on a stack of chart coordinates (..., nsym)."""
     n = frame.n
 
     def transition(coords: np.ndarray) -> np.ndarray:
-        phi = sym_from_coords(coords, n)
-        _require_domain(phi)
-        jps = _structures_from_bsd(frame, phi.reshape((-1, n, n)))
-        out = _kns_tensors(target_J, jps, target_frame)
-        _require_domain(out)
-        return out.reshape(phi.shape)
+        return kns_tensor(target_J, structure_from_bsd(frame, sym_from_coords(coords, n)),
+                          target_frame)
 
     return transition
 
 
-def holomorphy_probe(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFrame,
-                     base: BsdPoint, direction: np.ndarray, step: float = 1e-3,
-                     richardson: bool = False) -> float:
+def holomorphy_probe(space: SymplecticSpace, frame: UnitaryFrame, base: BsdPoint,
+                     direction: np.ndarray, step: float = 1e-3) -> float:
     """Cauchy-Riemann residual of the chart transition at ``base`` along ``direction``.
 
     The second chart is centered at the structure that ``base`` labels; a zero
@@ -385,10 +370,9 @@ def holomorphy_probe(space: SymplecticSpace, J: ComplexStructure, frame: Unitary
     if spectral_radius_phibar(probe_phi) >= 1.0 - BOUNDARY_MARGIN:
         raise BoundaryProximityError("finite-difference stencil exits the domain")
 
-    target_J = structure_from_bsd(J, frame, base)
+    target_J = ComplexStructure(J=structure_from_bsd(frame, base.phi))
     target_frame = unitary_frame(space, target_J)
-    transition = chart_transition(space, J, frame, target_J, target_frame)
+    transition = chart_transition(frame, target_J, target_frame)
 
-    residual = _fd.dbar_along(transition, base_coords, dir_coords, step=step,
-                              richardson=richardson)
+    residual = _fd.dbar_along(transition, base_coords, dir_coords, step=step)
     return float(np.max(np.abs(residual)))

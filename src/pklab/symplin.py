@@ -274,21 +274,17 @@ def random_compatible_structure(space: SymplecticSpace, rng: np.random.Generator
     p = random_symplectic_matrix(space, rng, scale=scale)
     j = p @ j0.J @ np.linalg.inv(p)
     # Re-polarize so J^2 = -I holds to machine precision after the conjugation.
-    return polarize_structure(j)
+    return ComplexStructure(J=polarize_structure(j))
 
 
-def polarize_structure(j: np.ndarray) -> ComplexStructure:
-    """Project a near-complex-structure matrix back onto J^2 = -I.
+def polarize_structure(j: np.ndarray) -> np.ndarray:
+    """Project near-complex-structure matrices (..., d, d) back onto J^2 = -I.
 
     Newton iteration j <- (j - j^{-1}) / 2 converges quadratically to the
-    nearest matrix square root of -I along the isospectral family.
+    nearest matrix square root of -I along the isospectral family.  Each
+    matrix of a stack iterates, and keeps its best iterate, as it would alone.
     """
-    return ComplexStructure(J=_polarize(np.asarray(j, dtype=float)[None])[0])
-
-
-def _polarize(j: np.ndarray) -> np.ndarray:
-    """`polarize_structure` on a stack of real matrices (..., d, d): each
-    matrix iterates, and keeps its best iterate, as it would alone."""
+    j = np.asarray(j, dtype=float)
     best = j.copy()
     best_defect = np.full(j.shape[:-2], np.inf)
     active = np.ones(j.shape[:-2], dtype=bool)

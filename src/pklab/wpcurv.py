@@ -26,7 +26,6 @@ from .higgs import HiggsField
 from .kns import BsdPoint, coords_from_sym, random_bsd_point, sym_basis, sym_dim, sym_from_coords
 from .symplin import ComplexStructure, SymplecticSpace, UnitaryFrame
 
-KAHLER_SYM_TOL = 1e-6
 # burns_bounds: basepoints whose first sample meets the one-line difference
 # oracle (a fixed count, so the oracle's cost does not grow with samples),
 # and the seeded starts and step cap of each basepoint's sectional ascent.

@@ -279,10 +279,10 @@ def _stacked_base_points(draw):
 @settings(max_examples=60, deadline=None)
 @given(_stacked_base_points())
 def test_stacked_t_jets_equal_per_t_calls(case):
-    # One base point per fiber point, in one call, against one call per t:
-    # exactly with t as a one-element stack, and to rounding with t a Python
-    # scalar (numpy's array loops may fuse a complex product, its scalar
-    # arithmetic does not).
+    # One base point per fiber point, in one call, against one call per t,
+    # exactly, with t a one-element stack and with t a Python scalar (the
+    # jets read a scalar t as a one-element stack, so both go through
+    # numpy's array arithmetic).
     index, ts, pts = case
     family, params = JET_CASES[index]
     model = fib.MODEL_FAMILIES[family](**params)
@@ -291,10 +291,10 @@ def test_stacked_t_jets_equal_per_t_calls(case):
         one = pts[:, i:i + 1]
         single = model.second(ts[i:i + 1], one) + model.third(ts[i:i + 1], one)
         scalar = model.second(complex(t), one) + model.third(complex(t), one)
-        for got, want, near in zip(stacked, single, scalar):
-            assert got.shape[:-1] == want.shape[:-1] == near.shape[:-1]
+        for got, want, same in zip(stacked, single, scalar):
+            assert got.shape[:-1] == want.shape[:-1] == same.shape[:-1]
             assert np.array_equal(got[..., i:i + 1], want), (family, params)
-            assert np.allclose(want, near, rtol=1e-15, atol=1e-15 * np.max(np.abs(near)))
+            assert np.array_equal(want, same), (family, params)
 
 
 def test_hermitian_path_jets_evaluate_the_path_once_per_distinct_t():
@@ -307,7 +307,7 @@ def test_hermitian_path_jets_evaluate_the_path_once_per_distinct_t():
         calls.append(x)
         return path(x)
 
-    model = fib.hermitian_quadratic_model(geo.HermitianPath(logged), 2)
+    model = fib.hermitian_quadratic_model(logged, 2)
     ts = np.array([0.3, 0.62, 0.3, 0.62, 0.45])
     pts = np.arange(10).reshape(2, 5) * (0.1 + 0.2j)
     stacked = model.second(ts, pts)
