@@ -295,6 +295,29 @@ def test_stacked_chart_maps_equal_the_per_point_maps(n):
         transition(np.stack([coords[0], 2.0 * np.ones_like(coords[0])]))
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_stacked_motion_and_transition_equal_the_per_point_values(n):
+    # The motion maps at seeded BSD points, and a transition whose target is
+    # a BSD point, agree row by row with their calls on one row.
+    sp, j0, frame = workspace(n)
+    rng = np.random.default_rng(50 + n)
+    phis = np.stack([kns.random_bsd_point(n, rng, 0.6).phi for _ in range(4)])
+    z = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
+    zeta = kns.holomorphic_motion(phis, z)
+    residuals = kns.motion_form_residual(phis, zeta)
+    for i in range(4):
+        assert np.array_equal(zeta[i], kns.holomorphic_motion(phis[i], z[i]))
+        assert residuals[i] == kns.motion_form_residual(phis[i], zeta[i])
+    target = sl.ComplexStructure(J=kns.structure_from_bsd(frame, phis[0]))
+    transition = kns.chart_transition(frame, target, sl.unitary_frame(sp, target))
+    coords = kns.coords_from_sym(phis[1:])
+    stacked = transition(coords)
+    for i, c in enumerate(coords):
+        assert np.array_equal(stacked[i], transition(c))
+    with pytest.raises(kns.DomainError):
+        transition(np.stack([coords[0], 2.0 * np.ones_like(coords[0])]))
+
+
 def _kns_roundtrip(n, seed):
     rep = cli.run_suite(cli.SuiteConfig(suite="kns-roundtrip", n=n, seed=seed, samples=20))
     return rep, {c.name: c for c in rep.checks}
