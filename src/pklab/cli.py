@@ -397,8 +397,9 @@ def suite_burns_bounds(cfg: SuiteConfig, tol: Tolerances):
                           seed=int(np.random.default_rng([cfg.seed, 3]).integers(2**31)))
     bound = -2.0 / n
     rng = np.random.default_rng([cfg.seed, 31])
-    closed = wp.kahler_closedness_residual(space, j0, frame,
-                                           kns.random_bsd_point(n, rng, 0.5))
+    pairs = np.random.default_rng([cfg.seed, 32]).standard_normal(
+        (wp.CLOSEDNESS_PAIRS, 2, kns.sym_dim(n), 2)) @ np.array([1, 1j])   # (X, Z) per pair
+    closed = wp.metric_closedness(space, j0, frame, kns.random_bsd_point(n, rng, 0.5), pairs)
     return [
         _check("max-holomorphic-sectional", "sectional-bound", rep.max_hsc,
                bound + tol("hsc-margin"), witness=rep.worst_hsc_witness),

@@ -820,26 +820,19 @@ def elliptic_family(t: complex) -> EllipticSlice:
         type_part = abs(p * np.conj(b) - a * np.conj(q))
         return h, type_part
 
-    model = elliptic_model()
+    # zeta0 and three seeded fiber points, the jets in one call on the stack.
     rng = np.random.default_rng(2)
-    agreement = 0.0
-    type_resid = 0.0
-    top = 0.0
-    zeta0 = 0.37 + 0.41j
-    for zeta in [zeta0] + list(rng.standard_normal(3) + 1j * rng.standard_normal(3)):
-        h_pot = form_matrix(*model.second(t, np.array([[zeta]], dtype=complex)))[:, :, 0]
-        h_pull, type_part = pullback_at(zeta)
-        agreement = max(agreement, float(np.max(np.abs(h_pot - h_pull))))
-        type_resid = max(type_resid, type_part)
-        top = max(top, abs(np.linalg.det(h_pull)))
-    h0 = form_matrix(*model.second(t, np.array([[zeta0]], dtype=complex)))[:, :, 0]
-    fiber_coeff = float(h0[1, 1].real)
-    if fiber_coeff <= 0:
+    zetas = [0.37 + 0.41j] + list(rng.standard_normal(3) + 1j * rng.standard_normal(3))
+    h_pot = np.moveaxis(form_matrix(*elliptic_model().second(t, np.array([zetas]))), -1, 0)
+    h_pull, type_parts = zip(*map(pullback_at, zetas))
+    if h_pot[0, 1, 1].real <= 0:
         raise PositivityError("fiber coefficient must be positive")
-    return EllipticSlice(t=t, map_coefficients=(a, b), potential_form=h0,
-                         pullback_form=pullback_at(zeta0)[0],
-                         agreement=agreement, type_residual=type_resid,
-                         fiber_coefficient=fiber_coeff, top_power=top)
+    return EllipticSlice(t=t, map_coefficients=(a, b), potential_form=h_pot[0],
+                         pullback_form=h_pull[0],
+                         agreement=float(np.max(np.abs(h_pot - np.stack(h_pull)))),
+                         type_residual=max(type_parts),
+                         fiber_coefficient=float(h_pot[0, 1, 1].real),
+                         top_power=float(np.max(np.abs(np.linalg.det(np.stack(h_pull))))))
 
 
 # ---------------------------------------------------------------------------

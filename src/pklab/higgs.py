@@ -80,13 +80,18 @@ class HiggsField:
         self.same = label[:, None] == label[None, :]
         # Rows of the reference covector basis (xi, conj(xi)) in the real dual.
         self.covectors = np.vstack([frame.columns, frame.columns.conj()])
-        # dF_mu = [[0, 0], [S_mu, 0]] in the reference wedge-1 basis.
-        self._dF = np.zeros((self.nsym, 2 * n, 2 * n), dtype=complex)
-        self._dF[:, n:, :n] = self._sym
         self._sel = np.zeros((2 * n, 2 * n))
         self._sel[:n, :n] = np.eye(n)
 
     # -- degree-1 fields ----------------------------------------------------
+
+    @property
+    def _dF(self) -> np.ndarray:
+        """dF_mu = [[0, 0], [S_mu, 0]] in the reference wedge-1 basis, formed per
+        call so that a field holds no nsym (2n)^2 stack (35 MB at n = 32)."""
+        df = np.zeros((self.nsym, 2 * self.n, 2 * self.n), dtype=complex)
+        df[:, self.n:, :self.n] = self._sym
+        return df
 
     def phi(self, coords: np.ndarray) -> np.ndarray:
         return sym_from_coords(coords, self.n)
@@ -109,17 +114,36 @@ class HiggsField:
         """The compatible structure at one point (the oracle route of `gram1`)."""
         return ComplexStructure(J=structure_from_bsd(self.frame, self.phi(coords)))
 
-    def gram1(self, coords: np.ndarray) -> np.ndarray:
+    def gram1(self, coords: np.ndarray, finv: np.ndarray | None = None) -> np.ndarray:
         """Dual Gram matrix of the degree-1 covectors in closed form:
-        H = F^{-H} diag(conj(A), A) F^{-1}, with A = I - phi conj(phi).
+        H = F^{-H} diag(conj(A), A) F^{-1}, with A = I - phi conj(phi); finv
+        is F^{-1} when the caller has already formed it.
 
         It equals `symplin.dual_metric_gram` of `structure` on `covectors`.
         """
         phi = self.phi(coords)
         a = np.eye(self.n) - phi @ phi.conj()
         zero = np.zeros_like(a)
-        finv = np.linalg.inv(graph_frame(phi))
+        finv = np.linalg.inv(graph_frame(phi)) if finv is None else finv
         return finv.conj().swapaxes(-1, -2) @ np.block([[a.conj(), zero], [zero, a]]) @ finv
+
+    def metric_row1(self, coords: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        """The row G(xi, e_q) = tr(theta_xi adj(theta_q)) of the degree-1
+        metric at coordinates and directions broadcast (..., nsym): with
+        theta_xi = Q dF_xi F^{-1} it is tr(K dF_q^H), K = Q^H h theta_xi h^{-1}
+        F^{-H}, the block K[n:, :n] read in the `sym_basis` pairing."""
+        n = self.n
+        f = graph_frame(self.phi(coords))
+        finv = np.linalg.inv(f)
+        q = np.eye(2 * n) - f[..., :, :n] @ finv[..., :n, :]
+        h = self.gram1(coords, finv)
+        theta = q[..., :, n:] @ sym_from_coords(xi, n) @ finv[..., :n, :]
+        k = (q.conj().swapaxes(-1, -2)[..., n:, :] @ h @ theta
+             @ np.linalg.solve(h, finv.conj().swapaxes(-1, -2)[..., :n]))
+        rows, cols = np.triu_indices(n)
+        flat = k.reshape(k.shape[:-2] + (n * n,))
+        return (np.take(flat, rows * n + cols, axis=-1)
+                + np.take(flat, cols * n + rows, axis=-1) * (rows < cols))
 
     # -- degree-k assembly ---------------------------------------------------
 
@@ -150,10 +174,11 @@ class HiggsField:
         f = graph_frame(self.phi(coords))[..., None, :, :]
         finv = np.linalg.inv(f)
         q = np.eye(2 * self.n) - f @ self._sel @ finv
-        dfinv = -finv @ self._dF @ finv                                # [mu]
-        dq = -(self._dF @ self._sel @ finv + f @ self._sel @ dfinv)    # [mu]
-        d1 = (dq[..., :, None, :, :] @ self._dF @ finv[..., None, :, :]
-              + q[..., None, :, :] @ self._dF @ dfinv[..., :, None, :, :])
+        df = self._dF
+        dfinv = -finv @ df @ finv                                      # [mu]
+        dq = -(df @ self._sel @ finv + f @ self._sel @ dfinv)          # [mu]
+        d1 = (dq[..., :, None, :, :] @ df @ finv[..., None, :, :]
+              + q[..., None, :, :] @ df @ dfinv[..., :, None, :, :])
         return wedge.derivation_matrix(d1, self.k)
 
     def gram(self, coords: np.ndarray) -> np.ndarray:

@@ -32,10 +32,12 @@ from .symplin import ComplexStructure, SymplecticSpace, UnitaryFrame
 ORACLE_BASEPOINTS = 2
 ASCENT_STARTS = 3
 ASCENT_ITERATIONS = 50
-# hsc_ascent: rungs t, t/2, t/4, ... of the Armijo search per stacked call.
-ARMIJO_RUNGS = 4
+# Direction pairs of the metric-closedness record; the step of the one-line
+# oracle balances its h^4 truncation and h^-2 rounding (measured, n = 1..8).
+CLOSEDNESS_PAIRS = 4
+LINE_STEP = 4e-3
 # Bytes of matrices per block of a stacked evaluation: metric_field's field
-# matrices, and the direction halves of burns_bounds' pairing stack.
+# matrices, metric_rows' products and burns_bounds' pairing stack.
 GRAM_BLOCK_BYTES = 1 << 22
 
 
@@ -139,6 +141,15 @@ def metric_field(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFram
     return field_, gram_at
 
 
+def metric_rows(field_: HiggsField, coords: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """`HiggsField.metric_row1` at coordinates and directions broadcast
+    (..., nsym), in blocks of about GRAM_BLOCK_BYTES of its 2n x 2n products."""
+    shape = np.broadcast_shapes(np.shape(coords), np.shape(xi))
+    flat_c, flat_x = (np.broadcast_to(a, shape).reshape(-1, shape[-1]) for a in (coords, xi))
+    return _in_blocks(lambda s: field_.metric_row1(flat_c[s], flat_x[s]), len(flat_c),
+                      max(1, GRAM_BLOCK_BYTES // (128 * (2 * field_.n) ** 2))).reshape(shape)
+
+
 def df_metric(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFrame,
               basepoint: BsdPoint, normalization: int = 1) -> DfMetricReport:
     """Metric sample at a point, with the constant ratio to the degree-1 metric.
@@ -166,56 +177,48 @@ def df_metric(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFrame,
 
 def curvature_fd(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFrame,
                  basepoint: BsdPoint, step: float = 1e-3) -> CurvatureTensor:
-    """R_{j kbar l mbar} = -d_l d_mbar G_{j kbar} + G^{p qbar} d_l G_{j qbar} d_mbar G_{p kbar}."""
-    coords = coords_from_sym(basepoint.phi)
-    field_, gram_at = metric_field(space, J, frame, degree=1)
-    field_.guard(coords)
-    return CurvatureTensor(entries=_fd_curvature(gram_at, coords, step),
-                           basepoint=basepoint)
-
-
-def _fd_curvature(gram_at, z: np.ndarray, step: float) -> np.ndarray:
-    """curvature_fd's formula, with l and m running over the variables z of
-    gram_at (the chart coordinates, or one complex line through them).
+    """R_{j kbar l mbar} = -d_l d_mbar G_{j kbar} + G^{p qbar} d_l G_{j qbar} d_mbar G_{p kbar}.
 
     One gram_at call on the `_fd.hessian_points` gives the base value, the
-    gradient (from the Hessian's axis points) and the Hessian.  gram_at may
-    return a stack of metrics (..., j, k) per point; the result is then
-    (..., j, k, l, m).
-    """
-    values = gram_at(_fd.hessian_points(z, step))
-    grads = _fd.hessian_gradient(values, step)                  # [l, ..., j, k]
-    hess = _fd.hessian_combine(values, step)                    # [l, m, ..., j, k]
-    bl = grads @ np.linalg.inv(values[0])
-    r = -hess + bl[:, None] @ grads.conj().swapaxes(-1, -2)[None, :]
-    return np.moveaxis(r, (0, 1), (-2, -1))
-
-
-def curvature_fd_along(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFrame,
-                       basepoint: BsdPoint, eta: np.ndarray,
-                       step: float = 1e-3) -> np.ndarray:
-    """sum_{l,m} R_{j kbar l mbar} eta^l conj(eta^m) by differences along one line.
-
-    The metric is differenced only in the complex variable w of
-    w -> G(coords + w eta), so one call evaluates the metric at 17 points at
-    any rank, against 1 + 16 nsym^2 for the full `curvature_fd`.
+    gradient (from the Hessian's axis points) and the Hessian.
     """
     coords = coords_from_sym(basepoint.phi)
     field_, gram_at = metric_field(space, J, frame, degree=1)
     field_.guard(coords)
-    return _fd_along(gram_at, coords, eta, step)
+    values = gram_at(_fd.hessian_points(coords, step))
+    grads = _fd.hessian_gradient(values, step)                  # [l, j, k]
+    hess = _fd.hessian_combine(values, step)                    # [l, m, j, k]
+    bl = grads @ np.linalg.inv(values[0])
+    r = -hess + bl[:, None] @ grads.conj().swapaxes(-1, -2)[None, :]
+    return CurvatureTensor(entries=np.moveaxis(r, (0, 1), (-2, -1)), basepoint=basepoint)
 
 
-def _fd_along(gram_at, coords: np.ndarray, eta: np.ndarray, step: float) -> np.ndarray:
-    """`curvature_fd_along` on lines through coords (..., nsym) along eta
-    (..., nsym), broadcast: (..., nsym, nsym), every line's stencil in one
-    gram_at call."""
-    eta = np.asarray(eta, dtype=complex)
+def curvature_fd_along(field_: HiggsField, coords: np.ndarray, g: np.ndarray, xi: np.ndarray,
+                       eta: np.ndarray, step: float = LINE_STEP) -> np.ndarray:
+    """R(xi, conj(xi), eta, conj(eta)) = -d_w d_wbar G(xi, xi)(coords + w eta)
+    + v G^{-1} v^H, v_q = d_w G(xi, e_q) at w = 0, at coords with the metric g
+    there, broadcast against xi and eta: curvature_fd's formula contracted,
+    from rows on the one-variable `_fd.hessian_points` (one `metric_rows`)."""
+    ndim = len(np.broadcast_shapes(np.shape(coords), np.shape(xi), np.shape(eta)))
+    w = _fd.hessian_points(np.zeros(1, dtype=complex), step).reshape((-1,) + (1,) * ndim)
+    rows = metric_rows(field_, coords + w * eta, xi)
+    hess = _fd.hessian_combine(np.sum(rows * np.conj(xi), axis=-1), step)[0, 0]
+    v = _fd.hessian_gradient(rows, step)[0]
+    return -hess + (v[..., None, :] @ np.linalg.solve(g, v.conj()[..., None]))[..., 0, 0]
 
-    def along(w):
-        return gram_at(coords + w[:, 0].reshape((-1,) + (1,) * eta.ndim) * eta)
 
-    return _fd_curvature(along, np.zeros(1, dtype=complex), step)[..., 0, 0]
+def metric_closedness(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFrame,
+                      basepoint: BsdPoint, pairs: np.ndarray, step: float = 1e-3) -> float:
+    """max |d_Z G(X, .) - d_X G(Z, .)| over the pairs (X, Z) = pairs[p]
+    (P, 2, nsym) scaled to unit length: d_l G_{j kbar} = d_j G_{l kbar}
+    contracted with X^j Z^l, each derivative `_fd.xy_combine` of rows on the
+    `_fd.xy_points` of a line through the basepoint (one `metric_rows`)."""
+    pairs = pairs / np.linalg.norm(pairs, axis=-1, keepdims=True)
+    w = _fd.xy_points(np.zeros(1, dtype=complex), 0, step).reshape(-1, 1, 1, 1)
+    rows = metric_rows(HiggsField(space, J, frame, 1),
+                       coords_from_sym(basepoint.phi) + w * pairs[:, ::-1], pairs)
+    d = _fd.xy_combine(rows, False, step)                  # [p, 0] = d_Z G(X, .)
+    return float(np.max(np.abs(d[:, 0] - d[:, 1])))
 
 
 @dataclass(frozen=True)
@@ -236,14 +239,15 @@ class ClosedFormCurvature:
     """
 
     phi: np.ndarray
-    b: np.ndarray = field(init=False, repr=False)
+    b: np.ndarray | None = field(default=None, repr=False)     # given, or inverted
     basis: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         phi = np.asarray(self.phi, dtype=complex)
         n = phi.shape[-1]
         object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "b", np.linalg.inv(np.eye(n) - phi @ phi.conj()))
+        if self.b is None:
+            object.__setattr__(self, "b", np.linalg.inv(np.eye(n) - phi @ phi.conj()))
         object.__setattr__(self, "basis", np.stack(sym_basis(n)))
 
     def metric(self) -> np.ndarray:
@@ -266,9 +270,9 @@ class ClosedFormCurvature:
         return _pairing(*self._halves(xi), *self._halves(eta))
 
     def hsc(self, xi: np.ndarray) -> np.ndarray:
-        """Holomorphic sectional curvature R(xi, xi, xi, xi) / G(xi, xi)^2."""
-        bx, bxb = self._halves(xi)
-        return _hsc(bx @ bxb)
+        """hsc = R(xi, xi, xi, xi) / G(xi, xi)^2 = -2 tr(P^2) / tr(P)^2, P = BX conj(BX)."""
+        p = np.matmul(*self._halves(xi))
+        return -2.0 * _trace(p @ p).real / _trace(p).real ** 2
 
     def sharp_direction(self) -> np.ndarray:
         """Coordinates of X = L L^T, L the Cholesky factor of I - Phi conj(Phi):
@@ -290,90 +294,79 @@ def _trace(m):
     return np.trace(m, axis1=-2, axis2=-1)
 
 
-def _hsc(p):
-    """-2 tr(P^2) / tr(P)^2 = R(xi, xi, xi, xi) / G(xi, xi)^2 for P = BX conj(BX)."""
-    return -2.0 * _trace(p @ p).real / _trace(p).real ** 2
-
-
 def _pairing(bx, bxb, by, byb):
     """-[tr(bx.bxb.by.byb) + tr(bx.byb.by.bxb)], broadcast over leading axes."""
     return -(_trace(bx @ bxb @ by @ byb) + _trace(bx @ byb @ by @ bxb))
 
 
-def hsc_ascent(curv: ClosedFormCurvature, starts: np.ndarray,
-               g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def hsc_ascent(curv: ClosedFormCurvature, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Holomorphic sectional curvature reached by gradient ascent from each
     start, and the number of steps taken (both of shape starts.shape[:-1]).
 
     From each start (a row (..., nsym), broadcast against curv's stack):
-    steepest ascent for the metric g = curv.metric() (the caller's, shaped
-    to broadcast like curv's stack), halving the step until the rise meets
+    steepest ascent for the metric G, halving the step until the rise meets
     a quarter of the slope (Armijo), for at most ASCENT_ITERATIONS steps or
-    until the slope is rounding.  With P = BX conj(BX) and W = BX conj(B),
-    the Wirtinger gradient of hsc = -2 tr(P^2) / tr(P)^2 is
-    d/dconj(xi_j) = -4 tr(M S_j) / tr(P)^3, M = tr(P) P W - tr(P^2) W; the
-    ascent direction is conj(G)^{-1} of it.
-
-    The ascents run in lockstep, each with its own point, step, value and
-    stop flag.  A search evaluates ARMIJO_RUNGS rungs t, t/2, ... of every
-    ascent still searching in one call and takes the first rung that
-    passes: the step that halving one rung at a time would take.
+    until the slope is rounding.  The state is P = A conj(A), A = BX; with
+    the step C = BD in closed form (`_ascent_step`), hsc and the G-norm at
+    every rung t, t/2, ... down to 1e-12 are polynomials in the rung
+    (`_rung_polynomials`).  The ascents run in lockstep.
     """
-    g_conj = g.conj()
-
-    def ascent_direction(xi):
-        """hsc at xi, the ascent direction and the slope along it."""
-        bx, bxb = curv._halves(xi)
-        p = bx @ bxb
-        w = bx @ curv.b.conj()
-        tr_p, tr_pp = _trace(p).real, _trace(p @ p).real
-        m = tr_p[..., None, None] * (p @ w) - tr_pp[..., None, None] * w
-        grad = -4.0 * np.einsum("...ab,jba->...j", m, curv.basis) / tr_p[..., None] ** 3
-        direction = np.linalg.solve(g_conj, grad[..., None])[..., 0]
-        slope = 2.0 * (grad.conj()[..., None, :] @ direction[..., None])[..., 0, 0].real
-        return -2.0 * tr_pp / tr_p ** 2, direction, slope     # = _hsc(p)
-
-    xi = np.asarray(starts, dtype=complex)
-    shape = np.broadcast_shapes(xi.shape[:-1], curv.b.shape[:-2])
-    t = np.ones(shape)
-    steps = np.zeros(shape, dtype=int)
-    running = np.ones(shape, dtype=bool)
-    rungs = 0.5 ** np.arange(ARMIJO_RUNGS).reshape((-1,) + (1,) * len(shape))
+    a = curv.b @ sym_from_coords(starts, curv.phi.shape[-1])      # A = BX
+    shape = a.shape[:-2]
+    p = (a @ a.conj()).reshape((-1,) + a.shape[-2:])
+    # Rungs r = 2^-k t down to 1e-12 for any t (a power of two, at most 2^50):
+    # a polynomial at every rung is one product with powers[k, m] = 2^(k(m-4)).
+    halves = 0.5 ** np.arange(2 + int(np.log2(2.0 ** ASCENT_ITERATIONS / 1e-12)))
+    degrees = np.arange(4, -1, -1)[:, None]
+    powers = halves[:, None] ** degrees.T
+    t, steps, running = np.ones(len(p)), np.zeros(len(p), dtype=int), np.ones(len(p), bool)
     for _ in range(ASCENT_ITERATIONS):
-        value, direction, slope = ascent_direction(xi)
-        running &= slope > 1e-14    # stationary to rounding
+        value, _, q = _ascent_step(p)
+        trace, square = _rung_polynomials(q)
+        slope = 2.0 * trace[0]                  # 2 G(D, D) = 2 tr(C conj(C))
+        running &= slope > 1e-14                # stationary to rounding
         if not running.any():
             break
-        accepted = np.zeros(shape)                # 0 where no rung passed
-        searching = running.copy()
-        top = t
-        while searching.any():
-            rung = top * rungs
-            live = searching & (rung > 1e-12)
-            rise = curv.hsc(xi + rung[..., None] * direction)
-            passed = live & ~(rise < value + 0.25 * rung * slope)
-            found = passed.any(axis=0)
-            accepted = np.where(found, top * 0.5 ** np.argmax(passed, axis=0), accepted)
-            searching &= ~found & live[-1]
-            top = top * 0.5 ** ARMIJO_RUNGS
-        moved = accepted > 0
-        running &= moved
-        xi = np.where(moved[..., None],
-                      _unit_vector(g, xi + accepted[..., None] * direction), xi)
-        t = np.where(moved, 2.0 * accepted, t)
-        steps += moved
+        scale = t ** degrees
+        r = halves[:, None] * t
+        rise = -2.0 * (powers @ (square * scale)) / (powers[:, 2:] @ (trace * scale[2:])) ** 2
+        passed = ~(rise < value + 0.25 * r * slope) & running & (r > 1e-12)
+        found = passed.any(axis=0)
+        accepted = np.where(found, t * halves[passed.argmax(axis=0)], 0.0)
+        running &= found
+        step = accepted ** degrees[2:]          # (r^2, r, 1) at the accepted rung
+        p = np.where(found[:, None, None], np.einsum("ms,msab->sab", step, q[::-1])
+                     / np.sum(trace * step, axis=0)[:, None, None], p)
+        t = np.where(found, 2.0 * accepted, t)
+        steps += found
     else:       # every step was taken: the value is that of the last point
-        value = curv.hsc(xi)
-    return value, steps
+        value = _ascent_step(p)[0]
+    return value.reshape(shape), steps.reshape(shape)
 
 
-def kahler_closedness_residual(space: SymplecticSpace, J: ComplexStructure,
-                               frame: UnitaryFrame, basepoint: BsdPoint,
-                               step: float = 1e-3) -> float:
-    """max |d_l G_{j kbar} - d_j G_{l kbar}|: closedness of the metric form."""
-    _, gram_at = metric_field(space, J, frame, degree=1)
-    points = _fd.gradient_points(coords_from_sym(basepoint.phi), step)
-    return _fd.closedness_defect(_fd.xy_combine(gram_at(points), False, step))
+def _ascent_step(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """hsc at P = A conj(A), A = BX, the matrix V = -4 (tr(P) P - tr(P^2) I)
+    / tr(P)^3 of its G-steepest ascent step C = BD = V A (from B^T = conj(B);
+    README, numerical conventions), and the coefficients (P, 2VP, V^2 P) of
+    P(r) = (A + rC) conj(A + rC)."""
+    p2 = p @ p
+    tr_p = np.einsum("...aa->...", p).real[..., None, None]
+    tr_pp = np.einsum("...aa->...", p2).real[..., None, None]
+    k = -4.0 / (tr_p * tr_p * tr_p)
+    v, vp = k * (tr_p * p - tr_pp * np.eye(p.shape[-1])), k * (tr_p * p2 - tr_pp * p)
+    return (-2.0 * tr_pp / (tr_p * tr_p))[..., 0, 0], v, np.stack([p, 2.0 * vp, v @ vp])
+
+
+# _DEGREE[k, 3i + j] = 1 where r^i P_i r^j P_j has degree 4 - k = i + j.
+_DEGREE = (4 - np.arange(5)[:, None] == np.add.outer(np.arange(3), np.arange(3)).ravel()) * 1.0
+
+
+def _rung_polynomials(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients, highest degree first, of tr P(r) (quadratic) and
+    tr P(r)^2 (quartic) in real r for P(r) = q[0] + r q[1] + r^2 q[2]."""
+    t = np.einsum("i...ab,j...ba->ij...", q, q).real          # t[i, j] = tr(P_i P_j)
+    return (q[::-1].trace(axis1=-2, axis2=-1).real,
+            (_DEGREE @ t.reshape(9, -1)).reshape((5,) + t.shape[2:]))
 
 
 def curvature_formula_terms(space: SymplecticSpace, J: ComplexStructure,
@@ -426,13 +419,9 @@ def df_inner(g: np.ndarray, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
     return (xi[..., None, :] @ (g @ eta.conj()[..., None]))[..., 0, 0]
 
 
-def _unit_vector(g: np.ndarray, raw: np.ndarray) -> np.ndarray:
-    return raw / np.sqrt(df_inner(g, raw, raw).real)[..., None]
-
-
 def burns_bounds(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFrame,
                  samples: int, seed: int, radius: float = 0.75,
-                 step: float = 1e-3) -> BoundsReport:
+                 step: float = LINE_STEP) -> BoundsReport:
     """Seeded sweep of sectional, bisectional and Ricci bounds.
 
     Basepoints are seeded domain points; directions are unit vectors for the
@@ -442,18 +431,14 @@ def burns_bounds(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFram
 
     Every draw comes first, in per-basepoint order: a basepoint, then the
     (xi, eta) pair of each of its samples; the last basepoint may take fewer
-    samples.  Pairings come from `ClosedFormCurvature` on stacks: per
-    basepoint, one call pairs every sample's xi with xi and eta and one with
-    the G-orthonormal basis of the Ricci trace (in blocks of samples of about
-    GRAM_BLOCK_BYTES at large n).  Basepoints run in blocks whose metrics
-    take about GRAM_BLOCK_BYTES, so G is held for one block at a time: per
-    block, the closed-form metric is compared with one `metric_field` call,
-    and each basepoint records the sharpness witness L L^T and a
-    `hsc_ascent` from ASCENT_STARTS starts drawn from a second generator, so
-    the sweep's own draws are those of the tensor sweep.  The two pairings
-    of the first sample meet the one-line difference oracle
-    (`curvature_fd_along`) at the first ORACLE_BASEPOINTS basepoints, in
-    blocks of lines of about GRAM_BLOCK_BYTES (one call at small n).
+    samples.  Per block of basepoints (their metrics take about
+    GRAM_BLOCK_BYTES), one `ClosedFormCurvature` serves the closed-form
+    metric (against one `metric_field` call), the sharpness witness L L^T,
+    a `hsc_ascent` from ASCENT_STARTS starts of a second generator, and one
+    pass over the block's samples (indexed by owner) pairing every xi with
+    xi, eta and the G-orthonormal basis of the Ricci trace.  The first
+    sample's two pairings at the first ORACLE_BASEPOINTS basepoints meet
+    `curvature_fd_along`, every line in one call.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -472,45 +457,47 @@ def burns_bounds(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFram
         directions.append(raw[:, 0::2] + 1j * raw[:, 1::2])   # (xi, eta) per sample
     phi = np.stack(phis)
     owner = np.repeat(np.arange(len(counts)), counts)         # basepoint of each sample
+    offsets = np.concatenate([[0], np.cumsum(counts)])        # first sample of each basepoint
+    xi_eta = np.concatenate(directions)
     starts = ascent_rng.standard_normal((len(counts), 2, ASCENT_STARTS, nsym))
     coords = coords_from_sym(phi)
-    _, gram_at = metric_field(space, J, frame, degree=1)
-
-    def sample_block(base, g, xi_eta):
-        """Columns at the raw (xi, eta) pairs of one basepoint with metric g:
-        the G-norms of xi and eta, then R(xi, xi, d, d) for d = xi, eta,
-        |G(eta, xi)|^2 and the Ricci trace (d over the rows of onb).  The
-        basepoint's G and onb broadcast against the samples: no matrix is
-        copied per sample."""
-        # G-orthonormal basis for the Ricci trace (Gram in the y^H H x
-        # convention is the transpose of the coordinate matrix G): rows of onb.
-        onb = np.linalg.inv(np.linalg.cholesky(g.T)).conj()
-        norms = np.sqrt(df_inner(g, xi_eta, xi_eta).real)
-        xi_b, eta_b = (xi_eta / norms[..., None]).swapaxes(0, 1)
-        c = ClosedFormCurvature(phi[base])
-        return np.column_stack([norms, c.pair(xi_b[:, None], np.stack([xi_b, eta_b], 1)).real,
-                                np.abs(df_inner(g, eta_b, xi_b)) ** 2,
-                                c.pair(xi_b[:, None], onb).real.sum(axis=-1)])
-
-    block = max(1, GRAM_BLOCK_BYTES // (16 * (nsym + 2) * n * n))
+    field_, gram_at = metric_field(space, J, frame, degree=1)
+    oracle_grams = []         # metric_field at the first ORACLE_BASEPOINTS basepoints
 
     def base_block(bases):
-        """Rows at the samples of the basepoints `bases`: sample_block's
-        columns, then the basepoint's metric error, sharpness defect and best
-        ascent.  G exists only for the basepoints of one block."""
-        curv = ClosedFormCurvature(phi[bases, None])          # stack (bases, 1)
+        """Rows at the samples of the basepoints `bases`: the G-norms of xi
+        and eta, R(xi, xi, d, d) for d = xi, eta, |G(eta, xi)|^2 and the
+        Ricci trace (d over a G-orthonormal basis), then the owner's metric error,
+        sharpness defect and best ascent."""
+        lo, hi, _ = bases.indices(len(counts))
+        curv = ClosedFormCurvature(phi[lo:hi, None])          # stack (bases, 1)
         g = curv.metric()[:, 0]
+        higgs = gram_at(coords[lo:hi])
+        oracle_grams.extend(higgs[:max(0, ORACLE_BASEPOINTS - lo)])
         per_base = np.stack([
-            np.max(np.abs(g - gram_at(coords[bases])), axis=(-2, -1)),
+            np.max(np.abs(g - higgs), axis=(-2, -1)),
             np.abs(curv.hsc(curv.sharp_direction()) + 2.0 / n)[:, 0],
-            np.max(hsc_ascent(curv, starts[bases, 0] + 1j * starts[bases, 1],
-                              g[:, None])[0], axis=-1)], axis=-1)
-        rows = []
-        for i, base in enumerate(range(len(counts))[bases]):
-            d = directions[base]
-            cols = _in_blocks(lambda s: sample_block(base, g[i], d[s]), len(d), block)
-            rows.append(np.column_stack([cols, np.broadcast_to(per_base[i], (len(d), 3))]))
-        return np.concatenate(rows)
+            np.max(hsc_ascent(curv, starts[lo:hi, 0] + 1j * starts[lo:hi, 1])[0], axis=-1)],
+            axis=-1)
+        # Halves of the G-orthonormal bases of the Ricci trace (rows; Gram in
+        # the y^H H x convention is the transpose of the coordinate matrix G).
+        by, byb = curv._halves(np.linalg.inv(np.linalg.cholesky(g.swapaxes(-1, -2))).conj())
+        local = owner[offsets[lo]:offsets[hi]] - lo
+        block_xi_eta = xi_eta[offsets[lo]:offsets[hi]]
+
+        def sample_rows(s):
+            own, d = local[s], block_xi_eta[s]
+            norms = np.sqrt(df_inner(g[own, None], d, d).real)
+            xi_b, eta_b = (d / norms[..., None]).swapaxes(0, 1)
+            c = ClosedFormCurvature(curv.phi[own], curv.b[own])   # B of the owners
+            bx, bxb = c._halves(xi_b[:, None])
+            hsc_bis = _pairing(bx, bxb, *c._halves(np.stack([xi_b, eta_b], 1))).real
+            return np.column_stack([norms, hsc_bis, np.abs(df_inner(g[own], eta_b, xi_b)) ** 2,
+                                    _pairing(bx, bxb, by[own], byb[own]).real.sum(axis=-1),
+                                    per_base[own]])
+
+        return _in_blocks(sample_rows, len(local),
+                          max(1, GRAM_BLOCK_BYTES // (16 * (nsym + 2) * n * n)))
 
     # Basepoints per block: their Gram matrices take about GRAM_BLOCK_BYTES.
     columns = _in_blocks(base_block, len(counts), max(1, GRAM_BLOCK_BYTES // (16 * nsym * nsym)))
@@ -518,18 +505,12 @@ def burns_bounds(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFram
     max_metric, max_sharp, max_ascent = np.max(metric_err), np.max(sharp), np.max(ascent)
     paired_excess = bis + (2.0 / n) * inner2
     worst = int(np.argmax(hsc))
-    xi_eta = np.concatenate(directions)
     xi = xi_eta[:, 0] / norm_x[:, None]
 
-    first = (np.cumsum(counts) - counts)[:ORACLE_BASEPOINTS]  # first sample of a basepoint
-    origins = np.repeat(coords[:len(first)], 2, axis=0)
-    lines = np.stack([xi[first], xi_eta[first, 1] / norm_y[first, None]],
-                     axis=1).reshape(-1, nsym)
-    # Lines per oracle call: each line's stencil holds 17 Gram matrices.
-    line_block = max(1, GRAM_BLOCK_BYTES // (16 * 17 * nsym * nsym))
-    along = _in_blocks(lambda s: _fd_along(gram_at, origins[s], lines[s], step),
-                       len(lines), line_block).reshape(len(first), 2, nsym, nsym)
-    oracle = np.einsum("...jk,...j,...k->...", along, xi[first, None], xi[first, None].conj())
+    first = offsets[:len(oracle_grams)]                       # first sample of a basepoint
+    lines = np.stack([xi[first], xi_eta[first, 1] / norm_y[first, None]], axis=1)
+    oracle = curvature_fd_along(field_, coords[:len(first), None],
+                                np.stack(oracle_grams)[:, None], xi[first, None], lines, step)
     max_pairing = np.max(np.abs(np.stack([hsc[first], bis[first]], axis=1) - oracle))
     return BoundsReport(n=n, samples=len(owner), max_hsc=float(hsc[worst]),
                         max_bisectional=float(np.max(bis)),

@@ -2,9 +2,10 @@
 
 `sequential_burns_bounds` is the per-basepoint, per-sample loop with scalar
 pairings, a Python sum for each Ricci trace, one `curvature_fd_along` call
-per oracle line and one halving Armijo search per ascent.  The batched
-sweep must reproduce its draws, its records and its witness, and every
-lockstep ascent must take the steps of its sequential ascent.
+per oracle line and one halving Armijo search per ascent, whose direction
+solves the metric.  The batched sweep must reproduce its draws, its records
+and its witness, and every lockstep ascent must take the steps of its
+sequential ascent.
 """
 
 import numpy as np
@@ -21,46 +22,51 @@ def workspace(n):
     return sp, j0, sl.unitary_frame(sp, j0)
 
 
+def unit_vector(g, raw):
+    return raw / np.sqrt(wp.df_inner(g, raw, raw).real)[..., None]
+
+
+def ascent_direction(curv, g, xi):
+    """The G-steepest ascent direction of hsc at xi, by a solve with conj(G)."""
+    bx, bxb = curv._halves(xi)
+    p = bx @ bxb
+    w = bx @ curv.b.conj()
+    tr_p = np.trace(p).real
+    m = tr_p * (p @ w) - np.trace(p @ p).real * w
+    grad = -4.0 * np.einsum("ab,jba->j", m, curv.basis) / tr_p ** 3
+    return np.linalg.solve(g.conj(), grad), grad
+
+
 def sequential_ascent(curv, xi):
     """One ascent, one rung per hsc evaluation: (final hsc, steps taken)."""
     g = curv.metric()
-
-    def ascent_direction(xi):
-        bx, bxb = curv._halves(xi)
-        p = bx @ bxb
-        w = bx @ curv.b.conj()
-        tr_p = np.trace(p).real
-        m = tr_p * (p @ w) - np.trace(p @ p).real * w
-        grad = -4.0 * np.einsum("ab,jba->j", m, curv.basis) / tr_p ** 3
-        direction = np.linalg.solve(g.conj(), grad)
-        return direction, 2.0 * np.real(np.vdot(grad, direction))
-
     value = curv.hsc(xi)
     t = 1.0
     steps = 0
     for _ in range(wp.ASCENT_ITERATIONS):
-        direction, slope = ascent_direction(xi)
+        direction, grad = ascent_direction(curv, g, xi)
+        slope = 2.0 * np.real(np.vdot(grad, direction))
         if slope <= 1e-14:
             break
         while t > 1e-12 and curv.hsc(xi + t * direction) < value + 0.25 * t * slope:
             t /= 2.0
         if t <= 1e-12:
             break
-        xi = wp._unit_vector(g, xi + t * direction)
+        xi = unit_vector(g, xi + t * direction)
         value = curv.hsc(xi)
         t = 2.0 * t
         steps += 1
     return float(value), steps
 
 
-def sequential_burns_bounds(space, J, frame, samples, seed, radius=0.75, step=1e-3):
+def sequential_burns_bounds(space, J, frame, samples, seed, radius=0.75, step=wp.LINE_STEP):
     n = frame.n
     nsym = kns.sym_dim(n)
     rng = np.random.default_rng(seed)
     ascent_rng = np.random.default_rng([seed, 1])
     n_base = max(1, samples // 10)
     per_base = -(-samples // n_base)
-    _, gram_at = wp.metric_field(space, J, frame, degree=1)
+    field_, gram_at = wp.metric_field(space, J, frame, degree=1)
 
     max_hsc = max_bis = max_paired = max_ric = max_ascent = -np.inf
     max_metric = max_pairing = max_einstein = max_sharp = 0.0
@@ -72,8 +78,9 @@ def sequential_burns_bounds(space, J, frame, samples, seed, radius=0.75, step=1e
         bp = kns.random_bsd_point(n, rng, radius)
         tensor = wp.ClosedFormCurvature(bp.phi)
         g = tensor.metric()
-        max_metric = max(max_metric, float(np.max(np.abs(
-            g - gram_at(kns.coords_from_sym(bp.phi))))))
+        coords = kns.coords_from_sym(bp.phi)
+        higgs = gram_at(coords)
+        max_metric = max(max_metric, float(np.max(np.abs(g - higgs))))
         max_sharp = max(max_sharp, abs(tensor.hsc(tensor.sharp_direction()) + 2.0 / n))
         starts = (ascent_rng.standard_normal((wp.ASCENT_STARTS, nsym))
                   + 1j * ascent_rng.standard_normal((wp.ASCENT_STARTS, nsym)))
@@ -82,8 +89,8 @@ def sequential_burns_bounds(space, J, frame, samples, seed, radius=0.75, step=1e
         for k in range(per_base):
             if done >= samples:
                 break
-            xi = wp._unit_vector(g, rng.standard_normal(nsym) + 1j * rng.standard_normal(nsym))
-            eta = wp._unit_vector(g, rng.standard_normal(nsym) + 1j * rng.standard_normal(nsym))
+            xi = unit_vector(g, rng.standard_normal(nsym) + 1j * rng.standard_normal(nsym))
+            eta = unit_vector(g, rng.standard_normal(nsym) + 1j * rng.standard_normal(nsym))
             hsc = tensor.pair(xi, xi).real
             bis = tensor.pair(xi, eta).real
             paired_excess = bis + (2.0 / n) * abs(wp.df_inner(g, eta, xi)) ** 2
@@ -97,8 +104,7 @@ def sequential_burns_bounds(space, J, frame, samples, seed, radius=0.75, step=1e
             max_einstein = max(max_einstein, abs(ric + (n + 1)))
             if k == 0 and base < wp.ORACLE_BASEPOINTS:
                 for direction in (xi, eta):
-                    along = wp.curvature_fd_along(space, J, frame, bp, direction, step=step)
-                    oracle = np.einsum("jk,j,k->", along, xi, xi.conj())
+                    oracle = wp.curvature_fd_along(field_, coords, higgs, xi, direction, step)
                     max_pairing = max(max_pairing, abs(tensor.pair(xi, direction) - oracle))
             done += 1
     return wp.BoundsReport(n=n, samples=done, max_hsc=float(max_hsc),
@@ -133,21 +139,22 @@ def test_batched_sweep_matches_the_sequential_loop(n, samples):
         assert np.max(np.abs(np.array(got["xi"]) - np.array(want["xi"]))) < 1e-10
 
 
-@pytest.mark.parametrize("rungs", [1, 2, 4, 64])
+@pytest.mark.parametrize("bases", [1, 2, 4, 64])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
-def test_lockstep_ascents_take_the_sequential_steps(n, rungs, monkeypatch):
-    # One rung per call is the sequential search; 64 rungs reach the 1e-12
-    # floor inside one call.  The rung count must not change any path.
-    monkeypatch.setattr(wp, "ARMIJO_RUNGS", rungs)
+def test_lockstep_ascents_take_the_sequential_steps(n, bases):
+    # The lockstep ascent evaluates every rung of a search at once from the
+    # closed-form step, on stacks of 1 to 64 basepoints whose ascents stop at
+    # different times; the sequential one halves one rung at a time along a
+    # direction solved from the metric.  Both must take the same steps.
     rng = np.random.default_rng(90 + n)
     nsym = kns.sym_dim(n)
-    phi = np.stack([kns.random_bsd_point(n, rng, 0.75).phi for _ in range(4)])
-    starts = (rng.standard_normal((4, wp.ASCENT_STARTS, nsym))
-              + 1j * rng.standard_normal((4, wp.ASCENT_STARTS, nsym)))
+    phi = np.stack([kns.random_bsd_point(n, rng, 0.75).phi for _ in range(bases)])
+    starts = (rng.standard_normal((bases, wp.ASCENT_STARTS, nsym))
+              + 1j * rng.standard_normal((bases, wp.ASCENT_STARTS, nsym)))
     curv = wp.ClosedFormCurvature(phi[:, None])
-    values, steps = wp.hsc_ascent(curv, starts, curv.metric())
-    assert values.shape == steps.shape == (4, wp.ASCENT_STARTS)
-    for base in range(4):
+    values, steps = wp.hsc_ascent(curv, starts)
+    assert values.shape == steps.shape == (bases, wp.ASCENT_STARTS)
+    for base in range(bases):
         single = wp.ClosedFormCurvature(phi[base])
         for s in range(wp.ASCENT_STARTS):
             value, count = sequential_ascent(single, starts[base, s])

@@ -235,6 +235,24 @@ def test_elliptic_family_slice():
         fib.elliptic_family(1.0 - 0.5j)
 
 
+def test_elliptic_family_makes_one_jet_call_per_slice(monkeypatch):
+    # The four fiber points of a slice are one stack; the potential form at
+    # zeta0 is its first entry, equal to a jet call at that point alone.
+    calls = []
+    model = fib.elliptic_model()
+
+    def counted(t, pts):
+        calls.append(np.shape(pts))
+        return model.second(t, pts)
+
+    monkeypatch.setattr(fib, "elliptic_model",
+                        lambda grid=64: dataclasses.replace(model, second=counted))
+    slc = fib.elliptic_family(0.3 + 1.7j)
+    assert calls == [(1, 4)]
+    alone = fib.form_matrix(*model.second(0.3 + 1.7j, np.array([[0.37 + 0.41j]])))[:, :, 0]
+    assert np.array_equal(slc.potential_form, alone)
+
+
 # Every family, with parameters off their defaults where the family has any.
 JET_CASES = [
     ("product", {}), ("product", {"base_weight": 0.0}), ("product", {"base_weight": 2.5}),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from pklab import kns
+from pklab import _fd, kns
 from pklab import symplin as sl
 from pklab import wpcurv as wp
 
@@ -83,13 +83,65 @@ def test_structural_sectional_values_at_origin():
         assert tensor.pair(xi, xi).real == pytest.approx(expected, abs=1e-6)
 
 
+def metric_gradient(sp, j0, frame, bp, step=1e-3):
+    """d_l G_{j kbar} as [l, j, k] from the full Richardson stencil of
+    `metric_field` along every coordinate."""
+    _, gram_at = wp.metric_field(sp, j0, frame)
+    points = _fd.gradient_points(kns.coords_from_sym(bp.phi), step)
+    return _fd.xy_combine(gram_at(points), False, step)
+
+
+def kahler_closedness_residual(sp, j0, frame, bp, step=1e-3):
+    """max |d_l G_{j kbar} - d_j G_{l kbar}| over every coordinate triple:
+    the full-stencil oracle of the directional `metric-closedness` record."""
+    return _fd.closedness_defect(metric_gradient(sp, j0, frame, bp, step))
+
+
 def test_kahler_symmetries_and_closedness():
     sp, j0, frame = workspace(2)
     rng = np.random.default_rng(21)
     bp = kns.random_bsd_point(2, rng, 0.5)
     tensor = wp.curvature_fd(sp, j0, frame, bp)
     assert tensor.kahler_symmetry_defect() < 1e-6
-    assert wp.kahler_closedness_residual(sp, j0, frame, bp) < 1e-6
+    assert kahler_closedness_residual(sp, j0, frame, bp) < 1e-6
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_directional_closedness_meets_the_full_stencil(n):
+    # The directional record and the full-stencil residual both stay under
+    # the kahler-closedness bound, and each directional derivative of a row
+    # is the full-stencil gradient contracted with its two directions.
+    sp, j0, frame = workspace(n)
+    rng = np.random.default_rng(110 + n)
+    nsym = kns.sym_dim(n)
+    bp = kns.random_bsd_point(n, rng, 0.5)
+    pairs = rng.standard_normal((wp.CLOSEDNESS_PAIRS, 2, nsym)) + 1j * rng.standard_normal(
+        (wp.CLOSEDNESS_PAIRS, 2, nsym))
+    assert kahler_closedness_residual(sp, j0, frame, bp) < 1e-6
+    assert wp.metric_closedness(sp, j0, frame, bp, pairs) < 1e-6
+    field_, _ = wp.metric_field(sp, j0, frame)
+    w = _fd.xy_points(np.zeros(1, dtype=complex), 0)[..., None]
+    x, z = pairs[:, 0], pairs[:, 1]
+    rows = wp.metric_rows(field_, kns.coords_from_sym(bp.phi) + w * z, x)
+    want = np.einsum("ljk,pl,pj->pk", metric_gradient(sp, j0, frame, bp), z, x)
+    assert np.max(np.abs(_fd.xy_combine(rows, False) - want)) < 1e-8 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_metric_rows_equal_the_rows_of_metric_field(n):
+    sp, j0, frame = workspace(n)
+    field_, gram_at = wp.metric_field(sp, j0, frame)
+    rng = np.random.default_rng(120 + n)
+    nsym = kns.sym_dim(n)
+    coords = np.stack([kns.coords_from_sym(kns.random_bsd_point(n, rng, 0.8).phi)
+                       for _ in range(6)]).reshape(2, 3, nsym)
+    xi = rng.standard_normal((3, nsym)) + 1j * rng.standard_normal((3, nsym))
+    rows = wp.metric_rows(field_, coords, xi)
+    want = np.einsum("...j,...jk->...k", xi, gram_at(coords))
+    assert rows.shape == (2, 3, nsym)
+    assert np.max(np.abs(rows - want)) < 1e-13 * np.max(np.abs(want))
+    assert np.max(np.abs(field_.metric_row1(coords[0], xi) - want[0])) < 1e-13 * np.max(
+        np.abs(want))
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -194,21 +246,25 @@ def test_closed_form_tensor_matches_curvature_fd(n):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_directional_oracle_matches_full_tensor(n):
+    # The one-line oracle reads rows of the metric on a 17-point stencil; the
+    # contracted difference tensor reads 1 + 16 nsym^2 full Gram matrices,
+    # and the closed form none.  All three agree on stacked lines.
     sp, j0, frame = workspace(n)
     bp = kns.random_bsd_point(n, np.random.default_rng(60 + n), 0.75)
     fd = wp.curvature_fd(sp, j0, frame, bp)
-    _, gram_at = wp.metric_field(sp, j0, frame)
-    g = gram_at(kns.coords_from_sym(bp.phi))
+    field_, gram_at = wp.metric_field(sp, j0, frame)
+    coords = kns.coords_from_sym(bp.phi)
+    g = gram_at(coords)
     rng = np.random.default_rng(n)
     nsym = kns.sym_dim(n)
-    for _ in range(2):
-        xi, eta = (raw / np.sqrt(wp.df_inner(g, raw, raw).real)
-                   for raw in rng.standard_normal((2, nsym)) + 1j * rng.standard_normal((2, nsym)))
-        along = wp.curvature_fd_along(sp, j0, frame, bp, eta)
-        assert np.max(np.abs(along - np.einsum("jklm,l,m->jk", fd.entries,
-                                               eta, eta.conj()))) < 1e-7
-        assert np.einsum("jk,j,k->", along, xi, xi.conj()) == pytest.approx(
-            fd.pair(xi, eta), abs=1e-7)
+    raw = rng.standard_normal((2, 3, nsym)) + 1j * rng.standard_normal((2, 3, nsym))
+    xi, eta = raw / np.sqrt(wp.df_inner(g, raw, raw).real)[..., None]
+    along = wp.curvature_fd_along(field_, coords, g, xi[:, None], eta)
+    closed = wp.ClosedFormCurvature(bp.phi)
+    assert along.shape == (3, 3)
+    for i, j in np.ndindex(3, 3):
+        assert along[i, j] == pytest.approx(fd.pair(xi[i], eta[j]), abs=1e-7)
+        assert along[i, j] == pytest.approx(closed.pair(xi[i], eta[j]), abs=1e-8)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -217,7 +273,7 @@ def test_hsc_ascent_reaches_the_bound_from_below(n):
     closed = wp.ClosedFormCurvature(kns.random_bsd_point(n, rng, 0.75).phi)
     nsym = kns.sym_dim(n)
     starts = rng.standard_normal((3, nsym)) + 1j * rng.standard_normal((3, nsym))
-    best = np.max(wp.hsc_ascent(closed, starts, closed.metric())[0])
+    best = np.max(wp.hsc_ascent(closed, starts)[0])
     assert max(closed.hsc(x) for x in starts) < best <= -2.0 / n + 1e-12
     assert best > -2.0 / n - 1e-6
 
@@ -238,6 +294,66 @@ def _point_and_direction(draw):
     xi = xi[0] + 1j * xi[1]
     assume(np.max(np.abs(xi)) > 1e-3)
     return wp.ClosedFormCurvature(kns.BsdPoint(phi=phi).phi), xi
+
+
+def solved_direction(closed, xi):
+    """The G-steepest ascent direction of hsc at xi by a solve with conj(G)
+    (the Wirtinger gradient tr(M S_j) of `wpcurv._ascent_step`)."""
+    bx, bxb = closed._halves(xi)
+    p = bx @ bxb
+    w = bx @ closed.b.conj()
+    tr_p = np.trace(p).real
+    m = tr_p * (p @ w) - np.trace(p @ p).real * w
+    grad = -4.0 * np.einsum("ab,jba->j", m, closed.basis) / tr_p ** 3
+    return np.linalg.solve(closed.metric().conj(), grad)
+
+
+@st.composite
+def _ascent_case(draw):
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    closed = wp.ClosedFormCurvature(kns.random_bsd_point(n, rng, draw(st.floats(0.0, 0.9))).phi)
+    nsym = kns.sym_dim(n)
+    return closed, rng.standard_normal(nsym) + 1j * rng.standard_normal(nsym)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ascent_case())
+def test_closed_form_step_equals_the_solved_direction(case):
+    closed, xi = case
+    n = closed.phi.shape[-1]
+    a = closed.b @ kns.sym_from_coords(xi, n)
+    p = a @ a.conj()
+    _, v, q = wp._ascent_step(p)
+    want = closed.b @ kns.sym_from_coords(solved_direction(closed, xi), n)
+    # Relative to the scale |A| / tr(P) of the step's terms: at n = 1 the
+    # gradient vanishes and both sides are rounding.
+    scale = np.max(np.abs(a)) / np.trace(p).real
+    assert np.max(np.abs(v @ a - want)) <= 1e-12 * scale
+    c = v @ a
+    assert np.max(np.abs(a @ c.conj() + c @ a.conj() - q[1])) <= 1e-12 * scale * np.max(
+        np.abs(a)) ** 2
+    assert np.max(np.abs(c @ c.conj() - q[2])) <= 1e-12 * (scale * np.max(np.abs(a))) ** 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_rung_polynomials_equal_hsc_at_the_rungs(n):
+    rng = np.random.default_rng(130 + n)
+    closed = wp.ClosedFormCurvature(kns.random_bsd_point(n, rng, 0.75).phi)
+    nsym = kns.sym_dim(n)
+    g = closed.metric()
+    for _ in range(3):
+        xi = rng.standard_normal(nsym) + 1j * rng.standard_normal(nsym)
+        d = solved_direction(closed, xi)
+        a = closed.b @ kns.sym_from_coords(xi, n)
+        p = a @ a.conj()
+        trace, square = wp._rung_polynomials(wp._ascent_step(p)[2])
+        rungs = 2.0 ** -np.arange(-6, 41)
+        hsc = -2.0 * np.polyval(square, rungs) / np.polyval(trace, rungs) ** 2
+        moved = xi + rungs[:, None] * d
+        assert np.max(np.abs(hsc - closed.hsc(moved))) < 1e-12
+        norms = wp.df_inner(g, moved, moved).real
+        assert np.max(np.abs(np.polyval(trace, rungs) / norms - 1.0)) < 1e-12
 
 
 @settings(max_examples=80, deadline=None)
