@@ -100,6 +100,13 @@ MIN_GRID = 4
 FIBER_ARRAY_BYTES = 1 << 24
 MAX_GRID = math.isqrt(FIBER_ARRAY_BYTES // 16)
 
+# burns-bounds evaluates the Higgs field of one basepoint as one stack of
+# nsym matrices of 2n x 2n, 16 bytes an entry (`wpcurv.metric_field` blocks
+# longer stacks by points, so one point is its smallest block).  One such
+# stack may take at most HIGGS_STACK_BYTES: n=32 (34.6 MB a stack) runs in
+# about 176 MB peak RSS, and n=64 (545 MB a stack) is refused.
+HIGGS_STACK_BYTES = 1 << 26
+
 
 # The suite that reads a --model of each family registry; every other suite
 # runs without the model.
@@ -163,6 +170,12 @@ class SuiteConfig:
                     f"grid {grid} is too large: one fiber array would take "
                     f"{16 * grid * grid / 2**20:.2f} MiB, over the "
                     f"{FIBER_ARRAY_BYTES >> 20} MiB budget (grid <= {MAX_GRID})")
+        stack = 16 * kns.sym_dim(self.n) * (2 * self.n) ** 2
+        if self.suite in ("burns-bounds", "all") and stack > HIGGS_STACK_BYTES:
+            raise UsageError(
+                f"n={self.n} is too large for burns-bounds: one basepoint's Higgs field "
+                f"stack would take {stack / 2**20:.1f} MiB, over the "
+                f"{HIGGS_STACK_BYTES >> 20} MiB budget")
         rank = params.get("r", 1)
         if not isinstance(rank, int) or rank < 1:
             raise UsageError(f"bundle rank r must be an integer >= 1, got {rank!r}")

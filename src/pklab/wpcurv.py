@@ -111,6 +111,13 @@ def _in_blocks(evaluate, length: int, block: int) -> np.ndarray:
     return np.concatenate([evaluate(slice(i, i + block)) for i in range(0, length, block)])
 
 
+def _trace_pairing(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """out[..., j, k] = tr(x_j y_k) for x (..., J, m, m) and y (..., K, m, m),
+    as one product of the flattened x_j with the flattened transposes of y_k."""
+    rows = x.reshape(x.shape[:-2] + (-1,))
+    return rows @ y.swapaxes(-1, -2).reshape(y.shape[:-2] + (-1,)).swapaxes(-1, -2)
+
+
 def metric_field(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFrame,
                  degree: int = 1):
     """coords -> Hilbert-Schmidt Gram matrix of the degree-(-1,1) field.
@@ -129,8 +136,7 @@ def metric_field(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFram
         theta = field_.theta(coords)
         h = field_.gram(coords)[..., None, :, :]
         adjoints = np.linalg.inv(h) @ theta.conj().swapaxes(-1, -2) @ h
-        # out[j, k] = tr(theta_j adj(theta_k))
-        return np.einsum("...jab,...kba->...jk", theta, adjoints)
+        return _trace_pairing(theta, adjoints)      # tr(theta_j adj(theta_k))
 
     def gram_at(coords: np.ndarray) -> np.ndarray:
         coords = np.asarray(coords, dtype=complex)
@@ -256,8 +262,7 @@ class ClosedFormCurvature:
         GRAM_BLOCK_BYTES of the products B S_j."""
         n, nsym = self.basis.shape[-1], len(self.basis)
         b = self.b.reshape(-1, 1, n, n)
-        out = _in_blocks(lambda s: np.einsum("...jab,...kba->...jk", b[s] @ self.basis,
-                                             b[s].conj() @ self.basis),
+        out = _in_blocks(lambda s: _trace_pairing(b[s] @ self.basis, b[s].conj() @ self.basis),
                          len(b), max(1, GRAM_BLOCK_BYTES // (16 * nsym * n * n)))
         return out.reshape(self.b.shape[:-2] + (nsym, nsym))
 
@@ -273,6 +278,13 @@ class ClosedFormCurvature:
         """hsc = R(xi, xi, xi, xi) / G(xi, xi)^2 = -2 tr(P^2) / tr(P)^2, P = BX conj(BX)."""
         p = np.matmul(*self._halves(xi))
         return -2.0 * _trace(p @ p).real / _trace(p).real ** 2
+
+    def transport(self, xi: np.ndarray) -> np.ndarray:
+        """Z = K^H X conj(K), K K^H = B (Cholesky): X carried to the origin,
+        where G and R read the same on the images (homogeneity), and
+        P = BX conj(BX) = K Z conj(Z) K^{-1} has the spectrum sigma(Z)^2."""
+        k = np.linalg.cholesky(self.b)
+        return k.conj().swapaxes(-1, -2) @ sym_from_coords(xi, self.phi.shape[-1]) @ k.conj()
 
     def sharp_direction(self) -> np.ndarray:
         """Coordinates of X = L L^T, L the Cholesky factor of I - Phi conj(Phi):
@@ -306,67 +318,51 @@ def hsc_ascent(curv: ClosedFormCurvature, starts: np.ndarray) -> tuple[np.ndarra
     From each start (a row (..., nsym), broadcast against curv's stack):
     steepest ascent for the metric G, halving the step until the rise meets
     a quarter of the slope (Armijo), for at most ASCENT_ITERATIONS steps or
-    until the slope is rounding.  The state is P = A conj(A), A = BX; with
-    the step C = BD in closed form (`_ascent_step`), hsc and the G-norm at
-    every rung t, t/2, ... down to 1e-12 are polynomials in the rung
-    (`_rung_polynomials`).  The ascents run in lockstep.
+    until the slope is rounding.  The ascents run in lockstep on the spectrum
+    sigma(Z)^2 of P = A conj(A), A = BX, Z = `curv.transport`: the step
+    C = BD is V A, V a real polynomial in P (`_spectral_step`), so hsc and the
+    G-norm at every rung t, t/2, ... down to 1e-12 are sums over the spectrum
+    of P(r) = (I + rV)^2 P (`_spectrum_along`; README, numerical conventions).
     """
-    a = curv.b @ sym_from_coords(starts, curv.phi.shape[-1])      # A = BX
-    shape = a.shape[:-2]
-    p = (a @ a.conj()).reshape((-1,) + a.shape[-2:])
-    # Rungs r = 2^-k t down to 1e-12 for any t (a power of two, at most 2^50):
-    # a polynomial at every rung is one product with powers[k, m] = 2^(k(m-4)).
+    lam = np.linalg.svd(curv.transport(starts), compute_uv=False) ** 2
+    shape = lam.shape[:-1]
+    lam = lam.reshape(-1, lam.shape[-1])
+    # Rungs r = 2^-k t down to 1e-12 for any t (a power of two, at most 2^50).
     halves = 0.5 ** np.arange(2 + int(np.log2(2.0 ** ASCENT_ITERATIONS / 1e-12)))
-    degrees = np.arange(4, -1, -1)[:, None]
-    powers = halves[:, None] ** degrees.T
-    t, steps, running = np.ones(len(p)), np.zeros(len(p), dtype=int), np.ones(len(p), bool)
+    t, steps, running = np.ones(len(lam)), np.zeros(len(lam), dtype=int), np.ones(len(lam), bool)
     for _ in range(ASCENT_ITERATIONS):
-        value, _, q = _ascent_step(p)
-        trace, square = _rung_polynomials(q)
-        slope = 2.0 * trace[0]                  # 2 G(D, D) = 2 tr(C conj(C))
+        value, v = _spectral_step(lam)
+        slope = 2.0 * np.sum(lam * v * v, axis=-1)    # 2 G(D, D) = 2 tr(C conj(C))
         running &= slope > 1e-14                # stationary to rounding
         if not running.any():
             break
-        scale = t ** degrees
         r = halves[:, None] * t
-        rise = -2.0 * (powers @ (square * scale)) / (powers[:, 2:] @ (trace * scale[2:])) ** 2
+        moved = _spectrum_along(lam, v, r)      # tr P(r) is the G-norm
+        rise = -2.0 * np.sum(moved * moved, axis=-1) / np.sum(moved, axis=-1) ** 2
         passed = ~(rise < value + 0.25 * r * slope) & running & (r > 1e-12)
         found = passed.any(axis=0)
         accepted = np.where(found, t * halves[passed.argmax(axis=0)], 0.0)
         running &= found
-        step = accepted ** degrees[2:]          # (r^2, r, 1) at the accepted rung
-        p = np.where(found[:, None, None], np.einsum("ms,msab->sab", step, q[::-1])
-                     / np.sum(trace * step, axis=0)[:, None, None], p)
+        moved = _spectrum_along(lam, v, accepted)
+        lam = np.where(found[:, None], moved / np.sum(moved, axis=-1, keepdims=True), lam)
         t = np.where(found, 2.0 * accepted, t)
         steps += found
     else:       # every step was taken: the value is that of the last point
-        value = _ascent_step(p)[0]
+        value = _spectral_step(lam)[0]
     return value.reshape(shape), steps.reshape(shape)
 
 
-def _ascent_step(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """hsc at P = A conj(A), A = BX, the matrix V = -4 (tr(P) P - tr(P^2) I)
-    / tr(P)^3 of its G-steepest ascent step C = BD = V A (from B^T = conj(B);
-    README, numerical conventions), and the coefficients (P, 2VP, V^2 P) of
-    P(r) = (A + rC) conj(A + rC)."""
-    p2 = p @ p
-    tr_p = np.einsum("...aa->...", p).real[..., None, None]
-    tr_pp = np.einsum("...aa->...", p2).real[..., None, None]
-    k = -4.0 / (tr_p * tr_p * tr_p)
-    v, vp = k * (tr_p * p - tr_pp * np.eye(p.shape[-1])), k * (tr_p * p2 - tr_pp * p)
-    return (-2.0 * tr_pp / (tr_p * tr_p))[..., 0, 0], v, np.stack([p, 2.0 * vp, v @ vp])
+def _spectral_step(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """hsc = -2 tr(P^2) / tr(P)^2 at P's spectrum lam (..., n), and the
+    eigenvalues v of the step's V = -4 (tr(P) P - tr(P^2) I) / tr(P)^3."""
+    tr_p, tr_pp = np.sum(lam, axis=-1, keepdims=True), np.sum(lam * lam, axis=-1, keepdims=True)
+    return -2.0 * tr_pp[..., 0] / tr_p[..., 0] ** 2, -4.0 * (tr_p * lam - tr_pp) / tr_p ** 3
 
 
-# _DEGREE[k, 3i + j] = 1 where r^i P_i r^j P_j has degree 4 - k = i + j.
-_DEGREE = (4 - np.arange(5)[:, None] == np.add.outer(np.arange(3), np.arange(3)).ravel()) * 1.0
-
-
-def _rung_polynomials(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients, highest degree first, of tr P(r) (quadratic) and
-    tr P(r)^2 (quartic) in real r for P(r) = q[0] + r q[1] + r^2 q[2]."""
-    t = np.einsum("i...ab,j...ba->ij...", q, q).real          # t[i, j] = tr(P_i P_j)
-    return (q[::-1].trace(axis1=-2, axis2=-1).real,
-            (_DEGREE @ t.reshape(9, -1)).reshape((5,) + t.shape[2:]))
+def _spectrum_along(lam: np.ndarray, v: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The spectrum lam (1 + r v)^2 of P(r) = (I + rV)^2 P from those of P and
+    V (lam and v, (..., n)), at steps r broadcast against lam.shape[:-1]."""
+    return lam * (1.0 + r[..., None] * v) ** 2
 
 
 def curvature_formula_terms(space: SymplecticSpace, J: ComplexStructure,
@@ -479,9 +475,11 @@ def burns_bounds(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFram
             np.abs(curv.hsc(curv.sharp_direction()) + 2.0 / n)[:, 0],
             np.max(hsc_ascent(curv, starts[lo:hi, 0] + 1j * starts[lo:hi, 1])[0], axis=-1)],
             axis=-1)
-        # Halves of the G-orthonormal bases of the Ricci trace (rows; Gram in
-        # the y^H H x convention is the transpose of the coordinate matrix G).
+        # Ricci trace over G-orthonormal rows Y_d (Gram in the y^H H x convention
+        # is G^T): -[tr(BX.BbXb.Q) + tr(BbXb.BX.Qm)] with Q = sum_d BY_d.BbYb_d
+        # and its mirror Qm = sum_d BbYb_d.BY_d.
         by, byb = curv._halves(np.linalg.inv(np.linalg.cholesky(g.swapaxes(-1, -2))).conj())
+        q, mirror = (np.sum(m, axis=-3, keepdims=True) for m in (by @ byb, byb @ by))
         local = owner[offsets[lo]:offsets[hi]] - lo
         block_xi_eta = xi_eta[offsets[lo]:offsets[hi]]
 
@@ -492,12 +490,12 @@ def burns_bounds(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFram
             c = ClosedFormCurvature(curv.phi[own], curv.b[own])   # B of the owners
             bx, bxb = c._halves(xi_b[:, None])
             hsc_bis = _pairing(bx, bxb, *c._halves(np.stack([xi_b, eta_b], 1))).real
+            ricci = -(_trace(bx @ bxb @ q[own]) + _trace(bxb @ bx @ mirror[own])).real
             return np.column_stack([norms, hsc_bis, np.abs(df_inner(g[own], eta_b, xi_b)) ** 2,
-                                    _pairing(bx, bxb, by[own], byb[own]).real.sum(axis=-1),
-                                    per_base[own]])
+                                    ricci[:, 0], per_base[own]])
 
-        return _in_blocks(sample_rows, len(local),
-                          max(1, GRAM_BLOCK_BYTES // (16 * (nsym + 2) * n * n)))
+        # Samples per block: about eight n x n matrices each.
+        return _in_blocks(sample_rows, len(local), max(1, GRAM_BLOCK_BYTES // (16 * 8 * n * n)))
 
     # Basepoints per block: their Gram matrices take about GRAM_BLOCK_BYTES.
     columns = _in_blocks(base_block, len(counts), max(1, GRAM_BLOCK_BYTES // (16 * nsym * nsym)))

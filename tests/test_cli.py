@@ -326,6 +326,29 @@ def test_largest_grid_accepted():
     assert cli.SuiteConfig(suite="elliptic-family", grid=cli.MAX_GRID).grid == cli.MAX_GRID
 
 
+@pytest.mark.parametrize("argv", [
+    ["--suite", "burns-bounds", "--n", "64"],
+    ["--suite", "all", "--n", "64"],
+    ["--suite", "burns-bounds", "--n", "46"],
+])
+def test_oversized_burns_rank_refused_before_running(argv, monkeypatch, tmp_path, capsys):
+    def no_run(*args):
+        raise AssertionError("the suite ran before the rank was checked")
+
+    monkeypatch.setattr(cli, "run_suite", no_run)
+    monkeypatch.setattr(wp, "metric_field", no_run)
+    assert cli.main_verify(argv + ["--out", str(tmp_path / "r.json")]) == 2
+    assert _single_error_line(capsys)
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_rank_32_fits_the_higgs_stack_budget():
+    # One basepoint's stack at n=32 is 34.6 MB; at n=64 it would be 545 MB.
+    assert 16 * kns.sym_dim(32) * 64 ** 2 <= cli.HIGGS_STACK_BYTES < 16 * kns.sym_dim(64) * 128 ** 2
+    assert cli.SuiteConfig(suite="burns-bounds", n=32).n == 32
+    assert cli.SuiteConfig(suite="kns-roundtrip", n=64).n == 64
+
+
 def test_grid_too_coarse_for_the_fiber_spectrum_exits_2(capsys):
     assert cli.main_verify(["--suite", "schumacher", "--grid", "16"]) == 2
     assert _single_error_line(capsys)

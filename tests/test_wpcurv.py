@@ -298,7 +298,7 @@ def _point_and_direction(draw):
 
 def solved_direction(closed, xi):
     """The G-steepest ascent direction of hsc at xi by a solve with conj(G)
-    (the Wirtinger gradient tr(M S_j) of `wpcurv._ascent_step`)."""
+    (the Wirtinger gradient tr(M S_j) of README, numerical conventions)."""
     bx, bxb = closed._halves(xi)
     p = bx @ bxb
     w = bx @ closed.b.conj()
@@ -306,6 +306,10 @@ def solved_direction(closed, xi):
     m = tr_p * (p @ w) - np.trace(p @ p).real * w
     grad = -4.0 * np.einsum("ab,jba->j", m, closed.basis) / tr_p ** 3
     return np.linalg.solve(closed.metric().conj(), grad)
+
+
+def spectrum(closed, xi):
+    return np.linalg.svd(closed.transport(xi), compute_uv=False) ** 2
 
 
 @st.composite
@@ -320,20 +324,26 @@ def _ascent_case(draw):
 @settings(max_examples=60, deadline=None)
 @given(_ascent_case())
 def test_closed_form_step_equals_the_solved_direction(case):
+    # Along C = BD, D the solved direction, the full matrices
+    # P(r) = (A + rC) conj(A + rC) have the spectrum lam (1 + r v)^2 of the
+    # spectral step, and its slope sum lam v^2 is tr(C conj(C)).
     closed, xi = case
     n = closed.phi.shape[-1]
     a = closed.b @ kns.sym_from_coords(xi, n)
-    p = a @ a.conj()
-    _, v, q = wp._ascent_step(p)
-    want = closed.b @ kns.sym_from_coords(solved_direction(closed, xi), n)
-    # Relative to the scale |A| / tr(P) of the step's terms: at n = 1 the
+    c = closed.b @ kns.sym_from_coords(solved_direction(closed, xi), n)
+    lam = spectrum(closed, xi)
+    value, v = wp._spectral_step(lam)
+    tr_p = np.sum(lam)
+    assert value == pytest.approx(closed.hsc(xi), abs=1e-12)
+    # Relative to the scale (|A| / tr(P))^2 of C conj(C): at n = 1 the
     # gradient vanishes and both sides are rounding.
-    scale = np.max(np.abs(a)) / np.trace(p).real
-    assert np.max(np.abs(v @ a - want)) <= 1e-12 * scale
-    c = v @ a
-    assert np.max(np.abs(a @ c.conj() + c @ a.conj() - q[1])) <= 1e-12 * scale * np.max(
-        np.abs(a)) ** 2
-    assert np.max(np.abs(c @ c.conj() - q[2])) <= 1e-12 * (scale * np.max(np.abs(a))) ** 2
+    assert abs(np.trace(c @ c.conj()).real - np.sum(lam * v * v)) <= 1e-12 * (
+        np.max(np.abs(a)) / tr_p) ** 2
+    for r in tr_p * 2.0 ** -np.arange(-2, 8):
+        p_r = (a + r * c) @ (a + r * c).conj()
+        want = np.sort(np.linalg.eigvals(p_r).real)
+        got = np.sort(wp._spectrum_along(lam, v, np.asarray(r)))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(p_r)), r
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
@@ -345,15 +355,53 @@ def test_rung_polynomials_equal_hsc_at_the_rungs(n):
     for _ in range(3):
         xi = rng.standard_normal(nsym) + 1j * rng.standard_normal(nsym)
         d = solved_direction(closed, xi)
-        a = closed.b @ kns.sym_from_coords(xi, n)
-        p = a @ a.conj()
-        trace, square = wp._rung_polynomials(wp._ascent_step(p)[2])
+        lam = spectrum(closed, xi)
         rungs = 2.0 ** -np.arange(-6, 41)
-        hsc = -2.0 * np.polyval(square, rungs) / np.polyval(trace, rungs) ** 2
+        along = wp._spectrum_along(lam, wp._spectral_step(lam)[1], rungs)
+        trace = np.sum(along, axis=-1)
+        hsc = -2.0 * np.sum(along * along, axis=-1) / trace ** 2
         moved = xi + rungs[:, None] * d
         assert np.max(np.abs(hsc - closed.hsc(moved))) < 1e-12
         norms = wp.df_inner(g, moved, moved).real
-        assert np.max(np.abs(np.polyval(trace, rungs) / norms - 1.0)) < 1e-12
+        assert np.max(np.abs(trace / norms - 1.0)) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_transport_to_the_origin_keeps_metric_curvature_and_spectrum(n):
+    # Homogeneity: the metric and the curvature at Phi, read at xi and eta,
+    # are those of the origin read at the transported Z and W; and
+    # sigma(Z)^2, the ascent's starting spectrum, is the spectrum of
+    # P = BX conj(BX).
+    rng = np.random.default_rng(150 + n)
+    closed = wp.ClosedFormCurvature(kns.random_bsd_point(n, rng, 0.9).phi)
+    origin = wp.ClosedFormCurvature(np.zeros((n, n)))
+    nsym = kns.sym_dim(n)
+    basis = kns.coords_from_sym(closed.transport(np.eye(nsym)))     # images of e_j
+    g = closed.metric()
+    moved = wp.df_inner(origin.metric(), basis[:, None], basis[None, :])
+    assert np.max(np.abs(g - moved)) <= 1e-12 * np.max(np.abs(g))
+    raw = rng.standard_normal((2, 4, nsym)) + 1j * rng.standard_normal((2, 4, nsym))
+    xi, eta = raw
+    z, w = kns.coords_from_sym(closed.transport(raw))
+    pairs = closed.pair(xi[:, None], eta[None, :])
+    assert np.max(np.abs(pairs - origin.pair(z[:, None], w[None, :]))) <= 1e-12 * np.max(
+        np.abs(pairs))
+    assert np.max(np.abs(closed.hsc(xi) - origin.hsc(z))) <= 1e-12
+    for x in xi:
+        bx, bxb = closed._halves(x)
+        want = np.sort(np.linalg.eigvals(bx @ bxb).real)
+        assert np.max(np.abs(np.sort(spectrum(closed, x)) - want)) <= 1e-12 * want[-1]
+
+
+def test_trace_pairing_equals_the_einsum_it_replaces():
+    rng = np.random.default_rng(160)
+    for x_shape, y_shape in [((3, 2, 2), (4, 2, 2)), ((2, 5, 3, 3), (2, 5, 3, 3)),
+                             ((2, 1, 1, 4, 4), (1, 3, 6, 4, 4)), ((7, 1, 1), (7, 2, 1, 1))]:
+        x, y = (rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in (x_shape, y_shape))
+        want = np.einsum("...jab,...kba->...jk", x, y)
+        got = wp._trace_pairing(x, y)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 @settings(max_examples=80, deadline=None)
