@@ -189,6 +189,12 @@ class SuiteConfig:
                 fib.check_positivity(model, T_PERT)
             except fib.PositivityError as exc:
                 raise UsageError(f"model {self.model!r} at t={T_PERT}: {exc}") from None
+        if family in MODEL_SUITES["projbundle"] and self.suite in ("projbundle", "all"):
+            try:
+                with np.errstate(all="ignore"):     # metric() rejects inf and nan itself
+                    MODEL_SUITES["projbundle"][family](**params).metric(T_BUNDLE)
+            except ValueError as exc:
+                raise UsageError(f"model {self.model!r} at t={T_BUNDLE}: {exc}") from None
         for key, val in self.tolerances.items():
             if key not in DEFAULT_TOLERANCES:
                 raise UsageError(f"unknown tolerance key {key!r}")
@@ -447,7 +453,8 @@ def suite_curvature_formula(cfg: SuiteConfig, tol: Tolerances):
     for _ in range(count):
         bp = kns.random_bsd_point(n, rng, 0.55)
         tensor = wp.curvature_fd(space, j0, frame, bp)
-        resid = wp.curvature_formula_check(space, j0, frame, bp, fd=tensor)
+        resid = float(np.max(np.abs(wp.curvature_formula_terms(space, j0, frame, bp)
+                                    - tensor.entries)))
         worst_sym = max(worst_sym, tensor.kahler_symmetry_defect())
         worst_closed = max(worst_closed, float(np.max(np.abs(
             wp.ClosedFormCurvature(bp.phi).tensor().entries - tensor.entries))))
@@ -559,8 +566,9 @@ def suite_elliptic_family(cfg: SuiteConfig, tol: Tolerances):
     return checks
 
 
-# Base point of the schumacher suite's checks on the perturbed or configured model.
+# Base points of the schumacher and projbundle checks on a perturbed or configured model.
 T_PERT = 0.3 + 1.2j
+T_BUNDLE = 0.4 + 0.2j
 
 
 def _configured_fibration(cfg: SuiteConfig) -> fib.FibrationModel:
@@ -841,9 +849,9 @@ def suite_projbundle(cfg: SuiteConfig, tol: Tolerances):
     if cfg.model is not None:
         family, params = parse_model_spec(cfg.model)
         model = MODEL_SUITES["projbundle"][family](**params)
-        resid = pb.projective_flatness_residual(model, 0.4 + 0.2j)
+        resid = pb.projective_flatness_residual(model, T_BUNDLE)
         v = np.ones(model.r, dtype=complex)
-        top = pb.pk_top_power(pb.pk_form(model, 0.4 + 0.2j, v))
+        top = pb.pk_top_power(pb.pk_form(model, T_BUNDLE, v))
         # The two degeneracy detectors must agree on the configured model.
         consistent = 0.0 if (resid < 1e-8) == (top < 1e-8) else 1.0
         checks.append(_check("configured-model-consistency", "projflat-degenerate",

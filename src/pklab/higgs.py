@@ -47,9 +47,20 @@ class HiggsFrame:
     def dim(self) -> int:
         return self.gram.shape[-1]
 
-    def adjoint(self, m: np.ndarray) -> np.ndarray:
-        """Metric adjoint with respect to the Gram matrix."""
-        return np.linalg.solve(self.gram, m.conj().swapaxes(-1, -2) @ self.gram)
+
+def metric_adjoint(gram: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """adj(m) = h^{-1} m^H h, the adjoint for the Gram matrices h = gram
+    (..., d, d) of matrices m (..., d, d) broadcast against them: one inverse
+    of each Gram serves every matrix it is paired with."""
+    return np.linalg.inv(gram) @ m.conj().swapaxes(-1, -2) @ gram
+
+
+def theta_x(cols: np.ndarray, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """theta_X = Q dF_X F^{-1} = Q[:, n:] X F^{-1}[:n, :] for symmetric X, of
+    rank at most that of X: cols are the columns Q[:, n + i] and rows the rows
+    F^{-1}[j, :] (`HiggsField.chart`) at the rows i and columns j of X that x
+    keeps, all n of them or the support of a sparse X; broadcast."""
+    return cols @ x @ rows
 
 
 class HiggsField:
@@ -70,7 +81,12 @@ class HiggsField:
         self.k = k
         self.n = n
         self.nsym = sym_dim(n)
-        self._sym = sym_basis(n)
+        self._sym = np.stack(sym_basis(n))
+        # S_mu = E_ab + E_ba on its rows and columns (a, b) = _support[mu] is
+        # the block [[0, 1], [1, 0]], or [[0, 1], [0, 0]] for E_aa.
+        a, b = np.triu_indices(n)
+        self._support = np.stack([a, b], axis=-1)
+        self._block = np.multiply.outer(a != b, [[0.0, 0.0], [1.0, 0.0]]) + [[0, 1], [0, 0]]
         masks = wedge.type_masks(n, k)
         self.types = list(masks)
         self._type_diags = np.stack([np.diag(mask.astype(complex)) for mask in masks.values()])
@@ -80,18 +96,8 @@ class HiggsField:
         self.same = label[:, None] == label[None, :]
         # Rows of the reference covector basis (xi, conj(xi)) in the real dual.
         self.covectors = np.vstack([frame.columns, frame.columns.conj()])
-        self._sel = np.zeros((2 * n, 2 * n))
-        self._sel[:n, :n] = np.eye(n)
 
     # -- degree-1 fields ----------------------------------------------------
-
-    @property
-    def _dF(self) -> np.ndarray:
-        """dF_mu = [[0, 0], [S_mu, 0]] in the reference wedge-1 basis, formed per
-        call so that a field holds no nsym (2n)^2 stack (35 MB at n = 32)."""
-        df = np.zeros((self.nsym, 2 * self.n, 2 * self.n), dtype=complex)
-        df[:, self.n:, :self.n] = self._sym
-        return df
 
     def phi(self, coords: np.ndarray) -> np.ndarray:
         return sym_from_coords(coords, self.n)
@@ -101,14 +107,20 @@ class HiggsField:
         if spectral_radius_phibar(self.phi(coords)) >= 1.0 - BOUNDARY_MARGIN:
             raise BoundaryProximityError("stencil exits the bounded domain")
 
-    def theta1(self, coords: np.ndarray) -> np.ndarray:
-        """theta_mu = Q (d_mu F) F^{-1}: images of the holomorphic frame columns,
-        with Q = I - F sel F^{-1} and sel the projection onto the first n slots;
-        shape (..., nsym, 2n, 2n)."""
+    def chart(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """F^{-1} and Q = I - F[:, :n] F^{-1}[:n, :] at coordinates (..., nsym):
+        Q projects away from the span of the holomorphic frame columns."""
         f = graph_frame(self.phi(coords))
         finv = np.linalg.inv(f)
-        q = np.eye(2 * self.n) - f @ self._sel @ finv
-        return q[..., None, :, :] @ self._dF @ finv[..., None, :, :]
+        return finv, np.eye(2 * self.n) - f[..., :, :self.n] @ finv[..., :self.n, :]
+
+    def theta1(self, coords: np.ndarray) -> np.ndarray:
+        """theta_mu = Q (d_mu F) F^{-1} = `theta_x` at X = S_mu (`sym_basis`) read
+        on its support (a, b): a rank-two product with no (nsym, 2n, n)
+        intermediate; shape (..., nsym, 2n, 2n)."""
+        finv, q = self.chart(coords)
+        cols = np.moveaxis(q[..., :, self.n + self._support], -3, -2)
+        return theta_x(cols, self._block, finv[..., self._support, :])
 
     def structure(self, coords: np.ndarray) -> ComplexStructure:
         """The compatible structure at one point (the oracle route of `gram1`)."""
@@ -130,14 +142,13 @@ class HiggsField:
     def metric_row1(self, coords: np.ndarray, xi: np.ndarray) -> np.ndarray:
         """The row G(xi, e_q) = tr(theta_xi adj(theta_q)) of the degree-1
         metric at coordinates and directions broadcast (..., nsym): with
-        theta_xi = Q dF_xi F^{-1} it is tr(K dF_q^H), K = Q^H h theta_xi h^{-1}
-        F^{-H}, the block K[n:, :n] read in the `sym_basis` pairing."""
+        theta_xi = `theta_x` at X = sum xi_j S_j it is tr(K dF_q^H), K = Q^H h
+        theta_xi h^{-1} F^{-H}, the block K[n:, :n] read in the `sym_basis`
+        pairing."""
         n = self.n
-        f = graph_frame(self.phi(coords))
-        finv = np.linalg.inv(f)
-        q = np.eye(2 * n) - f[..., :, :n] @ finv[..., :n, :]
+        finv, q = self.chart(coords)
         h = self.gram1(coords, finv)
-        theta = q[..., :, n:] @ sym_from_coords(xi, n) @ finv[..., :n, :]
+        theta = theta_x(q[..., :, n:], sym_from_coords(xi, n), finv[..., :n, :])
         k = (q.conj().swapaxes(-1, -2)[..., n:, :] @ h @ theta
              @ np.linalg.solve(h, finv.conj().swapaxes(-1, -2)[..., :n]))
         rows, cols = np.triu_indices(n)
@@ -167,19 +178,16 @@ class HiggsField:
         return wedge.derivation_matrix(self.theta1(coords), self.k)
 
     def dtheta(self, coords: np.ndarray) -> np.ndarray:
-        """Exact first variation [mu, nu] = d_mu theta_nu, shape
-        (..., nsym, nsym, dim, dim).  F is affine in the coordinates, so
-        d_mu F = dF_mu, d_mu F^{-1} = -F^{-1} dF_mu F^{-1} and
-        d_mu Q = -(dF_mu sel F^{-1} + F sel d_mu F^{-1})."""
-        f = graph_frame(self.phi(coords))[..., None, :, :]
-        finv = np.linalg.inv(f)
-        q = np.eye(2 * self.n) - f @ self._sel @ finv
-        df = self._dF
-        dfinv = -finv @ df @ finv                                      # [mu]
-        dq = -(df @ self._sel @ finv + f @ self._sel @ dfinv)          # [mu]
-        d1 = (dq[..., :, None, :, :] @ df @ finv[..., None, :, :]
-              + q[..., None, :, :] @ df @ dfinv[..., :, None, :, :])
-        return wedge.derivation_matrix(d1, self.k)
+        """Exact first variation [mu, nu] = d_mu theta_nu, shape (..., nsym, nsym,
+        dim, dim), in closed form: F is affine in the coordinates, so d_mu Q =
+        -theta_mu and d_mu theta_nu = -(theta_mu dF_nu + theta_nu dF_mu) F^{-1},
+        `theta_x` at X = -(S_mu C S_nu + S_nu C S_mu), C = F^{-1}[:n, n:]."""
+        n = self.n
+        finv, q = self.chart(coords)
+        x = self._sym[:, None] @ finv[..., None, None, :n, n:] @ self._sym    # S_mu C S_nu
+        x = -(x + x.swapaxes(-3, -4))
+        return wedge.derivation_matrix(
+            theta_x(q[..., None, None, :, n:], x, finv[..., None, None, :n, :]), self.k)
 
     def gram(self, coords: np.ndarray) -> np.ndarray:
         return wedge.compound_matrix(self.gram1(coords), self.k)
@@ -358,18 +366,15 @@ def curvature_operator(st: HiggsStencil) -> np.ndarray:
 def curvature_algebraic(frame: HiggsFrame) -> np.ndarray:
     """-[theta_j, theta_k^*] with the metric adjoint, as entry [j, kbar]."""
     tj = frame.theta[:, None]
-    tks = frame.adjoint(frame.theta)[None, :]
+    tks = metric_adjoint(frame.gram, frame.theta)[None, :]
     return -(tj @ tks - tks @ tj)
 
 
 def adjoint_check(frame: HiggsFrame) -> float:
     """max_j | theta_j^* - conj(theta_j) | mixing metric adjoint and real structure."""
     c = wedge.conjugation_matrix(frame.phi.shape[-1], frame.k)
-    worst = 0.0
-    for t in frame.theta:
-        tbar = c @ t.conj() @ c
-        worst = max(worst, float(np.max(np.abs(frame.adjoint(t) - tbar))))
-    return worst
+    return float(np.max(np.abs(metric_adjoint(frame.gram, frame.theta)
+                               - c @ frame.theta.conj() @ c)))
 
 
 def theta_square_residual(frame: HiggsFrame) -> float:

@@ -39,8 +39,8 @@ class BundleMetricModel:
 
     def metric(self, t: complex) -> np.ndarray:
         h = np.asarray(self.jets(t)[0], dtype=complex)
-        if np.linalg.eigvalsh(0.5 * (h + h.conj().T)).min() <= 0:
-            raise ValueError("bundle metric must be positive definite")
+        if not np.all(np.isfinite(h)) or np.linalg.eigvalsh(0.5 * (h + h.conj().T)).min() <= 0:
+            raise ValueError("bundle metric must be finite and positive definite")
         return h
 
 

@@ -92,6 +92,7 @@ def compound_matrix(m: np.ndarray, k: int) -> np.ndarray:
         return m.copy()
     if 2 * k > dim:
         rows = np.array(basis(dim, k))
+        m = np.where(np.abs(m) < np.finfo(float).tiny, 0.0, m)    # LAPACK: NaN at subnormal pivots
         return np.linalg.det(m[..., rows[:, None, :, None], rows[None, :, None, :]])
     lead = m.shape[:-2]
     flat = m.reshape(lead + (dim * dim,))

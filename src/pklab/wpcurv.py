@@ -22,7 +22,7 @@ from math import comb
 import numpy as np
 
 from . import _fd
-from .higgs import HiggsField
+from .higgs import HiggsField, metric_adjoint
 from .kns import BsdPoint, coords_from_sym, random_bsd_point, sym_basis, sym_dim, sym_from_coords
 from .symplin import ComplexStructure, SymplecticSpace, UnitaryFrame
 
@@ -134,8 +134,7 @@ def metric_field(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFram
 
     def grams(coords: np.ndarray) -> np.ndarray:
         theta = field_.theta(coords)
-        h = field_.gram(coords)[..., None, :, :]
-        adjoints = np.linalg.inv(h) @ theta.conj().swapaxes(-1, -2) @ h
+        adjoints = metric_adjoint(field_.gram(coords)[..., None, :, :], theta)
         return _trace_pairing(theta, adjoints)      # tr(theta_j adj(theta_k))
 
     def gram_at(coords: np.ndarray) -> np.ndarray:
@@ -380,32 +379,18 @@ def curvature_formula_terms(space: SymplecticSpace, J: ComplexStructure,
     field_.guard(coords)
     theta = field_.theta(coords)
     h = field_.gram(coords)
-    hinv = np.linalg.inv(h)
-
-    def adj(m):
-        return hinv @ m.conj().swapaxes(-1, -2) @ h
-
-    adj_theta = adj(theta)
-    gram = np.einsum("jab,kba->jk", theta, adj_theta)
+    adj_theta = metric_adjoint(h, theta)
+    gram = _trace_pairing(theta, adj_theta)
     dtheta = field_.dtheta(coords)                                # [l, j]
-    rhs = np.einsum("ljab,qba->ljq", dtheta, adj_theta)
+    rhs = _trace_pairing(dtheta, adj_theta)                       # [l, j, q]
     coeff = np.linalg.solve(gram.T, rhs[..., None])[..., 0]
     perp = dtheta - np.einsum("ljq,qab->ljab", coeff, theta)
     left = adj_theta[:, None] @ theta[None, :]                    # [m, j]: adj(th_m) th_j
     right = theta[:, None] @ adj_theta[None, :]                   # [j, m]: th_j adj(th_m)
-    t1 = np.einsum("mjab,lkba->jklm", left, adj(left))
-    t2 = np.einsum("jmab,klba->jklm", right, adj(right))
-    t3 = np.einsum("ljab,mkba->jklm", perp, adj(perp))
+    t1 = np.einsum("mjab,lkba->jklm", left, metric_adjoint(h, left))
+    t2 = np.einsum("jmab,klba->jklm", right, metric_adjoint(h, right))
+    t3 = np.einsum("ljab,mkba->jklm", perp, metric_adjoint(h, perp))
     return -t1 - t2 - t3
-
-
-def curvature_formula_check(space: SymplecticSpace, J: ComplexStructure,
-                            frame: UnitaryFrame, basepoint: BsdPoint,
-                            fd: CurvatureTensor) -> float:
-    """Max entrywise deviation between the difference tensor `fd` at
-    `basepoint` and the three-term formula."""
-    alg = curvature_formula_terms(space, J, frame, basepoint)
-    return float(np.max(np.abs(fd.entries - alg)))
 
 
 def df_inner(g: np.ndarray, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:

@@ -265,6 +265,13 @@ def test_unusable_output_path_rejected_before_running(tmp_path, monkeypatch, cap
     ("projbundle", "constant r=0"),
     ("projbundle", "twisted r=-1"),
     ("projbundle", "twisted r=2.5"),
+    # exp(-w |t|^2) at the suite's point underflows to a zero metric, or
+    # overflows to an infinite one.
+    ("projbundle", "twisted weight=5000"),
+    ("projbundle", "split weights=5000,1"),
+    ("all", "twisted weight=5000"),
+    ("all", "split weights=5000,1"),
+    ("projbundle", "twisted weight=-5000"),
 ])
 def test_bad_model_rejected_before_running(suite, model, monkeypatch, capsys):
     def no_run(config):
@@ -273,6 +280,11 @@ def test_bad_model_rejected_before_running(suite, model, monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_suite", no_run)
     assert cli.main_verify(["--suite", suite, "--grid", "16", "--model", model]) == 2
     assert _single_error_line(capsys)
+
+
+def test_bundle_probe_ignores_a_fibration_model():
+    # projbundle runs without a --model of another registry, as before the probe.
+    assert cli.main_verify(["--suite", "projbundle", "--samples", "4", "--model", "elliptic"]) == 0
 
 
 def test_model_probe_builds_no_fiber_state(monkeypatch, tmp_path):

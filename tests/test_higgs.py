@@ -522,3 +522,45 @@ def test_dtheta_matches_differences_of_theta(n):
         fd = _fd.xy_combine(field_.theta(_fd.gradient_points(coords, 1e-3)), False, 1e-3)
         assert exact.shape == fd.shape == (field_.nsym, field_.nsym) + field_.theta(coords).shape[1:]
         assert np.max(np.abs(exact - fd)) <= 1e-9 * max(1.0, np.max(np.abs(exact)))
+
+
+def _dense_theta_and_dtheta(field_, coords):
+    """The dense forms the rank-two `theta_x` replaced: theta_mu = Q dF_mu F^{-1}
+    with Q = I - F sel F^{-1} (sel the projection onto the first n slots), and
+    d_mu theta_nu by the chain d_mu F^{-1} = -F^{-1} dF_mu F^{-1},
+    d_mu Q = -(dF_mu sel F^{-1} + F sel d_mu F^{-1}); degree 1, one point."""
+    n = field_.n
+    f = kns.graph_frame(field_.phi(coords))
+    finv = np.linalg.inv(f)
+    sel = np.diag(np.r_[np.ones(n), np.zeros(n)])
+    q = np.eye(2 * n) - f @ sel @ finv
+    df = np.zeros((field_.nsym, 2 * n, 2 * n), dtype=complex)
+    df[:, n:, :n] = kns.sym_basis(n)
+    dfinv = -finv @ df @ finv                                   # [mu]
+    dq = -(df @ sel @ finv + f @ sel @ dfinv)                   # [mu]
+    dtheta = dq[:, None] @ df @ finv + q @ df @ dfinv[:, None]
+    return q @ df @ finv, dtheta
+
+
+@settings(max_examples=60, deadline=None)
+@given(_structure_and_point())
+def test_rank_two_theta_and_closed_form_dtheta_equal_the_dense_forms(case):
+    field_, coords = case
+    theta, dtheta = _dense_theta_and_dtheta(field_, coords)
+    got = field_.dtheta(coords)
+    assert np.max(np.abs(field_.theta1(coords) - theta)) <= 1e-12 * np.max(np.abs(theta))
+    assert np.max(np.abs(got - dtheta)) <= 1e-12 * np.max(np.abs(dtheta))
+    assert np.array_equal(got, got.swapaxes(0, 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_structure_and_point())
+def test_metric_adjoint_equals_a_solve_on_every_degree(case):
+    # Both are backward stable, so they differ by rounding times cond(h).
+    field_, coords = case
+    for k in range(2 * field_.n + 1):
+        fk = hg.HiggsField(field_.space, field_.J, field_.frame, k)
+        h, theta = fk.gram(coords), fk.theta(coords)
+        want = np.linalg.solve(h, theta.conj().swapaxes(-1, -2) @ h)
+        err = np.max(np.abs(hg.metric_adjoint(h, theta) - want))
+        assert err <= 1e-13 * np.linalg.cond(h) * np.max(np.abs(want))

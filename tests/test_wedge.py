@@ -126,6 +126,18 @@ def test_derivation_matrix_degree_one_is_a_copy():
     assert m[0, 0] != 99.0
 
 
+def test_compound_matrix_above_half_degree_at_subnormal_entries():
+    # LAPACK's determinant of a minor with a subnormal LU pivot is NaN; the
+    # degree-1 Gram of HiggsField at coordinates of 1e-314 (n = 2) has this
+    # pattern, and its degree-3 compound is the Gram of degree 3.
+    m = np.eye(4, dtype=complex)
+    m[:2, 2:] = 1e-314 * _random_complex(np.random.default_rng(7), 2)   # that Gram's pattern
+    m[2:, :2] = m[:2, 2:].conj().T
+    for k in (3, 4):
+        want = wedge.compound_matrix(np.eye(4, dtype=complex), k)
+        assert np.max(np.abs(wedge.compound_matrix(m, k) - want)) <= 1e-300
+
+
 def test_compound_matrix_degree_one_is_an_exact_copy():
     m = _random_complex(np.random.default_rng(1), 4)
     stack = np.stack([m, 2.0 * m])
