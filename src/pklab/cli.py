@@ -412,13 +412,13 @@ def suite_higgs(cfg: SuiteConfig, tol: Tolerances):
 def suite_burns_bounds(cfg: SuiteConfig, tol: Tolerances):
     n = cfg.n
     space, j0, frame = _workspace(n)
-    rep = wp.burns_bounds(space, j0, frame, samples=cfg.samples,
-                          seed=int(np.random.default_rng([cfg.seed, 3]).integers(2**31)))
-    bound = -2.0 / n
-    rng = np.random.default_rng([cfg.seed, 31])
     pairs = np.random.default_rng([cfg.seed, 32]).standard_normal(
         (wp.CLOSEDNESS_PAIRS, 2, kns.sym_dim(n), 2)) @ np.array([1, 1j])   # (X, Z) per pair
-    closed = wp.metric_closedness(space, j0, frame, kns.random_bsd_point(n, rng, 0.5), pairs)
+    closedness = (kns.random_bsd_point(n, np.random.default_rng([cfg.seed, 31]), 0.5), pairs)
+    rep = wp.burns_bounds(space, j0, frame, samples=cfg.samples,
+                          seed=int(np.random.default_rng([cfg.seed, 3]).integers(2**31)),
+                          closedness=closedness)
+    bound = -2.0 / n
     return [
         _check("max-holomorphic-sectional", "sectional-bound", rep.max_hsc,
                bound + tol("hsc-margin"), witness=rep.worst_hsc_witness),
@@ -427,7 +427,8 @@ def suite_burns_bounds(cfg: SuiteConfig, tol: Tolerances):
         _check("paired-bisectional-excess", "bisectional-paired-bound",
                rep.max_paired_bisectional_excess, tol("hsc-margin")),
         _check("max-ricci", "ricci-bound", rep.max_ricci, bound + tol("ricci-margin")),
-        _check("metric-closedness", "metric-kahler", closed, tol("kahler-closedness")),
+        _check("metric-closedness", "metric-kahler", rep.metric_closedness,
+               tol("kahler-closedness")),
         _check("closed-form-metric", "closed-form-metric", rep.max_metric_error,
                tol("closed-form-metric")),
         _check("closed-form-pairing", "closed-form-curvature", rep.max_pairing_error,
@@ -848,7 +849,9 @@ def suite_projbundle(cfg: SuiteConfig, tol: Tolerances):
                          tol("projflat-zero")))
     if cfg.model is not None:
         family, params = parse_model_spec(cfg.model)
-        model = MODEL_SUITES["projbundle"][family](**params)
+        # In the normalized metric the residual is relative to max|h|, as the
+        # top power (which is invariant under h -> c h) already is.
+        model = pb.normalized_model(MODEL_SUITES["projbundle"][family](**params))
         resid = pb.projective_flatness_residual(model, T_BUNDLE)
         v = np.ones(model.r, dtype=complex)
         top = pb.pk_top_power(pb.pk_form(model, T_BUNDLE, v))

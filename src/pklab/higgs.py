@@ -175,7 +175,12 @@ class HiggsField:
         return wk @ self._type_diags @ np.linalg.inv(wk)
 
     def theta(self, coords: np.ndarray) -> np.ndarray:
-        return wedge.derivation_matrix(self.theta1(coords), self.k)
+        return self._lift(self.theta1(coords))
+
+    def _lift(self, m: np.ndarray) -> np.ndarray:
+        """The degree-k derivation of fresh degree-1 matrices m: m itself at
+        k = 1, without `wedge.derivation_matrix`'s copy."""
+        return m if self.k == 1 else wedge.derivation_matrix(m, self.k)
 
     def dtheta(self, coords: np.ndarray) -> np.ndarray:
         """Exact first variation [mu, nu] = d_mu theta_nu, shape (..., nsym, nsym,
@@ -186,8 +191,7 @@ class HiggsField:
         finv, q = self.chart(coords)
         x = self._sym[:, None] @ finv[..., None, None, :n, n:] @ self._sym    # S_mu C S_nu
         x = -(x + x.swapaxes(-3, -4))
-        return wedge.derivation_matrix(
-            theta_x(q[..., None, None, :, n:], x, finv[..., None, None, :n, :]), self.k)
+        return self._lift(theta_x(q[..., None, None, :, n:], x, finv[..., None, None, :n, :]))
 
     def gram(self, coords: np.ndarray) -> np.ndarray:
         return wedge.compound_matrix(self.gram1(coords), self.k)

@@ -10,13 +10,20 @@ product, while metrics with non-scalar curvature are falsifiers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import _fd
 from .fibration import top_power_norm
+
+
+# The least det(h) / |h|^r (|h| the largest eigenvalue) of a bundle metric:
+# the fiber block of `pk_form` has a determinant of about that size, so below
+# 1e-8 the form cannot be told from degenerate at the 1e-8 resolution of the
+# degeneracy checks.
+MIN_METRIC_SPREAD = 1e-8
 
 
 class ChartError(ValueError):
@@ -38,10 +45,39 @@ class BundleMetricModel:
     chart: int = 0
 
     def metric(self, t: complex) -> np.ndarray:
-        h = np.asarray(self.jets(t)[0], dtype=complex)
-        if not np.all(np.isfinite(h)) or np.linalg.eigvalsh(0.5 * (h + h.conj().T)).min() <= 0:
-            raise ValueError("bundle metric must be finite and positive definite")
+        """h at one base point t, once its jets are finite and h is positive
+        definite, with eigenvalues in the normal float range and det(h) / |h|^r
+        at least MIN_METRIC_SPREAD."""
+        jets = [np.asarray(m, dtype=complex) for m in self.jets(t)]
+        if not all(np.all(np.isfinite(m)) for m in jets):
+            raise ValueError("bundle metric jets must be finite")
+        h = jets[0]
+        eig = np.linalg.eigvalsh(0.5 * (h + h.conj().T))
+        if not eig.min() >= np.finfo(float).tiny:
+            raise ValueError("bundle metric must be positive definite in the normal float range")
+        spread = np.prod(eig / eig.max())
+        if spread < MIN_METRIC_SPREAD:
+            raise ValueError(f"bundle metric has det(h) / |h|^r = {spread:.3g}, under "
+                             f"{MIN_METRIC_SPREAD:g}, so its fiber form reads as degenerate")
         return h
+
+
+def _normalized_jets(model: BundleMetricModel, t: complex):
+    """model.jets(t) scaled, at each base point, by the power of two that puts
+    max|h| in [0.5, 1)."""
+    h, dh, ddh = (np.asarray(m, dtype=complex) for m in model.jets(t))
+    scale = np.ldexp(1.0, -np.frexp(np.max(np.abs(h), axis=(-2, -1), keepdims=True))[1])
+    return h * scale, dh * scale, ddh * scale
+
+
+def normalized_model(model: BundleMetricModel) -> BundleMetricModel:
+    """The model with its jets scaled, at each base point, by the power of two
+    that puts max|h| in [0.5, 1).  The scaling is exact, so `pk_form` (which
+    is invariant under h -> c h, and reads these jets) is unchanged wherever
+    the model's own products neither underflow nor overflow, and no longer
+    fails where they do; the curvature and the flatness residual scale with
+    max|h|."""
+    return replace(model, jets=lambda t: _normalized_jets(model, t))
 
 
 def chern_curvature(model: BundleMetricModel, t: complex) -> np.ndarray:
@@ -51,7 +87,11 @@ def chern_curvature(model: BundleMetricModel, t: complex) -> np.ndarray:
     conj(d_t h_{b tau bar}).
     """
     h, dh, ddh = model.jets(t)
-    hinv = np.linalg.inv(h)
+    return _lowered_curvature(dh, ddh, np.linalg.inv(h))
+
+
+def _lowered_curvature(dh: np.ndarray, ddh: np.ndarray, hinv: np.ndarray) -> np.ndarray:
+    """`chern_curvature` from the jets and the inverse metric."""
     return -np.asarray(ddh, dtype=complex) + dh @ hinv @ dh.conj().swapaxes(-1, -2)
 
 
@@ -93,13 +133,14 @@ def pk_form(model: BundleMetricModel, t: complex, v: np.ndarray) -> np.ndarray:
     the points.  Basis order: dt first, then the fiber
     differentials skipping the chart coordinate.  The matrix is Hermitian;
     its fiber block is the log-Hessian in the corrected frame and the base
-    block carries the curvature pairing plus the trace-part twist.
+    block carries the curvature pairing plus the trace-part twist.  The
+    form is that of the `normalized_model`.
     """
     v = _chart_coordinates(model, v)
-    h, dh, _ = model.jets(t)
+    h, dh, ddh = _normalized_jets(model, t)
     hinv = np.linalg.inv(h)
     L, big_h = _log_hessian(h, v)
-    rmat = chern_curvature(model, t)
+    rmat = _lowered_curvature(dh, ddh, hinv)
     ric = np.trace(hinv @ rmat, axis1=-2, axis2=-1)
     # delta v^a = dv^a + b^a dt with b^a = v^beta h^{gbar a} d_t h_{beta gbar}.
     b = np.einsum("...b,...ga,...bg->...a", v, hinv, dh)

@@ -32,31 +32,18 @@ from .symplin import ComplexStructure, SymplecticSpace, UnitaryFrame
 ORACLE_BASEPOINTS = 2
 ASCENT_STARTS = 3
 ASCENT_ITERATIONS = 50
-# Direction pairs of the metric-closedness record; the step of the one-line
-# oracle balances its h^4 truncation and h^-2 rounding (measured, n = 1..8).
+# Armijo rungs an ascent iteration evaluates per pass, from the top of the
+# ladder: the first passing rung is almost always among the first four.
+RUNG_CHUNK = 4
+# Direction pairs and difference step of the metric-closedness record; the
+# step of the one-line oracle balances its h^4 truncation and h^-2 rounding
+# (measured, n = 1..8).
 CLOSEDNESS_PAIRS = 4
+CLOSEDNESS_STEP = 1e-3
 LINE_STEP = 4e-3
 # Bytes of matrices per block of a stacked evaluation: metric_field's field
 # matrices, metric_rows' products and burns_bounds' pairing stack.
 GRAM_BLOCK_BYTES = 1 << 22
-
-
-class DegenerateMetricError(ValueError):
-    """The requested degree carries no metric (the field matrices vanish)."""
-
-
-@dataclass(frozen=True)
-class MetricSample:
-    basepoint: BsdPoint
-    gram: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.gram, dtype=complex)
-        if np.max(np.abs(g - g.conj().T)) > 1e-10 * max(1.0, np.max(np.abs(g))):
-            raise ValueError("metric sample must be Hermitian")
-        if np.linalg.eigvalsh(0.5 * (g + g.conj().T)).min() <= 0:
-            raise DegenerateMetricError("metric sample must be positive definite")
-        object.__setattr__(self, "gram", g)
 
 
 @dataclass(frozen=True)
@@ -83,7 +70,6 @@ class DfMetricReport:
     degree: int
     gram: np.ndarray
     degenerate: bool
-    sample: MetricSample | None
     ratio_to_degree1: float | None
     ratio_spread: float | None
 
@@ -103,6 +89,7 @@ class BoundsReport:
     max_einstein_defect: float     # |Ric(xi, xi) + (n + 1)| on unit vectors
     max_sharpness_defect: float    # |hsc(L L^T) + 2/n|
     max_ascent_hsc: float          # best hsc found by gradient ascent
+    metric_closedness: float | None = None   # at burns_bounds' `closedness` input
 
 
 def _in_blocks(evaluate, length: int, block: int) -> np.ndarray:
@@ -166,7 +153,7 @@ def df_metric(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFrame,
     g = gram_k(coords)
     if np.max(np.abs(g)) < 1e-14:
         return DfMetricReport(degree=normalization, gram=g, degenerate=True,
-                              sample=None, ratio_to_degree1=None, ratio_spread=None)
+                              ratio_to_degree1=None, ratio_spread=None)
     ratio = None
     spread = None
     if normalization != 1:
@@ -176,7 +163,6 @@ def df_metric(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFrame,
         ratio = float(np.mean(ratios.real))
         spread = float(np.max(np.abs(ratios - ratio)))
     return DfMetricReport(degree=normalization, gram=g, degenerate=False,
-                          sample=MetricSample(basepoint=basepoint, gram=g),
                           ratio_to_degree1=ratio, ratio_spread=spread)
 
 
@@ -204,26 +190,59 @@ def curvature_fd_along(field_: HiggsField, coords: np.ndarray, g: np.ndarray, xi
     + v G^{-1} v^H, v_q = d_w G(xi, e_q) at w = 0, at coords with the metric g
     there, broadcast against xi and eta: curvature_fd's formula contracted,
     from rows on the one-variable `_fd.hessian_points` (one `metric_rows`)."""
+    return _line_pairing(metric_rows(field_, *_line_rows(coords, xi, eta, step)), g, xi, step)
+
+
+def _line_rows(coords, xi, eta, step):
+    """The (coordinates, directions) of `curvature_fd_along`'s rows G(xi, .):
+    the one-variable `_fd.hessian_points` of the lines coords + w eta."""
     ndim = len(np.broadcast_shapes(np.shape(coords), np.shape(xi), np.shape(eta)))
     w = _fd.hessian_points(np.zeros(1, dtype=complex), step).reshape((-1,) + (1,) * ndim)
-    rows = metric_rows(field_, coords + w * eta, xi)
+    return coords + w * eta, xi
+
+
+def _line_pairing(rows, g, xi, step):
+    """`curvature_fd_along` from the rows at its `_line_rows`."""
     hess = _fd.hessian_combine(np.sum(rows * np.conj(xi), axis=-1), step)[0, 0]
     v = _fd.hessian_gradient(rows, step)[0]
     return -hess + (v[..., None, :] @ np.linalg.solve(g, v.conj()[..., None]))[..., 0, 0]
 
 
 def metric_closedness(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFrame,
-                      basepoint: BsdPoint, pairs: np.ndarray, step: float = 1e-3) -> float:
+                      basepoint: BsdPoint, pairs: np.ndarray,
+                      step: float = CLOSEDNESS_STEP) -> float:
     """max |d_Z G(X, .) - d_X G(Z, .)| over the pairs (X, Z) = pairs[p]
     (P, 2, nsym) scaled to unit length: d_l G_{j kbar} = d_j G_{l kbar}
     contracted with X^j Z^l, each derivative `_fd.xy_combine` of rows on the
     `_fd.xy_points` of a line through the basepoint (one `metric_rows`)."""
+    rows = metric_rows(HiggsField(space, J, frame, 1),
+                       *_closedness_rows(coords_from_sym(basepoint.phi), pairs, step))
+    return _closedness(rows, step)
+
+
+def _closedness_rows(coords, pairs, step):
+    """The (coordinates, directions) of `metric_closedness`' rows: G(X, .)
+    on the line coords + w Z and G(Z, .) on coords + w X, per unit pair."""
     pairs = pairs / np.linalg.norm(pairs, axis=-1, keepdims=True)
     w = _fd.xy_points(np.zeros(1, dtype=complex), 0, step).reshape(-1, 1, 1, 1)
-    rows = metric_rows(HiggsField(space, J, frame, 1),
-                       coords_from_sym(basepoint.phi) + w * pairs[:, ::-1], pairs)
+    return coords + w * pairs[:, ::-1], pairs
+
+
+def _closedness(rows, step):
+    """`metric_closedness` from the rows at its `_closedness_rows`."""
     d = _fd.xy_combine(rows, False, step)                  # [p, 0] = d_Z G(X, .)
     return float(np.max(np.abs(d[:, 0] - d[:, 1])))
+
+
+def _rows_in_one_pass(field_: HiggsField, *requests) -> list[np.ndarray]:
+    """`metric_rows` at every (coords, xi) request (each broadcast), all in
+    one call: the rows of each request, shaped like its broadcast."""
+    shapes = [np.broadcast_shapes(*map(np.shape, request)) for request in requests]
+    flat = [[np.broadcast_to(a, shape).reshape(-1, shape[-1]) for a in request]
+            for request, shape in zip(requests, shapes)]
+    rows = metric_rows(field_, *(np.concatenate(part) for part in zip(*flat)))
+    ends = np.cumsum([len(c) for c, _ in flat])[:-1]
+    return [part.reshape(shape) for part, shape in zip(np.split(rows, ends), shapes)]
 
 
 @dataclass(frozen=True)
@@ -266,8 +285,7 @@ class ClosedFormCurvature:
         return out.reshape(self.b.shape[:-2] + (nsym, nsym))
 
     def _halves(self, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x = sym_from_coords(xi, self.phi.shape[-1])     # X = sum xi_j S_j
-        return self.b @ x, self.b.conj() @ x.conj()
+        return _halves(self.b, xi)
 
     def pair(self, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
         """R(xi, conj(xi), eta, conj(eta))."""
@@ -301,6 +319,13 @@ class ClosedFormCurvature:
         return CurvatureTensor(entries=entries, basepoint=BsdPoint(self.phi))
 
 
+def _halves(b: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(BX, conj(BX)) with X = sum xi_j S_j, for B (..., n, n) and xi
+    (..., nsym) broadcast."""
+    x = sym_from_coords(xi, b.shape[-1])
+    return b @ x, b.conj() @ x.conj()
+
+
 def _trace(m):
     return np.trace(m, axis1=-2, axis2=-1)
 
@@ -320,30 +345,43 @@ def hsc_ascent(curv: ClosedFormCurvature, starts: np.ndarray) -> tuple[np.ndarra
     until the slope is rounding.  The ascents run in lockstep on the spectrum
     sigma(Z)^2 of P = A conj(A), A = BX, Z = `curv.transport`: the step
     C = BD is V A, V a real polynomial in P (`_spectral_step`), so hsc and the
-    G-norm at every rung t, t/2, ... down to 1e-12 are sums over the spectrum
+    G-norm at a rung r of t, t/2, ... down to 1e-12 are sums over the spectrum
     of P(r) = (I + rV)^2 P (`_spectrum_along`; README, numerical conventions).
+    The rungs are evaluated RUNG_CHUNK at a time, from the top, only until
+    every search has its first passing rung.
     """
     lam = np.linalg.svd(curv.transport(starts), compute_uv=False) ** 2
     shape = lam.shape[:-1]
     lam = lam.reshape(-1, lam.shape[-1])
-    # Rungs r = 2^-k t down to 1e-12 for any t (a power of two, at most 2^50).
-    halves = 0.5 ** np.arange(2 + int(np.log2(2.0 ** ASCENT_ITERATIONS / 1e-12)))
+    # Rungs r = 2^-k t down to 1e-12 for any t (a power of two, at most 2^50),
+    # and a last rung 0 that no search reaches: the step of a failed search.
+    halves = np.append(0.5 ** np.arange(2 + int(np.log2(2.0 ** ASCENT_ITERATIONS / 1e-12))), 0.0)
+    failed = len(halves) - 1
     t, steps, running = np.ones(len(lam)), np.zeros(len(lam), dtype=int), np.ones(len(lam), bool)
     for _ in range(ASCENT_ITERATIONS):
         value, v = _spectral_step(lam)
-        slope = 2.0 * np.sum(lam * v * v, axis=-1)    # 2 G(D, D) = 2 tr(C conj(C))
+        slope = 2.0 * (lam * v * v).sum(-1)     # 2 G(D, D) = 2 tr(C conj(C))
         running &= slope > 1e-14                # stationary to rounding
         if not running.any():
             break
-        r = halves[:, None] * t
-        moved = _spectrum_along(lam, v, r)      # tr P(r) is the G-norm
-        rise = -2.0 * np.sum(moved * moved, axis=-1) / np.sum(moved, axis=-1) ** 2
-        passed = ~(rise < value + 0.25 * r * slope) & running & (r > 1e-12)
-        found = passed.any(axis=0)
-        accepted = np.where(found, t * halves[passed.argmax(axis=0)], 0.0)
+        # The first passing rung of every running search, RUNG_CHUNK rungs
+        # at a time from the top, until no pending search can still pass.
+        rung, pending = np.full(len(lam), failed), running
+        for top in range(0, failed, RUNG_CHUNK):
+            r = halves[top:top + RUNG_CHUNK, None] * t
+            moved = _spectrum_along(lam, v, r)  # tr P(r) is the G-norm
+            rise = -2.0 * (moved * moved).sum(-1) / moved.sum(-1) ** 2
+            passed = ~(rise < value + 0.25 * r * slope) & (r > 1e-12) & pending
+            hit = passed.any(0)
+            rung = np.where(hit, top + passed.argmax(0), rung)
+            pending = pending & ~hit
+            if not (pending & (r[-1] > 1e-12)).any():
+                break
+        found = rung < failed
+        accepted = t * halves[rung]
         running &= found
         moved = _spectrum_along(lam, v, accepted)
-        lam = np.where(found[:, None], moved / np.sum(moved, axis=-1, keepdims=True), lam)
+        lam = np.where(found[:, None], moved / moved.sum(-1, keepdims=True), lam)
         t = np.where(found, 2.0 * accepted, t)
         steps += found
     else:       # every step was taken: the value is that of the last point
@@ -354,7 +392,7 @@ def hsc_ascent(curv: ClosedFormCurvature, starts: np.ndarray) -> tuple[np.ndarra
 def _spectral_step(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """hsc = -2 tr(P^2) / tr(P)^2 at P's spectrum lam (..., n), and the
     eigenvalues v of the step's V = -4 (tr(P) P - tr(P^2) I) / tr(P)^3."""
-    tr_p, tr_pp = np.sum(lam, axis=-1, keepdims=True), np.sum(lam * lam, axis=-1, keepdims=True)
+    tr_p, tr_pp = lam.sum(-1, keepdims=True), (lam * lam).sum(-1, keepdims=True)
     return -2.0 * tr_pp[..., 0] / tr_p[..., 0] ** 2, -4.0 * (tr_p * lam - tr_pp) / tr_p ** 3
 
 
@@ -401,8 +439,8 @@ def df_inner(g: np.ndarray, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
 
 
 def burns_bounds(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFrame,
-                 samples: int, seed: int, radius: float = 0.75,
-                 step: float = LINE_STEP) -> BoundsReport:
+                 samples: int, seed: int, radius: float = 0.75, step: float = LINE_STEP,
+                 closedness: tuple[BsdPoint, np.ndarray] | None = None) -> BoundsReport:
     """Seeded sweep of sectional, bisectional and Ricci bounds.
 
     Basepoints are seeded domain points; directions are unit vectors for the
@@ -419,7 +457,9 @@ def burns_bounds(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFram
     pass over the block's samples (indexed by owner) pairing every xi with
     xi, eta and the G-orthonormal basis of the Ricci trace.  The first
     sample's two pairings at the first ORACLE_BASEPOINTS basepoints meet
-    `curvature_fd_along`, every line in one call.
+    `curvature_fd_along`.  `closedness` is the (basepoint, pairs) of the
+    `metric_closedness` record, which the report then carries; its rows and
+    the oracle lines' rows are one `metric_rows` call.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -472,9 +512,9 @@ def burns_bounds(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFram
             own, d = local[s], block_xi_eta[s]
             norms = np.sqrt(df_inner(g[own, None], d, d).real)
             xi_b, eta_b = (d / norms[..., None]).swapaxes(0, 1)
-            c = ClosedFormCurvature(curv.phi[own], curv.b[own])   # B of the owners
-            bx, bxb = c._halves(xi_b[:, None])
-            hsc_bis = _pairing(bx, bxb, *c._halves(np.stack([xi_b, eta_b], 1))).real
+            b = curv.b[own]                                       # B of the owners
+            bx, bxb = _halves(b, xi_b[:, None])
+            hsc_bis = _pairing(bx, bxb, *_halves(b, np.stack([xi_b, eta_b], 1))).real
             ricci = -(_trace(bx @ bxb @ q[own]) + _trace(bxb @ bx @ mirror[own])).real
             return np.column_stack([norms, hsc_bis, np.abs(df_inner(g[own], eta_b, xi_b)) ** 2,
                                     ricci[:, 0], per_base[own]])
@@ -492,8 +532,12 @@ def burns_bounds(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFram
 
     first = offsets[:len(oracle_grams)]                       # first sample of a basepoint
     lines = np.stack([xi[first], xi_eta[first, 1] / norm_y[first, None]], axis=1)
-    oracle = curvature_fd_along(field_, coords[:len(first), None],
-                                np.stack(oracle_grams)[:, None], xi[first, None], lines, step)
+    requests = [_line_rows(coords[:len(first), None], xi[first, None], lines, step)]
+    if closedness is not None:
+        point, pairs = closedness
+        requests.append(_closedness_rows(coords_from_sym(point.phi), pairs, CLOSEDNESS_STEP))
+    rows = _rows_in_one_pass(field_, *requests)
+    oracle = _line_pairing(rows[0], np.stack(oracle_grams)[:, None], xi[first, None], step)
     max_pairing = np.max(np.abs(np.stack([hsc[first], bis[first]], axis=1) - oracle))
     return BoundsReport(n=n, samples=len(owner), max_hsc=float(hsc[worst]),
                         max_bisectional=float(np.max(bis)),
@@ -505,7 +549,9 @@ def burns_bounds(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFram
                         max_pairing_error=float(max_pairing),
                         max_einstein_defect=float(np.max(np.abs(ric + (n + 1)))),
                         max_sharpness_defect=float(max_sharp),
-                        max_ascent_hsc=float(max_ascent))
+                        max_ascent_hsc=float(max_ascent),
+                        metric_closedness=(None if closedness is None
+                                           else _closedness(rows[1], CLOSEDNESS_STEP)))
 
 
 def trace_inequality(kappa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -5,8 +5,12 @@ pairings, a Python sum for each Ricci trace, one `curvature_fd_along` call
 per oracle line and one halving Armijo search per ascent, whose direction
 solves the metric.  The batched sweep must reproduce its draws, its records
 and its witness, and every lockstep ascent must take the steps of its
-sequential ascent.
+sequential ascent.  `full_ladder_ascent` is the lockstep loop that evaluated
+every Armijo rung of every search; the on-demand rungs must reproduce its
+values and steps bit for bit.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -57,6 +61,36 @@ def sequential_ascent(curv, xi):
         t = 2.0 * t
         steps += 1
     return float(value), steps
+
+
+def full_ladder_ascent(curv, starts):
+    """`wp.hsc_ascent` with the whole rung ladder of every search evaluated
+    at once, as one (rungs, starts, n) stack per iteration."""
+    lam = np.linalg.svd(curv.transport(starts), compute_uv=False) ** 2
+    shape = lam.shape[:-1]
+    lam = lam.reshape(-1, lam.shape[-1])
+    halves = 0.5 ** np.arange(2 + int(np.log2(2.0 ** wp.ASCENT_ITERATIONS / 1e-12)))
+    t, steps, running = np.ones(len(lam)), np.zeros(len(lam), dtype=int), np.ones(len(lam), bool)
+    for _ in range(wp.ASCENT_ITERATIONS):
+        value, v = wp._spectral_step(lam)
+        slope = 2.0 * np.sum(lam * v * v, axis=-1)
+        running &= slope > 1e-14
+        if not running.any():
+            break
+        r = halves[:, None] * t
+        moved = wp._spectrum_along(lam, v, r)
+        rise = -2.0 * np.sum(moved * moved, axis=-1) / np.sum(moved, axis=-1) ** 2
+        passed = ~(rise < value + 0.25 * r * slope) & running & (r > 1e-12)
+        found = passed.any(axis=0)
+        accepted = np.where(found, t * halves[passed.argmax(axis=0)], 0.0)
+        running &= found
+        moved = wp._spectrum_along(lam, v, accepted)
+        lam = np.where(found[:, None], moved / np.sum(moved, axis=-1, keepdims=True), lam)
+        t = np.where(found, 2.0 * accepted, t)
+        steps += found
+    else:
+        value = wp._spectral_step(lam)[0]
+    return value.reshape(shape), steps.reshape(shape)
 
 
 def sequential_burns_bounds(space, J, frame, samples, seed, radius=0.75, step=wp.LINE_STEP):
@@ -193,3 +227,70 @@ def test_pairing_stack_in_blocks_matches_one_block(monkeypatch):
     for name in RECORDS:
         assert getattr(blocked, name) == pytest.approx(getattr(whole, name), abs=1e-12), name
     assert blocked.worst_hsc_witness == whole.worst_hsc_witness
+
+
+def seeded_ascents(n, bases, seed, scale=1.0):
+    """A curvature stack of `bases` basepoints and ASCENT_STARTS starts each,
+    the starts multiplied by `scale`."""
+    rng = np.random.default_rng(seed)
+    nsym = kns.sym_dim(n)
+    phi = np.stack([kns.random_bsd_point(n, rng, 0.75).phi for _ in range(bases)])
+    starts = scale * (rng.standard_normal((bases, wp.ASCENT_STARTS, nsym))
+                      + 1j * rng.standard_normal((bases, wp.ASCENT_STARTS, nsym)))
+    return wp.ClosedFormCurvature(phi[:, None]), starts
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_rungs_on_demand_reproduce_the_full_ladder(n, scale):
+    # Evaluating rungs RUNG_CHUNK at a time, from the top, until every open
+    # search has passed, changes no value and no step: equal bit for bit.
+    for bases, seed in ((1, 200 + n), (4, 210 + n), (40, 220 + n)):
+        curv, starts = seeded_ascents(n, bases, seed, scale)
+        values, steps = wp.hsc_ascent(curv, starts)
+        want_values, want_steps = full_ladder_ascent(curv, starts)
+        assert np.array_equal(values, want_values) and np.array_equal(steps, want_steps)
+
+
+def test_small_starts_search_past_the_first_chunk(monkeypatch):
+    # Starts of length 1e-3 make the first trial steps 1e6 times too long,
+    # so their searches read rungs beyond the first RUNG_CHUNK; the lockstep
+    # ascent must still take the steps of the sequential one.
+    n, bases = 3, 4
+    curv, starts = seeded_ascents(n, bases, 230, 1e-3)
+    calls = []
+    spectrum_along = wp._spectrum_along
+
+    def counted(lam, v, r):
+        calls.append(np.ndim(r))
+        return spectrum_along(lam, v, r)
+
+    monkeypatch.setattr(wp, "_spectrum_along", counted)
+    values, steps = wp.hsc_ascent(curv, starts)
+    # One accepted step (r of one axis) per iteration; more rung passes
+    # (r of two axes) than iterations means some search went past a chunk.
+    assert calls.count(2) > calls.count(1)
+    for base in range(bases):
+        single = wp.ClosedFormCurvature(curv.phi[base, 0])
+        for s in range(wp.ASCENT_STARTS):
+            value, count = sequential_ascent(single, starts[base, s])
+            assert steps[base, s] == count
+            assert values[base, s] == pytest.approx(value, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_closedness_in_the_oracle_pass_equals_metric_closedness(n):
+    # burns_bounds evaluates the closedness rows with the line oracle's, in
+    # one metric_rows call; the record equals metric_closedness bit for bit,
+    # and every other record equals that of a sweep without it.
+    space, j0, frame = workspace(n)
+    rng = np.random.default_rng(240 + n)
+    nsym = kns.sym_dim(n)
+    point = kns.random_bsd_point(n, rng, 0.5)
+    pairs = rng.standard_normal((wp.CLOSEDNESS_PAIRS, 2, nsym)) + 1j * rng.standard_normal(
+        (wp.CLOSEDNESS_PAIRS, 2, nsym))
+    fused = wp.burns_bounds(space, j0, frame, samples=23, seed=n, closedness=(point, pairs))
+    assert fused.metric_closedness == wp.metric_closedness(space, j0, frame, point, pairs)
+    plain = wp.burns_bounds(space, j0, frame, samples=23, seed=n)
+    assert plain.metric_closedness is None
+    assert dataclasses.replace(fused, metric_closedness=None) == plain

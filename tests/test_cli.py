@@ -272,6 +272,14 @@ def test_unusable_output_path_rejected_before_running(tmp_path, monkeypatch, cap
     ("all", "twisted weight=5000"),
     ("all", "split weights=5000,1"),
     ("projbundle", "twisted weight=-5000"),
+    # Finite jets whose metric is too near degenerate for the top-power
+    # detector (det(h) / |h|^r under 1e-8), or whose second jet overflows,
+    # or whose metric is subnormal.
+    ("projbundle", "split weights=2500,1"),
+    ("all", "split weights=2500,1"),
+    ("projbundle", "split weights=1,-80,0.5"),
+    ("projbundle", "twisted weight=-3500"),
+    ("projbundle", "twisted weight=3600"),
 ])
 def test_bad_model_rejected_before_running(suite, model, monkeypatch, capsys):
     def no_run(config):
@@ -280,6 +288,20 @@ def test_bad_model_rejected_before_running(suite, model, monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_suite", no_run)
     assert cli.main_verify(["--suite", suite, "--grid", "16", "--model", model]) == 2
     assert _single_error_line(capsys)
+
+
+@pytest.mark.parametrize("model", ["twisted weight=2000", "twisted weight=3500",
+                                   "twisted weight=-3000", "twisted weight=-100"])
+def test_flat_bundle_near_the_float_range_ends_passes(model, tmp_path):
+    # A projectively flat metric of size 1e-304 to 1e260 at the suite's
+    # point: the form and the residual are read in the normalized metric,
+    # so the two degeneracy detectors agree.
+    out = tmp_path / "r.json"
+    assert cli.main_verify(["--suite", "projbundle", "--samples", "8", "--model", model,
+                            "--out", str(out)]) == 0
+    check, = [c for c in json.loads(out.read_text())["checks"]
+              if c["name"] == "configured-model-consistency"]
+    assert check["status"] == "pass" and check["value"] == 0.0
 
 
 def test_bundle_probe_ignores_a_fibration_model():

@@ -564,3 +564,20 @@ def test_metric_adjoint_equals_a_solve_on_every_degree(case):
         want = np.linalg.solve(h, theta.conj().swapaxes(-1, -2) @ h)
         err = np.max(np.abs(hg.metric_adjoint(h, theta) - want))
         assert err <= 1e-13 * np.linalg.cond(h) * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_degree_one_fields_are_not_copied(n, monkeypatch):
+    # At k = 1 theta and dtheta are the fresh degree-1 stacks themselves;
+    # wedge.derivation_matrix (which copies at k = 1) is not called.
+    field1 = field_for(n, 1)[-1]
+    coords = kns.coords_from_sym(kns.random_bsd_point(n, np.random.default_rng(60 + n), 0.6).phi)
+    want_theta, want_dtheta = field1.theta(coords), field1.dtheta(coords)
+
+    def refuse(m, k):
+        raise AssertionError("derivation_matrix called at degree 1")
+
+    monkeypatch.setattr(wedge, "derivation_matrix", refuse)
+    assert np.array_equal(field1.theta(coords), field1.theta1(coords))
+    assert np.array_equal(field1.theta(coords), want_theta)
+    assert np.array_equal(field1.dtheta(coords), want_dtheta)

@@ -205,3 +205,44 @@ def test_closedness_residual_makes_one_form_call(monkeypatch):
     model = pb.split_twist_model((1.0, 2.0, 0.5))
     assert pb.d_closedness_residual(model, 0.3 + 0.1j, np.array([1.0, 0.4, 0.4])) < 1e-6
     assert calls == [(8, 3, 3)]
+
+
+@pytest.mark.parametrize("model", [pb.twisted_model(rand_pd(np.random.default_rng(5), 3), 0.8),
+                                   pb.split_twist_model((1.0, 2.0, 0.5)),
+                                   pb.constant_model(4.0 * np.eye(2))])
+def test_normalized_model_keeps_the_form_and_scales_the_residual(model):
+    # The scaling is a power of two: pk_form reads the same bits, and the
+    # residual is that of the model over the power of two of max|h|.
+    t = np.array([0.3 + 0.1j, -0.7j, 1.1])
+    v = np.ones((3, model.r), dtype=complex)
+    v[:, 1:] += 0.4 - 0.2j
+    normalized = pb.normalized_model(model)
+    assert np.array_equal(pb.pk_form(normalized, t, v), pb.pk_form(model, t, v))
+    h = normalized.jets(t)[0]
+    assert np.all((0.5 <= np.abs(h).max(axis=(-2, -1))) & (np.abs(h).max(axis=(-2, -1)) < 1.0))
+    for point in t:
+        scale = np.abs(model.jets(point)[0]).max() / np.abs(normalized.jets(point)[0]).max()
+        assert np.log2(scale) == round(np.log2(scale))
+        assert (pb.projective_flatness_residual(normalized, point) * scale
+                == pb.projective_flatness_residual(model, point))
+
+
+@pytest.mark.parametrize("weight", [-3000.0, -100.0, 2000.0, 3500.0])
+def test_flat_form_at_the_float_range_ends(weight):
+    # h = exp(-w |t|^2) I is 1e-304 to 1e260 here; H^2 would underflow or
+    # overflow, but the form is read in the normalized metric.
+    model = pb.twisted_model(np.eye(2), weight=weight)
+    omega = pb.pk_form(model, 0.4 + 0.2j, np.array([1.0, 0.3 - 0.5j]))
+    assert np.all(np.isfinite(omega)) and pb.pk_top_power(omega) < 1e-10
+    assert pb.fiber_positivity_margin(omega) > 0.1
+
+
+@pytest.mark.parametrize("weights", [(2500.0, 1.0), (1.0, -80.0, 0.5), (100.0, 1.0)])
+def test_near_degenerate_metric_refused(weights):
+    with pytest.raises(ValueError, match="det"):
+        pb.split_twist_model(weights).metric(0.4 + 0.2j)
+
+
+def test_metric_with_overflowing_jets_refused():
+    with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
+        pb.twisted_model(np.eye(2), weight=-3500.0).metric(0.4 + 0.2j)

@@ -36,7 +36,7 @@ def test_degenerate_degrees():
     sp, j0, frame = workspace(1)
     rep0 = wp.df_metric(sp, j0, frame, kns.BsdPoint(phi=np.zeros((1, 1))),
                         normalization=0)
-    assert rep0.degenerate and rep0.sample is None
+    assert rep0.degenerate
     rep2 = wp.df_metric(sp, j0, frame, kns.BsdPoint(phi=np.zeros((1, 1))),
                         normalization=2)
     assert rep2.degenerate  # top degree at n = 1 also carries no field
