@@ -855,8 +855,9 @@ def suite_projbundle(cfg: SuiteConfig, tol: Tolerances):
         resid = pb.projective_flatness_residual(model, T_BUNDLE)
         v = np.ones(model.r, dtype=complex)
         top = pb.pk_top_power(pb.pk_form(model, T_BUNDLE, v))
-        # The two degeneracy detectors must agree on the configured model.
-        consistent = 0.0 if (resid < 1e-8) == (top < 1e-8) else 1.0
+        # The two degeneracy detectors must agree on the configured model,
+        # and a NaN reading agrees with nothing.
+        consistent = 0.0 if (resid < 1e-8) == (top < 1e-8) and np.isfinite(resid + top) else 1.0
         checks.append(_check("configured-model-consistency", "projflat-degenerate",
                              consistent, 0.5,
                              witness={"family": family, "residual": resid,

@@ -48,16 +48,13 @@ def spectral_radius_phibar(phi: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(phi @ phi.conj()))))
 
 
-def _require_domain(phi: np.ndarray, radius2: float | None = None) -> None:
+def _require_domain(phi: np.ndarray) -> None:
     """Raise DomainError unless every matrix of the stack phi (..., n, n) is
     symmetric within SYM_TOL and has spectral radius of phi conj(phi) below
-    1 - BOUNDARY_MARGIN; radius2 is that spectral radius when the caller
-    knows it."""
+    1 - BOUNDARY_MARGIN."""
     if np.max(np.abs(phi - phi.swapaxes(-1, -2))) > SYM_TOL:
         raise DomainError("phi must be symmetric within 1e-10")
-    if radius2 is None:
-        radius2 = spectral_radius_phibar(phi)
-    if radius2 >= 1.0 - BOUNDARY_MARGIN:
+    if spectral_radius_phibar(phi) >= 1.0 - BOUNDARY_MARGIN:
         raise DomainError("spectral radius of phi conj(phi) must stay below 1")
 
 
@@ -73,13 +70,6 @@ class BsdPoint:
             raise DomainError("phi must be a square matrix")
         _require_domain(phi)
         object.__setattr__(self, "phi", phi)
-
-    @classmethod
-    def _checked(cls, phi: np.ndarray) -> BsdPoint:
-        """The point at a complex square phi that `_require_domain` has passed."""
-        point = object.__new__(cls)
-        object.__setattr__(point, "phi", phi)
-        return point
 
     @property
     def n(self) -> int:
@@ -137,18 +127,14 @@ def coords_from_sym(phi: np.ndarray) -> np.ndarray:
 
 
 def random_bsd_point(n: int, rng: np.random.Generator, radius: float = 0.7) -> BsdPoint:
-    """Seeded symmetric matrix rescaled to the requested spectral radius.
-
-    The rescaled phi conj(phi) has spectral radius target^2, which the domain
-    check reads instead of solving for the spectrum a second time."""
+    """Seeded symmetric matrix rescaled to the requested spectral radius."""
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     phi = 0.5 * (g + g.T)
     rho = spectral_radius_phibar(phi) ** 0.5
     target = radius * rng.uniform(0.1, 1.0)
     if rho > 0:
         phi = phi * (target / rho)
-    _require_domain(phi, target ** 2 if rho > 0 else 0.0)
-    return BsdPoint._checked(phi)
+    return BsdPoint(phi=phi)
 
 
 # ---------------------------------------------------------------------------

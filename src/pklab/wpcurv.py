@@ -89,7 +89,7 @@ class BoundsReport:
     max_einstein_defect: float     # |Ric(xi, xi) + (n + 1)| on unit vectors
     max_sharpness_defect: float    # |hsc(L L^T) + 2/n|
     max_ascent_hsc: float          # best hsc found by gradient ascent
-    metric_closedness: float | None = None   # at burns_bounds' `closedness` input
+    metric_closedness: float       # metric_closedness at the `closedness` input
 
 
 def _in_blocks(evaluate, length: int, block: int) -> np.ndarray:
@@ -284,16 +284,13 @@ class ClosedFormCurvature:
                          len(b), max(1, GRAM_BLOCK_BYTES // (16 * nsym * n * n)))
         return out.reshape(self.b.shape[:-2] + (nsym, nsym))
 
-    def _halves(self, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return _halves(self.b, xi)
-
     def pair(self, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
         """R(xi, conj(xi), eta, conj(eta))."""
-        return _pairing(*self._halves(xi), *self._halves(eta))
+        return _pairing(*_halves(self.b, xi), *_halves(self.b, eta))
 
     def hsc(self, xi: np.ndarray) -> np.ndarray:
         """hsc = R(xi, xi, xi, xi) / G(xi, xi)^2 = -2 tr(P^2) / tr(P)^2, P = BX conj(BX)."""
-        p = np.matmul(*self._halves(xi))
+        p = np.matmul(*_halves(self.b, xi))
         return -2.0 * _trace(p @ p).real / _trace(p).real ** 2
 
     def transport(self, xi: np.ndarray) -> np.ndarray:
@@ -439,8 +436,8 @@ def df_inner(g: np.ndarray, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
 
 
 def burns_bounds(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFrame,
-                 samples: int, seed: int, radius: float = 0.75, step: float = LINE_STEP,
-                 closedness: tuple[BsdPoint, np.ndarray] | None = None) -> BoundsReport:
+                 samples: int, seed: int, closedness: tuple[BsdPoint, np.ndarray],
+                 radius: float = 0.75, step: float = LINE_STEP) -> BoundsReport:
     """Seeded sweep of sectional, bisectional and Ricci bounds.
 
     Basepoints are seeded domain points; directions are unit vectors for the
@@ -458,8 +455,8 @@ def burns_bounds(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFram
     xi, eta and the G-orthonormal basis of the Ricci trace.  The first
     sample's two pairings at the first ORACLE_BASEPOINTS basepoints meet
     `curvature_fd_along`.  `closedness` is the (basepoint, pairs) of the
-    `metric_closedness` record, which the report then carries; its rows and
-    the oracle lines' rows are one `metric_rows` call.
+    report's `metric_closedness` record; its rows and the oracle lines' rows
+    are one `metric_rows` call.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -503,7 +500,7 @@ def burns_bounds(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFram
         # Ricci trace over G-orthonormal rows Y_d (Gram in the y^H H x convention
         # is G^T): -[tr(BX.BbXb.Q) + tr(BbXb.BX.Qm)] with Q = sum_d BY_d.BbYb_d
         # and its mirror Qm = sum_d BbYb_d.BY_d.
-        by, byb = curv._halves(np.linalg.inv(np.linalg.cholesky(g.swapaxes(-1, -2))).conj())
+        by, byb = _halves(curv.b, np.linalg.inv(np.linalg.cholesky(g.swapaxes(-1, -2))).conj())
         q, mirror = (np.sum(m, axis=-3, keepdims=True) for m in (by @ byb, byb @ by))
         local = owner[offsets[lo]:offsets[hi]] - lo
         block_xi_eta = xi_eta[offsets[lo]:offsets[hi]]
@@ -532,12 +529,11 @@ def burns_bounds(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFram
 
     first = offsets[:len(oracle_grams)]                       # first sample of a basepoint
     lines = np.stack([xi[first], xi_eta[first, 1] / norm_y[first, None]], axis=1)
-    requests = [_line_rows(coords[:len(first), None], xi[first, None], lines, step)]
-    if closedness is not None:
-        point, pairs = closedness
-        requests.append(_closedness_rows(coords_from_sym(point.phi), pairs, CLOSEDNESS_STEP))
-    rows = _rows_in_one_pass(field_, *requests)
-    oracle = _line_pairing(rows[0], np.stack(oracle_grams)[:, None], xi[first, None], step)
+    point, pairs = closedness
+    line_rows, closed_rows = _rows_in_one_pass(
+        field_, _line_rows(coords[:len(first), None], xi[first, None], lines, step),
+        _closedness_rows(coords_from_sym(point.phi), pairs, CLOSEDNESS_STEP))
+    oracle = _line_pairing(line_rows, np.stack(oracle_grams)[:, None], xi[first, None], step)
     max_pairing = np.max(np.abs(np.stack([hsc[first], bis[first]], axis=1) - oracle))
     return BoundsReport(n=n, samples=len(owner), max_hsc=float(hsc[worst]),
                         max_bisectional=float(np.max(bis)),
@@ -550,8 +546,7 @@ def burns_bounds(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFram
                         max_einstein_defect=float(np.max(np.abs(ric + (n + 1)))),
                         max_sharpness_defect=float(max_sharp),
                         max_ascent_hsc=float(max_ascent),
-                        metric_closedness=(None if closedness is None
-                                           else _closedness(rows[1], CLOSEDNESS_STEP)))
+                        metric_closedness=_closedness(closed_rows, CLOSEDNESS_STEP))
 
 
 def trace_inequality(kappa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

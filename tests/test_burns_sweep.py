@@ -2,8 +2,8 @@
 
 `sequential_burns_bounds` is the per-basepoint, per-sample loop with scalar
 pairings, a Python sum for each Ricci trace, one `curvature_fd_along` call
-per oracle line and one halving Armijo search per ascent, whose direction
-solves the metric.  The batched sweep must reproduce its draws, its records
+per oracle line, a `metric_closedness` call of its own and one halving
+Armijo search per ascent, whose direction solves the metric.  The batched sweep must reproduce its draws, its records
 and its witness, and every lockstep ascent must take the steps of its
 sequential ascent.  `full_ladder_ascent` is the lockstep loop that evaluated
 every Armijo rung of every search; the on-demand rungs must reproduce its
@@ -26,13 +26,22 @@ def workspace(n):
     return sp, j0, sl.unitary_frame(sp, j0)
 
 
+def closedness_input(n, seed):
+    """A (basepoint, pairs) input of the metric-closedness record."""
+    rng = np.random.default_rng(seed)
+    nsym = kns.sym_dim(n)
+    point = kns.random_bsd_point(n, rng, 0.5)
+    return point, rng.standard_normal((wp.CLOSEDNESS_PAIRS, 2, nsym)) + 1j * rng.standard_normal(
+        (wp.CLOSEDNESS_PAIRS, 2, nsym))
+
+
 def unit_vector(g, raw):
     return raw / np.sqrt(wp.df_inner(g, raw, raw).real)[..., None]
 
 
 def ascent_direction(curv, g, xi):
     """The G-steepest ascent direction of hsc at xi, by a solve with conj(G)."""
-    bx, bxb = curv._halves(xi)
+    bx, bxb = wp._halves(curv.b, xi)
     p = bx @ bxb
     w = bx @ curv.b.conj()
     tr_p = np.trace(p).real
@@ -93,7 +102,8 @@ def full_ladder_ascent(curv, starts):
     return value.reshape(shape), steps.reshape(shape)
 
 
-def sequential_burns_bounds(space, J, frame, samples, seed, radius=0.75, step=wp.LINE_STEP):
+def sequential_burns_bounds(space, J, frame, samples, seed, closedness, radius=0.75,
+                            step=wp.LINE_STEP):
     n = frame.n
     nsym = kns.sym_dim(n)
     rng = np.random.default_rng(seed)
@@ -149,12 +159,13 @@ def sequential_burns_bounds(space, J, frame, samples, seed, radius=0.75, step=wp
                            max_pairing_error=float(max_pairing),
                            max_einstein_defect=float(max_einstein),
                            max_sharpness_defect=float(max_sharp),
-                           max_ascent_hsc=float(max_ascent))
+                           max_ascent_hsc=float(max_ascent),
+                           metric_closedness=wp.metric_closedness(space, J, frame, *closedness))
 
 
 RECORDS = ["max_hsc", "max_bisectional", "max_paired_bisectional_excess", "max_ricci",
            "hsc_bound", "max_metric_error", "max_pairing_error", "max_einstein_defect",
-           "max_sharpness_defect", "max_ascent_hsc"]
+           "max_sharpness_defect", "max_ascent_hsc", "metric_closedness"]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -162,8 +173,11 @@ RECORDS = ["max_hsc", "max_bisectional", "max_paired_bisectional_excess", "max_r
 def test_batched_sweep_matches_the_sequential_loop(n, samples):
     space, j0, frame = workspace(n)
     for seed in range(10):
-        batched = wp.burns_bounds(space, j0, frame, samples=samples, seed=seed)
-        reference = sequential_burns_bounds(space, j0, frame, samples=samples, seed=seed)
+        closedness = closedness_input(n, seed)
+        batched = wp.burns_bounds(space, j0, frame, samples=samples, seed=seed,
+                                  closedness=closedness)
+        reference = sequential_burns_bounds(space, j0, frame, samples=samples, seed=seed,
+                                            closedness=closedness)
         assert (batched.n, batched.samples) == (reference.n, reference.samples) == (n, samples)
         for name in RECORDS:
             assert getattr(batched, name) == pytest.approx(getattr(reference, name),
@@ -221,9 +235,10 @@ def test_pairing_stack_in_blocks_matches_one_block(monkeypatch):
     # A one-byte budget runs one basepoint per block, evaluates the pairing
     # stack one sample per block and the oracle one line per call.
     space, j0, frame = workspace(3)
-    whole = wp.burns_bounds(space, j0, frame, samples=23, seed=4)
+    closedness = closedness_input(3, 4)
+    whole = wp.burns_bounds(space, j0, frame, samples=23, seed=4, closedness=closedness)
     monkeypatch.setattr(wp, "GRAM_BLOCK_BYTES", 1)
-    blocked = wp.burns_bounds(space, j0, frame, samples=23, seed=4)
+    blocked = wp.burns_bounds(space, j0, frame, samples=23, seed=4, closedness=closedness)
     for name in RECORDS:
         assert getattr(blocked, name) == pytest.approx(getattr(whole, name), abs=1e-12), name
     assert blocked.worst_hsc_witness == whole.worst_hsc_witness
@@ -282,15 +297,12 @@ def test_small_starts_search_past_the_first_chunk(monkeypatch):
 def test_closedness_in_the_oracle_pass_equals_metric_closedness(n):
     # burns_bounds evaluates the closedness rows with the line oracle's, in
     # one metric_rows call; the record equals metric_closedness bit for bit,
-    # and every other record equals that of a sweep without it.
+    # and no other record depends on the closedness input.
     space, j0, frame = workspace(n)
-    rng = np.random.default_rng(240 + n)
-    nsym = kns.sym_dim(n)
-    point = kns.random_bsd_point(n, rng, 0.5)
-    pairs = rng.standard_normal((wp.CLOSEDNESS_PAIRS, 2, nsym)) + 1j * rng.standard_normal(
-        (wp.CLOSEDNESS_PAIRS, 2, nsym))
+    point, pairs = closedness_input(n, 240 + n)
     fused = wp.burns_bounds(space, j0, frame, samples=23, seed=n, closedness=(point, pairs))
     assert fused.metric_closedness == wp.metric_closedness(space, j0, frame, point, pairs)
-    plain = wp.burns_bounds(space, j0, frame, samples=23, seed=n)
-    assert plain.metric_closedness is None
-    assert dataclasses.replace(fused, metric_closedness=None) == plain
+    other = wp.burns_bounds(space, j0, frame, samples=23, seed=n,
+                            closedness=closedness_input(n, 250 + n))
+    assert other.metric_closedness != fused.metric_closedness
+    assert dataclasses.replace(other, metric_closedness=fused.metric_closedness) == fused

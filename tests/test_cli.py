@@ -273,10 +273,11 @@ def test_unusable_output_path_rejected_before_running(tmp_path, monkeypatch, cap
     ("all", "split weights=5000,1"),
     ("projbundle", "twisted weight=-5000"),
     # Finite jets whose metric is too near degenerate for the top-power
-    # detector (det(h) / |h|^r under 1e-8), or whose second jet overflows,
+    # detector (det(h) / |h|^r under 1e-10), or whose second jet overflows,
     # or whose metric is subnormal.
     ("projbundle", "split weights=2500,1"),
     ("all", "split weights=2500,1"),
+    ("projbundle", "split weights=120,1"),
     ("projbundle", "split weights=1,-80,0.5"),
     ("projbundle", "twisted weight=-3500"),
     ("projbundle", "twisted weight=3600"),
@@ -302,6 +303,29 @@ def test_flat_bundle_near_the_float_range_ends_passes(model, tmp_path):
     check, = [c for c in json.loads(out.read_text())["checks"]
               if c["name"] == "configured-model-consistency"]
     assert check["status"] == "pass" and check["value"] == 0.0
+
+
+@pytest.mark.parametrize("suite", ["projbundle", "all"])
+def test_near_degenerate_bundle_the_detector_resolves_passes(suite, tmp_path):
+    # det(h) / |h|^r is 2.5e-9 at the suite's point: the non-flat form's top
+    # power (1.3e-7) still resolves, so the probe accepts it and the run
+    # passes.
+    out = tmp_path / "r.json"
+    assert cli.main_verify(["--suite", suite, "--n", "2", "--samples", "8",
+                            "--model", "split weights=100,1", "--out", str(out)]) == 0
+    check, = [c for c in json.loads(out.read_text())["checks"]
+              if c["name"].endswith("configured-model-consistency")]
+    assert check["status"] == "pass" and check["value"] == 0.0
+
+
+def test_nan_readings_of_the_configured_model_fail(monkeypatch):
+    # A NaN residual and a NaN top power are both "not under 1e-8"; the
+    # check must not read that as the detectors agreeing.
+    monkeypatch.setattr(cli.pb, "projective_flatness_residual", lambda model, t: float("nan"))
+    monkeypatch.setattr(cli.pb, "pk_top_power", lambda omega: float("nan"))
+    rep = cli.run_suite(cli.SuiteConfig(suite="projbundle", samples=4, model="twisted weight=1"))
+    check, = [c for c in rep.checks if c.name == "configured-model-consistency"]
+    assert check.status == "fail"
 
 
 def test_bundle_probe_ignores_a_fibration_model():

@@ -75,27 +75,6 @@ def test_invalid_points_rejected():
         kns.structure_from_bsd(frame, np.zeros((2, 2)))           # not the frame's size
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5])
-def test_random_point_is_the_checked_point_at_the_drawn_radius(n, monkeypatch):
-    # random_bsd_point solves for the spectrum once: the domain check reads
-    # the drawn radius, which matches a fresh eigensolve, and the point
-    # equals the one BsdPoint builds and checks from the same phi.
-    solves = []
-    radius_of = kns.spectral_radius_phibar
-    monkeypatch.setattr(kns, "spectral_radius_phibar",
-                        lambda phi: solves.append(1) or radius_of(phi))
-    rng = np.random.default_rng(40 + n)
-    for radius in (0.3, 0.75, 0.99):
-        point = kns.random_bsd_point(n, rng, radius)
-        assert len(solves) == 1
-        solves.clear()
-        assert np.array_equal(point.phi, kns.BsdPoint(phi=point.phi).phi)
-        assert point.phi.dtype == complex and point.radius < radius
-        solves.clear()
-    with pytest.raises(kns.DomainError):
-        kns.random_bsd_point(n, np.random.default_rng(0), 1e6)
-
-
 def test_berndtsson_values():
     assert np.max(np.abs(kns.berndtsson_tensor(np.eye(2), np.zeros((2, 2))))) == 0
     assert kns.berndtsson_tensor(np.eye(1), 0.3 * np.eye(1))[0, 0] == pytest.approx(0.3)

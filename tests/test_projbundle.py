@@ -237,10 +237,43 @@ def test_flat_form_at_the_float_range_ends(weight):
     assert pb.fiber_positivity_margin(omega) > 0.1
 
 
-@pytest.mark.parametrize("weights", [(2500.0, 1.0), (1.0, -80.0, 0.5), (100.0, 1.0)])
+@pytest.mark.parametrize("weights", [(2500.0, 1.0), (1.0, -80.0, 0.5), (120.0, 1.0)])
 def test_near_degenerate_metric_refused(weights):
     with pytest.raises(ValueError, match="det"):
         pb.split_twist_model(weights).metric(0.4 + 0.2j)
+
+
+SPLIT_FAMILIES = [lambda w: (w, 1.0), lambda w: (w, 1.0, 0.5), lambda w: (w, w, 1.0),
+                  lambda w: (w, 1.0, 1.0, 1.0), lambda w: (w, 0.0, -w), lambda w: (1.0, -w, 0.5)]
+
+
+@pytest.mark.parametrize("family", SPLIT_FAMILIES)
+def test_refused_metrics_have_an_unresolvable_form(family):
+    # The spread bound refuses no metric whose non-flat form the suite's
+    # top-power detector still resolves: every refused split metric has a
+    # top power under 1e-8 at the suite's point.
+    refused = 0
+    for w in np.arange(2.0, 300.0, 0.5):
+        model = pb.split_twist_model(family(w))
+        try:
+            model.metric(0.4 + 0.2j)
+        except ValueError:
+            refused += 1
+            with np.errstate(all="ignore"):
+                omega = pb.pk_form(model, 0.4 + 0.2j, np.ones(model.r))
+            assert not pb.pk_top_power(omega) >= 1e-8, family(w)
+    assert refused > 0
+
+
+@pytest.mark.parametrize("weights", [(100.0, 1.0), (110.0, 1.0), (1.0, -40.0, 0.5)])
+def test_metric_with_a_resolvable_top_power_accepted(weights):
+    # det(h) / |h|^r of 2.5e-9, 3.4e-10 and 8e-8: above MIN_METRIC_SPREAD, and
+    # the top power of the non-flat form stays above the 1e-8 threshold.
+    model = pb.split_twist_model(weights)
+    h = model.metric(0.4 + 0.2j)
+    eig = np.linalg.eigvalsh(h)
+    assert np.prod(eig / eig.max()) < 1e-7
+    assert pb.pk_top_power(pb.pk_form(model, 0.4 + 0.2j, np.ones(model.r))) > 1e-8
 
 
 def test_metric_with_overflowing_jets_refused():

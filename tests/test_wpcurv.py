@@ -166,7 +166,12 @@ def test_first_two_terms_dominate():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_burns_bounds(n):
     sp, j0, frame = workspace(n)
-    rep = wp.burns_bounds(sp, j0, frame, samples=30, seed=11)
+    rng = np.random.default_rng(170 + n)
+    nsym = kns.sym_dim(n)
+    pairs = rng.standard_normal((wp.CLOSEDNESS_PAIRS, 2, nsym)) + 1j * rng.standard_normal(
+        (wp.CLOSEDNESS_PAIRS, 2, nsym))
+    rep = wp.burns_bounds(sp, j0, frame, samples=30, seed=11,
+                          closedness=(kns.random_bsd_point(n, rng, 0.5), pairs))
     bound = -2.0 / n
     assert rep.max_hsc <= bound + 1e-3
     assert rep.max_bisectional <= 1e-6
@@ -177,6 +182,7 @@ def test_burns_bounds(n):
     assert rep.max_einstein_defect <= 1e-9
     assert rep.max_sharpness_defect <= 1e-12
     assert rep.max_ascent_hsc <= bound + 1e-12
+    assert rep.metric_closedness < 1e-6
 
 
 def test_orthogonal_directions_degenerate_pairing():
@@ -299,7 +305,7 @@ def _point_and_direction(draw):
 def solved_direction(closed, xi):
     """The G-steepest ascent direction of hsc at xi by a solve with conj(G)
     (the Wirtinger gradient tr(M S_j) of README, numerical conventions)."""
-    bx, bxb = closed._halves(xi)
+    bx, bxb = wp._halves(closed.b, xi)
     p = bx @ bxb
     w = bx @ closed.b.conj()
     tr_p = np.trace(p).real
@@ -388,7 +394,7 @@ def test_transport_to_the_origin_keeps_metric_curvature_and_spectrum(n):
         np.abs(pairs))
     assert np.max(np.abs(closed.hsc(xi) - origin.hsc(z))) <= 1e-12
     for x in xi:
-        bx, bxb = closed._halves(x)
+        bx, bxb = wp._halves(closed.b, x)
         want = np.sort(np.linalg.eigvals(bx @ bxb).real)
         assert np.max(np.abs(np.sort(spectrum(closed, x)) - want)) <= 1e-12 * want[-1]
 
