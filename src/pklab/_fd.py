@@ -19,6 +19,7 @@ evaluate it once, on the whole stencil.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import isqrt
 from typing import Callable
 
@@ -112,11 +113,15 @@ def gradient_points(z: np.ndarray, step: float = DEFAULT_STEP) -> np.ndarray:
 # coordinate l along x and y are its `xy_points`, so the same values also
 # give the holomorphic gradient (`hessian_gradient`).
 
+@lru_cache(maxsize=None)
 def _hessian_offsets(dim: int, h: float) -> np.ndarray:
+    """The offsets of one step h, built once per (dim, h) and read-only."""
     e = h * np.eye(dim)
     a, b = np.triu_indices(dim, 1)
     mixed = np.stack([e[a] + e[b], e[a] - e[b], -e[a] + e[b], -e[a] - e[b]], axis=1)
-    return np.concatenate([e, -e, mixed.reshape(-1, dim)])
+    offsets = np.concatenate([e, -e, mixed.reshape(-1, dim)])
+    offsets.setflags(write=False)
+    return offsets
 
 
 def hessian_points(z: np.ndarray, step: float = DEFAULT_STEP) -> np.ndarray:

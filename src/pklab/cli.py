@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import inspect
 import io
 import json
@@ -19,7 +20,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -276,10 +277,14 @@ def _check(name, anchor, value, threshold, comparison="<=", witness=None):
                        witness=_jsonable(witness) if not ok else None)
 
 
+@functools.lru_cache(maxsize=None)
 def _workspace(n: int):
+    """The standard space, structure and frame of rank n, shared and read-only."""
     space = sl.standard_symplectic(n)
     j0 = sl.standard_complex_structure(n)
     frame = sl.unitary_frame(space, j0)
+    for array in (space.form, j0.J, frame.columns):
+        array.setflags(write=False)
     return space, j0, frame
 
 
@@ -923,7 +928,7 @@ def report_payload(report: SuiteReport) -> dict:
         "config": report.config,
         "overrides": report.overrides,
         "passed": report.passed,
-        "checks": [asdict(c) for c in report.checks],
+        "checks": [dict(vars(c)) for c in report.checks],   # the witness is already _jsonable
     }
 
 

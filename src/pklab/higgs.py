@@ -41,6 +41,7 @@ class HiggsFrame:
     proj: dict[tuple[int, int], np.ndarray]
     theta: np.ndarray                               # (..., nsym, dim, dim)
     gram: np.ndarray
+    gram_inverse: np.ndarray = field(repr=False)
     frame_change: np.ndarray = field(repr=False)   # wedge power of F(t)
 
     @property
@@ -48,11 +49,22 @@ class HiggsFrame:
         return self.gram.shape[-1]
 
 
-def metric_adjoint(gram: np.ndarray, m: np.ndarray) -> np.ndarray:
+def metric_adjoint(gram: np.ndarray, inverse: np.ndarray, m: np.ndarray) -> np.ndarray:
     """adj(m) = h^{-1} m^H h, the adjoint for the Gram matrices h = gram
-    (..., d, d) of matrices m (..., d, d) broadcast against them: one inverse
-    of each Gram serves every matrix it is paired with."""
-    return np.linalg.inv(gram) @ m.conj().swapaxes(-1, -2) @ gram
+    (..., d, d), with inverse h^{-1} (`HiggsField.gram_inverse`), of matrices
+    m (..., d, d) broadcast against them."""
+    return inverse @ m.conj().swapaxes(-1, -2) @ gram
+
+
+def graph_inverse(phi: np.ndarray) -> np.ndarray:
+    """F^{-1} = diag(conj(B), B) graph_frame(-phi) for F = graph_frame(phi),
+    B = (I - phi conj(phi))^{-1}: the blocks [[conj(B), -conj(B phi)],
+    [-B phi, B]] from one n x n inverse per point."""
+    n = phi.shape[-1]
+    b = np.linalg.inv(np.eye(n) - phi @ phi.conj())
+    finv = graph_frame(-(b @ phi))
+    finv[..., :n, :n], finv[..., n:, n:] = b.conj(), b
+    return finv
 
 
 def theta_x(cols: np.ndarray, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -96,6 +108,7 @@ class HiggsField:
         self.same = label[:, None] == label[None, :]
         # Rows of the reference covector basis (xi, conj(xi)) in the real dual.
         self.covectors = np.vstack([frame.columns, frame.columns.conj()])
+        self._signs = np.kron([[1, -1], [-1, 1]], np.ones((n, n)))    # S X S = X * signs
 
     # -- degree-1 fields ----------------------------------------------------
 
@@ -108,17 +121,18 @@ class HiggsField:
             raise BoundaryProximityError("stencil exits the bounded domain")
 
     def chart(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """F^{-1} and Q = I - F[:, :n] F^{-1}[:n, :] at coordinates (..., nsym):
-        Q projects away from the span of the holomorphic frame columns."""
-        f = graph_frame(self.phi(coords))
-        finv = np.linalg.inv(f)
-        return finv, np.eye(2 * self.n) - f[..., :, :self.n] @ finv[..., :self.n, :]
+        """F^{-1} (`graph_inverse`) and Q = I - F[:, :n] F^{-1}[:n, :] =
+        F[:, n:] F^{-1}[n:, :] at coordinates (..., nsym): Q projects away from
+        the span of the holomorphic frame columns."""
+        phi = self.phi(coords)
+        finv = graph_inverse(phi)
+        return finv, graph_frame(phi)[..., :, self.n:] @ finv[..., self.n:, :]
 
-    def theta1(self, coords: np.ndarray) -> np.ndarray:
+    def theta1(self, coords: np.ndarray, chart: tuple | None = None) -> np.ndarray:
         """theta_mu = Q (d_mu F) F^{-1} = `theta_x` at X = S_mu (`sym_basis`) read
-        on its support (a, b): a rank-two product with no (nsym, 2n, n)
-        intermediate; shape (..., nsym, 2n, 2n)."""
-        finv, q = self.chart(coords)
+        on its support (a, b), from `chart(coords)` unless given: a rank-two
+        product with no (nsym, 2n, n) intermediate; shape (..., nsym, 2n, 2n)."""
+        finv, q = self.chart(coords) if chart is None else chart
         cols = np.moveaxis(q[..., :, self.n + self._support], -3, -2)
         return theta_x(cols, self._block, finv[..., self._support, :])
 
@@ -127,17 +141,22 @@ class HiggsField:
         return ComplexStructure(J=structure_from_bsd(self.frame, self.phi(coords)))
 
     def gram1(self, coords: np.ndarray, finv: np.ndarray | None = None) -> np.ndarray:
-        """Dual Gram matrix of the degree-1 covectors in closed form:
-        H = F^{-H} diag(conj(A), A) F^{-1}, with A = I - phi conj(phi); finv
-        is F^{-1} when the caller has already formed it.
+        """Dual Gram matrix of the degree-1 covectors in closed form: H =
+        F^{-H} D F^{-1} = F^{-H} graph_frame(-phi), D = diag(conj(A), A) and
+        A = I - phi conj(phi); finv is F^{-1} when the caller has formed it.
 
         It equals `symplin.dual_metric_gram` of `structure` on `covectors`.
         """
         phi = self.phi(coords)
-        a = np.eye(self.n) - phi @ phi.conj()
-        zero = np.zeros_like(a)
-        finv = np.linalg.inv(graph_frame(phi)) if finv is None else finv
-        return finv.conj().swapaxes(-1, -2) @ np.block([[a.conj(), zero], [zero, a]]) @ finv
+        finv = graph_inverse(phi) if finv is None else finv
+        return finv.conj().swapaxes(-1, -2) @ graph_frame(-phi)
+
+    def gram_inverse1(self, coords: np.ndarray, finv: np.ndarray | None = None) -> np.ndarray:
+        """H^{-1} = F D^{-1} F^H (`gram1`).  F is Hermitian, so F^H = F and
+        F D^{-1} = S F^{-H} S, S = diag(I, -I)."""
+        phi = self.phi(coords)
+        finv = graph_inverse(phi) if finv is None else finv
+        return (finv.conj().swapaxes(-1, -2) * self._signs) @ graph_frame(phi)
 
     def metric_row1(self, coords: np.ndarray, xi: np.ndarray) -> np.ndarray:
         """The row G(xi, e_q) = tr(theta_xi adj(theta_q)) of the degree-1
@@ -147,10 +166,9 @@ class HiggsField:
         pairing."""
         n = self.n
         finv, q = self.chart(coords)
-        h = self.gram1(coords, finv)
         theta = theta_x(q[..., :, n:], sym_from_coords(xi, n), finv[..., :n, :])
-        k = (q.conj().swapaxes(-1, -2)[..., n:, :] @ h @ theta
-             @ np.linalg.solve(h, finv.conj().swapaxes(-1, -2)[..., :n]))
+        k = (q.conj().swapaxes(-1, -2)[..., n:, :] @ self.gram1(coords, finv) @ theta
+             @ self.gram_inverse1(coords, finv) @ finv.conj().swapaxes(-1, -2)[..., :n])
         rows, cols = np.triu_indices(n)
         flat = k.reshape(k.shape[:-2] + (n * n,))
         return (np.take(flat, rows * n + cols, axis=-1)
@@ -163,19 +181,18 @@ class HiggsField:
 
     def frame_inverse(self, coords: np.ndarray) -> np.ndarray:
         """The inverse of `frame_change`: by Cauchy-Binet, the wedge power of
-        the inverse graph frame."""
-        return wedge.compound_matrix(np.linalg.inv(graph_frame(self.phi(coords))), self.k)
+        the inverse graph frame (`graph_inverse`)."""
+        return wedge.compound_matrix(graph_inverse(self.phi(coords)), self.k)
 
     def projectors(self, coords: np.ndarray, wk: np.ndarray | None = None) -> np.ndarray:
         """Type projectors, one per entry of `types`: shape (..., npq, dim, dim).
         wk is `frame_change(coords)` when the caller has already formed it."""
         if wk is None:
             wk = self.frame_change(coords)
-        wk = wk[..., None, :, :]
-        return wk @ self._type_diags @ np.linalg.inv(wk)
+        return wk[..., None, :, :] @ self._type_diags @ self.frame_inverse(coords)[..., None, :, :]
 
-    def theta(self, coords: np.ndarray) -> np.ndarray:
-        return self._lift(self.theta1(coords))
+    def theta(self, coords: np.ndarray, chart: tuple | None = None) -> np.ndarray:
+        return self._lift(self.theta1(coords, chart))
 
     def _lift(self, m: np.ndarray) -> np.ndarray:
         """The degree-k derivation of fresh degree-1 matrices m: m itself at
@@ -193,8 +210,16 @@ class HiggsField:
         x = -(x + x.swapaxes(-3, -4))
         return self._lift(theta_x(q[..., None, None, :, n:], x, finv[..., None, None, :n, :]))
 
-    def gram(self, coords: np.ndarray) -> np.ndarray:
-        return wedge.compound_matrix(self.gram1(coords), self.k)
+    def gram(self, coords: np.ndarray, finv: np.ndarray | None = None) -> np.ndarray:
+        return wedge.compound_matrix(self.gram1(coords, finv), self.k)
+
+    def gram_inverse(self, coords: np.ndarray, finv: np.ndarray | None = None) -> np.ndarray:
+        """The inverse of `gram`: the wedge power of `gram_inverse1`, but
+        1 / `gram` at the top degree, whose 1 x 1 Gram det H = 1 carries
+        rounding times cond(H) that the reciprocal matches exactly."""
+        if self.k == 2 * self.n:
+            return 1.0 / self.gram(coords, finv)
+        return wedge.compound_matrix(self.gram_inverse1(coords, finv), self.k)
 
     def theta_bar(self, coords: np.ndarray, theta: np.ndarray | None = None) -> np.ndarray:
         """The conjugate mixing field; theta is `theta(coords)` when the caller
@@ -219,6 +244,7 @@ class HiggsField:
             proj={pq: projs[..., b, :, :] for b, pq in enumerate(self.types)},
             theta=theta,
             gram=gram,
+            gram_inverse=self.gram_inverse(coords),
             frame_change=wk,
         )
 
@@ -370,14 +396,14 @@ def curvature_operator(st: HiggsStencil) -> np.ndarray:
 def curvature_algebraic(frame: HiggsFrame) -> np.ndarray:
     """-[theta_j, theta_k^*] with the metric adjoint, as entry [j, kbar]."""
     tj = frame.theta[:, None]
-    tks = metric_adjoint(frame.gram, frame.theta)[None, :]
+    tks = metric_adjoint(frame.gram, frame.gram_inverse, frame.theta)[None, :]
     return -(tj @ tks - tks @ tj)
 
 
 def adjoint_check(frame: HiggsFrame) -> float:
     """max_j | theta_j^* - conj(theta_j) | mixing metric adjoint and real structure."""
     c = wedge.conjugation_matrix(frame.phi.shape[-1], frame.k)
-    return float(np.max(np.abs(metric_adjoint(frame.gram, frame.theta)
+    return float(np.max(np.abs(metric_adjoint(frame.gram, frame.gram_inverse, frame.theta)
                                - c @ frame.theta.conj() @ c)))
 
 

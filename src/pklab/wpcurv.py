@@ -120,9 +120,10 @@ def metric_field(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFram
     block = max(1, GRAM_BLOCK_BYTES // (16 * nsym * comb(2 * field_.n, degree) ** 2))
 
     def grams(coords: np.ndarray) -> np.ndarray:
-        theta = field_.theta(coords)
-        adjoints = metric_adjoint(field_.gram(coords)[..., None, :, :], theta)
-        return _trace_pairing(theta, adjoints)      # tr(theta_j adj(theta_k))
+        chart = field_.chart(coords)                # one F^{-1} per point
+        theta, finv = field_.theta(coords, chart), chart[0]
+        h, h_inv = (f(coords, finv)[..., None, :, :] for f in (field_.gram, field_.gram_inverse))
+        return _trace_pairing(theta, metric_adjoint(h, h_inv, theta))    # tr(theta_j adj(theta_k))
 
     def gram_at(coords: np.ndarray) -> np.ndarray:
         coords = np.asarray(coords, dtype=complex)
@@ -413,8 +414,8 @@ def curvature_formula_terms(space: SymplecticSpace, J: ComplexStructure,
     field_ = HiggsField(space, J, frame, 1)
     field_.guard(coords)
     theta = field_.theta(coords)
-    h = field_.gram(coords)
-    adj_theta = metric_adjoint(h, theta)
+    h, h_inv = field_.gram(coords), field_.gram_inverse(coords)
+    adj_theta = metric_adjoint(h, h_inv, theta)
     gram = _trace_pairing(theta, adj_theta)
     dtheta = field_.dtheta(coords)                                # [l, j]
     rhs = _trace_pairing(dtheta, adj_theta)                       # [l, j, q]
@@ -422,9 +423,9 @@ def curvature_formula_terms(space: SymplecticSpace, J: ComplexStructure,
     perp = dtheta - np.einsum("ljq,qab->ljab", coeff, theta)
     left = adj_theta[:, None] @ theta[None, :]                    # [m, j]: adj(th_m) th_j
     right = theta[:, None] @ adj_theta[None, :]                   # [j, m]: th_j adj(th_m)
-    t1 = np.einsum("mjab,lkba->jklm", left, metric_adjoint(h, left))
-    t2 = np.einsum("jmab,klba->jklm", right, metric_adjoint(h, right))
-    t3 = np.einsum("ljab,mkba->jklm", perp, metric_adjoint(h, perp))
+    t1 = np.einsum("mjab,lkba->jklm", left, metric_adjoint(h, h_inv, left))
+    t2 = np.einsum("jmab,klba->jklm", right, metric_adjoint(h, h_inv, right))
+    t3 = np.einsum("ljab,mkba->jklm", perp, metric_adjoint(h, h_inv, perp))
     return -t1 - t2 - t3
 
 

@@ -1,5 +1,6 @@
 """Harness tests: configs, reports, determinism, exit codes, plot data."""
 
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -210,6 +211,28 @@ def test_witness_serialization_handles_complex(tmp_path):
     payload = json.loads(path.read_text())
     assert payload["checks"][0]["witness"]["matrix"] == [["0.5+0.25j"]]
     assert payload["checks"][0]["witness"]["n"] == 3
+
+
+def test_payload_checks_equal_the_asdict_form(monkeypatch):
+    # report_payload reads each record's fields without asdict's deep copy;
+    # a failed sectional bound carries a nested witness (basepoint, xi).
+    monkeypatch.setitem(cli.DEFAULT_TOLERANCES, "hsc-margin", -1.0)
+    rep = cli.run_suite(cli.SuiteConfig(suite="burns-bounds", n=2, samples=10))
+    assert any(c.status == "fail" and c.witness for c in rep.checks)
+    payload = cli.report_payload(rep)
+    want = dict(payload, checks=[dataclasses.asdict(c) for c in rep.checks])
+    assert json.dumps(payload, indent=2) == json.dumps(want, indent=2)
+
+
+def test_workspace_is_built_once_per_rank_and_read_only():
+    first, again = cli._workspace(3), cli._workspace(3)
+    assert all(a is b for a, b in zip(first, again))
+    space, j0, frame = first
+    assert frame.reference is j0
+    for array in (space.form, j0.J, frame.columns):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0] = 0.0
 
 
 def test_plot_data_cli_entry(tmp_path):
@@ -454,7 +477,7 @@ def test_schumacher_pairs_each_state_once(monkeypatch):
 def test_suite_all_concatenates_each_suite_in_order():
     def records(suite, prefix=""):
         rep = cli.run_suite(cli.SuiteConfig(suite=suite, n=1, samples=4))
-        return [json.dumps(cli.asdict(c) | {"name": prefix + c.name}) for c in rep.checks]
+        return [json.dumps(dataclasses.asdict(c) | {"name": prefix + c.name}) for c in rep.checks]
 
     assert records("all") == [r for name in cli.SUITES for r in records(name, f"{name}/")]
 
@@ -490,8 +513,8 @@ def test_all_gives_a_bundle_model_to_projbundle(monkeypatch):
     rep = cli.run_suite(cli.SuiteConfig(suite="all", n=1, samples=4, model=model))
     assert seen == {name: model if name == "projbundle" else None for name in cli.SUITES}
     alone = cli.run_suite(cli.SuiteConfig(suite="projbundle", n=1, samples=4, model=model))
-    want = [cli.asdict(c) for c in alone.checks]
-    assert [cli.asdict(c) | {"name": c.name[len("projbundle/"):]} for c in rep.checks
+    want = [dataclasses.asdict(c) for c in alone.checks]
+    assert [dataclasses.asdict(c) | {"name": c.name[len("projbundle/"):]} for c in rep.checks
             if c.name.startswith("projbundle/")] == want
     assert alone.passed and "configured-model-consistency" in [c["name"] for c in want]
 

@@ -94,6 +94,22 @@ def test_hessian_points_and_combine_equal_the_loop(n):
             assert np.array_equal(_fd.hessian_gradient(values, step), grads)
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_cached_hessian_offsets_give_the_points_of_a_fresh_table(n):
+    z = np.stack([kns.coords_from_sym(kns.random_bsd_point(n, np.random.default_rng(s), 0.6).phi)
+                  for s in (1, 2)])
+    for step in (1e-3, 4e-3):
+        fresh = np.concatenate([_fd._hessian_offsets.__wrapped__(2 * z.shape[-1], h)
+                                for h in (step, step / 2.0)])
+        x = np.concatenate([z.real, z.imag], axis=-1) + fresh[:, None]
+        want = np.concatenate([z[None], x[..., :z.shape[-1]] + 1j * x[..., z.shape[-1]:]])
+        assert np.array_equal(_fd.hessian_points(z, step), want)
+        assert np.array_equal(_fd.hessian_points(z, step), want)    # from the cache
+        table = _fd._hessian_offsets(2 * z.shape[-1], step)
+        assert table is _fd._hessian_offsets(2 * z.shape[-1], step)
+        assert not table.flags.writeable
+
+
 def test_closedness_defect_matches_the_pair_loop():
     rng = np.random.default_rng(3)
     grads = rng.standard_normal((4, 4, 4)) + 1j * rng.standard_normal((4, 4, 4))

@@ -562,8 +562,83 @@ def test_metric_adjoint_equals_a_solve_on_every_degree(case):
         fk = hg.HiggsField(field_.space, field_.J, field_.frame, k)
         h, theta = fk.gram(coords), fk.theta(coords)
         want = np.linalg.solve(h, theta.conj().swapaxes(-1, -2) @ h)
-        err = np.max(np.abs(hg.metric_adjoint(h, theta) - want))
+        err = np.max(np.abs(hg.metric_adjoint(h, fk.gram_inverse(coords), theta) - want))
         assert err <= 1e-13 * np.linalg.cond(h) * np.max(np.abs(want))
+
+
+# ---------------------------------------------------------------------------
+# The closed-form inverses (`graph_inverse`, `gram_inverse`) against dense
+# LAPACK inverses, and hand mutations of F^{-1} that the suite must catch.
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _chart_point(draw):
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return n, kns.coords_from_sym(kns.random_bsd_point(n, rng, draw(st.floats(0.0, 0.99))).phi)
+
+
+def _close(got, want, cond):
+    return np.max(np.abs(got - want)) <= 1e-12 * cond * np.max(np.abs(want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_chart_point())
+def test_chart_equals_the_dense_inverse_of_the_graph_frame(case):
+    n, coords = case
+    field_ = field_for(n, 1)[-1]
+    f = kns.graph_frame(field_.phi(coords))
+    want = np.linalg.inv(f)
+    finv, q = field_.chart(coords)
+    assert _close(finv, want, np.linalg.cond(f))
+    assert _close(q, np.eye(2 * n) - f[:, :n] @ want[:n, :], np.linalg.cond(f))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_chart_point())
+def test_closed_form_inverses_equal_dense_inverses_on_every_degree(case):
+    # Every degree up to n = 3; degrees 1 and 2 above, where the compounds
+    # of the top degrees outgrow the test.
+    n, coords = case
+    for k in range(2 * n + 1) if n <= 3 else (1, 2):
+        field_ = field_for(n, k)[-1]
+        h, wk = field_.gram(coords), field_.frame_change(coords)
+        assert _close(field_.gram_inverse(coords), np.linalg.inv(h), np.linalg.cond(h))
+        want = np.linalg.inv(wk)
+        assert _close(field_.frame_inverse(coords), want, np.linalg.cond(wk))
+        assert _close(field_.projectors(coords), wk @ field_._type_diags @ want,
+                      np.linalg.cond(wk))
+
+
+def _flipped_block(phi):
+    """F^{-1} with its lower-left block negated."""
+    finv = _graph_inverse(phi)
+    n = phi.shape[-1]
+    finv[..., n:, :n] *= -1
+    return finv
+
+
+def _conjugate_block(phi):
+    """F^{-1} with conj(A)^{-1} in place of A^{-1} in its lower-right block."""
+    finv = _graph_inverse(phi)
+    n = phi.shape[-1]
+    finv[..., n:, n:] = finv[..., :n, :n]
+    return finv
+
+
+_graph_inverse = hg.graph_inverse
+
+
+@pytest.mark.parametrize("mutation", [_flipped_block, _conjugate_block],
+                         ids=["flipped-off-diagonal-sign", "conjugate-inverse"])
+def test_wrong_graph_inverse_fails_the_suite(monkeypatch, mutation):
+    config = cli.SuiteConfig(suite="higgs", n=2)
+    records = ("gram-structure-route", "connection-identities-k1")
+    status = {r.name: r.status for r in cli.run_suite(config).checks}
+    assert [status[r] for r in records] == ["pass", "pass"]
+    monkeypatch.setattr(hg, "graph_inverse", mutation)
+    status = {r.name: r.status for r in cli.run_suite(config).checks}
+    assert [status[r] for r in records] == ["fail", "fail"]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
