@@ -108,7 +108,11 @@ class HiggsField:
         self.same = label[:, None] == label[None, :]
         # Rows of the reference covector basis (xi, conj(xi)) in the real dual.
         self.covectors = np.vstack([frame.columns, frame.columns.conj()])
-        self._signs = np.kron([[1, -1], [-1, 1]], np.ones((n, n)))    # S X S = X * signs
+        # The inverse Gram is S h S, S = diag(I, -I) (`gram1`); at degree k S's
+        # wedge power is the sign (-1)^j of a basis element with j conjugates.
+        sign = [np.array([(-1.0) ** sum(i >= n for i in b) for b in wedge.basis(2 * n, d)])
+                for d in (1, k)]
+        self._signs1, self._signs = (np.multiply.outer(s, s) for s in sign)
 
     # -- degree-1 fields ----------------------------------------------------
 
@@ -144,19 +148,13 @@ class HiggsField:
         """Dual Gram matrix of the degree-1 covectors in closed form: H =
         F^{-H} D F^{-1} = F^{-H} graph_frame(-phi), D = diag(conj(A), A) and
         A = I - phi conj(phi); finv is F^{-1} when the caller has formed it.
+        Its inverse F D^{-1} F^H is S H S, S = diag(I, -I) (README).
 
         It equals `symplin.dual_metric_gram` of `structure` on `covectors`.
         """
         phi = self.phi(coords)
         finv = graph_inverse(phi) if finv is None else finv
         return finv.conj().swapaxes(-1, -2) @ graph_frame(-phi)
-
-    def gram_inverse1(self, coords: np.ndarray, finv: np.ndarray | None = None) -> np.ndarray:
-        """H^{-1} = F D^{-1} F^H (`gram1`).  F is Hermitian, so F^H = F and
-        F D^{-1} = S F^{-H} S, S = diag(I, -I)."""
-        phi = self.phi(coords)
-        finv = graph_inverse(phi) if finv is None else finv
-        return (finv.conj().swapaxes(-1, -2) * self._signs) @ graph_frame(phi)
 
     def metric_row1(self, coords: np.ndarray, xi: np.ndarray) -> np.ndarray:
         """The row G(xi, e_q) = tr(theta_xi adj(theta_q)) of the degree-1
@@ -167,9 +165,10 @@ class HiggsField:
         n = self.n
         finv, q = self.chart(coords)
         theta = theta_x(q[..., :, n:], sym_from_coords(xi, n), finv[..., :n, :])
-        k = (q.conj().swapaxes(-1, -2)[..., n:, :] @ self.gram1(coords, finv) @ theta
-             @ self.gram_inverse1(coords, finv) @ finv.conj().swapaxes(-1, -2)[..., :n])
-        rows, cols = np.triu_indices(n)
+        h = self.gram1(coords, finv)
+        k = (q.conj().swapaxes(-1, -2)[..., n:, :] @ h @ theta
+             @ (h * self._signs1) @ finv.conj().swapaxes(-1, -2)[..., :n])
+        rows, cols = self._support.T
         flat = k.reshape(k.shape[:-2] + (n * n,))
         return (np.take(flat, rows * n + cols, axis=-1)
                 + np.take(flat, cols * n + rows, axis=-1) * (rows < cols))
@@ -213,13 +212,11 @@ class HiggsField:
     def gram(self, coords: np.ndarray, finv: np.ndarray | None = None) -> np.ndarray:
         return wedge.compound_matrix(self.gram1(coords, finv), self.k)
 
-    def gram_inverse(self, coords: np.ndarray, finv: np.ndarray | None = None) -> np.ndarray:
-        """The inverse of `gram`: the wedge power of `gram_inverse1`, but
-        1 / `gram` at the top degree, whose 1 x 1 Gram det H = 1 carries
-        rounding times cond(H) that the reciprocal matches exactly."""
-        if self.k == 2 * self.n:
-            return 1.0 / self.gram(coords, finv)
-        return wedge.compound_matrix(self.gram_inverse1(coords, finv), self.k)
+    def gram_inverse(self, gram: np.ndarray) -> np.ndarray:
+        """The inverse of `gram` values (..., dim, dim), S h S at every degree,
+        but 1 / gram at the top degree, whose 1 x 1 Gram det H = 1 carries
+        rounding times cond(H) that only the reciprocal matches exactly."""
+        return 1.0 / gram if self.k == 2 * self.n else gram * self._signs
 
     def theta_bar(self, coords: np.ndarray, theta: np.ndarray | None = None) -> np.ndarray:
         """The conjugate mixing field; theta is `theta(coords)` when the caller
@@ -244,7 +241,7 @@ class HiggsField:
             proj={pq: projs[..., b, :, :] for b, pq in enumerate(self.types)},
             theta=theta,
             gram=gram,
-            gram_inverse=self.gram_inverse(coords),
+            gram_inverse=self.gram_inverse(gram),
             frame_change=wk,
         )
 

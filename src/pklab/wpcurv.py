@@ -121,9 +121,9 @@ def metric_field(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFram
 
     def grams(coords: np.ndarray) -> np.ndarray:
         chart = field_.chart(coords)                # one F^{-1} per point
-        theta, finv = field_.theta(coords, chart), chart[0]
-        h, h_inv = (f(coords, finv)[..., None, :, :] for f in (field_.gram, field_.gram_inverse))
-        return _trace_pairing(theta, metric_adjoint(h, h_inv, theta))    # tr(theta_j adj(theta_k))
+        theta, h = field_.theta(coords, chart), field_.gram(coords, chart[0])[..., None, :, :]
+        adjoints = metric_adjoint(h, field_.gram_inverse(h), theta)
+        return _trace_pairing(theta, adjoints)      # tr(theta_j adj(theta_k))
 
     def gram_at(coords: np.ndarray) -> np.ndarray:
         coords = np.asarray(coords, dtype=complex)
@@ -414,7 +414,8 @@ def curvature_formula_terms(space: SymplecticSpace, J: ComplexStructure,
     field_ = HiggsField(space, J, frame, 1)
     field_.guard(coords)
     theta = field_.theta(coords)
-    h, h_inv = field_.gram(coords), field_.gram_inverse(coords)
+    h = field_.gram(coords)
+    h_inv = field_.gram_inverse(h)
     adj_theta = metric_adjoint(h, h_inv, theta)
     gram = _trace_pairing(theta, adj_theta)
     dtheta = field_.dtheta(coords)                                # [l, j]
