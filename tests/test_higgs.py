@@ -610,6 +610,9 @@ def test_closed_form_inverses_equal_dense_inverses_on_every_degree(case):
                       np.linalg.cond(wk))
 
 
+_graph_inverse = hg.graph_inverse     # the mutations below replace hg.graph_inverse
+
+
 def _flipped_block(phi):
     """F^{-1} with its lower-left block negated."""
     finv = _graph_inverse(phi)
@@ -624,9 +627,6 @@ def _conjugate_block(phi):
     n = phi.shape[-1]
     finv[..., n:, n:] = finv[..., :n, :n]
     return finv
-
-
-_graph_inverse = hg.graph_inverse
 
 
 @pytest.mark.parametrize("mutation", [_flipped_block, _conjugate_block],
