@@ -5,7 +5,9 @@ the varying structure; the plain coordinate derivative decomposes as the
 type-preserving part plus a degree-(-1,1) field and its conjugate.  All
 operators are matrices on the fixed wedge basis built from the reference
 unitary frame and its conjugates; the moving structure enters through the
-graph frame F(t) = [[I, conj(phi)], [phi, I]].
+graph frame F(t) = [[I, conj(phi)], [phi, I]].  The chart coordinates fix
+that frame, so a field takes only the rank; `structure_gram` is the route
+through a real structure and an explicit frame, the oracle of `gram1`.
 """
 
 from __future__ import annotations
@@ -14,11 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _fd, wedge
+from . import _fd, symplin, wedge
 from .kns import (BOUNDARY_MARGIN, BoundaryProximityError, graph_frame, spectral_radius_phibar,
-                  sym_basis, sym_dim, sym_from_coords)
-from .symplin import ComplexStructure, SymplecticSpace, UnitaryFrame
-from .kns import structure_from_bsd
+                  structure_from_bsd, sym_basis, sym_dim, sym_from_coords)
 
 # The inner frame changes of a `HiggsStencil` are formed in blocks of at most
 # this many bytes (8 MiB), so their peak memory does not grow with the
@@ -75,21 +75,26 @@ def theta_x(cols: np.ndarray, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return cols @ x @ rows
 
 
+def structure_gram(space: symplin.SymplecticSpace, frame: symplin.UnitaryFrame,
+                   coords: np.ndarray) -> np.ndarray:
+    """`symplin.dual_metric_gram` of the structure `structure_from_bsd(frame,
+    phi)` on the rows (xi, conj(xi)) of the reference frame, at the
+    coordinates (nsym,) of one point: the oracle route of `HiggsField.gram1`."""
+    J = symplin.ComplexStructure(J=structure_from_bsd(frame, sym_from_coords(coords, frame.n)))
+    return symplin.dual_metric_gram(space, J, np.vstack([frame.columns, frame.columns.conj()]))
+
+
 class HiggsField:
-    """Field of HiggsFrame data over the global chart coordinates.
+    """Field of HiggsFrame data over the global chart coordinates of rank n.
 
     Every field method takes coordinates of shape (..., nsym) and returns its
     values stacked along the same leading axes, so a whole stencil (or a
     stencil of stencils) is one call.
     """
 
-    def __init__(self, space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFrame, k: int):
-        n = frame.n
+    def __init__(self, n: int, k: int):
         if k < 0 or k > 2 * n:
             raise ValueError(f"form degree {k} out of range [0, {2 * n}]")
-        self.space = space
-        self.J = J
-        self.frame = frame
         self.k = k
         self.n = n
         self.nsym = sym_dim(n)
@@ -106,12 +111,9 @@ class HiggsField:
         # keeps the type-preserving blocks of a matrix Y in the frame W.
         label = np.argmax(np.stack(list(masks.values())), axis=0)
         self.same = label[:, None] == label[None, :]
-        # Rows of the reference covector basis (xi, conj(xi)) in the real dual.
-        self.covectors = np.vstack([frame.columns, frame.columns.conj()])
         # The inverse Gram is S h S, S = diag(I, -I) (`gram1`); at degree k S's
-        # wedge power is the sign (-1)^j of a basis element with j conjugates.
-        sign = [np.array([(-1.0) ** sum(i >= n for i in b) for b in wedge.basis(2 * n, d)])
-                for d in (1, k)]
+        # wedge power is the sign (-1)^q on the (p, q) block.
+        sign = (np.repeat([1.0, -1.0], n), sum((-1.0) ** q * m for (_, q), m in masks.items()))
         self._signs1, self._signs = (np.multiply.outer(s, s) for s in sign)
 
     # -- degree-1 fields ----------------------------------------------------
@@ -140,17 +142,13 @@ class HiggsField:
         cols = np.moveaxis(q[..., :, self.n + self._support], -3, -2)
         return theta_x(cols, self._block, finv[..., self._support, :])
 
-    def structure(self, coords: np.ndarray) -> ComplexStructure:
-        """The compatible structure at one point (the oracle route of `gram1`)."""
-        return ComplexStructure(J=structure_from_bsd(self.frame, self.phi(coords)))
-
     def gram1(self, coords: np.ndarray, finv: np.ndarray | None = None) -> np.ndarray:
         """Dual Gram matrix of the degree-1 covectors in closed form: H =
         F^{-H} D F^{-1} = F^{-H} graph_frame(-phi), D = diag(conj(A), A) and
         A = I - phi conj(phi); finv is F^{-1} when the caller has formed it.
         Its inverse F D^{-1} F^H is S H S, S = diag(I, -I) (README).
 
-        It equals `symplin.dual_metric_gram` of `structure` on `covectors`.
+        It equals `structure_gram` for every reference frame.
         """
         phi = self.phi(coords)
         finv = graph_inverse(phi) if finv is None else finv

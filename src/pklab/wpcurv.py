@@ -24,7 +24,6 @@ import numpy as np
 from . import _fd
 from .higgs import HiggsField, metric_adjoint
 from .kns import BsdPoint, coords_from_sym, random_bsd_point, sym_basis, sym_dim, sym_from_coords
-from .symplin import ComplexStructure, SymplecticSpace, UnitaryFrame
 
 # burns_bounds: basepoints whose first sample meets the one-line difference
 # oracle (a fixed count, so the oracle's cost does not grow with samples),
@@ -51,7 +50,6 @@ class CurvatureTensor:
     """entries[j, k, l, m] = R_{j kbar l mbar} at the basepoint."""
 
     entries: np.ndarray
-    basepoint: BsdPoint
 
     def pair(self, xi: np.ndarray, eta: np.ndarray) -> complex:
         """R(xi, conj(xi), eta, conj(eta))."""
@@ -67,7 +65,6 @@ class CurvatureTensor:
 
 @dataclass(frozen=True)
 class DfMetricReport:
-    degree: int
     gram: np.ndarray
     degenerate: bool
     ratio_to_degree1: float | None
@@ -83,7 +80,6 @@ class BoundsReport:
     max_paired_bisectional_excess: float
     max_ricci: float
     worst_hsc_witness: dict
-    hsc_bound: float
     max_metric_error: float        # closed-form metric against metric_field
     max_pairing_error: float       # closed-form pairings against the FD oracle
     max_einstein_defect: float     # |Ric(xi, xi) + (n + 1)| on unit vectors
@@ -105,9 +101,8 @@ def _trace_pairing(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return rows @ y.swapaxes(-1, -2).reshape(y.shape[:-2] + (-1,)).swapaxes(-1, -2)
 
 
-def metric_field(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFrame,
-                 degree: int = 1):
-    """coords -> Hilbert-Schmidt Gram matrix of the degree-(-1,1) field.
+def metric_field(n: int, degree: int = 1):
+    """coords -> Hilbert-Schmidt Gram matrix of the degree-(-1,1) field of rank n.
 
     `gram_at` takes coordinates (..., nsym) and returns (..., nsym, nsym):
     a whole difference stencil is one call, and a stencil that revisits a
@@ -115,9 +110,9 @@ def metric_field(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFram
     it once.  A long stack is evaluated in blocks of about GRAM_BLOCK_BYTES
     of field matrices, so its working memory does not grow with its length.
     """
-    field_ = HiggsField(space, J, frame, degree)
+    field_ = HiggsField(n, degree)
     nsym = field_.nsym
-    block = max(1, GRAM_BLOCK_BYTES // (16 * nsym * comb(2 * field_.n, degree) ** 2))
+    block = max(1, GRAM_BLOCK_BYTES // (16 * nsym * comb(2 * n, degree) ** 2))
 
     def grams(coords: np.ndarray) -> np.ndarray:
         chart = field_.chart(coords)                # one F^{-1} per point
@@ -143,46 +138,42 @@ def metric_rows(field_: HiggsField, coords: np.ndarray, xi: np.ndarray) -> np.nd
                       max(1, GRAM_BLOCK_BYTES // (128 * (2 * field_.n) ** 2))).reshape(shape)
 
 
-def df_metric(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFrame,
-              basepoint: BsdPoint, normalization: int = 1) -> DfMetricReport:
+def df_metric(basepoint: BsdPoint, normalization: int = 1) -> DfMetricReport:
     """Metric sample at a point, with the constant ratio to the degree-1 metric.
 
     Degrees 0 and 2n carry a vanishing field and are reported as degenerate.
     """
     coords = coords_from_sym(basepoint.phi)
-    _, gram_k = metric_field(space, J, frame, degree=normalization)
+    _, gram_k = metric_field(basepoint.n, degree=normalization)
     g = gram_k(coords)
     if np.max(np.abs(g)) < 1e-14:
-        return DfMetricReport(degree=normalization, gram=g, degenerate=True,
-                              ratio_to_degree1=None, ratio_spread=None)
+        return DfMetricReport(gram=g, degenerate=True, ratio_to_degree1=None, ratio_spread=None)
     ratio = None
     spread = None
     if normalization != 1:
-        _, gram_1 = metric_field(space, J, frame, degree=1)
+        _, gram_1 = metric_field(basepoint.n, degree=1)
         g1 = gram_1(coords)
         ratios = g[np.abs(g1) > 1e-12] / g1[np.abs(g1) > 1e-12]
         ratio = float(np.mean(ratios.real))
         spread = float(np.max(np.abs(ratios - ratio)))
-    return DfMetricReport(degree=normalization, gram=g, degenerate=False,
-                          ratio_to_degree1=ratio, ratio_spread=spread)
+    return DfMetricReport(gram=g, degenerate=False, ratio_to_degree1=ratio, ratio_spread=spread)
 
 
-def curvature_fd(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFrame,
-                 basepoint: BsdPoint, step: float = 1e-3) -> CurvatureTensor:
+def curvature_fd(basepoint: BsdPoint, step: float = 1e-3) -> CurvatureTensor:
     """R_{j kbar l mbar} = -d_l d_mbar G_{j kbar} + G^{p qbar} d_l G_{j qbar} d_mbar G_{p kbar}.
 
     One gram_at call on the `_fd.hessian_points` gives the base value, the
     gradient (from the Hessian's axis points) and the Hessian.
     """
     coords = coords_from_sym(basepoint.phi)
-    field_, gram_at = metric_field(space, J, frame, degree=1)
+    field_, gram_at = metric_field(basepoint.n, degree=1)
     field_.guard(coords)
     values = gram_at(_fd.hessian_points(coords, step))
     grads = _fd.hessian_gradient(values, step)                  # [l, j, k]
     hess = _fd.hessian_combine(values, step)                    # [l, m, j, k]
     bl = grads @ np.linalg.inv(values[0])
     r = -hess + bl[:, None] @ grads.conj().swapaxes(-1, -2)[None, :]
-    return CurvatureTensor(entries=np.moveaxis(r, (0, 1), (-2, -1)), basepoint=basepoint)
+    return CurvatureTensor(entries=np.moveaxis(r, (0, 1), (-2, -1)))
 
 
 def curvature_fd_along(field_: HiggsField, coords: np.ndarray, g: np.ndarray, xi: np.ndarray,
@@ -209,14 +200,13 @@ def _line_pairing(rows, g, xi, step):
     return -hess + (v[..., None, :] @ np.linalg.solve(g, v.conj()[..., None]))[..., 0, 0]
 
 
-def metric_closedness(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFrame,
-                      basepoint: BsdPoint, pairs: np.ndarray,
+def metric_closedness(basepoint: BsdPoint, pairs: np.ndarray,
                       step: float = CLOSEDNESS_STEP) -> float:
     """max |d_Z G(X, .) - d_X G(Z, .)| over the pairs (X, Z) = pairs[p]
     (P, 2, nsym) scaled to unit length: d_l G_{j kbar} = d_j G_{l kbar}
     contracted with X^j Z^l, each derivative `_fd.xy_combine` of rows on the
     `_fd.xy_points` of a line through the basepoint (one `metric_rows`)."""
-    rows = metric_rows(HiggsField(space, J, frame, 1),
+    rows = metric_rows(HiggsField(basepoint.n, 1),
                        *_closedness_rows(coords_from_sym(basepoint.phi), pairs, step))
     return _closedness(rows, step)
 
@@ -314,7 +304,7 @@ class ClosedFormCurvature:
         q = self.b.conj() @ self.basis
         entries = _pairing(p[:, None, None, None], q[None, :, None, None],
                            p[None, None, :, None], q[None, None, None, :])
-        return CurvatureTensor(entries=entries, basepoint=BsdPoint(self.phi))
+        return CurvatureTensor(entries=entries)
 
 
 def _halves(b: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -400,8 +390,7 @@ def _spectrum_along(lam: np.ndarray, v: np.ndarray, r: np.ndarray) -> np.ndarray
     return lam * (1.0 + r[..., None] * v) ** 2
 
 
-def curvature_formula_terms(space: SymplecticSpace, J: ComplexStructure,
-                            frame: UnitaryFrame, basepoint: BsdPoint) -> np.ndarray:
+def curvature_formula_terms(basepoint: BsdPoint) -> np.ndarray:
     """Three-term algebraic curvature tensor.
 
     -(adj(th_m) th_j, adj(th_l) th_k) - (th_j adj(th_m), th_k adj(th_l))
@@ -411,7 +400,7 @@ def curvature_formula_terms(space: SymplecticSpace, J: ComplexStructure,
     is the exact `HiggsField.dtheta`.
     """
     coords = coords_from_sym(basepoint.phi)
-    field_ = HiggsField(space, J, frame, 1)
+    field_ = HiggsField(basepoint.n, 1)
     field_.guard(coords)
     theta = field_.theta(coords)
     h = field_.gram(coords)
@@ -437,8 +426,7 @@ def df_inner(g: np.ndarray, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
     return (xi[..., None, :] @ (g @ eta.conj()[..., None]))[..., 0, 0]
 
 
-def burns_bounds(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFrame,
-                 samples: int, seed: int, closedness: tuple[BsdPoint, np.ndarray],
+def burns_bounds(n: int, samples: int, seed: int, closedness: tuple[BsdPoint, np.ndarray],
                  radius: float = 0.75, step: float = LINE_STEP) -> BoundsReport:
     """Seeded sweep of sectional, bisectional and Ricci bounds.
 
@@ -462,7 +450,6 @@ def burns_bounds(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFram
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    n = frame.n
     nsym = sym_dim(n)
     rng = np.random.default_rng(seed)
     ascent_rng = np.random.default_rng([seed, 1])
@@ -481,7 +468,7 @@ def burns_bounds(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFram
     xi_eta = np.concatenate(directions)
     starts = ascent_rng.standard_normal((len(counts), 2, ASCENT_STARTS, nsym))
     coords = coords_from_sym(phi)
-    field_, gram_at = metric_field(space, J, frame, degree=1)
+    field_, gram_at = metric_field(n, degree=1)
     oracle_grams = []         # metric_field at the first ORACLE_BASEPOINTS basepoints
 
     def base_block(bases):
@@ -543,7 +530,7 @@ def burns_bounds(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFram
                         max_ricci=float(np.max(ric)),
                         worst_hsc_witness={"basepoint": phi[owner[worst]].tolist(),
                                            "xi": xi[worst].tolist()},
-                        hsc_bound=-2.0 / n, max_metric_error=float(max_metric),
+                        max_metric_error=float(max_metric),
                         max_pairing_error=float(max_pairing),
                         max_einstein_defect=float(np.max(np.abs(ric + (n + 1)))),
                         max_sharpness_defect=float(max_sharp),

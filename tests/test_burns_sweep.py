@@ -16,14 +16,7 @@ import numpy as np
 import pytest
 
 from pklab import kns
-from pklab import symplin as sl
 from pklab import wpcurv as wp
-
-
-def workspace(n):
-    sp = sl.standard_symplectic(n)
-    j0 = sl.standard_complex_structure(n)
-    return sp, j0, sl.unitary_frame(sp, j0)
 
 
 def closedness_input(n, seed):
@@ -102,15 +95,13 @@ def full_ladder_ascent(curv, starts):
     return value.reshape(shape), steps.reshape(shape)
 
 
-def sequential_burns_bounds(space, J, frame, samples, seed, closedness, radius=0.75,
-                            step=wp.LINE_STEP):
-    n = frame.n
+def sequential_burns_bounds(n, samples, seed, closedness, radius=0.75, step=wp.LINE_STEP):
     nsym = kns.sym_dim(n)
     rng = np.random.default_rng(seed)
     ascent_rng = np.random.default_rng([seed, 1])
     n_base = max(1, samples // 10)
     per_base = -(-samples // n_base)
-    field_, gram_at = wp.metric_field(space, J, frame, degree=1)
+    field_, gram_at = wp.metric_field(n, degree=1)
 
     max_hsc = max_bis = max_paired = max_ric = max_ascent = -np.inf
     max_metric = max_pairing = max_einstein = max_sharp = 0.0
@@ -155,29 +146,26 @@ def sequential_burns_bounds(space, J, frame, samples, seed, closedness, radius=0
                            max_bisectional=float(max_bis),
                            max_paired_bisectional_excess=float(max_paired),
                            max_ricci=float(max_ric), worst_hsc_witness=witness,
-                           hsc_bound=-2.0 / n, max_metric_error=float(max_metric),
+                           max_metric_error=float(max_metric),
                            max_pairing_error=float(max_pairing),
                            max_einstein_defect=float(max_einstein),
                            max_sharpness_defect=float(max_sharp),
                            max_ascent_hsc=float(max_ascent),
-                           metric_closedness=wp.metric_closedness(space, J, frame, *closedness))
+                           metric_closedness=wp.metric_closedness(*closedness))
 
 
 RECORDS = ["max_hsc", "max_bisectional", "max_paired_bisectional_excess", "max_ricci",
-           "hsc_bound", "max_metric_error", "max_pairing_error", "max_einstein_defect",
+           "max_metric_error", "max_pairing_error", "max_einstein_defect",
            "max_sharpness_defect", "max_ascent_hsc", "metric_closedness"]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("samples", [1, 7, 40, 45])
 def test_batched_sweep_matches_the_sequential_loop(n, samples):
-    space, j0, frame = workspace(n)
     for seed in range(10):
         closedness = closedness_input(n, seed)
-        batched = wp.burns_bounds(space, j0, frame, samples=samples, seed=seed,
-                                  closedness=closedness)
-        reference = sequential_burns_bounds(space, j0, frame, samples=samples, seed=seed,
-                                            closedness=closedness)
+        batched = wp.burns_bounds(n, samples=samples, seed=seed, closedness=closedness)
+        reference = sequential_burns_bounds(n, samples=samples, seed=seed, closedness=closedness)
         assert (batched.n, batched.samples) == (reference.n, reference.samples) == (n, samples)
         for name in RECORDS:
             assert getattr(batched, name) == pytest.approx(getattr(reference, name),
@@ -234,11 +222,10 @@ def test_closed_form_curvature_broadcasts_over_basepoints():
 def test_pairing_stack_in_blocks_matches_one_block(monkeypatch):
     # A one-byte budget runs one basepoint per block, evaluates the pairing
     # stack one sample per block and the oracle one line per call.
-    space, j0, frame = workspace(3)
     closedness = closedness_input(3, 4)
-    whole = wp.burns_bounds(space, j0, frame, samples=23, seed=4, closedness=closedness)
+    whole = wp.burns_bounds(3, samples=23, seed=4, closedness=closedness)
     monkeypatch.setattr(wp, "GRAM_BLOCK_BYTES", 1)
-    blocked = wp.burns_bounds(space, j0, frame, samples=23, seed=4, closedness=closedness)
+    blocked = wp.burns_bounds(3, samples=23, seed=4, closedness=closedness)
     for name in RECORDS:
         assert getattr(blocked, name) == pytest.approx(getattr(whole, name), abs=1e-12), name
     assert blocked.worst_hsc_witness == whole.worst_hsc_witness
@@ -298,11 +285,9 @@ def test_closedness_in_the_oracle_pass_equals_metric_closedness(n):
     # burns_bounds evaluates the closedness rows with the line oracle's, in
     # one metric_rows call; the record equals metric_closedness bit for bit,
     # and no other record depends on the closedness input.
-    space, j0, frame = workspace(n)
     point, pairs = closedness_input(n, 240 + n)
-    fused = wp.burns_bounds(space, j0, frame, samples=23, seed=n, closedness=(point, pairs))
-    assert fused.metric_closedness == wp.metric_closedness(space, j0, frame, point, pairs)
-    other = wp.burns_bounds(space, j0, frame, samples=23, seed=n,
-                            closedness=closedness_input(n, 250 + n))
+    fused = wp.burns_bounds(n, samples=23, seed=n, closedness=(point, pairs))
+    assert fused.metric_closedness == wp.metric_closedness(point, pairs)
+    other = wp.burns_bounds(n, samples=23, seed=n, closedness=closedness_input(n, 250 + n))
     assert other.metric_closedness != fused.metric_closedness
     assert dataclasses.replace(other, metric_closedness=fused.metric_closedness) == fused

@@ -157,8 +157,7 @@ def test_burns_hsc_profile_matches_the_difference_tensor():
     # Oracle: the profile's stream and rows computed with curvature_fd.
     cfg = cli.SuiteConfig(suite="burns-bounds", n=2, samples=4, seed=3)
     _, rows = cli.profile_burns_hsc(cfg)
-    space, j0, frame = cli._workspace(2)
-    _, gram_at = wp.metric_field(space, j0, frame)
+    _, gram_at = wp.metric_field(2)
     rng = np.random.default_rng([3, 30])
     expected = []
     for _ in range(4):
@@ -166,7 +165,7 @@ def test_burns_hsc_profile_matches_the_difference_tensor():
         g = gram_at(kns.coords_from_sym(bp.phi))
         xi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         xi = xi / np.sqrt(np.real(wp.df_inner(g, xi, xi)))
-        expected.append((bp.radius, wp.curvature_fd(space, j0, frame, bp).pair(xi, xi).real))
+        expected.append((bp.radius, wp.curvature_fd(bp).pair(xi, xi).real))
     expected.sort()
     assert len(rows) == 4
     for (r, hsc), (r_fd, hsc_fd) in zip(rows, expected):
@@ -222,17 +221,6 @@ def test_payload_checks_equal_the_asdict_form(monkeypatch):
     payload = cli.report_payload(rep)
     want = dict(payload, checks=[dataclasses.asdict(c) for c in rep.checks])
     assert json.dumps(payload, indent=2) == json.dumps(want, indent=2)
-
-
-def test_workspace_is_built_once_per_rank_and_read_only():
-    first, again = cli._workspace(3), cli._workspace(3)
-    assert all(a is b for a, b in zip(first, again))
-    space, j0, frame = first
-    assert frame.reference is j0
-    for array in (space.form, j0.J, frame.columns):
-        assert not array.flags.writeable
-        with pytest.raises(ValueError):
-            array[0, 0] = 0.0
 
 
 def test_plot_data_cli_entry(tmp_path):

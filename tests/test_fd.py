@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from pklab import _fd, kns
-from pklab import symplin as sl
 from pklab import wpcurv as wp
 
 
@@ -61,9 +60,7 @@ def hermitian_hessian_loop(f, z, step=1e-3):
 
 
 def _fields(n):
-    sp = sl.standard_symplectic(n)
-    j0 = sl.standard_complex_structure(n)
-    _, gram_at = wp.metric_field(sp, j0, sl.unitary_frame(sp, j0))
+    _, gram_at = wp.metric_field(n)
     rng = np.random.default_rng(n)
     nsym = kns.sym_dim(n)
     mix = rng.standard_normal((3, nsym)) + 1j * rng.standard_normal((3, nsym))

@@ -18,13 +18,6 @@ from pklab import _fd, kns, wedge
 from pklab import symplin as sl
 
 
-def field_for(n, k):
-    sp = sl.standard_symplectic(n)
-    j0 = sl.standard_complex_structure(n)
-    frame = sl.unitary_frame(sp, j0)
-    return sp, j0, frame, hg.HiggsField(sp, j0, frame, k)
-
-
 def test_wedge_utilities():
     assert wedge.basis(4, 2) == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
     m = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -46,7 +39,7 @@ def test_wedge_utilities():
 
 
 def test_unit_mixing_field_at_origin():
-    _, _, _, field_ = field_for(1, 1)
+    field_ = hg.HiggsField(1, 1)
     frame = field_.frame_at(np.zeros(1, dtype=complex))
     # theta sends the (1,0) frame covector to its conjugate: one off-diagonal 1.
     assert np.allclose(frame.theta[0], [[0, 0], [1, 0]])
@@ -54,7 +47,7 @@ def test_unit_mixing_field_at_origin():
 
 
 def test_degree_zero_trivial():
-    _, _, _, field_ = field_for(1, 0)
+    field_ = hg.HiggsField(1, 0)
     frame = field_.frame_at(np.zeros(1, dtype=complex))
     assert frame.dim == 1
     assert np.max(np.abs(frame.theta[0])) == 0.0
@@ -63,7 +56,7 @@ def test_degree_zero_trivial():
 
 def test_block_structure_n2_k2():
     # Degree 2 blocks: (2,0) -> (1,1) -> (0,2), annihilating (0,2).
-    _, _, _, field_ = field_for(2, 2)
+    field_ = hg.HiggsField(2, 2)
     rng = np.random.default_rng(4)
     coords = kns.coords_from_sym(kns.random_bsd_point(2, rng, 0.4).phi)
     frame = field_.frame_at(coords)
@@ -75,7 +68,7 @@ def test_block_structure_n2_k2():
 
 @pytest.mark.parametrize("n,k", [(1, 1), (1, 2), (2, 1), (2, 2)])
 def test_algebraic_identities(n, k):
-    _, _, _, field_ = field_for(n, k)
+    field_ = hg.HiggsField(n, k)
     rng = np.random.default_rng(9)
     for bp in [kns.BsdPoint(phi=np.zeros((n, n))), kns.random_bsd_point(n, rng, 0.5)]:
         frame = field_.frame_at(kns.coords_from_sym(bp.phi))
@@ -85,7 +78,7 @@ def test_algebraic_identities(n, k):
 
 
 def test_adjoint_check_n3():
-    _, _, _, field_ = field_for(3, 1)
+    field_ = hg.HiggsField(3, 1)
     rng = np.random.default_rng(12)
     coords = kns.coords_from_sym(kns.random_bsd_point(3, rng, 0.5).phi)
     assert hg.adjoint_check(field_.frame_at(coords)) < 1e-10
@@ -93,7 +86,7 @@ def test_adjoint_check_n3():
 
 @pytest.mark.parametrize("n,k", [(1, 1), (2, 1), (2, 2)])
 def test_connection_split(n, k):
-    _, _, _, field_ = field_for(n, k)
+    field_ = hg.HiggsField(n, k)
     rng = np.random.default_rng(3)
     for bp in [kns.BsdPoint(phi=np.zeros((n, n))), kns.random_bsd_point(n, rng, 0.45)]:
         rep = hg.connection_split_check(field_.stencil(kns.coords_from_sym(bp.phi)))
@@ -101,7 +94,7 @@ def test_connection_split(n, k):
 
 
 def test_connection_split_near_boundary():
-    _, _, _, field_ = field_for(2, 1)
+    field_ = hg.HiggsField(2, 1)
     rng = np.random.default_rng(23)
     bp = kns.random_bsd_point(2, rng, 0.9)
     rep = hg.connection_split_check(field_.stencil(kns.coords_from_sym(bp.phi)))
@@ -111,7 +104,7 @@ def test_connection_split_near_boundary():
 def test_curvature_operator_frozen_value():
     # Independent derivation (twice: projected-derivative commutator and the
     # line-bundle weight 2(1 - |t|^2)) gives diag(+1, -1) on (dz, dzbar).
-    _, _, _, field_ = field_for(1, 1)
+    field_ = hg.HiggsField(1, 1)
     zero = np.zeros(1, dtype=complex)
     theta_fd = hg.curvature_operator(field_.stencil(zero))
     assert theta_fd.shape == (1, 1, 2, 2)
@@ -122,7 +115,7 @@ def test_curvature_operator_frozen_value():
 
 @pytest.mark.parametrize("n,k", [(1, 1), (2, 1), (2, 2)])
 def test_curvature_matches_algebra(n, k):
-    _, _, _, field_ = field_for(n, k)
+    field_ = hg.HiggsField(n, k)
     rng = np.random.default_rng(31)
     coords = kns.coords_from_sym(kns.random_bsd_point(n, rng, 0.5).phi)
     frame = field_.frame_at(coords)
@@ -133,14 +126,14 @@ def test_curvature_matches_algebra(n, k):
 
 
 def test_degree_zero_curvature_zero():
-    _, _, _, field_ = field_for(1, 0)
+    field_ = hg.HiggsField(1, 0)
     zero = np.zeros(1, dtype=complex)
     assert np.max(np.abs(hg.curvature_operator(field_.stencil(zero)))) < 1e-12
 
 
 @pytest.mark.parametrize("n,k", [(1, 1), (2, 2)])
 def test_flatness_and_holomorphy(n, k):
-    _, _, _, field_ = field_for(n, k)
+    field_ = hg.HiggsField(n, k)
     rng = np.random.default_rng(8)
     st = field_.stencil(kns.coords_from_sym(kns.random_bsd_point(n, rng, 0.4).phi))
     assert hg.flatness_check(st).residual < 1e-5
@@ -149,15 +142,12 @@ def test_flatness_and_holomorphy(n, k):
 
 
 def test_degree_out_of_range():
-    sp = sl.standard_symplectic(1)
-    j0 = sl.standard_complex_structure(1)
-    frame = sl.unitary_frame(sp, j0)
     with pytest.raises(ValueError):
-        hg.HiggsField(sp, j0, frame, 3)
+        hg.HiggsField(1, 3)
 
 
 def test_boundary_guard():
-    _, _, _, field_ = field_for(1, 1)
+    field_ = hg.HiggsField(1, 1)
     with pytest.raises(kns.BoundaryProximityError):
         field_.frame_at(np.array([1.0 + 0j]))
 
@@ -354,7 +344,7 @@ ALL_DEGREES = [(n, k) for n in (1, 2) for k in range(2 * n + 1)]
 
 @pytest.mark.parametrize("n,k", ALL_DEGREES)
 def test_batched_checks_equal_per_point_loops(n, k):
-    _, _, _, field_ = field_for(n, k)
+    field_ = hg.HiggsField(n, k)
     bp = kns.random_bsd_point(n, np.random.default_rng([n, k]), 0.45)
     coords = kns.coords_from_sym(bp.phi)
     st = field_.stencil(coords)
@@ -373,7 +363,7 @@ def test_frame_only_checks_equal_the_projector_loops(n, k):
     # The projector loops sum_b pi_b D(pi_b .) are the oracle of the
     # frame-only formulas: the two agree to rounding, well inside the
     # checks' 1e-5 threshold.
-    _, _, _, field_ = field_for(n, k)
+    field_ = hg.HiggsField(n, k)
     bp = kns.random_bsd_point(n, np.random.default_rng([n, k, 1]), 0.45)
     coords = kns.coords_from_sym(bp.phi)
     batched, loops = _checks(field_.stencil(coords)), _loops(PointField(field_), coords)
@@ -405,7 +395,7 @@ def test_higgs_suite_evaluates_each_stencil_point_once(monkeypatch):
 
 
 def test_inner_differences_in_blocks_equal_one_block(monkeypatch):
-    _, _, _, field_ = field_for(2, 2)
+    field_ = hg.HiggsField(2, 2)
     coords = kns.coords_from_sym(kns.random_bsd_point(2, np.random.default_rng(5), 0.5).phi)
     whole = field_.stencil(coords)
     monkeypatch.setattr(hg, "STENCIL_BLOCK_BYTES", 1)
@@ -429,7 +419,7 @@ def _interior_stack(draw):
 @given(_interior_stack())
 def test_batched_fields_equal_per_point_values(case):
     n, k, coords = case
-    _, _, _, field_ = field_for(n, k)
+    field_ = hg.HiggsField(n, k)
     projs = field_.projectors(coords)
     frames = field_.frame_change(coords)
     thetas = field_.theta(coords)
@@ -489,22 +479,33 @@ def test_wrong_covariant_derivative_fails_the_suite(monkeypatch, mutation):
 # ---------------------------------------------------------------------------
 
 @st.composite
-def _structure_and_point(draw):
-    n = draw(st.integers(1, 4))
+def _chart_point(draw, max_n=8):
+    n = draw(st.integers(1, max_n))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return n, kns.coords_from_sym(kns.random_bsd_point(n, rng, draw(st.floats(0.0, 0.99))).phi)
+
+
+@st.composite
+def _frame_and_point(draw):
+    """The reference frame of the standard or of a random compatible structure,
+    and the coordinates of a domain point."""
+    n, coords = draw(_chart_point(4))
     sp = sl.standard_symplectic(n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     j = sl.random_compatible_structure(sp, rng) if draw(st.booleans()) else \
         sl.standard_complex_structure(n)
-    bp = kns.random_bsd_point(n, rng, draw(st.floats(0.0, 0.99)))
-    return hg.HiggsField(sp, j, sl.unitary_frame(sp, j), 1), kns.coords_from_sym(bp.phi)
+    return sp, sl.unitary_frame(sp, j), coords
 
 
 @settings(max_examples=60, deadline=None)
-@given(_structure_and_point())
+@given(_frame_and_point())
 def test_gram1_closed_form_equals_the_structure_route(case):
-    field_, coords = case
+    # The field takes no frame: its Gram data equal the route through the
+    # frame of any compatible reference structure.
+    sp, frame, coords = case
+    field_ = hg.HiggsField(frame.n, 1)
     gram = field_.gram1(coords)
-    oracle = sl.dual_metric_gram(field_.space, field_.structure(coords), field_.covectors)
+    oracle = hg.structure_gram(sp, frame, coords)
     assert np.max(np.abs(gram - oracle)) <= 1e-12 * np.max(np.abs(oracle))
     assert np.max(np.abs(gram - gram.conj().T)) <= 1e-12 * np.max(np.abs(gram))
     assert np.linalg.eigvalsh(0.5 * (gram + gram.conj().T)).min() > 0
@@ -517,7 +518,7 @@ def test_dtheta_matches_differences_of_theta(n):
     rng = np.random.default_rng(90 + n)
     coords = kns.coords_from_sym(kns.random_bsd_point(n, rng, 0.6).phi)
     for k in range(2 * n + 1):
-        _, _, _, field_ = field_for(n, k)
+        field_ = hg.HiggsField(n, k)
         exact = field_.dtheta(coords)
         fd = _fd.xy_combine(field_.theta(_fd.gradient_points(coords, 1e-3)), False, 1e-3)
         assert exact.shape == fd.shape == (field_.nsym, field_.nsym) + field_.theta(coords).shape[1:]
@@ -543,9 +544,10 @@ def _dense_theta_and_dtheta(field_, coords):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_structure_and_point())
+@given(_chart_point(4))
 def test_rank_two_theta_and_closed_form_dtheta_equal_the_dense_forms(case):
-    field_, coords = case
+    n, coords = case
+    field_ = hg.HiggsField(n, 1)
     theta, dtheta = _dense_theta_and_dtheta(field_, coords)
     got = field_.dtheta(coords)
     assert np.max(np.abs(field_.theta1(coords) - theta)) <= 1e-12 * np.max(np.abs(theta))
@@ -554,12 +556,12 @@ def test_rank_two_theta_and_closed_form_dtheta_equal_the_dense_forms(case):
 
 
 @settings(max_examples=30, deadline=None)
-@given(_structure_and_point())
+@given(_chart_point(4))
 def test_metric_adjoint_equals_a_solve_on_every_degree(case):
     # Both are backward stable, so they differ by rounding times cond(h).
-    field_, coords = case
-    for k in range(2 * field_.n + 1):
-        fk = hg.HiggsField(field_.space, field_.J, field_.frame, k)
+    n, coords = case
+    for k in range(2 * n + 1):
+        fk = hg.HiggsField(n, k)
         h, theta = fk.gram(coords), fk.theta(coords)
         want = np.linalg.solve(h, theta.conj().swapaxes(-1, -2) @ h)
         err = np.max(np.abs(hg.metric_adjoint(h, fk.gram_inverse(h), theta) - want))
@@ -571,13 +573,6 @@ def test_metric_adjoint_equals_a_solve_on_every_degree(case):
 # LAPACK inverses, and hand mutations of F^{-1} that the suite must catch.
 # ---------------------------------------------------------------------------
 
-@st.composite
-def _chart_point(draw):
-    n = draw(st.integers(1, 8))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return n, kns.coords_from_sym(kns.random_bsd_point(n, rng, draw(st.floats(0.0, 0.99))).phi)
-
-
 def _close(got, want, cond):
     return np.max(np.abs(got - want)) <= 1e-12 * cond * np.max(np.abs(want))
 
@@ -586,7 +581,7 @@ def _close(got, want, cond):
 @given(_chart_point())
 def test_chart_equals_the_dense_inverse_of_the_graph_frame(case):
     n, coords = case
-    field_ = field_for(n, 1)[-1]
+    field_ = hg.HiggsField(n, 1)
     f = kns.graph_frame(field_.phi(coords))
     want = np.linalg.inv(f)
     finv, q = field_.chart(coords)
@@ -601,7 +596,7 @@ def test_closed_form_inverses_equal_dense_inverses_on_every_degree(case):
     # of the top degrees outgrow the test.
     n, coords = case
     for k in range(2 * n + 1) if n <= 3 else (1, 2):
-        field_ = field_for(n, k)[-1]
+        field_ = hg.HiggsField(n, k)
         h, wk = field_.gram(coords), field_.frame_change(coords)
         assert _close(field_.gram_inverse(h), np.linalg.inv(h), np.linalg.cond(h))
         want = np.linalg.inv(wk)
@@ -645,7 +640,7 @@ def test_wrong_graph_inverse_fails_the_suite(monkeypatch, mutation):
 def test_degree_one_fields_are_not_copied(n, monkeypatch):
     # At k = 1 theta and dtheta are the fresh degree-1 stacks themselves;
     # wedge.derivation_matrix (which copies at k = 1) is not called.
-    field1 = field_for(n, 1)[-1]
+    field1 = hg.HiggsField(n, 1)
     coords = kns.coords_from_sym(kns.random_bsd_point(n, np.random.default_rng(60 + n), 0.6).phi)
     want_theta, want_dtheta = field1.theta(coords), field1.dtheta(coords)
 

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pklab import kns, wedge
-from pklab import symplin as sl
 from pklab import wpcurv as wp
 
 
@@ -226,10 +225,7 @@ def test_conjugation_matrix_cached_read_only_involution(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_gram_at_matches_trace_loop(n):
-    space = sl.standard_symplectic(n)
-    j0 = sl.standard_complex_structure(n)
-    frame = sl.unitary_frame(space, j0)
-    field_, gram_at = wp.metric_field(space, j0, frame)
+    field_, gram_at = wp.metric_field(n)
     rng = np.random.default_rng(10 + n)
     for _ in range(3):
         coords = kns.coords_from_sym(kns.random_bsd_point(n, rng, 0.7).phi)

@@ -6,49 +6,36 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pklab import _fd, kns
-from pklab import symplin as sl
 from pklab import wpcurv as wp
 
 
-def workspace(n):
-    sp = sl.standard_symplectic(n)
-    j0 = sl.standard_complex_structure(n)
-    return sp, j0, sl.unitary_frame(sp, j0)
-
-
 def test_metric_at_origin():
-    sp, j0, frame = workspace(1)
-    rep = wp.df_metric(sp, j0, frame, kns.BsdPoint(phi=np.zeros((1, 1))))
+    rep = wp.df_metric(kns.BsdPoint(phi=np.zeros((1, 1))))
     assert rep.gram[0, 0] == pytest.approx(1.0)
     assert not rep.degenerate
 
 
 def test_metric_closed_form_disc():
     # Hand derivation: G(t) = (1 - |t|^2)^{-2} on the scalar chart.
-    sp, j0, frame = workspace(1)
-    _, gram_at = wp.metric_field(sp, j0, frame)
+    _, gram_at = wp.metric_field(1)
     for t in (0.5, 0.3 - 0.4j, 0.1j):
         g = gram_at(np.array([t], dtype=complex))[0, 0].real
         assert g == pytest.approx((1.0 - abs(t) ** 2) ** -2, rel=1e-12)
 
 
 def test_degenerate_degrees():
-    sp, j0, frame = workspace(1)
-    rep0 = wp.df_metric(sp, j0, frame, kns.BsdPoint(phi=np.zeros((1, 1))),
-                        normalization=0)
+    rep0 = wp.df_metric(kns.BsdPoint(phi=np.zeros((1, 1))), normalization=0)
     assert rep0.degenerate
-    rep2 = wp.df_metric(sp, j0, frame, kns.BsdPoint(phi=np.zeros((1, 1))),
-                        normalization=2)
+    rep2 = wp.df_metric(kns.BsdPoint(phi=np.zeros((1, 1))), normalization=2)
     assert rep2.degenerate  # top degree at n = 1 also carries no field
 
 
 def test_degree_ratio_constant_n2():
-    sp, j0, frame = workspace(2)
     rng = np.random.default_rng(3)
     ratios = []
     for _ in range(3):
         bp = kns.random_bsd_point(2, rng, 0.5)
-        rep = wp.df_metric(sp, j0, frame, bp, normalization=2)
+        rep = wp.df_metric(bp, normalization=2)
         assert not rep.degenerate
         assert rep.ratio_spread < 1e-8
         ratios.append(rep.ratio_to_degree1)
@@ -57,20 +44,18 @@ def test_degree_ratio_constant_n2():
 
 def test_curvature_frozen_disc_value():
     # Poincare-type metric: R_1111 = -2 G^2, holomorphic sectional -2.
-    sp, j0, frame = workspace(1)
-    tensor = wp.curvature_fd(sp, j0, frame, kns.BsdPoint(phi=np.zeros((1, 1))))
+    tensor = wp.curvature_fd(kns.BsdPoint(phi=np.zeros((1, 1))))
     assert tensor.entries[0, 0, 0, 0].real == pytest.approx(-2.0, abs=1e-6)
-    off = wp.curvature_fd(sp, j0, frame, kns.BsdPoint(phi=np.array([[0.4 - 0.2j]])))
-    _, gram_at = wp.metric_field(sp, j0, frame)
+    off = wp.curvature_fd(kns.BsdPoint(phi=np.array([[0.4 - 0.2j]])))
+    _, gram_at = wp.metric_field(1)
     g = gram_at(np.array([0.4 - 0.2j]))[0, 0].real
     assert off.entries[0, 0, 0, 0].real / g**2 == pytest.approx(-2.0, abs=1e-6)
 
 
 def test_structural_sectional_values_at_origin():
     # Oracle: -2 tr((S^H S)^2) / tr(S^H S)^2 for the direction matrix S.
-    sp, j0, frame = workspace(2)
-    tensor = wp.curvature_fd(sp, j0, frame, kns.BsdPoint(phi=np.zeros((2, 2))))
-    _, gram_at = wp.metric_field(sp, j0, frame)
+    tensor = wp.curvature_fd(kns.BsdPoint(phi=np.zeros((2, 2))))
+    _, gram_at = wp.metric_field(2)
     g = gram_at(np.zeros(3, dtype=complex))
     basis = kns.sym_basis(2)
     rng = np.random.default_rng(2)
@@ -83,27 +68,26 @@ def test_structural_sectional_values_at_origin():
         assert tensor.pair(xi, xi).real == pytest.approx(expected, abs=1e-6)
 
 
-def metric_gradient(sp, j0, frame, bp, step=1e-3):
+def metric_gradient(bp, step=1e-3):
     """d_l G_{j kbar} as [l, j, k] from the full Richardson stencil of
     `metric_field` along every coordinate."""
-    _, gram_at = wp.metric_field(sp, j0, frame)
+    _, gram_at = wp.metric_field(bp.n)
     points = _fd.gradient_points(kns.coords_from_sym(bp.phi), step)
     return _fd.xy_combine(gram_at(points), False, step)
 
 
-def kahler_closedness_residual(sp, j0, frame, bp, step=1e-3):
+def kahler_closedness_residual(bp, step=1e-3):
     """max |d_l G_{j kbar} - d_j G_{l kbar}| over every coordinate triple:
     the full-stencil oracle of the directional `metric-closedness` record."""
-    return _fd.closedness_defect(metric_gradient(sp, j0, frame, bp, step))
+    return _fd.closedness_defect(metric_gradient(bp, step))
 
 
 def test_kahler_symmetries_and_closedness():
-    sp, j0, frame = workspace(2)
     rng = np.random.default_rng(21)
     bp = kns.random_bsd_point(2, rng, 0.5)
-    tensor = wp.curvature_fd(sp, j0, frame, bp)
+    tensor = wp.curvature_fd(bp)
     assert tensor.kahler_symmetry_defect() < 1e-6
-    assert kahler_closedness_residual(sp, j0, frame, bp) < 1e-6
+    assert kahler_closedness_residual(bp) < 1e-6
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -111,26 +95,24 @@ def test_directional_closedness_meets_the_full_stencil(n):
     # The directional record and the full-stencil residual both stay under
     # the kahler-closedness bound, and each directional derivative of a row
     # is the full-stencil gradient contracted with its two directions.
-    sp, j0, frame = workspace(n)
     rng = np.random.default_rng(110 + n)
     nsym = kns.sym_dim(n)
     bp = kns.random_bsd_point(n, rng, 0.5)
     pairs = rng.standard_normal((wp.CLOSEDNESS_PAIRS, 2, nsym)) + 1j * rng.standard_normal(
         (wp.CLOSEDNESS_PAIRS, 2, nsym))
-    assert kahler_closedness_residual(sp, j0, frame, bp) < 1e-6
-    assert wp.metric_closedness(sp, j0, frame, bp, pairs) < 1e-6
-    field_, _ = wp.metric_field(sp, j0, frame)
+    assert kahler_closedness_residual(bp) < 1e-6
+    assert wp.metric_closedness(bp, pairs) < 1e-6
+    field_, _ = wp.metric_field(n)
     w = _fd.xy_points(np.zeros(1, dtype=complex), 0)[..., None]
     x, z = pairs[:, 0], pairs[:, 1]
     rows = wp.metric_rows(field_, kns.coords_from_sym(bp.phi) + w * z, x)
-    want = np.einsum("ljk,pl,pj->pk", metric_gradient(sp, j0, frame, bp), z, x)
+    want = np.einsum("ljk,pl,pj->pk", metric_gradient(bp), z, x)
     assert np.max(np.abs(_fd.xy_combine(rows, False) - want)) < 1e-8 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_metric_rows_equal_the_rows_of_metric_field(n):
-    sp, j0, frame = workspace(n)
-    field_, gram_at = wp.metric_field(sp, j0, frame)
+    field_, gram_at = wp.metric_field(n)
     rng = np.random.default_rng(120 + n)
     nsym = kns.sym_dim(n)
     coords = np.stack([kns.coords_from_sym(kns.random_bsd_point(n, rng, 0.8).phi)
@@ -146,31 +128,28 @@ def test_metric_rows_equal_the_rows_of_metric_field(n):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_formula_cross_validation(n):
-    sp, j0, frame = workspace(n)
     rng = np.random.default_rng(4)
     for bp in [kns.BsdPoint(phi=np.zeros((n, n))), kns.random_bsd_point(n, rng, 0.5)]:
-        alg = wp.curvature_formula_terms(sp, j0, frame, bp)
-        assert np.max(np.abs(alg - wp.curvature_fd(sp, j0, frame, bp).entries)) < 1e-4
+        alg = wp.curvature_formula_terms(bp)
+        assert np.max(np.abs(alg - wp.curvature_fd(bp).entries)) < 1e-4
 
 
 def test_first_two_terms_dominate():
     # The projected-variation term only makes curvature more negative.
-    sp, j0, frame = workspace(1)
     bp = kns.BsdPoint(phi=np.array([[0.35 + 0.1j]]))
-    full = wp.curvature_formula_terms(sp, j0, frame, bp)[0, 0, 0, 0].real
-    fd = wp.curvature_fd(sp, j0, frame, bp).entries[0, 0, 0, 0].real
+    full = wp.curvature_formula_terms(bp)[0, 0, 0, 0].real
+    fd = wp.curvature_fd(bp).entries[0, 0, 0, 0].real
     assert full <= 0
     assert fd <= 1e-6
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_burns_bounds(n):
-    sp, j0, frame = workspace(n)
     rng = np.random.default_rng(170 + n)
     nsym = kns.sym_dim(n)
     pairs = rng.standard_normal((wp.CLOSEDNESS_PAIRS, 2, nsym)) + 1j * rng.standard_normal(
         (wp.CLOSEDNESS_PAIRS, 2, nsym))
-    rep = wp.burns_bounds(sp, j0, frame, samples=30, seed=11,
+    rep = wp.burns_bounds(n, samples=30, seed=11,
                           closedness=(kns.random_bsd_point(n, rng, 0.5), pairs))
     bound = -2.0 / n
     assert rep.max_hsc <= bound + 1e-3
@@ -187,9 +166,8 @@ def test_burns_bounds(n):
 
 def test_orthogonal_directions_degenerate_pairing():
     # With G-orthogonal directions the paired bound's right side vanishes.
-    sp, j0, frame = workspace(2)
-    tensor = wp.curvature_fd(sp, j0, frame, kns.BsdPoint(phi=np.zeros((2, 2))))
-    _, gram_at = wp.metric_field(sp, j0, frame)
+    tensor = wp.curvature_fd(kns.BsdPoint(phi=np.zeros((2, 2))))
+    _, gram_at = wp.metric_field(2)
     g = gram_at(np.zeros(3, dtype=complex))
     xi = np.array([1.0, 0, 0], dtype=complex)
     eta = np.array([0, 0, 1.0], dtype=complex)
@@ -224,8 +202,7 @@ def test_trace_inequality_random_and_equality():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_closed_form_metric_matches_metric_field(n):
-    sp, j0, frame = workspace(n)
-    _, gram_at = wp.metric_field(sp, j0, frame)
+    _, gram_at = wp.metric_field(n)
     rng = np.random.default_rng(40 + n)
     for bp in [kns.BsdPoint(phi=np.zeros((n, n))), kns.random_bsd_point(n, rng, 0.75),
                kns.random_bsd_point(n, rng, 0.75)]:
@@ -235,10 +212,9 @@ def test_closed_form_metric_matches_metric_field(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_closed_form_tensor_matches_curvature_fd(n):
-    sp, j0, frame = workspace(n)
     bp = kns.random_bsd_point(n, np.random.default_rng(50 + n), 0.75)
     closed = wp.ClosedFormCurvature(bp.phi)
-    fd = wp.curvature_fd(sp, j0, frame, bp)
+    fd = wp.curvature_fd(bp)
     assert np.max(np.abs(closed.tensor().entries - fd.entries)) < 1e-7
     assert closed.tensor().kahler_symmetry_defect() < 1e-13
     rng = np.random.default_rng(n)
@@ -255,10 +231,9 @@ def test_directional_oracle_matches_full_tensor(n):
     # The one-line oracle reads rows of the metric on a 17-point stencil; the
     # contracted difference tensor reads 1 + 16 nsym^2 full Gram matrices,
     # and the closed form none.  All three agree on stacked lines.
-    sp, j0, frame = workspace(n)
     bp = kns.random_bsd_point(n, np.random.default_rng(60 + n), 0.75)
-    fd = wp.curvature_fd(sp, j0, frame, bp)
-    field_, gram_at = wp.metric_field(sp, j0, frame)
+    fd = wp.curvature_fd(bp)
+    field_, gram_at = wp.metric_field(n)
     coords = kns.coords_from_sym(bp.phi)
     g = gram_at(coords)
     rng = np.random.default_rng(n)
@@ -443,8 +418,7 @@ def test_sharp_direction_attains_the_bound(case):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_stacked_gram_at_equals_per_point_calls(n):
-    sp, j0, frame = workspace(n)
-    _, gram_at = wp.metric_field(sp, j0, frame)
+    _, gram_at = wp.metric_field(n)
     rng = np.random.default_rng(100 + n)
     coords = np.stack([kns.coords_from_sym(kns.random_bsd_point(n, rng, 0.8).phi)
                        for _ in range(6)]).reshape(2, 3, -1)
