@@ -150,6 +150,9 @@ class SuiteConfig:
     tolerances: dict = field(default_factory=dict)
     grid: int = 64
     model: str | None = None
+    # The --model resolved once, before any suite runs: (the suite that reads
+    # it, its family name, the built and probed model object); None without one.
+    resolved_model: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.suite not in SUITES and self.suite != "all":
@@ -179,22 +182,29 @@ class SuiteConfig:
         rank = params.get("r", 1)
         if not isinstance(rank, int) or rank < 1:
             raise UsageError(f"bundle rank r must be an integer >= 1, got {rank!r}")
-        if family is not None and (self.suite == "schumacher" or
-                                   (self.suite == "all" and family in MODEL_SUITES["schumacher"])):
-            # Probe the model once where the schumacher suite uses it.
-            model = _configured_fibration(self)
-            if not model.proper:
-                raise UsageError("schumacher requires a torus-fiber model")
-            try:
-                fib.check_positivity(model, T_PERT)
-            except fib.PositivityError as exc:
-                raise UsageError(f"model {self.model!r} at t={T_PERT}: {exc}") from None
-        if family in MODEL_SUITES["projbundle"] and self.suite in ("projbundle", "all"):
-            try:
-                with np.errstate(all="ignore"):     # metric() rejects inf and nan itself
-                    MODEL_SUITES["projbundle"][family](**params).metric(T_BUNDLE)
-            except ValueError as exc:
-                raise UsageError(f"model {self.model!r} at t={T_BUNDLE}: {exc}") from None
+        if family is not None:
+            # Resolve the --model once: find the suite that reads it, build it
+            # and probe it at the point where that suite reads it.
+            reader = next(name for name, registry in MODEL_SUITES.items() if family in registry)
+            if self.suite not in (reader, "all"):
+                raise UsageError(f"suite {self.suite} does not read model family "
+                                 f"{family!r}; suite {reader} does")
+            if reader == "schumacher":
+                model = MODEL_SUITES[reader][family](**{"grid": self.grid, **params})
+                if not model.proper:
+                    raise UsageError("schumacher requires a torus-fiber model")
+                try:
+                    fib.check_positivity(model, T_PERT)
+                except fib.PositivityError as exc:
+                    raise UsageError(f"model {self.model!r} at t={T_PERT}: {exc}") from None
+            else:
+                model = MODEL_SUITES[reader][family](**params)
+                try:
+                    with np.errstate(all="ignore"):     # metric() rejects inf and nan itself
+                        model.metric(T_BUNDLE)
+                except ValueError as exc:
+                    raise UsageError(f"model {self.model!r} at t={T_BUNDLE}: {exc}") from None
+            object.__setattr__(self, "resolved_model", (reader, family, model))
         for key, val in self.tolerances.items():
             if key not in DEFAULT_TOLERANCES:
                 raise UsageError(f"unknown tolerance key {key!r}")
@@ -567,19 +577,10 @@ T_PERT = 0.3 + 1.2j
 T_BUNDLE = 0.4 + 0.2j
 
 
-def _configured_fibration(cfg: SuiteConfig) -> fib.FibrationModel:
-    """The --model fibration family, at cfg.grid unless the spec sets grid."""
-    family, params = parse_model_spec(cfg.model)
-    if family not in MODEL_SUITES["schumacher"]:
-        raise UsageError(f"suite schumacher needs a fibration family, got {family!r}")
-    params.setdefault("grid", cfg.grid)
-    return MODEL_SUITES["schumacher"][family](**params)
-
-
 def suite_schumacher(cfg: SuiteConfig, tol: Tolerances):
     model = fib.elliptic_model(cfg.grid)
     if cfg.model is not None:
-        pert = _configured_fibration(cfg)
+        _, _, pert = cfg.resolved_model
     else:
         pert = fib.perturbed_torus_model(eps=0.05, grid=cfg.grid)
     # Only the residual of the flat family is kept: its grids are freed
@@ -843,10 +844,10 @@ def suite_projbundle(cfg: SuiteConfig, tol: Tolerances):
                          pb.projective_flatness_residual(rank1, 0.7 + 0.4j),
                          tol("projflat-zero")))
     if cfg.model is not None:
-        family, params = parse_model_spec(cfg.model)
+        _, family, model = cfg.resolved_model
         # In the normalized metric the residual is relative to max|h|, as the
         # top power (which is invariant under h -> c h) already is.
-        model = pb.normalized_model(MODEL_SUITES["projbundle"][family](**params))
+        model = pb.normalized_model(model)
         resid = pb.projective_flatness_residual(model, T_BUNDLE)
         v = np.ones(model.r, dtype=complex)
         top = pb.pk_top_power(pb.pk_form(model, T_BUNDLE, v))
@@ -878,7 +879,7 @@ SUITES = {
 def run_suite(config: SuiteConfig) -> SuiteReport:
     """Execute the named suite (or all of them, one after another in registry
     order, each check prefixed with its suite name) and collect check records.
-    A --model goes only to the suite of its family's registry (`MODEL_SUITES`).
+    A --model goes only to the suite that reads it (`SuiteConfig.resolved_model`).
     """
     start = time.perf_counter()
     tol = Tolerances(config)
@@ -887,12 +888,10 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     else:
         names = [config.suite]
     results: list[CheckRecord] = []
-    family = parse_model_spec(config.model)[0] if config.model is not None else None
+    reader = config.resolved_model[0] if config.model is not None else None
     for name in names:
         prefix = f"{name}/" if config.suite == "all" else ""
-        suite_config = config
-        if family is not None and family not in MODEL_SUITES.get(name, ()):
-            suite_config = replace(config, model=None)
+        suite_config = config if name == reader else replace(config, model=None)
         for record in SUITES[name](suite_config, tol):
             record.name = prefix + record.name
             results.append(record)

@@ -231,13 +231,6 @@ class SpectralFiber:
         self.symbol_zbar = 0.5j * (mu[:self.n] + 1j * mu[self.n:])
         self._axes = tuple(range(-2 * self.n, 0))
 
-    @property
-    def points(self) -> np.ndarray:
-        return self.points_grid.reshape(self.n, -1)
-
-    def to_grid(self, flat: np.ndarray) -> np.ndarray:
-        return np.asarray(flat).reshape(flat.shape[:-1] + self.shape)
-
     def _multiply(self, f: np.ndarray, symbol: np.ndarray) -> np.ndarray:
         """The Fourier multiplier `symbol` applied to f (..., grid): one
         fftn and one ifftn over the grid axes, the latter in place."""
@@ -302,8 +295,9 @@ class FiberState:
     """The fiber data of a model at one base point t (or, from
     `evaluate_fields`, at one base point per fiber point).
 
-    Arrays carry the sample-point axis last: ``bb`` (P,), ``bf`` (n, P) and
-    ``ff`` (n, n, P) are the second jets, ``ff_inv`` and ``det_ff`` the
+    Arrays carry the point axes P last, the 2n grid axes of the torus grid
+    or one axis of box samples: ``bb`` (P,), ``bf`` (n, P) and ``ff``
+    (n, n, P) are the second jets, ``ff_inv`` and ``det_ff`` the
     inverse and determinant of the fiber metric, ``lifts`` (n, P) the fiber
     components u^a with V = d_t - u^a d_a, ``c`` (P,) the geodesic curvature
     and ``ks`` (n, n, P) the tensor A^a_b = ks[a, b] of the fiber-direction
@@ -387,7 +381,7 @@ def _fiber_points(model: FibrationModel, t: complex,
     BOX_SAMPLES box points drawn with `seed` otherwise."""
     if model.proper:
         fiber = SpectralFiber(model.lattice(t), model.grid)
-        return fiber, fiber.points
+        return fiber, fiber.points_grid
     rng = np.random.default_rng(seed)
     return None, (rng.uniform(-1.0, 1.0, (model.n, BOX_SAMPLES))
                   + 1j * rng.uniform(-1.0, 1.0, (model.n, BOX_SAMPLES)))
@@ -501,8 +495,8 @@ def wp_fiber_metric(state: FiberState, inner: np.ndarray | None = None) -> np.nd
     _require_proper(state)
     fiber = state.spectral
     if inner is None:
-        inner = fiber.to_grid(state.kappa_pair())
-    val = fiber.integrate_volume(inner, fiber.to_grid(state.det_ff))
+        inner = state.kappa_pair()
+    val = fiber.integrate_volume(inner, state.det_ff)
     return np.array([[val]])
 
 
@@ -510,7 +504,7 @@ def dbar_closedness_residual(state: FiberState) -> float:
     """Spectral residual of d_bbar ks[a, c] - d_cbar ks[a, b] on the fiber."""
     _require_proper(state)
     fiber = state.spectral
-    ks = fiber.to_grid(state.ks)
+    ks = state.ks
     n = fiber.n
     worst = 0.0
     for a in range(n):
@@ -525,10 +519,10 @@ def _log_det_jets(model: FibrationModel, t: complex,
                   fiber: SpectralFiber) -> tuple[np.ndarray, np.ndarray]:
     """log det(ff) (grid) and its analytic fiber gradient d_bbar log det(ff) =
     tr(ff^{-1} d_bbar ff) (n, grid) at t, from one call of each jet."""
-    _, _, ff = model.second(t, fiber.points)
-    _, fff = model.third(t, fiber.points)
+    _, _, ff = model.second(t, fiber.points_grid)
+    _, fff = model.third(t, fiber.points_grid)
     grad = np.einsum("ms...,smb...->b...", _invert_ff(ff), fff)
-    return fiber.to_grid(np.log(_det_ff(ff).real + 0j)), fiber.to_grid(grad)
+    return np.log(_det_ff(ff).real + 0j), grad
 
 
 def _psi_base_derivatives(state: FiberState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -568,16 +562,16 @@ def relative_canonical_curvature(state: FiberState,
     fiber = state.spectral
     n = fiber.n
     psi_ttb, psi_tb, _ = psi
-    ug = fiber.to_grid(state.lifts)
+    u = state.lifts
     # Theta(V, Vbar) = psi_ttb - sum_b psi_{t bbar} conj(u^b)
     #                - sum_a psi_{a tbar} u^a + sum psi_{a bbar} u^a conj(u^b),
     # with psi_{a tbar} = conj(psi_{t abar}) since psi is real.
     theta = psi_ttb.astype(complex)
     for b in range(n):
-        theta = theta - psi_tb[b] * ug[b].conj() - psi_tb[b].conj() * ug[b]
+        theta = theta - psi_tb[b] * u[b].conj() - psi_tb[b].conj() * u[b]
     for a in range(n):
         for b in range(n):
-            theta = theta + psi_fb[a, b] * ug[a] * ug[b].conj()
+            theta = theta + psi_fb[a, b] * u[a] * u[b].conj()
     return theta
 
 
@@ -608,13 +602,12 @@ def schumacher_residual(state: FiberState) -> SchumacherReport:
     """Grid residual of: canonical curvature = pairing - Laplacian of c."""
     _require_proper(state)
     fiber = state.spectral
-    c_grid = fiber.to_grid(state.c)
-    fiber.check_resolution(c_grid.real)
+    fiber.check_resolution(state.c.real)
     psi = _psi_base_derivatives(state)
     psi_fb = np.stack([fiber.d_z(psi[2], a) for a in range(fiber.n)])
     lhs = relative_canonical_curvature(state, psi, psi_fb)
-    inner = fiber.to_grid(state.kappa_pair())
-    box_c = box_on_function(fiber, c_grid, fiber.to_grid(state.ff_inv))
+    inner = state.kappa_pair()
+    box_c = box_on_function(fiber, state.c, state.ff_inv)
     residual = float(np.max(np.abs(lhs - inner + box_c)))
     return SchumacherReport(lhs=lhs, inner=inner, box_c=box_c, residual=residual, psi=psi,
                             psi_fb=psi_fb)
@@ -630,9 +623,9 @@ def fs_pushforward_check(state: FiberState,
     if state.model.n != 1:
         raise CaseNotCoveredError("pushforward identity implemented for 1-dim fibers")
     fiber = state.spectral
-    g_ff = fiber.to_grid(state.ff[0, 0]).real
-    g_bf = fiber.to_grid(state.bf[0])
-    g_bb = fiber.to_grid(state.bb)
+    g_ff = state.ff[0, 0].real
+    g_bf = state.bf[0]
+    g_bb = state.bb
 
     psi_ttb, (psi_tb,), _ = report.psi
     psi_zzb = report.psi_fb[0, 0]
@@ -653,7 +646,7 @@ def average_horizontal_positivity(state: FiberState,
     """(integral of the canonical curvature against the volume, metric value);
     ``report`` is the `schumacher_residual` of the same state."""
     fiber = state.spectral
-    lhs = fiber.integrate_volume(report.lhs, fiber.to_grid(state.det_ff)).real
+    lhs = fiber.integrate_volume(report.lhs, state.det_ff).real
     rhs = wp_fiber_metric(state, report.inner)[0, 0].real
     return lhs, rhs
 
@@ -663,7 +656,8 @@ def average_horizontal_positivity(state: FiberState,
 # ---------------------------------------------------------------------------
 
 def _require_flat_fiber(state: FiberState) -> None:
-    ff = state.ff
+    n = state.model.n
+    ff = state.ff.reshape(n, n, -1)
     spread = float(np.max(np.abs(ff - ff[..., :1])))
     if spread > 1e-10 * max(1.0, float(np.max(np.abs(ff)))):
         raise CaseNotCoveredError("identity requires a fiber-flat metric")
@@ -671,14 +665,13 @@ def _require_flat_fiber(state: FiberState) -> None:
 
 def kappa_phi(state: FiberState, phi_grid: np.ndarray) -> np.ndarray:
     """Flat-fiber variation tensor of fiber potentials phi_grid (..., grid):
-    shape (n, n, ..., P), the point axis flattened."""
+    shape (n, n, ..., grid)."""
     fiber = state.spectral
     n = fiber.n
+    ff_inv0 = state.ff_inv.reshape(n, n, -1)[..., 0]
     phi = np.asarray(phi_grid)
-    ff_inv0 = state.ff_inv[..., 0]
     second_bar = fiber.second(phi, fiber.symbol_zbar, fiber.symbol_zbar)  # [g, b]
-    kphi = np.einsum("ga,gb...->ab...", ff_inv0, second_bar)
-    return kphi.reshape((n, n) + phi.shape[:-2 * n] + (-1,))
+    return np.einsum("ga,gb...->ab...", ff_inv0, second_bar)
 
 
 def bkn_identity_check(state: FiberState, phi_grid: np.ndarray, kphi: np.ndarray
@@ -695,10 +688,10 @@ def bkn_identity_check(state: FiberState, phi_grid: np.ndarray, kphi: np.ndarray
     fiber = state.spectral
     phi = np.asarray(phi_grid)
     inner = kappa_pairing(kphi, kphi, state.ff, state.ff_inv).real
-    det_ff = fiber.to_grid(state.det_ff.real)
-    norm_k = np.sqrt(fiber.integrate_volume(fiber.to_grid(inner), det_ff).real)
+    det_ff = state.det_ff.real
+    norm_k = np.sqrt(fiber.integrate_volume(inner, det_ff).real)
     del inner
-    box_phi = box_on_function(fiber, phi, fiber.to_grid(state.ff_inv))
+    box_phi = box_on_function(fiber, phi, state.ff_inv)
     norm_box = np.sqrt(fiber.integrate_volume(np.abs(box_phi) ** 2, det_ff).real)
     return norm_k, norm_box, "ricci-flat-fiber"
 
@@ -711,7 +704,7 @@ def kappa_phi_pairing(state: FiberState, kphi: np.ndarray) -> complex | np.ndarr
     _require_flat_fiber(state)
     fiber = state.spectral
     pair = state.kappa_pair(kphi)
-    return fiber.integrate_volume(fiber.to_grid(pair), fiber.to_grid(state.det_ff))
+    return fiber.integrate_volume(pair, state.det_ff)
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,6 @@ class BundleMetricModel:
     r: int
     jets: Callable[[complex], tuple[np.ndarray, np.ndarray, np.ndarray]]
     name: str = ""
-    m: int = 1
     chart: int = 0
 
     def metric(self, t: complex) -> np.ndarray:
@@ -106,10 +105,13 @@ def ricci(model: BundleMetricModel, t: complex) -> complex:
 
 
 def projective_flatness_residual(model: BundleMetricModel, t: complex) -> float:
-    """Distance of the curvature from its trace part: zero iff projectively flat."""
-    h, _, _ = model.jets(t)
-    r = chern_curvature(model, t)
-    return float(np.max(np.abs(r - (ricci(model, t) / model.r) * h)))
+    """Distance of the curvature from its trace part: zero iff projectively
+    flat.  The `chern_curvature` and the `ricci` trace come from one jet
+    call, one inverse and one solve."""
+    h, dh, ddh = model.jets(t)
+    r = _lowered_curvature(dh, ddh, np.linalg.inv(h))
+    ric = complex(np.trace(np.linalg.solve(h, r)))
+    return float(np.max(np.abs(r - (ric / model.r) * h)))
 
 
 def _chart_coordinates(model: BundleMetricModel, v: np.ndarray) -> np.ndarray:

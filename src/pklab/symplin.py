@@ -11,7 +11,7 @@ so the type projectors on the complexified dual are (I -+ i J^T) / 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,7 +96,6 @@ class UnitaryFrame:
     """
 
     columns: np.ndarray
-    reference: ComplexStructure = field(repr=False)
 
     def __post_init__(self):
         xi = np.asarray(self.columns, dtype=complex)
@@ -193,7 +192,7 @@ def unitary_frame(space: SymplecticSpace, J: ComplexStructure) -> UnitaryFrame:
     # gram is Hermitian PD; Cholesky of H = L L^H orthonormalizes the rows.
     chol = np.linalg.cholesky(gram)
     rows = np.linalg.solve(chol, rows.conj()).conj()
-    frame = UnitaryFrame(columns=rows, reference=J)
+    frame = UnitaryFrame(columns=rows)
     check_frame(space, J, frame)
     return frame
 

@@ -1,6 +1,7 @@
 """Harness tests: configs, reports, determinism, exit codes, plot data."""
 
 import dataclasses
+import functools
 import json
 import re
 from pathlib import Path
@@ -292,6 +293,11 @@ def test_unusable_output_path_rejected_before_running(tmp_path, monkeypatch, cap
     ("projbundle", "split weights=1,-80,0.5"),
     ("projbundle", "twisted weight=-3500"),
     ("projbundle", "twisted weight=3600"),
+    # A single-suite run whose suite does not read the family; under all
+    # the model goes to its reader.
+    ("projbundle", "elliptic"),
+    ("higgs", "split"),
+    ("schumacher", "split"),
 ])
 def test_bad_model_rejected_before_running(suite, model, monkeypatch, capsys):
     def no_run(config):
@@ -339,9 +345,25 @@ def test_nan_readings_of_the_configured_model_fail(monkeypatch):
     assert check.status == "fail"
 
 
-def test_bundle_probe_ignores_a_fibration_model():
-    # projbundle runs without a --model of another registry, as before the probe.
-    assert cli.main_verify(["--suite", "projbundle", "--samples", "4", "--model", "elliptic"]) == 0
+@pytest.mark.parametrize("suite, model", [
+    ("schumacher", "perturbed-torus eps=0.02"),
+    ("all", "split weights=1,2,0.5"),
+])
+def test_configured_model_built_once_per_run(suite, model, monkeypatch, tmp_path):
+    # The probe and the reader suite share the one build.
+    family = model.split()[0]
+    registry = next(r for r in cli.MODEL_SUITES.values() if family in r)
+    builds, build = [], registry[family]
+
+    @functools.wraps(build)     # parse_model_spec reads the builder's signature
+    def counted(**params):
+        builds.append(params)
+        return build(**params)
+
+    monkeypatch.setitem(registry, family, counted)
+    assert cli.main_verify(["--suite", suite, "--n", "2", "--samples", "20", "--model", model,
+                            "--out", str(tmp_path / "r.json")]) == 0
+    assert len(builds) == 1
 
 
 def test_model_probe_builds_no_fiber_state(monkeypatch, tmp_path):
