@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import inspect
 import io
 import json
@@ -94,8 +95,8 @@ MIN_GRID = 4
 # grid^2 points, and the largest fiber arrays the suites allocate hold 16
 # bytes per point: the complex fields of `fib.evaluate_fields`, the FFTs of
 # `SpectralFiber`, its Fourier symbols and its two-row float coordinate
-# and frequency stacks.  A schumacher run holds about 38 of them at once
-# (195 MB peak RSS at grid 512).  One such array may take at most
+# and frequency stacks.  A schumacher run holds about 24 of them at once
+# (135 MB peak RSS at grid 512).  One such array may take at most
 # FIBER_ARRAY_BYTES, which caps --grid at MAX_GRID = 1024.
 FIBER_ARRAY_BYTES = 1 << 24
 MAX_GRID = math.isqrt(FIBER_ARRAY_BYTES // 16)
@@ -302,10 +303,9 @@ def suite_kns_roundtrip(cfg: SuiteConfig, tol: Tolerances):
     n = cfg.n
     rng = np.random.default_rng([cfg.seed, 1])
     space, j0, frame = _workspace(n)
-    # Draw every sample first, in the order of the per-sample loop, then run
-    # the chart maps on the stack.
-    jps = np.stack([sl.random_compatible_structure(space, rng).J
-                    for _ in range(cfg.samples)])
+    # Every sample's structure from one stacked draw, then the chart maps on
+    # the stack.
+    jps = sl.random_compatible_structures(space, rng, cfg.samples)
     phi = kns.kns_tensor(j0, jps, frame)
     worst_sym = float(np.max(np.abs(phi - phi.swapaxes(-1, -2))))
     worst_radius = kns.spectral_radius_phibar(phi) ** 0.5
@@ -364,11 +364,13 @@ def suite_kns_roundtrip(cfg: SuiteConfig, tol: Tolerances):
 # `higgs` has 8 nsym x 8 nsym inner points (6400 at n=4); its checks read
 # frame changes only, and those of the inner points are reduced to their
 # differences in blocks (`higgs.STENCIL_BLOCK_BYTES`), but the stacks at the
-# 8 nsym outer points grow like nsym^2 dim^2.  Measured as `verify` runs on
-# a 2-CPU host (peak RSS from getrusage): `higgs --n 4 --seed 7` 1.2 s and
-# 130 MB, `curvature-formula --n 4 --samples 20 --seed 7` 0.46 s and 57 MB,
-# `higgs --n 3` 0.14 s and 79 MB; `higgs` at n=5 (45 x 45 matrices at k=2)
-# took 45 s and 537 MB.
+# 8 nsym outer points grow like nsym^2 dim^2, and the suite stacks both of
+# its base points.  Measured as `verify` runs on a 2-CPU host (peak RSS from
+# getrusage): `higgs --n 4 --seed 7` 0.37 s and 169 MB (129 MB with one
+# stencil per base point), `curvature-formula --n 4 --samples 20 --seed 7`
+# 0.46 s and 57 MB, `higgs --n 3` 0.07 s and 89 MB (77 MB); `higgs` at n=5
+# (45 x 45 matrices at k=2) took 45 s and 537 MB with one stencil per base
+# point.
 HIGGS_MAX_RANK = 4
 
 
@@ -397,11 +399,14 @@ def suite_higgs(cfg: SuiteConfig, tol: Tolerances):
     rng = np.random.default_rng([cfg.seed, 2])
     checks = []
     points = [kns.BsdPoint(phi=np.zeros((n, n))), kns.random_bsd_point(n, rng, 0.45)]
+    # One stencil per degree over both base points; the checks read each
+    # point's views.
+    stacked = np.stack([kns.coords_from_sym(bp.phi) for bp in points])
     for k in [kk for kk in (0, 1, 2) if kk <= 2 * n]:
-        field_ = hg.HiggsField(n, k)
+        st = hg.HiggsField(n, k).stencil(stacked)
         alg = fd = 0.0
-        for bp in points:
-            point_alg, point_fd = _higgs_residuals(field_.stencil(kns.coords_from_sym(bp.phi)))
+        for i in range(len(points)):
+            point_alg, point_fd = _higgs_residuals(st.at(i))
             alg, fd = max(alg, point_alg), max(fd, point_fd)
         checks.append(_check(f"algebraic-identities-k{k}", "higgs-structure", alg,
                              tol("algebraic-identity")))
@@ -525,16 +530,18 @@ def suite_trace_inequality(cfg: SuiteConfig, tol: Tolerances):
 def suite_elliptic_family(cfg: SuiteConfig, tol: Tolerances):
     rng = np.random.default_rng([cfg.seed, 6])
     model = fib.elliptic_model(cfg.grid)
-    worst_agree = worst_type = worst_top = worst_c = 0.0
+    # Draw every slice's base point and fiber points first, in the order of
+    # the per-slice loop, then evaluate all slices as one stack.
+    ts, pts = [], []
     for _ in range(max(1, cfg.samples // 2)):
-        t = rng.uniform(-1.5, 1.5) + 1j * rng.uniform(0.3, 3.0)
-        slc = fib.elliptic_family(t)
-        worst_agree = max(worst_agree, slc.agreement)
-        worst_type = max(worst_type, slc.type_residual)
-        worst_top = max(worst_top, slc.top_power)
-        pts = (rng.standard_normal((1, 8)) + 1j * rng.standard_normal((1, 8)))
-        c = fib.evaluate_fields(model, t, pts).c
-        worst_c = max(worst_c, float(np.max(np.abs(c))))
+        ts.append(rng.uniform(-1.5, 1.5) + 1j * rng.uniform(0.3, 3.0))
+        pts.append(rng.standard_normal((1, 8)) + 1j * rng.standard_normal((1, 8)))
+    slices = fib.elliptic_slices(ts)
+    worst_agree = max(slc.agreement for slc in slices)
+    worst_type = max(slc.type_residual for slc in slices)
+    worst_top = max(slc.top_power for slc in slices)
+    c = fib.evaluate_fields(model, np.array(ts)[:, None], np.stack(pts, axis=1)).c
+    worst_c = float(np.max(np.abs(c)))
     checks = [
         _check("representation-agreement", "elliptic-two-forms", worst_agree,
                tol("elliptic-exact")),
@@ -1089,7 +1096,11 @@ def _config_from_args(args) -> SuiteConfig:
     )
 
 
-def main_verify(argv=None) -> int:
+@functools.cache
+def _verify_parser() -> argparse.ArgumentParser:
+    """The `verify` parser, built once per process: parse_args keeps no state
+    in it (each call fills a fresh namespace, and --tol appends to a fresh
+    list)."""
     parser = argparse.ArgumentParser(
         prog="verify", description="Run a named verification suite.")
     parser.add_argument("--suite", default=None)
@@ -1105,7 +1116,11 @@ def main_verify(argv=None) -> int:
                         metavar="family [key=val ...]",
                         help="built-in model family with parameters, e.g. "
                              "'perturbed-torus eps=0.05'")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main_verify(argv=None) -> int:
+    args = _verify_parser().parse_args(argv)
     try:
         config = _config_from_args(args)
         if args.out:

@@ -1,9 +1,10 @@
 """Relative Kahler fibration toolkit on analytic models with torus fibers.
 
 Models carry a local potential for the global form through its second and
-third mixed Wirtinger derivatives, written out by hand in numpy for each
-built-in family (tests/_symbolic.py differentiates the same potentials with
-sympy as their oracle).  `fiber_state` is the one place that evaluates the
+third mixed Wirtinger derivatives and the base derivatives of its fiber
+metric, written out by hand in numpy for each built-in family
+(tests/_symbolic.py differentiates the same potentials with sympy as their
+oracle).  `fiber_state` is the one place that evaluates the
 fiber data at a base point: the torus grid or box samples, the jets, the
 inverse and determinant of the fiber metric, the horizontal lifts, the
 geodesic curvature and the variation tensors.  Each check reads a
@@ -52,6 +53,10 @@ class FibrationModel:
     a scalar or an array broadcast against the point axes P, one base point
     per fiber point.  ``third`` returns (bff, fff) with
     bff[c, b] = d_t d_cbar d_bbar g and fff[a, c, b] = d_a d_cbar d_bbar g.
+    ``metric_t`` returns the base derivatives (ff_t, ff_ttb, ff_tb) of the
+    fiber metric ff[a, c] = d_a d_cbar g: ff_t[a, c] = d_t ff[a, c] and
+    ff_ttb[a, c] = d_t d_tbar ff[a, c] (n, n, P), and ff_tb[a, c, b] =
+    d_t d_bbar ff[a, c] (n, n, n, P).
     ``lattice`` maps t to 2n complex generators (rows) of the fiber lattice,
     or None for non-proper models.
     """
@@ -60,6 +65,7 @@ class FibrationModel:
     n: int
     second: Callable
     third: Callable
+    metric_t: Callable
     lattice: Callable | None = None
     grid: int = 64
 
@@ -68,14 +74,15 @@ class FibrationModel:
         return self.lattice is not None
 
 
-def model_from_potential(jets: tuple[Callable, Callable], name: str, n: int = 1,
+def model_from_potential(jets: tuple[Callable, Callable, Callable], name: str, n: int = 1,
                          lattice: Callable | None = None, grid: int = 64) -> FibrationModel:
-    """Build a model from the closed-form ``(second, third)`` jets of its potential.
+    """Build a model from the closed-form ``(second, third, metric_t)`` jets
+    of its potential.
 
     Every built-in family goes through here, one call per model.
     """
-    second, third = jets
-    return FibrationModel(name=name, n=n, second=second, third=third,
+    second, third, metric_t = jets
+    return FibrationModel(name=name, n=n, second=second, third=third, metric_t=metric_t,
                           lattice=lattice, grid=grid)
 
 
@@ -109,7 +116,12 @@ def _n1_third(shape, bff, fff):
     return _full(bff, shape)[None, None], _full(fff, shape)[None, None, None]
 
 
-def _split_jets(base_weight: float) -> tuple[Callable, Callable]:
+def _n1_metric_t(shape, ff_t, ff_ttb, ff_tb):
+    return (_full(ff_t, shape)[None, None], _full(ff_ttb, shape)[None, None],
+            _full(ff_tb, shape)[None, None, None])
+
+
+def _split_jets(base_weight: float) -> tuple[Callable, Callable, Callable]:
     """Jets of |z|^2 + w |t|^2."""
 
     def second(tv, pts):
@@ -118,10 +130,13 @@ def _split_jets(base_weight: float) -> tuple[Callable, Callable]:
     def third(tv, pts):
         return _n1_third(_point_shape(tv, pts), 0.0, 0.0)
 
-    return second, third
+    def metric_t(tv, pts):
+        return _n1_metric_t(_point_shape(tv, pts), 0.0, 0.0, 0.0)
+
+    return second, third, metric_t
 
 
-def _flat_torus_jets(sign: int) -> tuple[Callable, Callable]:
+def _flat_torus_jets(sign: int) -> tuple[Callable, Callable, Callable]:
     """Jets of -sign i (z + sign zbar)^2 / (t - tbar).
 
     sign = -1 is the elliptic potential 2 (Im z)^2 / Im t, sign = +1 the
@@ -139,7 +154,12 @@ def _flat_torus_jets(sign: int) -> tuple[Callable, Callable]:
         t, tb, z, _ = _wirtinger(tv, pts)
         return _n1_third(_point_shape(tv, pts), c / (t - tb)**2, 0.0)
 
-    return second, third
+    def metric_t(tv, pts):
+        # ff = 2i / (t - tbar) does not depend on z.
+        t, tb, _, _ = _wirtinger(tv, pts)
+        return _n1_metric_t(_point_shape(tv, pts), -2j / (t - tb)**2, -4j / (t - tb)**3, 0.0)
+
+    return second, third, metric_t
 
 
 def _torus_coordinate(tv, pts):
@@ -157,14 +177,15 @@ def _torus_coordinate(tv, pts):
             (t + tb) * w / d**3, -tb / d**2, a)
 
 
-def _perturbed_torus_jets(eps: float) -> tuple[Callable, Callable]:
+def _perturbed_torus_jets(eps: float) -> tuple[Callable, Callable, Callable]:
     """Jets of the elliptic potential plus eps s cos(2 pi a), s = Im t.
 
     Chain rule through the torus coordinate a (`_torus_coordinate`), with
     s_t = 1/(2i) = -s_tbar and every second derivative of a in (z, zbar)
-    zero.
+    zero.  The perturbation of the fiber metric is -eps k^2 q cos(k a),
+    k = 2 pi, with q = s a_z a_zbar = |t|^2 / (4 s) a function of t alone.
     """
-    flat_second, flat_third = _flat_torus_jets(-1)
+    flat_second, flat_third, flat_metric_t = _flat_torus_jets(-1)
     k = 2.0 * np.pi
     s_t = -0.5j
 
@@ -189,7 +210,25 @@ def _perturbed_torus_jets(eps: float) -> tuple[Callable, Callable]:
         fff[0, 0, 0] += eps * s * k**3 * sin * a_z * a_zb**2
         return bff, fff
 
-    return second, third
+    def metric_t(tv, pts):
+        ff_t, ff_ttb, ff_tb = flat_metric_t(tv, pts)
+        s, a_t, a_tb, _, a_zb, a_ttb, a_tzb, a = _torus_coordinate(tv, pts)
+        x = np.real(_wirtinger(tv, pts)[0])
+        # q = (x^2 + s^2) / (4 s) with t = x + i s and d_t = (d_x - i d_s) / 2.
+        q = (x * x + s * s) / (4.0 * s)
+        q_t = x / (4.0 * s) + 1j * (x * x - s * s) / (8.0 * s * s)
+        q_tb = np.conj(q_t)
+        q_ttb = (x * x + s * s) / (8.0 * s**3)
+        cos, sin = np.cos(k * a), np.sin(k * a)
+        scale = -eps * k * k
+        ff_t[0, 0] += scale * (q_t * cos - k * q * sin * a_t)
+        ff_ttb[0, 0] += scale * (q_ttb * cos - k * sin * (q_t * a_tb + q_tb * a_t)
+                                 - k * k * q * cos * a_t * a_tb - k * q * sin * a_ttb)
+        ff_tb[0, 0, 0] += scale * (-k * sin * (q_t * a_zb + q * a_tzb)
+                                   - k * k * q * cos * a_t * a_zb)
+        return ff_t, ff_ttb, ff_tb
+
+    return second, third, metric_t
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +337,8 @@ class FiberState:
     Arrays carry the point axes P last, the 2n grid axes of the torus grid
     or one axis of box samples: ``bb`` (P,), ``bf`` (n, P) and ``ff``
     (n, n, P) are the second jets, ``ff_inv`` and ``det_ff`` the
-    inverse and determinant of the fiber metric, ``lifts`` (n, P) the fiber
+    inverse and determinant of the fiber metric, ``fff`` (n, n, n, P) its
+    fiber derivatives fff[a, c, b] = d_bbar ff[a, c], ``lifts`` (n, P) the fiber
     components u^a with V = d_t - u^a d_a, ``c`` (P,) the geodesic curvature
     and ``ks`` (n, n, P) the tensor A^a_b = ks[a, b] of the fiber-direction
     variation; ``kappa_pair`` gives its pointwise metric pairing.
@@ -314,6 +354,7 @@ class FiberState:
     ff: np.ndarray
     ff_inv: np.ndarray
     det_ff: np.ndarray
+    fff: np.ndarray
     lifts: np.ndarray
     c: np.ndarray
     ks: np.ndarray
@@ -372,7 +413,7 @@ def evaluate_fields(model: FibrationModel, t: complex | np.ndarray,
     ks = -(np.einsum("cb...,ca...->ab...", bff, ff_inv)
            + np.einsum("c...,cab...->ab...", bf, dinv))
     return FiberState(model=model, t=t, points=pts, bb=bb, bf=bf, ff=ff, ff_inv=ff_inv,
-                      det_ff=_det_ff(ff), lifts=u, c=c, ks=ks, spectral=None)
+                      det_ff=_det_ff(ff), fff=fff, lifts=u, c=c, ks=ks, spectral=None)
 
 
 def _fiber_points(model: FibrationModel, t: complex,
@@ -398,10 +439,15 @@ def fiber_state(model: FibrationModel, t: complex, seed: int = 0) -> FiberState:
     on BOX_SAMPLES box points drawn with `seed` otherwise."""
     fiber, pts = _fiber_points(model, t, seed)
     state = evaluate_fields(model, t, pts)
-    herm = float(np.max(np.abs(state.c.imag)))
-    if herm > 1e-9 * max(1.0, float(np.max(np.abs(state.c)))):
-        raise ValueError(f"geodesic curvature failed Hermiticity ({herm:.2e})")
+    _require_hermitian(state.c)
     return replace(state, spectral=fiber)
+
+
+def _require_hermitian(c: np.ndarray) -> None:
+    """Raise unless the geodesic curvature c at one base point is real."""
+    herm = float(np.max(np.abs(c.imag)))
+    if herm > 1e-9 * max(1.0, float(np.max(np.abs(c)))):
+        raise ValueError(f"geodesic curvature failed Hermiticity ({herm:.2e})")
 
 
 # ---------------------------------------------------------------------------
@@ -447,15 +493,20 @@ class PkReport:
 
 
 def pk_residual(model: FibrationModel, t_samples: Sequence[complex]) -> PkReport:
-    """Sup over samples of the top-power coefficient norm and of |c|."""
-    worst_top = 0.0
-    worst_c = 0.0
-    for i, t in enumerate(t_samples):
-        state = fiber_state(model, t, seed=PK_SEED + i)
-        h = np.moveaxis(form_matrix(state.bb, state.bf, state.ff), (0, 1), (-2, -1))
-        worst_top = max(worst_top, float(np.max(top_power_norm(h, model.n))))
-        worst_c = max(worst_c, float(np.max(np.abs(state.c))))
-    return PkReport(name=model.name, max_top_power=worst_top, max_c=worst_c)
+    """Sup over samples of the top-power coefficient norm and of |c|.
+
+    The fiber points of every sample (`fiber_state`'s, the i-th drawn with
+    seed PK_SEED + i) are one stack (n, samples, *P) and one
+    `evaluate_fields` call; c is checked for Hermiticity per sample."""
+    pts = np.stack([_fiber_points(model, t, PK_SEED + i)[1] for i, t in enumerate(t_samples)],
+                   axis=1)
+    ts = np.reshape(t_samples, (-1,) + (1,) * (pts.ndim - 2))
+    state = evaluate_fields(model, ts, pts)
+    for c in state.c:
+        _require_hermitian(c)
+    h = np.moveaxis(form_matrix(state.bb, state.bf, state.ff), (0, 1), (-2, -1))
+    return PkReport(name=model.name, max_top_power=float(np.max(top_power_norm(h, model.n))),
+                    max_c=float(np.max(np.abs(state.c))))
 
 
 def dform_residual(model: FibrationModel, t: complex, zeta: np.ndarray) -> float:
@@ -475,13 +526,6 @@ def dform_residual(model: FibrationModel, t: complex, zeta: np.ndarray) -> float
 # ---------------------------------------------------------------------------
 # Fiber-integrated quantities
 # ---------------------------------------------------------------------------
-
-# t-step of the Richardson-extrapolated base stencils of log det(ff).  The
-# second difference amplifies rounding by 1/h^2 and the extrapolated stencil
-# leaves an O(h^4) truncation; on the perturbed torus at t = 0.3 + 1.2j the
-# schumacher residual is 7e-7 at h = 1e-4, 5e-8 at 5e-4 and 7e-8 at 1e-3.
-T_STEP = 5e-4
-
 
 def _require_proper(state: FiberState) -> None:
     if state.spectral is None:
@@ -515,42 +559,24 @@ def dbar_closedness_residual(state: FiberState) -> float:
     return worst
 
 
-def _log_det_jets(model: FibrationModel, t: complex,
-                  fiber: SpectralFiber) -> tuple[np.ndarray, np.ndarray]:
-    """log det(ff) (grid) and its analytic fiber gradient d_bbar log det(ff) =
-    tr(ff^{-1} d_bbar ff) (n, grid) at t, from one call of each jet."""
-    _, _, ff = model.second(t, fiber.points_grid)
-    _, fff = model.third(t, fiber.points_grid)
-    grad = np.einsum("ms...,smb...->b...", _invert_ff(ff), fff)
-    return np.log(_det_ff(ff).real + 0j), grad
-
-
 def _psi_base_derivatives(state: FiberState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Base derivatives of psi = log det(ff) on the fiber grid at t:
-    psi_{t tbar} (grid) and psi_{t bbar} (n, grid) by Richardson-extrapolated
-    t-stencils, and the analytic fiber gradient d_bbar psi (n, grid).
+    """Derivatives of psi = log det(g), g = ff, on the fiber grid at t, in
+    closed form from one `metric_t` call and the state's ff_inv and fff:
 
-    Both t-stencils read the jets at the `_fd.xy_points` of t: psi_{t bbar}
-    is `_fd.xy_combine` of the gradient, psi_{t tbar} the real/imag 5-point
-    Laplacian of the same psi values.
+        psi_{t tbar} = tr(g^-1 d_t d_tbar g) - tr(g^-1 d_tbar g g^-1 d_t g)   (grid),
+        psi_{t bbar} = tr(g^-1 d_t d_bbar g) - tr(g^-1 d_bbar g g^-1 d_t g)   (n, grid),
+        d_bbar psi   = tr(g^-1 d_bbar g)                                      (n, grid),
 
-    The jets take one t per call here, although they broadcast over stacks
-    of t: at grid 64 on a 2-CPU host, the jets, inverse and log-determinant
-    of one stacked call on the nine t-points took 14 ms, and this whole loop
-    8.5 ms (minimum of 15 calls).  The work is bound by array passes over
-    the fiber grid, which a nine-fold stack makes no fewer and larger."""
-    psi0, grad0 = _log_det_jets(state.model, state.t, state.spectral)
-    psi, grad = zip(*(_log_det_jets(state.model, p[0], state.spectral)
-                      for p in _fd.xy_points(np.array([state.t]), 0, T_STEP)))
-
-    def laplacian(v, h):
-        return 0.25 * ((v[0] - 2 * psi0 + v[1]) / h**2 + (v[2] - 2 * psi0 + v[3]) / h**2)
-
-    ttb_c, ttb_f = laplacian(psi[:4], T_STEP), laplacian(psi[4:], T_STEP / 2)
-    psi_ttb = (4.0 * ttb_f - ttb_c) / 3.0
-    # The psi values are spent: free them before the gradient's difference.
-    del psi, psi0, ttb_c, ttb_f
-    return psi_ttb, _fd.xy_combine(grad, False, T_STEP), grad0
+    with d_tbar g[a, c] = conj(d_t g[c, a]), d_bbar g = fff[..., b] and the
+    inverse g^{cbar a} = ff_inv[c, a]."""
+    ff_t, ff_ttb, ff_tb = state.model.metric_t(state.t, state.points)
+    inv, fff = state.ff_inv, state.fff
+    ff_tbar = np.einsum("ca...->ac...", ff_t).conj()
+    psi_ttb = (np.einsum("ca...,ac...->...", inv, ff_ttb)
+               - np.einsum("ca...,ad...,de...,ec...->...", inv, ff_tbar, inv, ff_t))
+    psi_tb = (np.einsum("ca...,acb...->b...", inv, ff_tb)
+              - np.einsum("ca...,adb...,de...,ec...->b...", inv, fff, inv, ff_t))
+    return psi_ttb, psi_tb, np.einsum("ca...,acb...->b...", inv, fff)
 
 
 def relative_canonical_curvature(state: FiberState,
@@ -790,9 +816,41 @@ def elliptic_family(t: complex) -> EllipticSlice:
 
     Raises for points outside the upper half plane.
     """
-    t = complex(t)
-    if t.imag <= 0:
+    return elliptic_slices([complex(t)])[0]
+
+
+def elliptic_slices(ts: Sequence[complex]) -> list[EllipticSlice]:
+    """`elliptic_family` at every base point of ts: the potential forms of all
+    slices from one jet call, and the pullback forms by scalar arithmetic.
+
+    Raises for points outside the upper half plane.
+    """
+    ts = [complex(t) for t in ts]
+    if any(t.imag <= 0 for t in ts):
         raise ValueError("base point must have positive imaginary part")
+    # zeta0 and three seeded fiber points, the same at every slice.
+    rng = np.random.default_rng(2)
+    zetas = [0.37 + 0.41j] + list(rng.standard_normal(3) + 1j * rng.standard_normal(3))
+    # One point axis: slice i's fiber points are columns 4i .. 4i + 3.
+    jets = elliptic_model().second(np.repeat(ts, len(zetas)), np.tile(zetas, len(ts))[None])
+    h_pot = np.moveaxis(form_matrix(*jets), (0, 1), (-2, -1)).reshape(len(ts), len(zetas), 2, 2)
+    if np.any(h_pot[:, 0, 1, 1].real <= 0):
+        raise PositivityError("fiber coefficient must be positive")
+    coefficients, h_pull, type_parts = zip(*(_pullback_forms(t, zetas) for t in ts))
+    h_pull = np.array(h_pull)
+    agreement = np.max(np.abs(h_pot - h_pull), axis=(1, 2, 3))
+    top_power = np.max(np.abs(np.linalg.det(h_pull)), axis=1)
+    return [EllipticSlice(t=t, map_coefficients=coefficients[i], potential_form=h_pot[i, 0],
+                          pullback_form=h_pull[i, 0], agreement=float(agreement[i]),
+                          type_residual=type_parts[i],
+                          fiber_coefficient=float(h_pot[i, 0, 1, 1].real),
+                          top_power=float(top_power[i]))
+            for i, t in enumerate(ts)]
+
+
+def _pullback_forms(t: complex, zetas: list) -> tuple[tuple[complex, complex], list, float]:
+    """The marking map coefficients (a, b) at t, the pullback forms at the
+    fiber points zetas and the largest (2,0)+(0,2) part among them."""
     d = t - np.conj(t)
     a = (1j - np.conj(t)) / d
     b = (t - 1j) / d
@@ -803,29 +861,14 @@ def elliptic_family(t: complex) -> EllipticSlice:
 
     # Pull the flat fiber form back through z = a zeta + b conj(zeta); the
     # zeta-value drops out of the fiber block but feeds the base components.
-    def pullback_at(zeta: complex) -> tuple[np.ndarray, float]:
+    forms, type_part = [], 0.0
+    for zeta in zetas:
         p = a_t * zeta + b_t * np.conj(zeta)
         q = a_tb * zeta + b_tb * np.conj(zeta)
-        h = np.array([
-            [p * np.conj(p) - q * np.conj(q), p * np.conj(a) - b * np.conj(q)],
-            [a * np.conj(p) - q * np.conj(b), a * np.conj(a) - b * np.conj(b)],
-        ])
-        type_part = abs(p * np.conj(b) - a * np.conj(q))
-        return h, type_part
-
-    # zeta0 and three seeded fiber points, the jets in one call on the stack.
-    rng = np.random.default_rng(2)
-    zetas = [0.37 + 0.41j] + list(rng.standard_normal(3) + 1j * rng.standard_normal(3))
-    h_pot = np.moveaxis(form_matrix(*elliptic_model().second(t, np.array([zetas]))), -1, 0)
-    h_pull, type_parts = zip(*map(pullback_at, zetas))
-    if h_pot[0, 1, 1].real <= 0:
-        raise PositivityError("fiber coefficient must be positive")
-    return EllipticSlice(t=t, map_coefficients=(a, b), potential_form=h_pot[0],
-                         pullback_form=h_pull[0],
-                         agreement=float(np.max(np.abs(h_pot - np.stack(h_pull)))),
-                         type_residual=max(type_parts),
-                         fiber_coefficient=float(h_pot[0, 1, 1].real),
-                         top_power=float(np.max(np.abs(np.linalg.det(np.stack(h_pull))))))
+        forms.append([[p * np.conj(p) - q * np.conj(q), p * np.conj(a) - b * np.conj(q)],
+                      [a * np.conj(p) - q * np.conj(b), a * np.conj(a) - b * np.conj(b)]])
+        type_part = max(type_part, abs(p * np.conj(b) - a * np.conj(q)))
+    return (a, b), forms, type_part
 
 
 # ---------------------------------------------------------------------------
@@ -863,7 +906,12 @@ def cross_term_model(lam: float = 0.2, grid: int = 16) -> FibrationModel:
     def third(tv, pts):
         return _n1_third(_point_shape(tv, pts), 0.0, 0.0)
 
-    return model_from_potential((second, third), f"cross({lam})", lattice=None, grid=grid)
+    def metric_t(tv, pts):
+        t, tb, _, _ = _wirtinger(tv, pts)
+        return _n1_metric_t(_point_shape(tv, pts), lam * tb, lam, 0.0)
+
+    return model_from_potential((second, third, metric_t), f"cross({lam})", lattice=None,
+                                grid=grid)
 
 
 def elliptic_model(grid: int = 64) -> FibrationModel:
@@ -955,4 +1003,15 @@ def hermitian_quadratic_model(path, n: int, name: str = "hermitian-path") -> Fib
         return (np.zeros((n, n) + shape, dtype=complex),
                 np.zeros((n, n, n) + shape, dtype=complex))
 
-    return FibrationModel(name=name, n=n, second=second, third=third, lattice=None)
+    def metric_t(tv, pts):
+        # ff = A(Re tau) does not depend on z.
+        if np.ndim(tv):
+            return _per_distinct_t(metric_t, tv, pts)
+        _, da, d2a = path(float(np.real(tv)))
+        cols = pts.shape[1]
+        return (np.repeat(0.5 * np.asarray(da, dtype=complex)[:, :, None], cols, axis=2),
+                np.repeat(0.25 * np.asarray(d2a, dtype=complex)[:, :, None], cols, axis=2),
+                np.zeros((n, n, n, cols), dtype=complex))
+
+    return FibrationModel(name=name, n=n, second=second, third=third, metric_t=metric_t,
+                          lattice=None)

@@ -244,8 +244,10 @@ class HiggsField:
         )
 
     def stencil(self, coords: np.ndarray, step: float = _fd.DEFAULT_STEP) -> HiggsStencil:
-        """The field on the nested difference stencil at one base point,
-        every point evaluated once and the projectors at the base point only."""
+        """The field on the nested difference stencil at one base point (nsym,)
+        or a stack of them (L, nsym), every point evaluated once and the
+        projectors at the base points only.  The checks read one base point:
+        `HiggsStencil.at` of a stack."""
         self.guard(coords)
         points = (coords, _fd.gradient_points(coords, step))
         wk = tuple(self.frame_change(p) for p in points)
@@ -324,6 +326,23 @@ class HiggsStencil:
     theta_bar: tuple[np.ndarray, ...]
     gram: tuple[np.ndarray, ...]
     frame: HiggsFrame                   # `HiggsField.frame_at` the base point
+
+    def at(self, i: int) -> HiggsStencil:
+        """The stencil of the i-th base point of a stencil taken at a stack of
+        base points (L, nsym): views of every array, the base point's axis
+        removed (the first at level 0, the second at level 1)."""
+        def pick(levels):
+            return (levels[0][i], levels[1][:, i])
+
+        f = self.frame
+        return HiggsStencil(
+            field=self.field, step=self.step, points=pick(self.points), wk=pick(self.wk),
+            winv=pick(self.winv),
+            dwk=(tuple(d[i] for d in self.dwk[0]), tuple(d[:, i] for d in self.dwk[1])),
+            theta=pick(self.theta), theta_bar=pick(self.theta_bar), gram=pick(self.gram),
+            frame=HiggsFrame(k=f.k, phi=f.phi[i], proj={pq: p[i] for pq, p in f.proj.items()},
+                             theta=f.theta[i], gram=f.gram[i],
+                             gram_inverse=f.gram_inverse[i], frame_change=f.frame_change[i]))
 
 
 def _covariant(st: HiggsStencil, level: int, dv: np.ndarray) -> np.ndarray:

@@ -64,11 +64,7 @@ class ComplexStructure:
         d = j.shape[0]
         if j.shape != (d, d) or d % 2 != 0:
             raise DimensionMismatchError("J must be square of even dimension")
-        # Scale-aware: eps * |J|^2 is the rounding floor of J @ J near the
-        # domain boundary, where the entries of J grow like 1/(1 - rho).
-        scale = max(1.0, float(np.max(np.abs(j))) ** 2)
-        if np.max(np.abs(j @ j + np.eye(d))) > J_SQUARE_TOL * scale:
-            raise ValueError("J^2 = -I violated beyond 1e-12 (relative)")
+        _require_square_minus_identity(j)
         object.__setattr__(self, "J", j)
 
     @property
@@ -78,6 +74,17 @@ class ComplexStructure:
     def covector_action(self) -> np.ndarray:
         """Matrix of the induced complex structure on covector coordinates."""
         return self.J.T.copy()
+
+
+def _require_square_minus_identity(j: np.ndarray) -> None:
+    """Raise unless J^2 = -I for each real matrix J of a stack (..., d, d).
+
+    Scale-aware: eps * |J|^2 is the rounding floor of J @ J near the domain
+    boundary, where the entries of J grow like 1/(1 - rho)."""
+    scale = np.maximum(1.0, np.max(np.abs(j), axis=(-2, -1)) ** 2)
+    if np.any(np.max(np.abs(j @ j + np.eye(j.shape[-1])), axis=(-2, -1))
+              > J_SQUARE_TOL * scale):
+        raise ValueError("J^2 = -I violated beyond 1e-12 (relative)")
 
 
 @dataclass(frozen=True)
@@ -216,16 +223,18 @@ def check_frame(space: SymplecticSpace, J: ComplexStructure, frame: UnitaryFrame
         raise ValueError(f"frame does not reproduce the form (residual {residual:.2e})")
 
 
-def random_symplectic_matrix(space: SymplecticSpace, rng: np.random.Generator,
-                             scale: float = 0.4) -> np.ndarray:
-    """Random element of the linear symplectic group of (V, omega).
+def random_symplectic_matrices(space: SymplecticSpace, rng: np.random.Generator, count: int,
+                               scale: float = 0.4) -> np.ndarray:
+    """count random elements of the linear symplectic group of (V, omega),
+    shape (count, d, d), from one (count, d, d) normal draw: the stream of
+    count single draws.
 
-    Exponential of a random Hamiltonian matrix X = W^{-1} S (S symmetric), which
-    satisfies X^T W + W X = 0 for any invertible antisymmetric W.
+    Exponentials of random Hamiltonian matrices X = W^{-1} S (S symmetric),
+    which satisfy X^T W + W X = 0 for any invertible antisymmetric W.
     """
     d = space.dim
-    s = rng.standard_normal((d, d))
-    s = scale * (s + s.T) / 2.0
+    s = rng.standard_normal((count, d, d))
+    s = scale * (s + s.swapaxes(-1, -2)) / 2.0
     x = np.linalg.solve(space.form, s)
     return expm(x)
 
@@ -241,16 +250,19 @@ PADE13_THETA = 5.371920351148152
 def expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling and squaring with the degree-13 Pade step.
 
-    a is scaled by 2^-s until its 1-norm is at most PADE13_THETA, the
-    approximant r = (v - u)^{-1} (v + u) is formed from the even powers
-    a^2, a^4, a^6, and r is squared s times.
+    Each matrix of a stack a (..., d, d) is scaled by 2^-s until its 1-norm
+    is at most PADE13_THETA, the approximant r = (v - u)^{-1} (v + u) is
+    formed from the even powers a^2, a^4, a^6, and r is squared s times, as
+    it would be alone.
     """
     a = np.asarray(a, dtype=float)
-    norm = float(np.max(np.sum(np.abs(a), axis=0)))
-    squarings = math.ceil(math.log2(norm / PADE13_THETA)) if norm > PADE13_THETA else 0
-    a = a / 2.0**squarings
+    norms = np.max(np.sum(np.abs(a), axis=-2), axis=-1)
+    squarings = np.reshape([math.ceil(math.log2(norm / PADE13_THETA))
+                            if norm > PADE13_THETA else 0 for norm in norms.reshape(-1)],
+                           norms.shape)
+    a = a / (2.0 ** squarings)[..., None, None]
     b = PADE13
-    ident = np.eye(a.shape[0])
+    ident = np.eye(a.shape[-1])
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2
@@ -259,21 +271,32 @@ def expm(a: np.ndarray) -> np.ndarray:
     v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
          + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
     r = np.linalg.solve(v - u, v + u)
-    for _ in range(squarings):
-        r = r @ r
+    for step in range(int(np.max(squarings, initial=0))):
+        more = squarings > step
+        r[more] = r[more] @ r[more]
     return r
+
+
+def random_compatible_structures(space: SymplecticSpace, rng: np.random.Generator, count: int,
+                                 scale: float = 0.4) -> np.ndarray:
+    """count structures P J0 P^{-1} for random symplectic P (compatible by
+    construction), shape (count, d, d), each checked as `ComplexStructure`
+    checks one."""
+    j0 = standard_complex_structure(space.n)
+    if not compatibility_report(space, j0).compatible:
+        raise ValueError("random structures require the standard form layout")
+    p = random_symplectic_matrices(space, rng, count, scale=scale)
+    j = p @ j0.J @ np.linalg.inv(p)
+    # Re-polarize so J^2 = -I holds to machine precision after the conjugation.
+    j = polarize_structure(j)
+    _require_square_minus_identity(j)
+    return j
 
 
 def random_compatible_structure(space: SymplecticSpace, rng: np.random.Generator,
                                 scale: float = 0.4) -> ComplexStructure:
     """P J0 P^{-1} for random symplectic P: compatible by construction."""
-    j0 = standard_complex_structure(space.n)
-    if not compatibility_report(space, j0).compatible:
-        raise ValueError("random structures require the standard form layout")
-    p = random_symplectic_matrix(space, rng, scale=scale)
-    j = p @ j0.J @ np.linalg.inv(p)
-    # Re-polarize so J^2 = -I holds to machine precision after the conjugation.
-    return ComplexStructure(J=polarize_structure(j))
+    return ComplexStructure(J=random_compatible_structures(space, rng, 1, scale)[0])
 
 
 def polarize_structure(j: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Sympy oracle for the closed-form fibration jets (tests only).
 
 `compile_jets` differentiates a potential in t, tbar, z0.., zb0.. and
-lambdifies the five jets a `FibrationModel` carries; `family_potential`
+lambdifies the eight jets a `FibrationModel` carries; `family_potential`
 writes the potential of each built-in family symbolically, with the
 builder's default parameters.
 """
@@ -23,7 +23,8 @@ def symbols(n: int = 1):
 
 
 def compile_jets(expr, n: int = 1):
-    """(second, third) callbacks of a potential with `FibrationModel`'s shapes."""
+    """(second, third, metric_t) callbacks of a potential with `FibrationModel`'s
+    shapes."""
     t, tb, zs, zbs = symbols(n)
     args = (t, tb) + zs + zbs
 
@@ -42,6 +43,11 @@ def compile_jets(expr, n: int = 1):
     bff_f = [[compile_(sp.diff(expr, t, zbs[c], zbs[b])) for b in range(n)] for c in range(n)]
     fff_f = [[[compile_(sp.diff(expr, zs[a], zbs[c], zbs[b])) for b in range(n)]
               for c in range(n)] for a in range(n)]
+    ff_t_f = [[compile_(sp.diff(expr, t, zs[a], zbs[c])) for c in range(n)] for a in range(n)]
+    ff_ttb_f = [[compile_(sp.diff(expr, t, tb, zs[a], zbs[c])) for c in range(n)]
+                for a in range(n)]
+    ff_tb_f = [[[compile_(sp.diff(expr, t, zs[a], zbs[c], zbs[b])) for b in range(n)]
+                for c in range(n)] for a in range(n)]
 
     def second(tv, pts):
         pts = np.asarray(pts, dtype=complex)
@@ -57,7 +63,16 @@ def compile_jets(expr, n: int = 1):
                                   for c in range(n)]) for a in range(n)])
         return bff, fff
 
-    return second, third
+    def metric_t(tv, pts):
+        pts = np.asarray(pts, dtype=complex)
+        ff_t = np.stack([np.stack([ff_t_f[a][c](tv, pts) for c in range(n)]) for a in range(n)])
+        ff_ttb = np.stack([np.stack([ff_ttb_f[a][c](tv, pts) for c in range(n)])
+                           for a in range(n)])
+        ff_tb = np.stack([np.stack([np.stack([ff_tb_f[a][c][b](tv, pts) for b in range(n)])
+                                    for c in range(n)]) for a in range(n)])
+        return ff_t, ff_ttb, ff_tb
+
+    return second, third, metric_t
 
 
 def model(expr, name: str, n: int = 1, lattice=None, grid: int = 64) -> fib.FibrationModel:

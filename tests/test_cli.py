@@ -467,7 +467,7 @@ def test_fibration_suites_build_each_fiber_state_once(monkeypatch):
     psi = _call_log(monkeypatch, fib, "_psi_base_derivatives")
     states = _call_log(monkeypatch, fib, "fiber_state")
     cli.run_suite(cli.SuiteConfig(suite="schumacher", n=2, samples=20))
-    # One t-differentiation of log det(ff) per distinct (model, t).
+    # One closed-form differentiation of log det(ff) per distinct (model, t).
     assert sorted((s.model.name, s.t) for (s,) in psi) == [
         ("elliptic", 0.2 + 1.1j), ("perturbed-torus(0.05)", cli.T_PERT)]
     states.clear()
@@ -545,3 +545,29 @@ def test_projbundle_runs_a_rank_sixteen_model():
     rep = cli.run_suite(cli.SuiteConfig(suite="projbundle", model="constant r=16"))
     assert rep.passed
     assert "configured-model-consistency" in [c.name for c in rep.checks]
+
+
+def test_verify_parser_is_built_once_and_keeps_no_values(monkeypatch, capsys):
+    # Successive calls share the parser but not the --tol lists.
+    seen = []
+
+    def stop(args):
+        seen.append(args.tol)
+        raise cli.UsageError("stop")
+
+    monkeypatch.setattr(cli, "_config_from_args", stop)
+    assert cli._verify_parser() is cli._verify_parser()
+    assert cli.main_verify(["--suite", "higgs", "--tol", "a=1"]) == 2
+    assert cli.main_verify(["--suite", "higgs", "--tol", "b=2", "--tol", "c=3"]) == 2
+    assert cli.main_verify(["--suite", "higgs"]) == 2
+    assert seen == [["a=1"], ["b=2", "c=3"], None]
+    helps = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main_verify(["--help"])
+        assert exit_.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1] and helps[0].startswith("usage: verify")
+    with pytest.raises(SystemExit) as exit_:
+        cli.main_verify(["--no-such-option"])
+    assert exit_.value.code == 2

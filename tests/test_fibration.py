@@ -73,6 +73,39 @@ def test_pk_equivalence_both_directions():
             assert rep.max_top_power > 1e-3 and rep.max_c > 1e-3, model.name
 
 
+@pytest.mark.parametrize("grid", [16, 64])
+def test_stacked_pk_residual_equals_the_per_t_loop(grid):
+    # The per-t loop that `pk_residual` stacks, over the suite's models and
+    # base points (complex and real), plus a three-point sample.
+    def per_t(model, t_samples):
+        worst_top = worst_c = 0.0
+        for i, t in enumerate(t_samples):
+            state = fib.fiber_state(model, t, seed=fib.PK_SEED + i)
+            h = np.moveaxis(fib.form_matrix(state.bb, state.bf, state.ff), (0, 1), (-2, -1))
+            worst_top = max(worst_top, float(np.max(fib.top_power_norm(h, model.n))))
+            worst_c = max(worst_c, float(np.max(np.abs(state.c))))
+        return fib.PkReport(name=model.name, max_top_power=worst_top, max_c=worst_c)
+
+    for model, _ in cli._pk_suite_models(grid):
+        for ts in ([0.25 + 1.1j, 1j], [0.3 + 0.9j, 0.3 + 1.2j, 1j]) if model.proper else \
+                ([0.3, 0.62], [0.3, 0.45, 0.62]):
+            assert fib.pk_residual(model, ts) == per_t(model, ts), (model.name, ts)
+
+
+def test_pk_residual_checks_hermiticity_per_base_point(monkeypatch):
+    # A complex c at the second base point only is refused.
+    model = fib.cross_term_model()
+    second = model.second
+
+    def skewed(tv, pts):
+        bb, bf, ff = second(tv, pts)
+        return bb + 1e-3j * (np.real(tv) > 0.5), bf, ff
+
+    with pytest.raises(ValueError, match="Hermiticity"):
+        fib.pk_residual(dataclasses.replace(model, second=skewed), [0.3, 0.62])
+    fib.pk_residual(dataclasses.replace(model, second=skewed), [0.3, 0.4])
+
+
 def test_cross_term_witness_value():
     # c = 1 + lam |z|^2 / (1 + lam |t|^2) at t = 1: comfortably above 0.05.
     model = fib.cross_term_model(lam=0.2)
@@ -134,17 +167,67 @@ def test_schumacher_perturbed_three_terms():
     assert np.max(np.abs(rep.inner)) > 1.0
 
 
-def test_psi_stencils_evaluate_the_jets_once_per_t_point():
+def test_schumacher_residual_calls_each_jet_once_per_state():
+    # fiber_state calls second and third, schumacher_residual metric_t, each
+    # once and at the state's base point.
     calls = []
 
-    def second(t, pts):
-        calls.append(t)
-        return PERTURBED32.second(t, pts)
+    def counted(kind):
+        jet = getattr(PERTURBED64, kind)
 
-    state = fib.fiber_state(dataclasses.replace(PERTURBED32, second=second), 0.3 + 1.2j)
-    calls.clear()
-    fib._psi_base_derivatives(state)
-    assert len(calls) == len(set(calls)) == 9
+        def call(t, pts):
+            calls.append((kind, t))
+            return jet(t, pts)
+
+        return call
+
+    model = dataclasses.replace(PERTURBED64, **{kind: counted(kind)
+                                                for kind in ("second", "third", "metric_t")})
+    fib.schumacher_residual(fib.fiber_state(model, 0.3 + 1.2j))
+    assert sorted(calls) == [("metric_t", 0.3 + 1.2j), ("second", 0.3 + 1.2j),
+                             ("third", 0.3 + 1.2j)]
+
+
+# t-step of the Richardson-extrapolated base stencils of log det(ff), the
+# oracle of the closed-form psi derivatives.  The second difference amplifies
+# rounding by 1/h^2 and the extrapolated stencil leaves an O(h^4) truncation.
+T_STEP = 5e-4
+
+
+def _psi_by_t_stencil(state):
+    """psi_{t tbar} and psi_{t bbar} of psi = log det(ff) at the state's t by
+    Richardson t-stencils: the real/imag 5-point Laplacian of psi and
+    `_fd.xy_combine` of the analytic fiber gradient tr(ff^-1 d_bbar ff)."""
+    from pklab import _fd
+
+    model, pts = state.model, state.points
+
+    def log_det_jets(t):
+        _, _, ff = model.second(t, pts)
+        _, fff = model.third(t, pts)
+        grad = np.einsum("ms...,smb...->b...", fib._invert_ff(ff), fff)
+        return np.log(fib._det_ff(ff).real + 0j), grad
+
+    psi0, _ = log_det_jets(state.t)
+    psi, grad = zip(*(log_det_jets(p[0])
+                      for p in _fd.xy_points(np.array([state.t]), 0, T_STEP)))
+
+    def laplacian(v, h):
+        return 0.25 * ((v[0] - 2 * psi0 + v[1]) / h**2 + (v[2] - 2 * psi0 + v[3]) / h**2)
+
+    psi_ttb = (4.0 * laplacian(psi[4:], T_STEP / 2) - laplacian(psi[:4], T_STEP)) / 3.0
+    return psi_ttb, _fd.xy_combine(np.stack(grad), False, T_STEP)
+
+
+@pytest.mark.parametrize("eps", [0.02, 0.05])
+def test_closed_form_psi_matches_the_t_stencil(eps):
+    state = fib.fiber_state(fib.perturbed_torus_model(eps=eps, grid=64), 0.3 + 1.2j)
+    psi_ttb, psi_tb, grad = fib._psi_base_derivatives(state)
+    want_ttb, want_tb = _psi_by_t_stencil(state)
+    assert np.max(np.abs(psi_ttb - want_ttb)) < 1e-6
+    assert np.max(np.abs(psi_tb - want_tb)) < 1e-7
+    want_grad = np.einsum("ca...,acb...->b...", state.ff_inv, state.fff)
+    assert np.array_equal(grad, want_grad)
 
 
 def test_schumacher_nyquist_guard():
@@ -253,6 +336,55 @@ def test_elliptic_family_makes_one_jet_call_per_slice(monkeypatch):
     assert np.array_equal(slc.potential_form, alone)
 
 
+def _elliptic_slice_by_point(t):
+    """The per-slice `elliptic_family` that `elliptic_slices` stacks: the
+    model and the seeded fiber points built per slice, one jet call on them."""
+    t = complex(t)
+    d = t - np.conj(t)
+    a = (1j - np.conj(t)) / d
+    b = (t - 1j) / d
+    a_t, a_tb = -a / d, (1j - t) / d**2
+    b_t, b_tb = (1j - np.conj(t)) / d**2, (t - 1j) / d**2
+
+    def pullback_at(zeta):
+        p = a_t * zeta + b_t * np.conj(zeta)
+        q = a_tb * zeta + b_tb * np.conj(zeta)
+        h = np.array([
+            [p * np.conj(p) - q * np.conj(q), p * np.conj(a) - b * np.conj(q)],
+            [a * np.conj(p) - q * np.conj(b), a * np.conj(a) - b * np.conj(b)],
+        ])
+        return h, abs(p * np.conj(b) - a * np.conj(q))
+
+    rng = np.random.default_rng(2)
+    zetas = [0.37 + 0.41j] + list(rng.standard_normal(3) + 1j * rng.standard_normal(3))
+    h_pot = np.moveaxis(fib.form_matrix(*fib.elliptic_model().second(t, np.array([zetas]))),
+                        -1, 0)
+    h_pull, type_parts = zip(*map(pullback_at, zetas))
+    return fib.EllipticSlice(t=t, map_coefficients=(a, b), potential_form=h_pot[0],
+                             pullback_form=h_pull[0],
+                             agreement=float(np.max(np.abs(h_pot - np.stack(h_pull)))),
+                             type_residual=max(type_parts),
+                             fiber_coefficient=float(h_pot[0, 1, 1].real),
+                             top_power=float(np.max(np.abs(np.linalg.det(np.stack(h_pull))))))
+
+
+def test_stacked_elliptic_slices_equal_the_per_slice_loop():
+    # The suite's draws at one seed: its stacked slices and c against the
+    # per-slice loop they replaced.
+    rng = np.random.default_rng([3, 6])
+    ts, pts = [], []
+    for _ in range(10):
+        ts.append(rng.uniform(-1.5, 1.5) + 1j * rng.uniform(0.3, 3.0))
+        pts.append(rng.standard_normal((1, 8)) + 1j * rng.standard_normal((1, 8)))
+    model = fib.elliptic_model()
+    c = fib.evaluate_fields(model, np.array(ts)[:, None], np.stack(pts, axis=1)).c
+    for i, (t, slc) in enumerate(zip(ts, fib.elliptic_slices(ts))):
+        one = _elliptic_slice_by_point(t)
+        for f in dataclasses.fields(one):
+            assert np.array_equal(getattr(slc, f.name), getattr(one, f.name)), f.name
+        assert np.array_equal(c[i], fib.evaluate_fields(model, t, pts[i]).c)
+
+
 # Every family, with parameters off their defaults where the family has any.
 JET_CASES = [
     ("product", {}), ("product", {"base_weight": 0.0}), ("product", {"base_weight": 2.5}),
@@ -272,14 +404,15 @@ def test_jet_cases_cover_every_family():
 def test_closed_form_jets_match_sympy(case):
     family, params = JET_CASES[case]
     hand = fib.MODEL_FAMILIES[family](**params)
-    second, third = sym.compile_jets(sym.family_potential(family, **params))
+    second, third, metric_t = sym.compile_jets(sym.family_potential(family, **params))
     rng = np.random.default_rng([13, case])
     for _ in range(6):
         t = complex(rng.uniform(-1.5, 1.5), rng.uniform(0.3, 3.0))
         pts = 1.5 * (rng.standard_normal((1, 9)) + 1j * rng.standard_normal((1, 9)))
-        got = hand.second(t, pts) + hand.third(t, pts)
-        want = second(t, pts) + third(t, pts)
-        for name, g, w in zip(("bb", "bf", "ff", "bff", "fff"), got, want):
+        got = hand.second(t, pts) + hand.third(t, pts) + hand.metric_t(t, pts)
+        want = second(t, pts) + third(t, pts) + metric_t(t, pts)
+        for name, g, w in zip(("bb", "bf", "ff", "bff", "fff", "ff_t", "ff_ttb", "ff_tb"),
+                              got, want):
             assert g.shape == w.shape and g.dtype == w.dtype, name
             assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w)), (name, t)
 
@@ -304,15 +437,42 @@ def test_stacked_t_jets_equal_per_t_calls(case):
     index, ts, pts = case
     family, params = JET_CASES[index]
     model = fib.MODEL_FAMILIES[family](**params)
-    stacked = model.second(ts, pts) + model.third(ts, pts)
+    def jets(tv, p):
+        return model.second(tv, p) + model.third(tv, p) + model.metric_t(tv, p)
+
+    stacked = jets(ts, pts)
     for i, t in enumerate(ts):
         one = pts[:, i:i + 1]
-        single = model.second(ts[i:i + 1], one) + model.third(ts[i:i + 1], one)
-        scalar = model.second(complex(t), one) + model.third(complex(t), one)
+        single = jets(ts[i:i + 1], one)
+        scalar = jets(complex(t), one)
         for got, want, same in zip(stacked, single, scalar):
             assert got.shape[:-1] == want.shape[:-1] == same.shape[:-1]
             assert np.array_equal(got[..., i:i + 1], want), (family, params)
             assert np.array_equal(want, same), (family, params)
+
+
+@pytest.mark.parametrize("path_of", [geo.hermitian_geodesic, geo.linear_hermitian_path])
+def test_hermitian_path_metric_t_matches_t_stencils(path_of):
+    # ff = A(Re tau): its tau-derivatives against Richardson stencils of ff in tau.
+    from pklab import _fd
+
+    a0 = np.array([[2.0, 0.4 + 0.1j], [0.4 - 0.1j, 1.0]])
+    a1 = np.array([[1.0, -0.3j], [0.3j, 2.5]])
+    model = fib.hermitian_quadratic_model(path_of(a0, a1), 2)
+    t, h = 0.45, 1e-3
+    pts = np.array([[0.3 + 0.1j, -0.2j], [0.5, 0.1 - 0.4j]])
+    ff_t, ff_ttb, ff_tb = model.metric_t(t, pts)
+    stencil = _fd.xy_points(np.array([t + 0j]), 0, h)[:, 0]
+    ff = np.stack([model.second(p, pts)[2] for p in stencil])
+    assert np.max(np.abs(ff_t - _fd.xy_combine(ff, False, h))) < 1e-9
+    ff0 = model.second(t, pts)[2]
+    lap = [0.25 * (v[0] + v[1] + v[2] + v[3] - 4 * ff0) / step**2
+           for v, step in ((ff[:4], h), (ff[4:], h / 2))]
+    assert np.max(np.abs(ff_ttb - (4 * lap[1] - lap[0]) / 3)) < 1e-6
+    assert ff_tb.shape == (2, 2, 2, 2) and not ff_tb.any()
+    stacked = model.metric_t(np.array([t, 0.62]), pts)
+    for got, want in zip(stacked, (ff_t, ff_ttb, ff_tb)):
+        assert np.array_equal(got[..., :1], want[..., :1])
 
 
 def test_hermitian_path_jets_evaluate_the_path_once_per_distinct_t():

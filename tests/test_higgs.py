@@ -651,3 +651,31 @@ def test_degree_one_fields_are_not_copied(n, monkeypatch):
     assert np.array_equal(field1.theta(coords), field1.theta1(coords))
     assert np.array_equal(field1.theta(coords), want_theta)
     assert np.array_equal(field1.dtheta(coords), want_dtheta)
+
+
+def _equal_trees(a, b) -> bool:
+    """Exact equality of nested tuples, dicts and arrays."""
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(_equal_trees(x, y) for x, y in zip(a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_equal_trees(a[key], b[key]) for key in a)
+    return np.shape(a) == np.shape(b) and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_two_point_stencil_views_equal_one_point_stencils(n):
+    # The `higgs` suite's base points: one stencil over both, read per point,
+    # against the stencil of each point alone.
+    rng = np.random.default_rng([7, 2])
+    coords = np.stack([np.zeros(kns.sym_dim(n), dtype=complex),
+                       kns.coords_from_sym(kns.random_bsd_point(n, rng, 0.45).phi)])
+    for k in range(min(2, 2 * n) + 1):
+        field_ = hg.HiggsField(n, k)
+        both = field_.stencil(coords)
+        for i, c in enumerate(coords):
+            view, alone = both.at(i), field_.stencil(c)
+            for f in ("points", "wk", "winv", "dwk", "theta", "theta_bar", "gram"):
+                assert _equal_trees(getattr(view, f), getattr(alone, f)), (k, i, f)
+            for f in ("phi", "proj", "theta", "gram", "gram_inverse", "frame_change"):
+                assert _equal_trees(getattr(view.frame, f), getattr(alone.frame, f)), (k, i, f)
+            assert cli._higgs_residuals(view) == cli._higgs_residuals(alone)

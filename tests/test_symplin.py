@@ -57,7 +57,7 @@ def test_random_conjugates_stay_compatible(n):
         rep = sl.compatibility_report(sp, j)
         assert rep.compatible
         assert rep.min_eigenvalue > 0
-        p = sl.random_symplectic_matrix(sp, rng)
+        p = sl.random_symplectic_matrices(sp, rng, 1)[0]
         assert np.max(np.abs(p.T @ sp.form @ p - sp.form)) < 1e-10
 
 
@@ -144,7 +144,7 @@ def test_expm_matches_scipy_on_hamiltonian_matrices(n):
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
                 assert np.max(np.abs(got.T @ w @ got - w)) <= 1e-12
         # The production draw: same construction, so the same guarantee.
-        p = sl.random_symplectic_matrix(space, rng)
+        p = sl.random_symplectic_matrices(space, rng, 1)[0]
         assert np.max(np.abs(p.T @ w @ p - w)) <= 1e-12
 
 
@@ -156,3 +156,36 @@ def test_expm_exact_cases():
     assert sl.expm(np.diag([30.0, -30.0])) == pytest.approx(np.diag([np.exp(30.0),
                                                                       np.exp(-30.0)]),
                                                              rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_structure_draws_equal_the_sample_loop(n):
+    # The per-sample draw that `random_compatible_structures` stacks: one
+    # (d, d) normal draw, expm, conjugation and polarization per sample.
+    space = sl.standard_symplectic(n)
+    j0 = sl.standard_complex_structure(n).J
+
+    def one(rng, scale):
+        s = rng.standard_normal((2 * n, 2 * n))
+        p = sl.expm(np.linalg.solve(space.form, scale * (s + s.T) / 2.0))
+        return sl.polarize_structure(p @ j0 @ np.linalg.inv(p))
+
+    for scale in (0.4, 2.5):
+        rng = np.random.default_rng([7, n])
+        loop = np.stack([one(rng, scale) for _ in range(20)])
+        stacked = sl.random_compatible_structures(space, np.random.default_rng([7, n]), 20,
+                                                  scale=scale)
+        assert np.array_equal(stacked, loop)
+    single = sl.random_compatible_structure(space, np.random.default_rng([7, n]))
+    assert np.array_equal(single.J, one(np.random.default_rng([7, n]), 0.4))
+
+
+def test_stacked_expm_squares_each_matrix_as_often_as_alone():
+    # Norms on both sides of PADE13_THETA: zero, one and several squarings.
+    rng = np.random.default_rng(5)
+    stack = rng.standard_normal((6, 4, 4)) * np.array([0.1, 1.0, 3.0, 10.0, 0.5, 40.0])[:, None,
+                                                                                          None]
+    got = sl.expm(stack)
+    for i, m in enumerate(stack):
+        assert np.array_equal(got[i], sl.expm(m))
+    assert np.array_equal(sl.expm(stack.reshape(2, 3, 4, 4)), got.reshape(2, 3, 4, 4))
