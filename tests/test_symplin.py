@@ -183,8 +183,8 @@ def test_stacked_structure_draws_equal_the_sample_loop(n):
 def test_stacked_expm_squares_each_matrix_as_often_as_alone():
     # Norms on both sides of PADE13_THETA: zero, one and several squarings.
     rng = np.random.default_rng(5)
-    stack = rng.standard_normal((6, 4, 4)) * np.array([0.1, 1.0, 3.0, 10.0, 0.5, 40.0])[:, None,
-                                                                                          None]
+    scales = np.array([0.1, 1.0, 3.0, 10.0, 0.5, 40.0])
+    stack = rng.standard_normal((6, 4, 4)) * scales[:, None, None]
     got = sl.expm(stack)
     for i, m in enumerate(stack):
         assert np.array_equal(got[i], sl.expm(m))
